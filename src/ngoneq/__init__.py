@@ -1,9 +1,9 @@
 """ngoneq: exact matrix solutions of polygon equations, constructed and verified.
 
 For any n >= 5 the package derives the two flip-move sequences of the polygon
-equation, attaches an exact rational matrix to every move, extends the
-matrices over the ambient triangulations, multiplies out both sides and checks
-entrywise equality, all in exact arithmetic.
+equation, attaches an exact rational matrix to every move, multiplies out both
+sides by applying each move to the rows it touches, and checks entrywise
+equality, all in exact arithmetic.
 """
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
@@ -11,9 +11,6 @@ from .exactfield import (
     DenseMatrix,
     Rat,
     ZetaAssignment,
-    mat_eq,
-    mat_mul,
-    mat_rank,
     rat_from_string,
     rat_to_string,
     vandermonde,
@@ -30,6 +27,7 @@ from .fvectors import (
 from .pmatrix import (
     ActiveIndexMap,
     InterleavedFrame,
+    act_on_rows,
     build_p_matrix,
     extend_matrix,
     extended_matrices,
@@ -46,8 +44,6 @@ from .simplicial import (
     equation_sequences,
     final_triangulation,
     initial_triangulation,
-    pair_to_simplex,
-    simplex_to_pair,
     triangulation_path,
 )
 from .verifier import (
@@ -77,6 +73,7 @@ __all__ = [
     "VerificationReport",
     "ZetaAssignment",
     "__version__",
+    "act_on_rows",
     "apply_move",
     "build_p_matrix",
     "check_move_action",
@@ -90,17 +87,12 @@ __all__ = [
     "final_triangulation",
     "g_value",
     "initial_triangulation",
-    "mat_eq",
-    "mat_mul",
-    "mat_rank",
     "max_stack_rank",
     "p_entry_vandermonde",
-    "pair_to_simplex",
     "product_for_side",
     "rat_from_string",
     "rat_to_string",
     "run_property_suite",
-    "simplex_to_pair",
     "stack_f_matrix",
     "triangulation_path",
     "vandermonde",

@@ -6,7 +6,9 @@ Subcommands:
     export   write matrices, invariant vectors and reports as JSON or LaTeX
     suite    batch verification plus property suite over a range of n
 
-Exit codes: 0 all verified, 1 mathematical mismatch, 2 usage or input error.
+Exit codes: 0 all verified, 1 mathematical mismatch, 2 usage or input error,
+3 internal error (a failed consistency check or any other unexpected
+exception; a bug, never a verdict about the equation).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from .errors import InvalidInputError
 from .exactfield import ZetaAssignment
@@ -32,6 +35,7 @@ from .version import __version__
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _json_dumps(doc) -> str:
@@ -295,12 +299,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

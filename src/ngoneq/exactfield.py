@@ -9,6 +9,7 @@ no tolerances appear anywhere.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,17 +19,20 @@ Rat = Fraction
 
 RANDOM_VALUE_RANGE = (1, 10**6)
 
+_RATIONAL = re.compile(r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?")
+
 
 def rat_from_string(text: str) -> Rat:
-    """Parse "p/q" (or plain "p") into an exact rational."""
+    """Parse "p/q" (or plain "p") into an exact rational.
+
+    After surrounding whitespace is stripped the text must match
+    ``[+-]?[0-9]+(/[0-9]+)?`` in ASCII digits, with a nonzero denominator.
+    """
     text = text.strip()
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"not a valid rational: {text!r}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if match is None or (match["den"] is not None and int(match["den"]) == 0):
+        raise InvalidInputError(f"not a valid rational: {text!r}")
+    return Fraction(int(match["num"]), int(match["den"] or 1))
 
 
 def rat_to_string(value: Rat) -> str:
@@ -178,20 +182,24 @@ class DenseMatrix:
     # ---- arithmetic ---------------------------------------------------
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
-        """Exact matrix product self @ other."""
+        """Exact matrix product self @ other.
+
+        Each row of the result accumulates the rows of ``other`` weighted by
+        the nonzero entries of the matching row of ``self``; zero entries
+        contribute nothing and are skipped.
+        """
         if self.cols != other.rows:
             raise InvalidInputError(
                 f"dimension mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc += self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            acc = [Fraction(0)] * other.cols
+            for a, other_row in zip(row, other.entries):
+                if a:
+                    for j, b in enumerate(other_row):
+                        acc[j] += a * b
+            out.append(acc)
         return DenseMatrix(out)
 
     __matmul__ = mul
@@ -268,16 +276,3 @@ def _latex_rat(value: Rat) -> str:
     sign = "-" if value < 0 else ""
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
-
-# Thin functional aliases over the DenseMatrix methods.
-
-def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    return a.mul(b)
-
-
-def mat_eq(a: DenseMatrix, b: DenseMatrix) -> bool:
-    return a.shape == b.shape and a.entries == b.entries
-
-
-def mat_rank(a: DenseMatrix) -> int:
-    return a.rank()

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import InvalidInputError
 from .exactfield import DenseMatrix, Rat, ZetaAssignment
-from .pmatrix import build_p_matrix
+from .pmatrix import act_on_rows
 from .simplicial import PachnerMove, Pair, Triangulation
 
 
@@ -95,11 +95,6 @@ def stack_f_matrix(t: Triangulation, zeta: ZetaAssignment) -> DenseMatrix:
 def check_move_action(move: PachnerMove, zeta: ZetaAssignment) -> bool:
     """True iff the move matrix maps the stacked removed-simplex vectors exactly
     to the stacked created-simplex vectors."""
-    p, index_map = build_p_matrix(move, zeta)
-    old_stack = DenseMatrix(
-        [list(f_vector(move.n, pair, zeta).components) for pair in index_map.col_pairs]
-    )
-    new_stack = DenseMatrix(
-        [list(f_vector(move.n, pair, zeta).components) for pair in index_map.row_pairs]
-    )
-    return p.mul(old_stack) == new_stack
+    old = {pair: f_vector(move.n, pair, zeta).components for pair in move.removed_pairs()}
+    new = {pair: f_vector(move.n, pair, zeta).components for pair in move.created_pairs()}
+    return act_on_rows(move, zeta, old) == new

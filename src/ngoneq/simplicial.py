@@ -49,14 +49,6 @@ class Pair:
         return cls(min(i, j), max(i, j), n)
 
 
-def pair_to_simplex(p: Pair) -> tuple[int, ...]:
-    return p.simplex()
-
-
-def simplex_to_pair(n: int, vertices: tuple[int, ...] | list[int]) -> Pair:
-    return Pair.from_simplex(n, vertices)
-
-
 @dataclass(frozen=True)
 class Triangulation:
     """A duplicate-free collection of pairs, stored in canonical order.

@@ -1,8 +1,8 @@
 """Full-equation verification and the property suite, with structured reports.
 
-A verification builds both move sequences for a given n, forms the two
-products of extended matrices at one concrete distinct-value assignment, and
-compares them entrywise. A passing check certifies the identity at that
+A verification builds both move sequences for a given n, forms the two side
+products at one concrete distinct-value assignment, and compares them
+entrywise. A passing check certifies the identity at that
 point; since every entry is a fixed rational function of the assignment,
 repeating the check at independently drawn assignments raises confidence in
 the identity itself to any desired level.
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-from .errors import InternalError, InvalidInputError
+from .errors import InvalidInputError
 from .exactfield import DenseMatrix, ZetaAssignment
 from .fvectors import check_move_action, check_orthogonality, f_vector, stack_f_matrix
 from .pmatrix import build_p_matrix, extended_matrices, product_for_side
@@ -111,7 +111,7 @@ def _first_difference(
 
 
 def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
-    """Check that both side products of extended matrices agree entrywise."""
+    """Check that both side products agree entrywise."""
     if zeta.n != n:
         raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
     timings: dict = {}
@@ -128,12 +128,6 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
 
     initial = initial_triangulation(n)
     final = final_triangulation(n)
-    expected_shape = (len(final), len(initial))
-    if lhs_product.shape != expected_shape or rhs_product.shape != expected_shape:
-        raise InternalError(
-            f"product shape {lhs_product.shape} does not match triangulation "
-            f"counts {expected_shape}"
-        )
 
     t0 = time.perf_counter()
     equal = lhs_product == rhs_product
@@ -145,7 +139,7 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
         zeta=zeta,
         lhs=lhs_seq,
         rhs=rhs_seq,
-        shape=expected_shape,
+        shape=(len(final), len(initial)),
         equal=equal,
         first_difference=difference,
         timings=timings,
@@ -277,16 +271,5 @@ def verify_with_properties(
     report = verify_equation(n, zeta)
     t0 = time.perf_counter()
     properties = run_property_suite(n, zeta, depth)
-    timings = dict(report.timings)
-    timings["properties"] = time.perf_counter() - t0
-    return VerificationReport(
-        n=report.n,
-        zeta=report.zeta,
-        lhs=report.lhs,
-        rhs=report.rhs,
-        shape=report.shape,
-        equal=report.equal,
-        first_difference=report.first_difference,
-        properties=properties,
-        timings=timings,
-    )
+    timings = {**report.timings, "properties": time.perf_counter() - t0}
+    return replace(report, properties=properties, timings=timings)

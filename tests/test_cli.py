@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from ngoneq.cli import main
+import ngoneq.cli as cli_module
+import ngoneq.pmatrix as pmatrix_module
+from ngoneq import InternalError, equation_sequences
+from ngoneq.cli import EXIT_INTERNAL, main
 
 
 def run(capsys, *argv):
@@ -74,6 +77,24 @@ def test_verify_fractional_zeta(capsys):
     assert "equal: true" in out
 
 
+def test_verify_negative_zeta_with_equals_spelling(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "5", "--zeta=-1,2,3,4,5")
+    assert code == 0
+    assert "equal: true" in out
+
+
+@pytest.mark.parametrize("error", [InternalError("products disagree in shape"), RuntimeError("boom")])
+def test_internal_failure_exits_3_not_mismatch(monkeypatch, capsys, error):
+    def broken(n, zeta):
+        raise error
+
+    monkeypatch.setattr(cli_module, "verify_equation", broken)
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == EXIT_INTERNAL == 3
+    assert out == ""
+    assert str(error) in err and type(error).__name__ in err
+
+
 # ---------------------------------------------------------------------------
 # show
 # ---------------------------------------------------------------------------
@@ -138,6 +159,22 @@ def test_export_latex_contains_arrays(capsys):
     assert code == 0
     assert out.count("\\begin{array}") == 7  # 2 + 3 factors plus one product per side
     assert "\\frac" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_export_builds_each_extended_matrix_once(monkeypatch, capsys, fmt):
+    real_extend = pmatrix_module.extend_matrix
+    calls = []
+
+    def counting(move, t_old, t_new, zeta):
+        calls.append(move)
+        return real_extend(move, t_old, t_new, zeta)
+
+    monkeypatch.setattr(pmatrix_module, "extend_matrix", counting)
+    code, _, _ = run(capsys, "export", "--n", "6", "--format", fmt)
+    assert code == 0
+    lhs, rhs = equation_sequences(6)
+    assert calls == list(lhs.moves + rhs.moves)
 
 
 def test_export_single_side(capsys):

@@ -12,7 +12,6 @@ from ngoneq import (
     build_p_matrix,
     f_value,
     f_vector,
-    mat_rank,
 )
 from goldens import (
     heptagon_closed_form_component,
@@ -77,7 +76,7 @@ def test_m_matrix_is_the_vector_stack_and_has_rank_3(zeta):
         list(f_vector(7, Pair.of(7, r, 7), zeta).components)[:6] for r in range(1, 7)
     ])
     assert table == stack
-    assert mat_rank(table) == 3
+    assert table.rank() == 3
 
 
 @pytest.mark.parametrize("zeta", ASSIGNMENTS, ids=lambda z: z.label)

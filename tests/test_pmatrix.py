@@ -1,14 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngoneq import (
     DenseMatrix,
+    InternalError,
     InvalidInputError,
+    MoveNotApplicableError,
+    MoveSequence,
     PachnerMove,
     Pair,
     Triangulation,
     ZetaAssignment,
+    act_on_rows,
     apply_move,
     build_p_matrix,
     equation_sequences,
@@ -21,6 +27,7 @@ from ngoneq import (
     triangulation_path,
 )
 from ngoneq.pmatrix import InterleavedFrame
+from oracles import dense_factors, dense_fold, dense_product
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
 PRIMES = ZetaAssignment(5, tuple(Fraction(v) for v in (2, 3, 5, 7, 11)), label="primes")
@@ -28,6 +35,20 @@ PRIMES = ZetaAssignment(5, tuple(Fraction(v) for v in (2, 3, 5, 7, 11)), label="
 
 def frac(a, b=1):
     return Fraction(a, b)
+
+
+def negative_fractional(n: int) -> ZetaAssignment:
+    """Distinct values of both signs, none of them integers: -1/2, 4/3, -9/4, ..."""
+    values = tuple(Fraction((-1) ** r * r * r, r + 1) for r in range(1, n + 1))
+    return ZetaAssignment(n, values, label="negative-fractional")
+
+
+def oracle_assignments(n: int) -> list[ZetaAssignment]:
+    return [
+        ZetaAssignment.consecutive(n),
+        ZetaAssignment.random_distinct(n, 1000 + n),
+        negative_fractional(n),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +251,13 @@ def test_pentagon_products_agree():
     assert product_for_side(lhs, CONSEC[5]) == product_for_side(rhs, CONSEC[5])
 
 
+def test_product_of_a_sequence_not_ending_at_the_final_triangulation_is_internal_error():
+    lhs, _ = equation_sequences(6)
+    truncated = MoveSequence(6, "lhs", lhs.moves[:-1])
+    with pytest.raises(InternalError):
+        product_for_side(truncated, CONSEC[6])
+
+
 def test_product_is_reversed_composition():
     """The product must equal fold-right of the factors: last move leftmost."""
     lhs, _ = equation_sequences(6)
@@ -248,3 +276,72 @@ def test_path_shapes_match_product():
                 len(final_triangulation(n)),
                 len(initial_triangulation(n)),
             )
+
+
+def test_product_equals_dense_fold_of_extended_matrices_n5_to_16():
+    """The row-action product is the dense product M_k ... M_1 of the extended
+    matrices, at three assignments for every n up to 16; the extended matrices
+    themselves match the independently padded ones."""
+    for n in range(5, 17):
+        for zeta in oracle_assignments(n):
+            for seq in equation_sequences(n):
+                factors = extended_matrices(seq, zeta)
+                assert factors == dense_factors(seq, zeta), (n, zeta.label, seq.side)
+                assert product_for_side(seq, zeta) == dense_fold(factors), (n, zeta.label, seq.side)
+
+
+# ---------------------------------------------------------------------------
+# the row-action primitive
+# ---------------------------------------------------------------------------
+
+def test_act_on_rows_replaces_removed_rows_and_carries_the_rest():
+    move = PachnerMove(5, 2, (3, 5), (1, 4))
+    t0 = initial_triangulation(5)
+    rows = {pair: (frac(k + 1), frac(0), frac(-k, 3)) for k, pair in enumerate(t0.pairs)}
+    before = dict(rows)
+    out = act_on_rows(move, CONSEC[5], rows)
+    assert rows == before  # the input family is left as it was
+    assert set(out) == set(apply_move(t0, move).pairs)
+    p, index_map = build_p_matrix(move, CONSEC[5])
+    for i, created in enumerate(index_map.row_pairs):
+        expected = tuple(
+            sum((p[i, j] * rows[removed][k] for j, removed in enumerate(index_map.col_pairs)),
+                frac(0))
+            for k in range(3)
+        )
+        assert out[created] == expected
+    for pair in set(t0.pairs) - set(move.removed_pairs()):
+        assert out[pair] is rows[pair]
+
+
+def test_act_on_rows_rejects_inapplicable_moves():
+    move = PachnerMove(5, 2, (3, 5), (1, 4))
+    removed = {pair: (frac(1),) for pair in move.removed_pairs()}
+    with pytest.raises(MoveNotApplicableError):
+        act_on_rows(move, CONSEC[5], {move.removed_pairs()[0]: (frac(1),)})
+    with pytest.raises(MoveNotApplicableError):
+        act_on_rows(move, CONSEC[5], {**removed, move.created_pairs()[0]: (frac(1),)})
+
+
+RATIONALS = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.integers(min_value=-10**15, max_value=10**15).map(Fraction),
+    st.fractions(max_denominator=10**9),
+)
+
+
+@st.composite
+def distinct_assignments(draw):
+    n = draw(st.integers(min_value=5, max_value=9))
+    values = draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
+    return ZetaAssignment(n, tuple(values), label="drawn")
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(distinct_assignments())
+def test_row_action_matches_dense_oracle_at_drawn_rationals(zeta):
+    lhs, rhs = equation_sequences(zeta.n)
+    lhs_product = product_for_side(lhs, zeta)
+    assert lhs_product == dense_product(lhs, zeta)
+    assert product_for_side(rhs, zeta) == dense_product(rhs, zeta)
+    assert lhs_product == product_for_side(rhs, zeta)

@@ -13,8 +13,6 @@ from ngoneq import (
     equation_sequences,
     final_triangulation,
     initial_triangulation,
-    pair_to_simplex,
-    simplex_to_pair,
     triangulation_path,
 )
 from ngoneq.simplicial import lhs_q_order, move_size, rhs_q_order
@@ -29,9 +27,9 @@ def simplices(t: Triangulation) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def test_pair_to_simplex_examples():
-    assert pair_to_simplex(Pair(4, 5, 5)) == (1, 2, 3)
-    assert pair_to_simplex(Pair(3, 4, 6)) == (1, 2, 5, 6)
-    assert pair_to_simplex(Pair(1, 2, 5)) == (3, 4, 5)
+    assert Pair(4, 5, 5).simplex() == (1, 2, 3)
+    assert Pair(3, 4, 6).simplex() == (1, 2, 5, 6)
+    assert Pair(1, 2, 5).simplex() == (3, 4, 5)
 
 
 def test_pair_validation():
@@ -47,7 +45,7 @@ def test_pair_simplex_bijection_all_small_n():
     for n in range(5, 13):
         for i, j in combinations(range(1, n + 1), 2):
             p = Pair(i, j, n)
-            assert simplex_to_pair(n, pair_to_simplex(p)) == p
+            assert Pair.from_simplex(n, p.simplex()) == p
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ from ngoneq import (
     DenseMatrix,
     InvalidInputError,
     ZetaAssignment,
+    equation_sequences,
     run_property_suite,
     verify_equation,
     verify_with_properties,
 )
+import ngoneq.pmatrix as pmatrix_module
 import ngoneq.verifier as verifier_module
 
 
@@ -133,3 +135,34 @@ def test_unequal_products_report_first_difference():
     assert (diff.row, diff.col) == (1, 2)
     assert diff.row_simplex == (2, 3, 5)
     assert diff.col_simplex == (1, 4, 5)
+
+
+def test_verify_detects_every_single_move_matrix_tamper(monkeypatch):
+    """Negative control through the production path: adding 1 to any one entry
+    of any one move matrix makes verify_equation report a difference."""
+    real_build = pmatrix_module.build_p_matrix
+    target = {}
+    tampered_calls = []
+
+    def tampered(move, zeta):
+        p, index_map = real_build(move, zeta)
+        if move == target["move"]:
+            i, j = target["entry"]
+            p = p.with_entry(i, j, p[i, j] + 1)
+            tampered_calls.append(move)
+        return p, index_map
+
+    monkeypatch.setattr(pmatrix_module, "build_p_matrix", tampered)
+    for n in (5, 6):
+        zeta = ZetaAssignment.consecutive(n)
+        lhs, rhs = equation_sequences(n)
+        for move in lhs.moves + rhs.moves:
+            p, _ = real_build(move, zeta)
+            for i in range(p.rows):
+                for j in range(p.cols):
+                    target.update(move=move, entry=(i, j))
+                    tampered_calls.clear()
+                    report = verify_equation(n, zeta)
+                    assert tampered_calls == [move]
+                    assert not report.equal, (n, move, i, j)
+                    assert report.first_difference is not None, (n, move, i, j)
