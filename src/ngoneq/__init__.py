@@ -13,7 +13,6 @@ from .exactfield import (
     ZetaAssignment,
     rat_from_string,
     rat_to_string,
-    vandermonde,
 )
 from .fvectors import (
     FVector,
@@ -26,12 +25,10 @@ from .fvectors import (
 )
 from .pmatrix import (
     ActiveIndexMap,
-    InterleavedFrame,
     act_on_rows,
     build_p_matrix,
     extend_matrix,
     extended_matrices,
-    p_entry_vandermonde,
     product_for_side,
 )
 from .simplicial import (
@@ -60,7 +57,6 @@ __all__ = [
     "ActiveIndexMap",
     "DenseMatrix",
     "FVector",
-    "InterleavedFrame",
     "InternalError",
     "InvalidInputError",
     "MoveNotApplicableError",
@@ -88,14 +84,12 @@ __all__ = [
     "g_value",
     "initial_triangulation",
     "max_stack_rank",
-    "p_entry_vandermonde",
     "product_for_side",
     "rat_from_string",
     "rat_to_string",
     "run_property_suite",
     "stack_f_matrix",
     "triangulation_path",
-    "vandermonde",
     "verify_equation",
     "verify_with_properties",
 ]

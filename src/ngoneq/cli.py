@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -46,9 +47,17 @@ def _json_dumps(doc) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        return
+    # Write beside the target, then rename over it, so a failure leaves it as it was.
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    handle = open(tmp_path, "x", encoding="utf-8")
+    try:
+        with handle:
             handle.write(text)
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def _simplex_str(vertices: tuple[int, ...], n: int) -> str:
@@ -64,7 +73,9 @@ def _resolve_assignments(args) -> list[ZetaAssignment]:
     if args.zeta is not None:
         if args.trials != 1:
             raise InvalidInputError("an explicit --zeta fixes one assignment; --trials must be 1")
-        values = [v for v in args.zeta.split(",") if v.strip()]
+        values = args.zeta.split(",")
+        if not all(v.strip() for v in values):
+            raise InvalidInputError(f"--zeta has an empty field: {args.zeta!r}")
         if len(values) != n:
             raise InvalidInputError(f"--zeta needs {n} comma-separated values, got {len(values)}")
         return [ZetaAssignment.from_strings(values)]
@@ -216,9 +227,8 @@ def _cmd_suite(args) -> int:
         total = len(report.properties)
         verified = report.equal and extra_ok
         all_ok &= verified and passed == total
-        rows.append(
-            (n, verified, f"{passed}/{total}", f"{elapsed:.2f}s")
-        )
+        details = {p.name: p.detail for p in report.properties}
+        rows.append((n, verified, f"{passed}/{total}", f"{elapsed:.2f}s", details))
 
     if args.format == "json":
         doc = {
@@ -226,15 +236,15 @@ def _cmd_suite(args) -> int:
             "min_n": args.min_n,
             "max_n": args.max_n,
             "rows": [
-                {"n": n, "verified": v, "properties": p, "time": t}
-                for (n, v, p, t) in rows
+                {"n": n, "verified": v, "properties": p, "time": t, "details": d}
+                for (n, v, p, t, d) in rows
             ],
             "all_passed": all_ok,
         }
         _emit(_json_dumps(doc), args.out)
     else:
         lines = [f"{'n':>3}  {'verified':>8}  {'properties':>10}  {'time':>8}"]
-        for n, verified, props, elapsed in rows:
+        for n, verified, props, elapsed, _ in rows:
             lines.append(f"{n:>3}  {str(verified).lower():>8}  {props:>10}  {elapsed:>8}")
         lines.append(f"all passed: {str(all_ok).lower()}")
         _emit("\n".join(lines) + "\n", args.out)

@@ -1,5 +1,5 @@
-"""Exact rational scalars, distinct-value assignments, Vandermonde determinants,
-and dense exact linear algebra.
+"""Exact rational scalars, distinct-value assignments, and dense exact linear
+algebra: multiplication, rank by Gaussian elimination, JSON and LaTeX output.
 
 Every quantity in this package is a ``fractions.Fraction`` (arbitrary-precision
 numerator/denominator, always in lowest terms), so all comparisons are exact and
@@ -84,35 +84,6 @@ class ZetaAssignment:
 
     def to_strings(self) -> list[str]:
         return [rat_to_string(v) for v in self.values]
-
-
-def vandermonde(indices: list[int] | tuple[int, ...], zeta: ZetaAssignment) -> Rat:
-    """Determinant of the moment matrix whose columns are (1, z, z^2, ...) at the
-    given vertices, taken in the given column order.
-
-    For ascending indices this is the product of (z_later - z_earlier) over all
-    pairs; an arbitrary order contributes the sign of the permutation that sorts
-    it. Nonzero whenever the indices are distinct.
-    """
-    if not indices:
-        raise InvalidInputError("vandermonde requires at least one index")
-    if len(set(indices)) != len(indices):
-        raise InvalidInputError(f"duplicate index in {indices}")
-    for i in indices:
-        if not 1 <= i <= zeta.n:
-            raise InvalidInputError(f"index {i} out of range 1..{zeta.n}")
-    inversions = sum(
-        1
-        for p in range(len(indices))
-        for q in range(p + 1, len(indices))
-        if indices[p] > indices[q]
-    )
-    ordered = sorted(indices)
-    det = Fraction(1) if inversions % 2 == 0 else Fraction(-1)
-    for p in range(len(ordered)):
-        for q in range(p + 1, len(ordered)):
-            det *= zeta[ordered[q]] - zeta[ordered[p]]
-    return det
 
 
 class DenseMatrix:
@@ -202,8 +173,6 @@ class DenseMatrix:
             out.append(acc)
         return DenseMatrix(out)
 
-    __matmul__ = mul
-
     def rank(self) -> int:
         """Exact rank by Gaussian elimination over the rationals.
 
@@ -228,38 +197,11 @@ class DenseMatrix:
                 break
         return r
 
-    def det(self) -> Rat:
-        """Exact determinant (square matrices only)."""
-        if self.rows != self.cols:
-            raise InvalidInputError("determinant requires a square matrix")
-        work = [list(row) for row in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                work[c], work[pivot_row] = work[pivot_row], work[c]
-                det = -det
-            pivot = work[c][c]
-            det *= pivot
-            for i in range(c + 1, n):
-                if work[i][c] != 0:
-                    factor = work[i][c] / pivot
-                    for j in range(c, n):
-                        work[i][j] -= factor * work[c][j]
-        return det
-
     # ---- serialization ------------------------------------------------
 
     def to_json_rows(self) -> list[list[str]]:
         """2-D array of "p/q" strings (row-major)."""
         return [[rat_to_string(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_json_rows(cls, rows: list[list[str]]) -> "DenseMatrix":
-        return cls([[rat_from_string(x) for x in row] for row in rows])
 
     def to_latex(self) -> str:
         """Render as a LaTeX array with \\frac{p}{q} entries."""

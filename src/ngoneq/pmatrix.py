@@ -10,7 +10,7 @@ Lagrange basis ratio
 
 which makes every row sum to 1. The same entries can be written as
 alternating-sign ratios of Vandermonde determinants over an interleaved
-vertex frame; that form is kept as a cross-check oracle.
+vertex frame; ``tests/oracles.py`` keeps that form as a cross-check.
 
 One primitive, ``act_on_rows``, applies a move to rows keyed by pair: the
 rows of the removed pairs become P times those rows, keyed by the created
@@ -30,7 +30,7 @@ from math import prod
 from typing import Mapping, Sequence
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
-from .exactfield import DenseMatrix, Rat, ZetaAssignment, vandermonde
+from .exactfield import DenseMatrix, Rat, ZetaAssignment
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -44,63 +44,6 @@ from .simplicial import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class InterleavedFrame:
-    """The interleaving a_1, ..., a_{n-1} of {1..n} \\ {q} behind a move.
-
-    For odd n the odd positions a_1 < a_3 < ... hold the c-vertices and the
-    even positions a_2 < a_4 < ... hold the b-vertices. For even n the odd
-    positions a_1 < a_3 < ... < a_{n-3} hold the b-vertices while the
-    c-vertices fill positions 2, 4, ..., n-2 and the last position n-1, all
-    ascending.
-
-    Only the Vandermonde-ratio oracle needs the frame: its row and column
-    vertices are the c- and b-vertices in descending order, which
-    build_p_matrix reads straight off the move.
-    """
-
-    n: int
-    q: int
-    a_seq: tuple[int, ...]
-
-    @classmethod
-    def from_move(cls, move: PachnerMove) -> "InterleavedFrame":
-        n = move.n
-        a = [0] * (n - 1)
-        if n % 2 == 1:
-            a[0::2] = move.c_set
-            a[1::2] = move.b_set
-        else:
-            a[0:n - 3:2] = move.b_set
-            a[1:n - 2:2] = move.c_set[:-1]
-            a[n - 2] = move.c_set[-1]
-        return cls(n, move.q, tuple(a))
-
-    def at(self, k: int) -> int:
-        """1-based access a_k."""
-        return self.a_seq[k - 1]
-
-    def row_vertices(self) -> list[int]:
-        """Created-simplex partner vertices in row order (c descending)."""
-        n = self.n
-        if n % 2 == 1:
-            return [self.at(n - 2 * i) for i in range(1, (n - 1) // 2 + 1)]
-        return [self.at(n - 1)] + [self.at(n + 2 - 2 * i) for i in range(2, n // 2 + 1)]
-
-    def col_vertices(self) -> list[int]:
-        """Removed-simplex partner vertices in column order (b descending)."""
-        n = self.n
-        if n % 2 == 1:
-            return [self.at(n + 1 - 2 * j) for j in range(1, (n - 1) // 2 + 1)]
-        return [self.at(n - 1 - 2 * j) for j in range(1, n // 2)]
-
-    def b_ascending(self) -> list[int]:
-        n = self.n
-        if n % 2 == 1:
-            return [self.at(k) for k in range(2, n, 2)]
-        return [self.at(k) for k in range(1, n - 2, 2)]
 
 
 @dataclass(frozen=True)
@@ -142,30 +85,6 @@ def build_p_matrix(
         tuple(Pair.of(move.n, v, move.q) for v in cols),
     )
     return DenseMatrix(entries), index_map
-
-
-def p_entry_vandermonde(
-    move: PachnerMove, zeta: ZetaAssignment, i: int, j: int
-) -> Rat:
-    """The (i, j) entry (1-based) as a signed ratio of Vandermonde determinants.
-
-    Must agree with the Lagrange form entrywise; used as an independent
-    cross-check of build_p_matrix.
-    """
-    frame = InterleavedFrame.from_move(move)
-    n = move.n
-    b_asc = frame.b_ascending()
-    if n % 2 == 1:
-        row_vertex = frame.at(n - 2 * i)
-        omitted = frame.at(n + 1 - 2 * j)
-        sign = -1 if (j + (n - 1) // 2) % 2 else 1
-    else:
-        row_vertex = frame.at(n - 1) if i == 1 else frame.at(n + 2 - 2 * i)
-        omitted = frame.at(n - 1 - 2 * j)
-        sign = -1 if (j + n // 2 - 1) % 2 else 1
-    numerator_args = [row_vertex] + [b for b in b_asc if b != omitted]
-    value = vandermonde(numerator_args, zeta) / vandermonde(b_asc, zeta)
-    return sign * value
 
 
 def act_on_rows(

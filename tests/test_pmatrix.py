@@ -22,12 +22,16 @@ from ngoneq import (
     extended_matrices,
     final_triangulation,
     initial_triangulation,
-    p_entry_vandermonde,
     product_for_side,
     triangulation_path,
 )
-from ngoneq.pmatrix import InterleavedFrame
-from oracles import dense_factors, dense_fold, dense_product
+from oracles import (
+    InterleavedFrame,
+    dense_factors,
+    dense_fold,
+    dense_product,
+    p_entry_vandermonde,
+)
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
 PRIMES = ZetaAssignment(5, tuple(Fraction(v) for v in (2, 3, 5, 7, 11)), label="primes")
@@ -173,7 +177,7 @@ def test_odd_p_matrices_invertible():
         for seq in equation_sequences(n):
             for move in seq.moves:
                 p, _ = build_p_matrix(move, CONSEC[n])
-                assert p.det() != 0
+                assert p.rank() == p.rows
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,7 @@ def test_extend_with_no_fixed_simplices_is_p_up_to_ordering():
     p, index_map = build_p_matrix(move, CONSEC[5])
     for i, rp in enumerate(index_map.row_pairs):
         for j, cp in enumerate(index_map.col_pairs):
-            assert extended[t_new.index_of(rp), t_old.index_of(cp)] == p[i, j]
+            assert extended[t_new.pairs.index(rp), t_old.pairs.index(cp)] == p[i, j]
 
 
 def test_extend_rejects_wrong_target():
