@@ -20,7 +20,7 @@ from .fvectors import (
     check_orthogonality,
     f_value,
     f_vector,
-    g_value,
+    f_vector_table,
     stack_f_matrix,
 )
 from .pmatrix import (
@@ -80,8 +80,8 @@ __all__ = [
     "extended_matrices",
     "f_value",
     "f_vector",
+    "f_vector_table",
     "final_triangulation",
-    "g_value",
     "initial_triangulation",
     "max_stack_rank",
     "product_for_side",

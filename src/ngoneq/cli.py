@@ -73,6 +73,8 @@ def _resolve_assignments(args) -> list[ZetaAssignment]:
     if args.zeta is not None:
         if args.trials != 1:
             raise InvalidInputError("an explicit --zeta fixes one assignment; --trials must be 1")
+        if args.seed is not None:
+            raise InvalidInputError("an explicit --zeta fixes the assignment; --seed does not apply")
         values = args.zeta.split(",")
         if not all(v.strip() for v in values):
             raise InvalidInputError(f"--zeta has an empty field: {args.zeta!r}")
@@ -168,7 +170,9 @@ def _export_side(seq: MoveSequence, zeta: ZetaAssignment) -> dict:
 
 
 def _cmd_export(args) -> int:
-    zeta = _resolve_assignments(args)[0]
+    if args.trials > 1:
+        raise InvalidInputError("export writes one assignment; --trials must be 1")
+    (zeta,) = _resolve_assignments(args)
     lhs, rhs = equation_sequences(args.n)
     sides = {"lhs": lhs, "rhs": rhs}
     if args.side != "both":
@@ -213,6 +217,11 @@ def _cmd_suite(args) -> int:
         )
     if args.trials < 1:
         raise InvalidInputError("--trials must be >= 1")
+    if args.seed is not None and args.trials == 1:
+        raise InvalidInputError(
+            "--seed seeds only the extra trials, which need --trials 2 or more; "
+            "the first trial always uses the consecutive assignment"
+        )
     rows = []
     all_ok = True
     for n in range(args.min_n, args.max_n + 1):
@@ -227,8 +236,7 @@ def _cmd_suite(args) -> int:
         total = len(report.properties)
         verified = report.equal and extra_ok
         all_ok &= verified and passed == total
-        details = {p.name: p.detail for p in report.properties}
-        rows.append((n, verified, f"{passed}/{total}", f"{elapsed:.2f}s", details))
+        rows.append((n, verified, f"{passed}/{total}", f"{elapsed:.2f}s", report.properties))
 
     if args.format == "json":
         doc = {
@@ -236,16 +244,18 @@ def _cmd_suite(args) -> int:
             "min_n": args.min_n,
             "max_n": args.max_n,
             "rows": [
-                {"n": n, "verified": v, "properties": p, "time": t, "details": d}
-                for (n, v, p, t, d) in rows
+                {"n": n, "verified": v, "properties": p, "time": t,
+                 "details": {r.name: r.detail for r in results}}
+                for (n, v, p, t, results) in rows
             ],
             "all_passed": all_ok,
         }
         _emit(_json_dumps(doc), args.out)
     else:
         lines = [f"{'n':>3}  {'verified':>8}  {'properties':>10}  {'time':>8}"]
-        for n, verified, props, elapsed, _ in rows:
+        for n, verified, props, elapsed, results in rows:
             lines.append(f"{n:>3}  {str(verified).lower():>8}  {props:>10}  {elapsed:>8}")
+            lines.extend(f"     {r.name}: {r.detail}" for r in results if not r.passed)
         lines.append(f"all passed: {str(all_ok).lower()}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_ok else EXIT_MISMATCH

@@ -1,5 +1,6 @@
 """Exact rational scalars, distinct-value assignments, and dense exact linear
-algebra: multiplication, rank by Gaussian elimination, JSON and LaTeX output.
+algebra: multiplication, rank by fraction-free (Bareiss) elimination, JSON and
+LaTeX output.
 
 Every quantity in this package is a ``fractions.Fraction`` (arbitrary-precision
 numerator/denominator, always in lowest terms), so all comparisons are exact and
@@ -12,6 +13,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError
 
@@ -174,24 +176,36 @@ class DenseMatrix:
         return DenseMatrix(out)
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination over the rationals.
+        """Exact rank by Bareiss fraction-free elimination (Bareiss 1968).
 
-        Pivots on the first nonzero entry in each column; no magnitude
-        pivoting is needed since the arithmetic is exact.
+        Each row is scaled by the lcm of its denominators (the rank is
+        unchanged), so elimination runs over Python ints: with pivot p at
+        (r, c) and previous pivot d, each later entry becomes
+        (p * a[i][j] - a[i][c] * a[r][j]) / d. That is a minor of the scaled
+        matrix (Sylvester's identity), so the division is exact, also after a
+        column without a pivot is skipped. Pivots are the first nonzero entry
+        in each column.
         """
-        work = [list(row) for row in self.entries]
+        work = []
+        for row in self.entries:
+            scale = lcm(*(x.denominator for x in row))
+            work.append([x.numerator * (scale // x.denominator) for x in row])
+        previous = 1
         r = 0
         for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if work[i][c] != 0), None)
+            pivot_row = next((i for i in range(r, self.rows) if work[i][c]), None)
             if pivot_row is None:
                 continue
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            pivot = work[r][c]
+            top = work[r]
+            pivot = top[c]
             for i in range(r + 1, self.rows):
-                if work[i][c] != 0:
-                    factor = work[i][c] / pivot
-                    for j in range(c, self.cols):
-                        work[i][j] -= factor * work[r][j]
+                row = work[i]
+                lead = row[c]
+                row[c] = 0
+                for j in range(c + 1, self.cols):
+                    row[j] = (pivot * row[j] - lead * top[j]) // previous
+            previous = pivot
             r += 1
             if r == self.rows:
                 break

@@ -2,8 +2,9 @@
 
 Each simplex on vertex set S (|S| = n - 2) carries a length-n vector supported
 on S whose components annihilate every power row (z_1^m, ..., z_n^m) for
-m = 0 .. floor(n/2) - 1. The component at vertex v is a sum of reciprocal
-difference products over floor(n/2)-subsets of S \\ {v}; the move matrices map
+m = 0 .. floor(n/2) - 1. The component at vertex v is the elementary symmetric
+polynomial e_k, k = floor(n/2), of the values 1 / (z_v - z_w) over the other
+vertices w of S, computed by the O(n k) recurrence; the move matrices map
 stacked old vectors exactly to stacked new vectors, which is what makes the
 two sides of the polygon equation agree.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import InvalidInputError
 from .exactfield import DenseMatrix, Rat, ZetaAssignment
@@ -21,34 +22,28 @@ from .pmatrix import act_on_rows
 from .simplicial import PachnerMove, Pair, Triangulation
 
 
-def g_value(head: int, rest: Iterable[int], zeta: ZetaAssignment) -> Rat:
-    """1 / prod_{r in rest} (z[head] - z[r]); symmetric in rest."""
-    rest = list(rest)
-    if head in rest or len(set(rest)) != len(rest):
-        raise InvalidInputError("g_value requires pairwise distinct indices")
-    denominator = Fraction(1)
-    for r in rest:
-        denominator *= zeta[head] - zeta[r]
-    return 1 / denominator
-
-
 def f_value(n: int, head: int, rest: Iterable[int], zeta: ZetaAssignment) -> Rat:
-    """Sum of g_value(head, s) over all floor(n/2)-subsets s of rest.
+    """e_k, k = floor(n/2), of the values 1 / (z[head] - z[r]) over r in rest.
 
-    rest must list the other n-3 vertices of the simplex; subsets are
-    enumerated in lexicographic order (the order is irrelevant to the sum
-    but fixed for reproducibility).
+    Equivalently, the sum over all k-subsets s of rest of
+    1 / prod_{r in s} (z[head] - z[r]). rest must list the other n-3 vertices
+    of the simplex. The recurrence adds one value x at a time, updating
+    e[j] += e[j-1] * x with j running downward so that each e[j-1] is still
+    the value before x.
     """
-    rest = sorted(rest)
+    rest = list(rest)
     if len(rest) != n - 3:
         raise InvalidInputError(f"rest must have {n - 3} vertices, got {len(rest)}")
     if head in rest or len(set(rest)) != len(rest):
         raise InvalidInputError("f_value requires pairwise distinct indices")
     k = n // 2
-    total = Fraction(0)
-    for subset in combinations(rest, k):
-        total += g_value(head, subset, zeta)
-    return total
+    z_head = zeta[head]
+    e = [Fraction(1)] + [Fraction(0)] * k
+    for count, r in enumerate(rest, start=1):
+        x = 1 / (z_head - zeta[r])
+        for j in range(min(count, k), 0, -1):
+            e[j] += e[j - 1] * x
+    return e[k]
 
 
 @dataclass(frozen=True)
@@ -74,6 +69,15 @@ def f_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
     return FVector(n, pair, tuple(components))
 
 
+def f_vector_table(n: int, zeta: ZetaAssignment) -> dict[Pair, FVector]:
+    """The invariant vectors of all C(n,2) simplices, keyed by pair in
+    lexicographic (i, j) order."""
+    return {
+        pair: f_vector(n, pair, zeta)
+        for pair in (Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2))
+    }
+
+
 def check_orthogonality(v: FVector, zeta: ZetaAssignment) -> bool:
     """True iff sum_r v_r * z_r^m = 0 exactly for m = 0 .. floor(n/2) - 1."""
     for m in range(v.n // 2):
@@ -92,9 +96,12 @@ def stack_f_matrix(t: Triangulation, zeta: ZetaAssignment) -> DenseMatrix:
     )
 
 
-def check_move_action(move: PachnerMove, zeta: ZetaAssignment) -> bool:
+def check_move_action(
+    move: PachnerMove, zeta: ZetaAssignment, vectors: Mapping[Pair, FVector]
+) -> bool:
     """True iff the move matrix maps the stacked removed-simplex vectors exactly
-    to the stacked created-simplex vectors."""
-    old = {pair: f_vector(move.n, pair, zeta).components for pair in move.removed_pairs()}
-    new = {pair: f_vector(move.n, pair, zeta).components for pair in move.created_pairs()}
+    to the stacked created-simplex vectors, both read from ``vectors`` (for
+    example ``f_vector_table(move.n, zeta)``)."""
+    old = {pair: vectors[pair].components for pair in move.removed_pairs()}
+    new = {pair: vectors[pair].components for pair in move.created_pairs()}
     return act_on_rows(move, zeta, old) == new

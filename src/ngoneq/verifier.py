@@ -20,10 +20,11 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from typing import Mapping
 
 from .errors import InvalidInputError
 from .exactfield import DenseMatrix, ZetaAssignment
-from .fvectors import check_move_action, check_orthogonality, f_vector, stack_f_matrix
+from .fvectors import FVector, check_move_action, check_orthogonality, f_vector_table
 from .pmatrix import build_p_matrix, extended_matrices, product_for_side
 from .simplicial import (
     MoveSequence,
@@ -167,10 +168,29 @@ def max_stack_rank(n: int) -> int:
     return n - n // 2
 
 
-def _prop_row_sums(n: int, zeta: ZetaAssignment) -> PropertyResult:
-    for seq in equation_sequences(n):
-        for move, matrix in zip(seq.moves, extended_matrices(seq, zeta)):
-            p, _ = build_p_matrix(move, zeta)
+@dataclass(frozen=True)
+class SuiteContext:
+    """Everything the properties of one (n, zeta) suite run read, built once:
+    the two move sequences and the invariant vectors of all C(n,2) pairs."""
+
+    n: int
+    zeta: ZetaAssignment
+    sequences: tuple[MoveSequence, MoveSequence]
+    vectors: Mapping[Pair, FVector]
+
+    def stack(self, pairs) -> DenseMatrix:
+        """The vectors of the given pairs as the rows of a matrix, in order."""
+        return DenseMatrix([self.vectors[pair].components for pair in pairs])
+
+    def omit_vertex_pairs(self, q: int) -> list[Pair]:
+        """The n-1 pairs containing q, ordered by their other vertex."""
+        return [Pair.of(self.n, q, v) for v in range(1, self.n + 1) if v != q]
+
+
+def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
+    for seq in ctx.sequences:
+        for move, matrix in zip(seq.moves, extended_matrices(seq, ctx.zeta)):
+            p, _ = build_p_matrix(move, ctx.zeta)
             for source, mat in (("move matrix", p), ("extended matrix", matrix)):
                 for i, s in enumerate(mat.row_sums()):
                     if s != 1:
@@ -182,44 +202,38 @@ def _prop_row_sums(n: int, zeta: ZetaAssignment) -> PropertyResult:
     return PropertyResult("row_sums", True)
 
 
-def _prop_orthogonality(n: int, zeta: ZetaAssignment) -> PropertyResult:
-    for i, j in combinations(range(1, n + 1), 2):
-        pair = Pair(i, j, n)
-        if not check_orthogonality(f_vector(n, pair, zeta), zeta):
-            return PropertyResult("orthogonality", False, f"pair ({i},{j})")
+def _prop_orthogonality(ctx: SuiteContext) -> PropertyResult:
+    for pair, vector in ctx.vectors.items():
+        if not check_orthogonality(vector, ctx.zeta):
+            return PropertyResult("orthogonality", False, f"pair ({pair.i},{pair.j})")
     return PropertyResult("orthogonality", True)
 
 
-def _prop_move_action(n: int, zeta: ZetaAssignment) -> PropertyResult:
-    for seq in equation_sequences(n):
+def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
+    for seq in ctx.sequences:
         for move in seq.moves:
-            if not check_move_action(move, zeta):
+            if not check_move_action(move, ctx.zeta, ctx.vectors):
                 return PropertyResult(
                     "move_action", False, f"{seq.side} {move.label()}"
                 )
     return PropertyResult("move_action", True)
 
 
-def _omit_vertex_vectors(n: int, q: int, zeta: ZetaAssignment) -> list:
-    others = [v for v in range(1, n + 1) if v != q]
-    return [f_vector(n, Pair.of(n, q, v), zeta) for v in others]
-
-
-def _prop_independence(n: int, zeta: ZetaAssignment) -> PropertyResult:
+def _prop_independence(ctx: SuiteContext) -> PropertyResult:
     """Every choice of floor((n-1)/2) vectors omitting a common vertex has full
     rank; exhaustive when feasible, otherwise a seeded INDEPENDENCE_SAMPLE."""
+    n = ctx.n
     m = move_size(n)
     for q in range(1, n + 1):
-        vectors = _omit_vertex_vectors(n, q, zeta)
-        all_choices = list(combinations(range(len(vectors)), m))
+        pairs = ctx.omit_vertex_pairs(q)
+        all_choices = list(combinations(range(len(pairs)), m))
         if len(all_choices) > INDEPENDENCE_SAMPLE:
             rng = random.Random(10_000 * n + q)
             choices = rng.sample(all_choices, INDEPENDENCE_SAMPLE)
         else:
             choices = all_choices
         for choice in choices:
-            stack = DenseMatrix([list(vectors[k].components) for k in choice])
-            if stack.rank() != m:
+            if ctx.stack(pairs[k] for k in choice).rank() != m:
                 picked = ",".join(str(k) for k in choice)
                 return PropertyResult(
                     "independence", False, f"q={q} choice [{picked}] rank deficient"
@@ -227,24 +241,23 @@ def _prop_independence(n: int, zeta: ZetaAssignment) -> PropertyResult:
     return PropertyResult("independence", True)
 
 
-def _prop_span_rank(n: int, zeta: ZetaAssignment) -> PropertyResult:
+def _prop_span_rank(ctx: SuiteContext) -> PropertyResult:
     """All n-1 vectors omitting a common vertex span exactly floor((n-1)/2)
     dimensions, for every choice of the common vertex."""
-    m = move_size(n)
-    for q in range(1, n + 1):
-        vectors = _omit_vertex_vectors(n, q, zeta)
-        rank = DenseMatrix([list(v.components) for v in vectors]).rank()
+    m = move_size(ctx.n)
+    for q in range(1, ctx.n + 1):
+        rank = ctx.stack(ctx.omit_vertex_pairs(q)).rank()
         if rank != m:
             return PropertyResult("span_rank", False, f"q={q} rank {rank}, want {m}")
     return PropertyResult("span_rank", True)
 
 
-def _prop_initial_stack_rank(n: int, zeta: ZetaAssignment) -> PropertyResult:
+def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
     """The stacked vectors of the initial triangulation achieve the maximum
     attainable rank min(row count, n - floor(n/2))."""
-    initial = initial_triangulation(n)
-    rank = stack_f_matrix(initial, zeta).rank()
-    want = min(len(initial), max_stack_rank(n))
+    initial = initial_triangulation(ctx.n)
+    rank = ctx.stack(initial.pairs).rank()
+    want = min(len(initial), max_stack_rank(ctx.n))
     if rank != want:
         return PropertyResult(
             "initial_stack_rank", False, f"rank {rank}, want {want}"
@@ -253,16 +266,18 @@ def _prop_initial_stack_rank(n: int, zeta: ZetaAssignment) -> PropertyResult:
 
 
 def run_property_suite(n: int, zeta: ZetaAssignment) -> tuple[PropertyResult, ...]:
-    """Run every structural property at one assignment."""
+    """Run every structural property at one assignment, from one shared
+    SuiteContext."""
     if zeta.n != n:
         raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
+    ctx = SuiteContext(n, zeta, equation_sequences(n), f_vector_table(n, zeta))
     return (
-        _prop_row_sums(n, zeta),
-        _prop_orthogonality(n, zeta),
-        _prop_move_action(n, zeta),
-        _prop_independence(n, zeta),
-        _prop_span_rank(n, zeta),
-        _prop_initial_stack_rank(n, zeta),
+        _prop_row_sums(ctx),
+        _prop_orthogonality(ctx),
+        _prop_move_action(ctx),
+        _prop_independence(ctx),
+        _prop_span_rank(ctx),
+        _prop_initial_stack_rank(ctx),
     )
 
 

@@ -1,15 +1,20 @@
-"""Independent oracles for the move matrices and the row-action side products.
+"""Independent oracles for the library's fast paths.
 
 The library computes each move-matrix entry in Lagrange (barycentric) form and
 never forms identity-padded move matrices on its hot path. These helpers do
 both the other way: entries as signed ratios of Vandermonde determinants over
 an interleaved vertex frame, and side products as dense folds of padded
 matrices, exactly as the polygon equation is stated, so that the library's
-results can be checked against them.
+results can be checked against them. Likewise the invariant-vector components
+are computed here as explicit sums over subsets, and ranks by Gaussian
+elimination in ``Fraction`` arithmetic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import strategies as st
 
 from ngoneq import (
     DenseMatrix,
@@ -148,3 +153,81 @@ def dense_fold(factors) -> DenseMatrix:
 def dense_product(seq, zeta) -> DenseMatrix:
     """The side product as the dense fold of the padded move matrices."""
     return dense_fold(dense_factors(seq, zeta))
+
+
+def g_value(head: int, rest, zeta: ZetaAssignment) -> Rat:
+    """1 / prod_{r in rest} (z[head] - z[r]); symmetric in rest."""
+    rest = list(rest)
+    if head in rest or len(set(rest)) != len(rest):
+        raise InvalidInputError("g_value requires pairwise distinct indices")
+    denominator = Fraction(1)
+    for r in rest:
+        denominator *= zeta[head] - zeta[r]
+    return 1 / denominator
+
+
+def subset_sum_f_value(n: int, head: int, rest, zeta: ZetaAssignment) -> Rat:
+    """Sum of g_value(head, s) over all floor(n/2)-subsets s of rest, the
+    defining form of the invariant-vector component; must equal f_value."""
+    rest = sorted(rest)
+    if len(rest) != n - 3:
+        raise InvalidInputError(f"rest must have {n - 3} vertices, got {len(rest)}")
+    if head in rest or len(set(rest)) != len(rest):
+        raise InvalidInputError("f_value requires pairwise distinct indices")
+    return sum((g_value(head, s, zeta) for s in combinations(rest, n // 2)), Fraction(0))
+
+
+def fraction_rank(matrix: DenseMatrix) -> int:
+    """Rank by Gaussian elimination over Fraction, pivoting on the first nonzero
+    entry in each column; must equal DenseMatrix.rank."""
+    work = [list(row) for row in matrix.entries]
+    r = 0
+    for c in range(matrix.cols):
+        pivot_row = next((i for i in range(r, matrix.rows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot = work[r][c]
+        for i in range(r + 1, matrix.rows):
+            if work[i][c] != 0:
+                factor = work[i][c] / pivot
+                for j in range(c, matrix.cols):
+                    work[i][j] -= factor * work[r][j]
+        r += 1
+        if r == matrix.rows:
+            break
+    return r
+
+
+# ---------------------------------------------------------------------------
+# assignments the oracle comparisons run at
+# ---------------------------------------------------------------------------
+
+def negative_fractional(n: int) -> ZetaAssignment:
+    """Distinct values of both signs, none of them integers: -1/2, 4/3, -9/4, ..."""
+    values = tuple(Fraction((-1) ** r * r * r, r + 1) for r in range(1, n + 1))
+    return ZetaAssignment(n, values, label="negative-fractional")
+
+
+def oracle_assignments(n: int) -> list[ZetaAssignment]:
+    """Consecutive, seeded and negative-fractional assignments for n."""
+    return [
+        ZetaAssignment.consecutive(n),
+        ZetaAssignment.random_distinct(n, 1000 + n),
+        negative_fractional(n),
+    ]
+
+
+RATIONALS = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.integers(min_value=-10**15, max_value=10**15).map(Fraction),
+    st.fractions(max_denominator=10**9),
+)
+
+
+@st.composite
+def distinct_assignments(draw, max_n: int):
+    """Assignments of drawn distinct rationals for n = 5..max_n."""
+    n = draw(st.integers(min_value=5, max_value=max_n))
+    values = draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
+    return ZetaAssignment(n, tuple(values), label="drawn")

@@ -18,6 +18,7 @@ from ngoneq import (
     equation_sequences,
     extended_matrices,
     f_vector,
+    f_vector_table,
     final_triangulation,
     initial_triangulation,
     product_for_side,
@@ -161,9 +162,10 @@ def test_criterion_07_move_action_for_all_moves():
     bad = []
     for n in range(5, 11):
         zeta = consecutive(n)
+        table = f_vector_table(n, zeta)
         for seq in equation_sequences(n):
             for move in seq.moves:
-                if not check_move_action(move, zeta):
+                if not check_move_action(move, zeta, table):
                     bad.append((n, seq.side, move.label()))
     assert not bad, bad
 

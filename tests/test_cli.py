@@ -75,6 +75,14 @@ def test_verify_zeta_with_trials_conflict(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_zeta_with_seed_conflict(capsys, command):
+    code, out, err = run(capsys, command, "--n", "5", "--zeta", "1,2,3,4,5", "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
 def test_verify_zero_trials_rejected(capsys):
     code, _, err = run(capsys, "verify", "--n", "5", "--trials", "0")
     assert code == 2
@@ -220,6 +228,13 @@ def test_out_failed_rename_keeps_target_and_leaves_no_temp_file(tmp_path, monkey
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+def test_export_rejects_several_trials(capsys):
+    code, out, err = run(capsys, "export", "--n", "5", "--seed", "3", "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
+
+
 def test_export_unwritable_path(capsys):
     code, _, err = run(capsys, "export", "--n", "5", "--out", "/nonexistent/dir/x.json")
     assert code == 2
@@ -249,6 +264,21 @@ def test_suite_bad_range(capsys):
     assert code == 2
 
 
+def test_suite_seed_without_extra_trials_rejected(capsys):
+    code, out, err = run(capsys, "suite", "--min-n", "5", "--max-n", "5", "--seed", "9")
+    assert code == 2
+    assert out == ""
+    assert "--seed seeds only the extra trials" in err
+
+
+def test_suite_seed_with_extra_trials(capsys):
+    code, out, _ = run(
+        capsys, "suite", "--min-n", "5", "--max-n", "5", "--seed", "9", "--trials", "2"
+    )
+    assert code == 0
+    assert "all passed: true" in out
+
+
 def test_suite_json_format(capsys):
     code, out, _ = run(capsys, "suite", "--min-n", "5", "--max-n", "6", "--format", "json")
     assert code == 0
@@ -272,8 +302,8 @@ def test_suite_json_carries_property_details(capsys):
 
 
 def test_suite_json_shows_the_detail_of_a_failed_property(monkeypatch, capsys):
-    def failing(n, zeta):
-        return PropertyResult("span_rank", False, f"q=1 rank 0, want {n}")
+    def failing(ctx):
+        return PropertyResult("span_rank", False, f"q=1 rank 0, want {ctx.n}")
 
     monkeypatch.setattr(verifier_module, "_prop_span_rank", failing)
     code, out, _ = run(capsys, "suite", "--min-n", "5", "--max-n", "5", "--format", "json")
@@ -282,3 +312,19 @@ def test_suite_json_shows_the_detail_of_a_failed_property(monkeypatch, capsys):
     assert doc["all_passed"] is False
     assert doc["rows"][0]["properties"] == "5/6"
     assert doc["rows"][0]["details"]["span_rank"] == "q=1 rank 0, want 5"
+
+    code, out, _ = run(capsys, "suite", "--min-n", "5", "--max-n", "6")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].split()[:3] == ["5", "true", "5/6"]
+    assert lines[2] == "     span_rank: q=1 rank 0, want 5"
+    assert lines[3].split()[:3] == ["6", "true", "5/6"]
+    assert lines[4] == "     span_rank: q=1 rank 0, want 6"
+    assert lines[5] == "all passed: false"
+
+
+def test_suite_text_lists_no_detail_for_passing_properties(capsys):
+    code, out, _ = run(capsys, "suite", "--min-n", "7", "--max-n", "7")
+    assert code == 0
+    assert "rank 4" not in out
+    assert len(out.splitlines()) == 3

@@ -11,7 +11,7 @@ from ngoneq import (
     rat_from_string,
     rat_to_string,
 )
-from oracles import vandermonde
+from oracles import fraction_rank, vandermonde
 
 
 def brute_force_det(matrix):
@@ -243,6 +243,67 @@ def test_det_zero_for_singular():
     assert brute_force_det([list(r) for r in m.entries]) == 0
     assert m.rank() == 1
     check_rank_against_minors(14, deficient=True)
+
+
+def deficient_matrix(rng, rows, cols):
+    """A random matrix with rank-deficient structure: some rows are zero, some
+    are combinations of earlier rows, and some columns are zero or copies of
+    an earlier column, so elimination meets columns with no pivot."""
+    entries = [
+        [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7])) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for i in range(rows):
+        kind = rng.random()
+        if kind < 0.15:
+            entries[i] = [Fraction(0)] * cols
+        elif kind < 0.5 and i >= 2:
+            a, b = rng.sample(range(i), 2)
+            x, y = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+            entries[i] = [x * u + y * v for u, v in zip(entries[a], entries[b])]
+    for j in range(cols):
+        kind = rng.random()
+        if kind < 0.2:
+            for row in entries:
+                row[j] = Fraction(0)
+        elif kind < 0.4 and j >= 1:
+            src = rng.randrange(j)
+            for row in entries:
+                row[j] = 2 * row[src]
+    return entries
+
+
+def test_rank_matches_fraction_elimination_oracle():
+    """Bareiss rank equals Gaussian elimination over Fraction on 300 seeded
+    matrices up to 9x9: generic, rank-deficient, with zero rows, and with zero
+    or repeated columns that are skipped without a pivot."""
+    rng = random.Random(2024)
+    deficient = 0
+    for trial in range(300):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if trial % 3 == 0:
+            m = random_matrix(rng, rows, cols)
+        else:
+            m = DenseMatrix(deficient_matrix(rng, rows, cols))
+        want = fraction_rank(m)
+        assert m.rank() == want, m
+        deficient += want < min(rows, cols)
+    assert deficient >= 100
+
+
+def test_rank_with_large_entries_and_skipped_leading_columns():
+    """A zero first column, a pivot-free column in the middle, and entries
+    near 10^6 and 1/10^6, where exact division by the previous pivot matters."""
+    big = [
+        [0, 999_983, 0, Fraction(1, 999_979), 7],
+        [0, 3, 0, 5, Fraction(-2, 3)],
+        [0, 999_986, 0, 5 + Fraction(1, 999_979), Fraction(19, 3)],
+        [0, 0, 0, 0, 0],
+        [0, 1, 0, Fraction(1, 2), 10**6],
+    ]
+    m = DenseMatrix(big)
+    assert m.rank() == fraction_rank(m) == 3
+    assert m.transpose().rank() == 3
 
 
 def test_matrix_latex_entries():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngoneq import (
     FVector,
@@ -16,11 +18,12 @@ from ngoneq import (
     equation_sequences,
     f_value,
     f_vector,
-    g_value,
+    f_vector_table,
     initial_triangulation,
     stack_f_matrix,
 )
 from ngoneq.verifier import max_stack_rank
+from oracles import distinct_assignments, g_value, oracle_assignments, subset_sum_f_value
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
 
@@ -89,6 +92,37 @@ def test_f_n7_is_sum_of_g_over_omissions():
 def test_f_value_validates_rest_length():
     with pytest.raises(InvalidInputError):
         f_value(7, 1, [2, 3, 4], CONSEC[7])
+
+
+def test_f_value_rejects_repeats():
+    with pytest.raises(InvalidInputError):
+        f_value(7, 1, [1, 2, 3, 4], CONSEC[7])
+    with pytest.raises(InvalidInputError):
+        f_value(7, 1, [2, 2, 3, 4], CONSEC[7])
+
+
+def test_f_value_recurrence_matches_subset_sums():
+    """The e_k recurrence equals the subset-sum definition, n = 5..12, at
+    consecutive, seeded and negative-fractional assignments: every vertex as
+    head, with the n-3 vertices after it and the n-3 before it (cyclically)."""
+    for n in range(5, 13):
+        for zeta in oracle_assignments(n):
+            for head in range(1, n + 1):
+                for step in (1, -1):
+                    rest = [(head - 1 + step * k) % n + 1 for k in range(1, n - 2)]
+                    assert f_value(n, head, rest, zeta) == subset_sum_f_value(
+                        n, head, rest, zeta
+                    ), (n, zeta.label, head, rest)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(distinct_assignments(max_n=12), st.data())
+def test_f_value_recurrence_matches_subset_sums_at_drawn_rationals(zeta, data):
+    n = zeta.n
+    head = data.draw(st.integers(min_value=1, max_value=n))
+    others = [v for v in range(1, n + 1) if v != head]
+    rest = data.draw(st.permutations(others))[: n - 3]
+    assert f_value(n, head, rest, zeta) == subset_sum_f_value(n, head, rest, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +222,44 @@ def test_pentagon_move_action_explicit():
         list(f_vector(5, Pair(1, 5, 5), z).components),
     ])
     assert p.mul(old) == new
-    assert check_move_action(move, z)
+    assert check_move_action(move, z, f_vector_table(5, z))
 
 
 def test_hexagon_and_heptagon_move_action():
-    assert check_move_action(PachnerMove(6, 6, (1, 3), (2, 4, 5)), CONSEC[6])
-    assert check_move_action(PachnerMove(7, 7, (2, 4, 6), (1, 3, 5)), CONSEC[7])
+    table6, table7 = f_vector_table(6, CONSEC[6]), f_vector_table(7, CONSEC[7])
+    assert check_move_action(PachnerMove(6, 6, (1, 3), (2, 4, 5)), CONSEC[6], table6)
+    assert check_move_action(PachnerMove(7, 7, (2, 4, 6), (1, 3, 5)), CONSEC[7], table7)
 
 
 def test_move_action_along_sequences():
     for n in (5, 6, 7, 8):
+        table = f_vector_table(n, CONSEC[n])
         for seq in equation_sequences(n):
             for move in seq.moves:
-                assert check_move_action(move, CONSEC[n])
+                assert check_move_action(move, CONSEC[n], table)
 
 
 def test_move_action_at_random_assignment():
     z = ZetaAssignment.random_distinct(6, 31)
+    table = f_vector_table(6, z)
     for seq in equation_sequences(6):
         for move in seq.moves:
-            assert check_move_action(move, z)
+            assert check_move_action(move, z, table)
+
+
+def test_move_action_detects_a_wrong_created_vector():
+    z = CONSEC[6]
+    move = PachnerMove(6, 6, (1, 3), (2, 4, 5))
+    table = f_vector_table(6, z)
+    created = move.created_pairs()[0]
+    v = table[created]
+    table[created] = FVector(6, created, (v.components[0] + 1,) + v.components[1:])
+    assert not check_move_action(move, z, table)
+
+
+def test_f_vector_table_holds_every_pair_in_order():
+    for n in (5, 8):
+        z = ZetaAssignment.random_distinct(n, 4)
+        table = f_vector_table(n, z)
+        assert list(table) == [Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2)]
+        assert all(v == f_vector(n, pair, z) for pair, v in table.items())

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ngoneq import (
     DenseMatrix,
@@ -30,6 +29,8 @@ from oracles import (
     dense_factors,
     dense_fold,
     dense_product,
+    distinct_assignments,
+    oracle_assignments,
     p_entry_vandermonde,
 )
 
@@ -39,20 +40,6 @@ PRIMES = ZetaAssignment(5, tuple(Fraction(v) for v in (2, 3, 5, 7, 11)), label="
 
 def frac(a, b=1):
     return Fraction(a, b)
-
-
-def negative_fractional(n: int) -> ZetaAssignment:
-    """Distinct values of both signs, none of them integers: -1/2, 4/3, -9/4, ..."""
-    values = tuple(Fraction((-1) ** r * r * r, r + 1) for r in range(1, n + 1))
-    return ZetaAssignment(n, values, label="negative-fractional")
-
-
-def oracle_assignments(n: int) -> list[ZetaAssignment]:
-    return [
-        ZetaAssignment.consecutive(n),
-        ZetaAssignment.random_distinct(n, 1000 + n),
-        negative_fractional(n),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +314,8 @@ def test_act_on_rows_rejects_inapplicable_moves():
         act_on_rows(move, CONSEC[5], {**removed, move.created_pairs()[0]: (frac(1),)})
 
 
-RATIONALS = st.one_of(
-    st.fractions(min_value=-50, max_value=50, max_denominator=60),
-    st.integers(min_value=-10**15, max_value=10**15).map(Fraction),
-    st.fractions(max_denominator=10**9),
-)
-
-
-@st.composite
-def distinct_assignments(draw):
-    n = draw(st.integers(min_value=5, max_value=9))
-    values = draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
-    return ZetaAssignment(n, tuple(values), label="drawn")
-
-
 @settings(max_examples=30, deadline=None, database=None)
-@given(distinct_assignments())
+@given(distinct_assignments(max_n=9))
 def test_row_action_matches_dense_oracle_at_drawn_rationals(zeta):
     lhs, rhs = equation_sequences(zeta.n)
     lhs_product = product_for_side(lhs, zeta)

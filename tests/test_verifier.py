@@ -1,5 +1,7 @@
 import json
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,6 +14,7 @@ from ngoneq import (
     verify_equation,
     verify_with_properties,
 )
+import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.verifier as verifier_module
 
@@ -87,6 +90,26 @@ def test_property_suite_passes_random_seeds_n8():
         z = ZetaAssignment.random_distinct(8, seed)
         results = run_property_suite(8, z)
         assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_property_suite_builds_each_invariant_vector_once(monkeypatch):
+    """One run_property_suite call computes the C(n,2) vectors of its table and
+    nothing more, wherever in the package f_vector is looked up from."""
+    real = fvectors_module.f_vector
+    calls = []
+
+    def counting(n, pair, zeta):
+        calls.append(pair)
+        return real(n, pair, zeta)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "f_vector", None) is real:
+            monkeypatch.setattr(module, "f_vector", counting)
+    for n in (5, 8, 9):
+        calls.clear()
+        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5))
+        assert all(r.passed for r in results)
+        assert len(calls) == len(set(calls)) == comb(n, 2)
 
 
 def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
