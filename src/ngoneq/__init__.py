@@ -12,7 +12,6 @@ from .exactfield import (
     Rat,
     ZetaAssignment,
     rat_from_string,
-    rat_to_string,
 )
 from .fvectors import (
     FVector,
@@ -21,10 +20,8 @@ from .fvectors import (
     f_value,
     f_vector,
     f_vector_table,
-    stack_f_matrix,
 )
 from .pmatrix import (
-    ActiveIndexMap,
     act_on_rows,
     build_p_matrix,
     extend_matrix,
@@ -54,7 +51,6 @@ from .verifier import (
 from .version import __version__
 
 __all__ = [
-    "ActiveIndexMap",
     "DenseMatrix",
     "FVector",
     "InternalError",
@@ -86,9 +82,7 @@ __all__ = [
     "max_stack_rank",
     "product_for_side",
     "rat_from_string",
-    "rat_to_string",
     "run_property_suite",
-    "stack_f_matrix",
     "triangulation_path",
     "verify_equation",
     "verify_with_properties",

@@ -26,6 +26,7 @@ from .fvectors import f_vector
 from .pmatrix import extended_matrices, product_for_side
 from .simplicial import (
     MoveSequence,
+    check_n,
     equation_sequences,
     initial_triangulation,
     triangulation_path,
@@ -68,6 +69,7 @@ def _simplex_str(vertices: tuple[int, ...], n: int) -> str:
 def _resolve_assignments(args) -> list[ZetaAssignment]:
     """Build the list of assignments implied by --zeta/--seed/--trials."""
     n = args.n
+    check_n(n)
     if args.trials < 1:
         raise InvalidInputError("--trials must be >= 1")
     if args.zeta is not None:

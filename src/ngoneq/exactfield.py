@@ -37,11 +37,6 @@ def rat_from_string(text: str) -> Rat:
     return Fraction(int(match["num"]), int(match["den"] or 1))
 
 
-def rat_to_string(value: Rat) -> str:
-    """Format as "p/q", omitting the denominator when it is 1."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class ZetaAssignment:
     """Pairwise-distinct rational values, one per vertex 1..n.
@@ -75,8 +70,10 @@ class ZetaAssignment:
     @classmethod
     def random_distinct(cls, n: int, seed: int) -> "ZetaAssignment":
         """Seeded distinct integers drawn from RANDOM_VALUE_RANGE."""
-        rng = random.Random(seed)
         lo, hi = RANDOM_VALUE_RANGE
+        if not 1 <= n <= hi - lo + 1:
+            raise InvalidInputError(f"cannot draw {n} distinct values from {lo}..{hi}")
+        rng = random.Random(seed)
         values = rng.sample(range(lo, hi + 1), n)
         return cls(n, tuple(Fraction(v) for v in values), label=f"seed:{seed}")
 
@@ -85,7 +82,7 @@ class ZetaAssignment:
         return cls(len(texts), tuple(rat_from_string(t) for t in texts))
 
     def to_strings(self) -> list[str]:
-        return [rat_to_string(v) for v in self.values]
+        return [str(v) for v in self.values]
 
 
 class DenseMatrix:
@@ -102,18 +99,6 @@ class DenseMatrix:
         if any(len(row) != self.cols for row in self.entries):
             raise InvalidInputError("ragged rows in matrix")
 
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
     # ---- basic queries ------------------------------------------------
 
     def __getitem__(self, index: tuple[int, int]) -> Rat:
@@ -125,12 +110,9 @@ class DenseMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __repr__(self) -> str:
         body = "; ".join(
-            " ".join(rat_to_string(x) for x in row) for row in self.entries
+            " ".join(str(x) for x in row) for row in self.entries
         )
         return f"DenseMatrix({self.rows}x{self.cols}: {body})"
 
@@ -140,17 +122,6 @@ class DenseMatrix:
 
     def row_sums(self) -> list[Rat]:
         return [sum(row, Fraction(0)) for row in self.entries]
-
-    def with_entry(self, i: int, j: int, value: Rat) -> "DenseMatrix":
-        """Copy of this matrix with one entry replaced."""
-        rows = [list(row) for row in self.entries]
-        rows[i][j] = Fraction(value)
-        return DenseMatrix(rows)
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -215,7 +186,7 @@ class DenseMatrix:
 
     def to_json_rows(self) -> list[list[str]]:
         """2-D array of "p/q" strings (row-major)."""
-        return [[rat_to_string(x) for x in row] for row in self.entries]
+        return [[str(x) for x in row] for row in self.entries]
 
     def to_latex(self) -> str:
         """Render as a LaTeX array with \\frac{p}{q} entries."""

@@ -17,9 +17,9 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import InvalidInputError
-from .exactfield import DenseMatrix, Rat, ZetaAssignment
+from .exactfield import Rat, ZetaAssignment
 from .pmatrix import act_on_rows
-from .simplicial import PachnerMove, Pair, Triangulation
+from .simplicial import PachnerMove, Pair
 
 
 def f_value(n: int, head: int, rest: Iterable[int], zeta: ZetaAssignment) -> Rat:
@@ -87,13 +87,6 @@ def check_orthogonality(v: FVector, zeta: ZetaAssignment) -> bool:
         if total != 0:
             return False
     return True
-
-
-def stack_f_matrix(t: Triangulation, zeta: ZetaAssignment) -> DenseMatrix:
-    """|t| x n matrix whose rows are the vectors of t's pairs in canonical order."""
-    return DenseMatrix(
-        [list(f_vector(t.n, pair, zeta).components) for pair in t.pairs]
-    )
 
 
 def check_move_action(

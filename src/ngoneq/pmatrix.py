@@ -2,9 +2,9 @@
 move on a family of rows indexed by simplex pairs.
 
 The matrix P of a move has one row per created simplex and one column per
-removed simplex. Rows are labelled by the c-vertices in descending order,
-columns by the b-vertices in descending order, and the (i, j) entry is the
-Lagrange basis ratio
+removed simplex, in the order of ``move.created_pairs()`` and
+``move.removed_pairs()``: c-vertices and b-vertices descending. The (i, j)
+entry is the Lagrange basis ratio
 
     prod_{j' != j} (z[row_i] - z[col_j']) / prod_{j' != j} (z[col_j] - z[col_j'])
 
@@ -24,7 +24,6 @@ in the tests as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Mapping, Sequence
@@ -46,18 +45,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ActiveIndexMap:
-    """Which pair each matrix row creates and each column consumes."""
-
-    row_pairs: tuple[Pair, ...]
-    col_pairs: tuple[Pair, ...]
-
-
-def build_p_matrix(
-    move: PachnerMove, zeta: ZetaAssignment
-) -> tuple[DenseMatrix, ActiveIndexMap]:
-    """The move matrix in Lagrange-product form, with its row/column labels.
+def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
+    """The move matrix in Lagrange-product form; row i belongs to
+    ``move.created_pairs()[i]`` and column j to ``move.removed_pairs()[j]``.
 
     Shape is m x m for odd n and (m+1) x m for even n, where m = floor((n-1)/2).
     Entries are computed in barycentric form, l(r) * w_j / (z[r] - z[col_j]) with
@@ -68,23 +58,17 @@ def build_p_matrix(
         raise InvalidInputError(
             f"assignment is for n={zeta.n} but move is for n={move.n}"
         )
-    rows = sorted(move.c_set, reverse=True)
-    cols = sorted(move.b_set, reverse=True)
-    z_cols = [zeta[c] for c in cols]
+    z_cols = [zeta[pair.other(move.q)] for pair in move.removed_pairs()]
     weights = [
         1 / prod(zj - zj2 for j2, zj2 in enumerate(z_cols) if j2 != j)
         for j, zj in enumerate(z_cols)
     ]
     entries = []
-    for r in rows:
-        diffs = [zeta[r] - zc for zc in z_cols]
+    for pair in move.created_pairs():
+        diffs = [zeta[pair.other(move.q)] - zc for zc in z_cols]
         ell = prod(diffs)
         entries.append([ell * w / d for w, d in zip(weights, diffs)])
-    index_map = ActiveIndexMap(
-        tuple(Pair.of(move.n, v, move.q) for v in rows),
-        tuple(Pair.of(move.n, v, move.q) for v in cols),
-    )
-    return DenseMatrix(entries), index_map
+    return DenseMatrix(entries)
 
 
 def act_on_rows(
@@ -98,16 +82,16 @@ def act_on_rows(
     the nonzeros the move actually combines. Returns a new dict and leaves
     ``rows`` untouched.
     """
-    p, index_map = build_p_matrix(move, zeta)
+    p = build_p_matrix(move, zeta)
     out = dict(rows)
     removed = []
-    for pair in index_map.col_pairs:
+    for pair in move.removed_pairs():
         if pair not in out:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) not present")
         removed.append(out.pop(pair))
     width = len(removed[0])
     sources = [[(k, x) for k, x in enumerate(row) if x] for row in removed]
-    for pair, coeffs in zip(index_map.row_pairs, p.entries):
+    for pair, coeffs in zip(move.created_pairs(), p.entries):
         if pair in out:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) already present")
         acc = [_ZERO] * width

@@ -36,6 +36,12 @@ class Pair:
         """Sorted vertex tuple of the simplex this pair names."""
         return tuple(v for v in range(1, self.n + 1) if v != self.i and v != self.j)
 
+    def other(self, v: int) -> int:
+        """The vertex paired with v."""
+        if v not in (self.i, self.j):
+            raise InvalidInputError(f"vertex {v} not in pair ({self.i},{self.j})")
+        return self.i if v == self.j else self.j
+
     @classmethod
     def of(cls, n: int, i: int, j: int) -> "Pair":
         """Pair with i, j given in either order."""
@@ -68,9 +74,6 @@ class Triangulation:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.pairs
-
     def simplices(self) -> list[tuple[int, ...]]:
         return [p.simplex() for p in self.pairs]
 
@@ -98,10 +101,12 @@ class PachnerMove:
             raise InvalidInputError("b_set and c_set must be sorted")
 
     def removed_pairs(self) -> list[Pair]:
-        return [Pair.of(self.n, b, self.q) for b in self.b_set]
+        """The pairs {b, q}, b descending: the column order of the move matrix."""
+        return [Pair.of(self.n, b, self.q) for b in reversed(self.b_set)]
 
     def created_pairs(self) -> list[Pair]:
-        return [Pair.of(self.n, c, self.q) for c in self.c_set]
+        """The pairs {c, q}, c descending: the row order of the move matrix."""
+        return [Pair.of(self.n, c, self.q) for c in reversed(self.c_set)]
 
     def label(self) -> str:
         """Subscript notation d^(q)_{b...} used in step listings."""
@@ -121,14 +126,14 @@ class MoveSequence:
     moves: tuple[PachnerMove, ...] = field(default_factory=tuple)
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
     if n < 5:
         raise InvalidInputError(f"construction requires n >= 5, got {n}")
 
 
 def initial_triangulation(n: int) -> Triangulation:
     """Pairs (n+1-2k, n+2-2l) for 1 <= l <= k <= floor((n-1)/2)."""
-    _check_n(n)
+    check_n(n)
     pairs = []
     for k in range(1, move_size(n) + 1):
         for l in range(1, k + 1):
@@ -138,7 +143,7 @@ def initial_triangulation(n: int) -> Triangulation:
 
 def final_triangulation(n: int) -> Triangulation:
     """Pairs (n-2k, n+1-2l); for even n also (1, n+2-2l), l = 1..n/2."""
-    _check_n(n)
+    check_n(n)
     pairs = []
     top = move_size(n) if n % 2 == 1 else n // 2 - 1
     for k in range(1, top + 1):
@@ -156,9 +161,7 @@ def derive_move(t: Triangulation, q: int) -> PachnerMove:
     n = t.n
     if not 1 <= q <= n:
         raise InvalidInputError(f"vertex {q} out of range 1..{n}")
-    b = sorted(
-        (p.i if p.j == q else p.j) for p in t.pairs if q in (p.i, p.j)
-    )
+    b = sorted(p.other(q) for p in t.pairs if q in (p.i, p.j))
     if len(b) != move_size(n):
         raise MoveNotApplicableError(
             f"vertex {q} lies in {len(b)} pairs, need {move_size(n)}"
@@ -203,7 +206,7 @@ def equation_sequences(n: int) -> tuple[MoveSequence, MoveSequence]:
     one; the q-orders are lhs: 2,4,...,n-1 / rhs: n,n-2,...,1 for odd n and
     lhs: 3,5,...,n-1,1 / rhs: n,n-2,...,2 for even n.
     """
-    _check_n(n)
+    check_n(n)
     sides = []
     for side, q_order in (("lhs", lhs_q_order(n)), ("rhs", rhs_q_order(n))):
         t = initial_triangulation(n)

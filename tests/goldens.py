@@ -8,6 +8,7 @@ checks the construction as rational functions, not just at one point.
 from fractions import Fraction
 
 from ngoneq import DenseMatrix, ZetaAssignment
+from oracles import transpose
 
 
 def _m(zeta: ZetaAssignment, rows) -> DenseMatrix:
@@ -47,7 +48,7 @@ def pentagon_lhs_factors_as_tabulated(zeta: ZetaAssignment) -> list[DenseMatrix]
 
 
 def pentagon_lhs_factors(zeta: ZetaAssignment) -> list[DenseMatrix]:
-    return [m.transpose() for m in pentagon_lhs_factors_as_tabulated(zeta)]
+    return [transpose(m) for m in pentagon_lhs_factors_as_tabulated(zeta)]
 
 
 def pentagon_rhs_factors(zeta: ZetaAssignment) -> list[DenseMatrix]:

@@ -7,7 +7,9 @@ an interleaved vertex frame, and side products as dense folds of padded
 matrices, exactly as the polygon equation is stated, so that the library's
 results can be checked against them. Likewise the invariant-vector components
 are computed here as explicit sums over subsets, and ranks by Gaussian
-elimination in ``Fraction`` arithmetic.
+elimination in ``Fraction`` arithmetic. The small dense-matrix helpers at the
+end (identity, zeros, transpose, single-entry edits, vector stacks) serve the
+tests only.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,12 @@ from ngoneq import (
     DenseMatrix,
     InvalidInputError,
     PachnerMove,
+    Pair,
     Rat,
+    Triangulation,
     ZetaAssignment,
     build_p_matrix,
+    f_vector,
     triangulation_path,
 )
 
@@ -123,15 +128,20 @@ def p_entry_vandermonde(move: PachnerMove, zeta: ZetaAssignment, i: int, j: int)
 
 def dense_extend(move, t_old, t_new, zeta) -> DenseMatrix:
     """The move matrix padded to |t_new| x |t_old|: a 1 for every simplex the
-    move leaves alone, the move matrix entries at the active rows and columns."""
-    p, index_map = build_p_matrix(move, zeta)
+    move leaves alone, the move matrix entries at the active rows and columns.
+    The active rows and columns are labelled from the interleaved frame, not
+    from the move's own pair order."""
+    p = build_p_matrix(move, zeta)
+    frame = InterleavedFrame.from_move(move)
     row_of = {pair: k for k, pair in enumerate(t_new.pairs)}
     col_of = {pair: k for k, pair in enumerate(t_old.pairs)}
     out = [[Fraction(0)] * len(t_old) for _ in range(len(t_new))]
     for pair in set(t_old.pairs) & set(t_new.pairs):
         out[row_of[pair]][col_of[pair]] = Fraction(1)
-    for i, row_pair in enumerate(index_map.row_pairs):
-        for j, col_pair in enumerate(index_map.col_pairs):
+    created = [Pair.of(move.n, v, move.q) for v in frame.row_vertices()]
+    removed = [Pair.of(move.n, v, move.q) for v in frame.col_vertices()]
+    for i, row_pair in enumerate(created):
+        for j, col_pair in enumerate(removed):
             out[row_of[row_pair]][col_of[col_pair]] = p[i, j]
     return DenseMatrix(out)
 
@@ -231,3 +241,31 @@ def distinct_assignments(draw, max_n: int):
     n = draw(st.integers(min_value=5, max_value=max_n))
     values = draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
     return ZetaAssignment(n, tuple(values), label="drawn")
+
+
+# ---------------------------------------------------------------------------
+# dense-matrix helpers the tests build their cases with
+# ---------------------------------------------------------------------------
+
+def identity(n: int) -> DenseMatrix:
+    return DenseMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def zeros(rows: int, cols: int) -> DenseMatrix:
+    return DenseMatrix([[Fraction(0)] * cols for _ in range(rows)])
+
+
+def transpose(matrix: DenseMatrix) -> DenseMatrix:
+    return DenseMatrix([list(col) for col in zip(*matrix.entries)])
+
+
+def with_entry(matrix: DenseMatrix, i: int, j: int, value: Rat) -> DenseMatrix:
+    """Copy of the matrix with one entry replaced."""
+    rows = [list(row) for row in matrix.entries]
+    rows[i][j] = Fraction(value)
+    return DenseMatrix(rows)
+
+
+def stack_f_matrix(t: Triangulation, zeta: ZetaAssignment) -> DenseMatrix:
+    """|t| x n matrix whose rows are the vectors of t's pairs in canonical order."""
+    return DenseMatrix([list(f_vector(t.n, pair, zeta).components) for pair in t.pairs])

@@ -31,6 +31,23 @@ def test_verify_small_n_is_usage_error(capsys):
     assert "n >= 5" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_n_below_five_is_usage_error(capsys, command, n):
+    code, out, err = run(capsys, command, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: construction requires n >= 5, got {n}\n"
+
+
+@pytest.mark.parametrize("trials", [[], ["--trials", "2"]], ids=["one-trial", "two-trials"])
+def test_seeded_n_beyond_the_value_range_is_usage_error(capsys, trials):
+    code, out, err = run(capsys, "verify", "--n", "1000001", "--seed", "1", *trials)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot draw 1000001 distinct values from 1..1000000\n"
+
+
 def test_verify_multiple_seeded_trials(capsys):
     code, out, _ = run(capsys, "verify", "--n", "9", "--trials", "5", "--seed", "42")
     assert code == 0

@@ -4,14 +4,14 @@ from itertools import combinations, permutations
 
 import pytest
 
+import ngoneq.exactfield as exactfield_module
 from ngoneq import (
     DenseMatrix,
     InvalidInputError,
     ZetaAssignment,
     rat_from_string,
-    rat_to_string,
 )
-from oracles import fraction_rank, vandermonde
+from oracles import fraction_rank, identity, transpose, vandermonde, with_entry, zeros
 
 
 def brute_force_det(matrix):
@@ -49,7 +49,7 @@ def random_matrix(rng, rows, cols):
 
 def test_rat_round_trip():
     for text in ["-3/2", "6", "0", "7/3", "-1"]:
-        assert rat_to_string(rat_from_string(text)) == text
+        assert str(rat_from_string(text)) == text
 
 
 def test_rat_from_string_rejects_junk():
@@ -98,6 +98,16 @@ def test_assignment_random_distinct_is_seeded_and_distinct():
     assert a.values != c.values
     assert len(set(a.values)) == 12
     assert all(1 <= v <= 10**6 for v in a.values)
+
+
+def test_assignment_random_distinct_rejects_more_values_than_the_range(monkeypatch):
+    for n in (10**6 + 1, 0, -3):
+        with pytest.raises(InvalidInputError, match="distinct values from 1..1000000"):
+            ZetaAssignment.random_distinct(n, 1)
+    monkeypatch.setattr(exactfield_module, "RANDOM_VALUE_RANGE", (1, 5))
+    assert sorted(ZetaAssignment.random_distinct(5, 1).values) == [1, 2, 3, 4, 5]
+    with pytest.raises(InvalidInputError, match="cannot draw 6 distinct values from 1..5"):
+        ZetaAssignment.random_distinct(6, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +163,8 @@ def test_vandermonde_never_zero_on_distinct_indices():
 def test_mat_mul_identity_both_sides():
     rng = random.Random(1)
     m = random_matrix(rng, 3, 4)
-    assert DenseMatrix.identity(3).mul(m) == m
-    assert m.mul(DenseMatrix.identity(4)) == m
+    assert identity(3).mul(m) == m
+    assert m.mul(identity(4)) == m
 
 
 def test_mat_mul_row_sum_example():
@@ -166,7 +176,7 @@ def test_mat_mul_row_sum_example():
 
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(InvalidInputError):
-        DenseMatrix.zeros(2, 3).mul(DenseMatrix.zeros(2, 3))
+        zeros(2, 3).mul(zeros(2, 3))
 
 
 def test_mat_mul_associative_on_random_triples():
@@ -182,13 +192,13 @@ def test_mat_eq_basics():
     rng = random.Random(3)
     m = random_matrix(rng, 3, 3)
     assert m == m
-    assert DenseMatrix.zeros(2, 2) != DenseMatrix.zeros(3, 3)
-    assert m != m.with_entry(1, 2, m[1, 2] + 1)
+    assert zeros(2, 2) != zeros(3, 3)
+    assert m != with_entry(m, 1, 2, m[1, 2] + 1)
 
 
 def test_mat_rank_trivial_cases():
-    assert DenseMatrix.zeros(3, 5).rank() == 0
-    assert DenseMatrix.identity(4).rank() == 4
+    assert zeros(3, 5).rank() == 0
+    assert identity(4).rank() == 4
 
 
 def test_mat_rank_transpose_invariant():
@@ -198,7 +208,7 @@ def test_mat_rank_transpose_invariant():
         a = random_matrix(rng, rng.randint(2, 5), rng.randint(1, 3))
         b = random_matrix(rng, a.cols, rng.randint(2, 5))
         m = a.mul(b)
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
         assert m.rank() <= a.cols
 
 
@@ -303,7 +313,7 @@ def test_rank_with_large_entries_and_skipped_leading_columns():
     ]
     m = DenseMatrix(big)
     assert m.rank() == fraction_rank(m) == 3
-    assert m.transpose().rank() == 3
+    assert transpose(m).rank() == 3
 
 
 def test_matrix_latex_entries():

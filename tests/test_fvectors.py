@@ -20,10 +20,15 @@ from ngoneq import (
     f_vector,
     f_vector_table,
     initial_triangulation,
-    stack_f_matrix,
 )
 from ngoneq.verifier import max_stack_rank
-from oracles import distinct_assignments, g_value, oracle_assignments, subset_sum_f_value
+from oracles import (
+    distinct_assignments,
+    g_value,
+    oracle_assignments,
+    stack_f_matrix,
+    subset_sum_f_value,
+)
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
 
@@ -210,9 +215,9 @@ def test_pentagon_move_action_explicit():
 
     z = CONSEC[5]
     move = PachnerMove(5, 5, (2, 4), (1, 3))
-    p, index_map = build_p_matrix(move, z)
-    assert [pr.simplex() for pr in index_map.col_pairs] == [(1, 2, 3), (1, 3, 4)]
-    assert [pr.simplex() for pr in index_map.row_pairs] == [(1, 2, 4), (2, 3, 4)]
+    p = build_p_matrix(move, z)
+    assert [pr.simplex() for pr in move.removed_pairs()] == [(1, 2, 3), (1, 3, 4)]
+    assert [pr.simplex() for pr in move.created_pairs()] == [(1, 2, 4), (2, 3, 4)]
     old = DenseMatrix([
         list(f_vector(5, Pair(4, 5, 5), z).components),
         list(f_vector(5, Pair(2, 5, 5), z).components),

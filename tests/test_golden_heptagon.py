@@ -32,21 +32,21 @@ MOVE = PachnerMove(7, 7, (2, 4, 6), (1, 3, 5))
 
 @pytest.mark.parametrize("zeta", ASSIGNMENTS, ids=lambda z: z.label)
 def test_p_matrix_matches_vandermonde_ratio_table(zeta):
-    built, index_map = build_p_matrix(MOVE, zeta)
+    built = build_p_matrix(MOVE, zeta)
     assert built == heptagon_p_matrix(zeta)
     assert built == DenseMatrix(
         [[p_entry_vandermonde(MOVE, zeta, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
     )
-    assert [p.simplex() for p in index_map.col_pairs] == [
+    assert [p.simplex() for p in MOVE.removed_pairs()] == [
         (1, 2, 3, 4, 5), (1, 2, 3, 5, 6), (1, 3, 4, 5, 6)
     ]
-    assert [p.simplex() for p in index_map.row_pairs] == [
+    assert [p.simplex() for p in MOVE.created_pairs()] == [
         (1, 2, 3, 4, 6), (1, 2, 4, 5, 6), (2, 3, 4, 5, 6)
     ]
 
 
 def test_p_matrix_frozen_values_at_consecutive():
-    built, _ = build_p_matrix(MOVE, ZetaAssignment.consecutive(7))
+    built = build_p_matrix(MOVE, ZetaAssignment.consecutive(7))
     assert built == DenseMatrix([
         [Fraction(3, 8), Fraction(3, 4), Fraction(-1, 8)],
         [Fraction(-1, 8), Fraction(3, 4), Fraction(3, 8)],
@@ -55,7 +55,7 @@ def test_p_matrix_frozen_values_at_consecutive():
 
 
 def test_p_matrix_invertible_with_unit_row_sums():
-    built, _ = build_p_matrix(MOVE, ZetaAssignment.consecutive(7))
+    built = build_p_matrix(MOVE, ZetaAssignment.consecutive(7))
     assert built.rank() == built.rows
     assert all(s == 1 for s in built.row_sums())
 
@@ -86,11 +86,11 @@ def test_m_matrix_is_the_vector_stack_and_has_rank_3(zeta):
 @pytest.mark.parametrize("zeta", ASSIGNMENTS, ids=lambda z: z.label)
 def test_move_action_on_the_displayed_stacks(zeta):
     """P maps the three stacked old vectors to the three stacked new ones."""
-    built, index_map = build_p_matrix(MOVE, zeta)
+    built = build_p_matrix(MOVE, zeta)
     old = DenseMatrix(
-        [list(f_vector(7, p, zeta).components) for p in index_map.col_pairs]
+        [list(f_vector(7, p, zeta).components) for p in MOVE.removed_pairs()]
     )
     new = DenseMatrix(
-        [list(f_vector(7, p, zeta).components) for p in index_map.row_pairs]
+        [list(f_vector(7, p, zeta).components) for p in MOVE.created_pairs()]
     )
     assert built.mul(old) == new

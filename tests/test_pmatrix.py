@@ -72,6 +72,31 @@ def test_frame_row_col_vertices_are_descending_partner_sets():
                 assert frame.b_ascending() == list(move.b_set)
 
 
+@pytest.mark.parametrize("n", range(5, 13))
+def test_move_matrix_labels_follow_the_move_pairs(n):
+    """For every move of both sides, P's rows belong to move.created_pairs()
+    and its columns to move.removed_pairs(), other vertex descending: acting
+    on unit rows keyed by the removed pairs returns P's rows keyed by the
+    created pairs."""
+    zeta = CONSEC[n]
+    for seq in equation_sequences(n):
+        for move in seq.moves:
+            frame = InterleavedFrame.from_move(move)
+            created, removed = move.created_pairs(), move.removed_pairs()
+            rows_by_vertex = [pair.other(move.q) for pair in created]
+            cols_by_vertex = [pair.other(move.q) for pair in removed]
+            assert rows_by_vertex == sorted(move.c_set, reverse=True) == frame.row_vertices()
+            assert cols_by_vertex == sorted(move.b_set, reverse=True) == frame.col_vertices()
+            p = build_p_matrix(move, zeta)
+            assert p.shape == (len(created), len(removed))
+            units = {
+                pair: tuple(frac(int(j == k)) for k in range(len(removed)))
+                for j, pair in enumerate(removed)
+            }
+            rows = act_on_rows(move, zeta, units)
+            assert [rows[pair] for pair in created] == list(p.entries)
+
+
 # ---------------------------------------------------------------------------
 # move matrices
 # ---------------------------------------------------------------------------
@@ -81,41 +106,41 @@ def test_pentagon_p_matrix_formulas_and_labels():
     move = PachnerMove(5, 5, (2, 4), (1, 3))
     for zeta in (CONSEC[5], PRIMES):
         z = zeta
-        p, index_map = build_p_matrix(move, zeta)
+        p = build_p_matrix(move, zeta)
         expected = DenseMatrix([
             [(z[2] - z[3]) / (z[2] - z[4]), (z[3] - z[4]) / (z[2] - z[4])],
             [(z[2] - z[1]) / (z[2] - z[4]), (z[1] - z[4]) / (z[2] - z[4])],
         ])
         assert p == expected
-    assert index_map.row_pairs == (Pair(3, 5, 5), Pair(1, 5, 5))
-    assert index_map.col_pairs == (Pair(4, 5, 5), Pair(2, 5, 5))
+    assert move.created_pairs() == [Pair(3, 5, 5), Pair(1, 5, 5)]
+    assert move.removed_pairs() == [Pair(4, 5, 5), Pair(2, 5, 5)]
 
 
 def test_pentagon_p_matrix_at_consecutive_values():
-    p, _ = build_p_matrix(PachnerMove(5, 5, (2, 4), (1, 3)), CONSEC[5])
+    p = build_p_matrix(PachnerMove(5, 5, (2, 4), (1, 3)), CONSEC[5])
     assert p == DenseMatrix([[frac(1, 2), frac(1, 2)], [frac(-1, 2), frac(3, 2)]])
 
 
 def test_hexagon_p_matrix_formulas():
     move = PachnerMove(6, 6, (1, 3), (2, 4, 5))
     z = CONSEC[6]
-    p, index_map = build_p_matrix(move, z)
+    p = build_p_matrix(move, z)
     expected = DenseMatrix([
         [(z[1] - z[5]) / (z[1] - z[3]), (z[5] - z[3]) / (z[1] - z[3])],
         [(z[1] - z[4]) / (z[1] - z[3]), (z[4] - z[3]) / (z[1] - z[3])],
         [(z[1] - z[2]) / (z[1] - z[3]), (z[2] - z[3]) / (z[1] - z[3])],
     ])
     assert p == expected
-    assert [pr.simplex() for pr in index_map.row_pairs] == [
+    assert [pr.simplex() for pr in move.created_pairs()] == [
         (1, 2, 3, 4), (1, 2, 3, 5), (1, 3, 4, 5)
     ]
-    assert [pr.simplex() for pr in index_map.col_pairs] == [
+    assert [pr.simplex() for pr in move.removed_pairs()] == [
         (1, 2, 4, 5), (2, 3, 4, 5)
     ]
 
 
 def test_heptagon_p_entry():
-    p, _ = build_p_matrix(PachnerMove(7, 7, (2, 4, 6), (1, 3, 5)), CONSEC[7])
+    p = build_p_matrix(PachnerMove(7, 7, (2, 4, 6), (1, 3, 5)), CONSEC[7])
     assert p[0, 0] == frac(3, 8)
 
 
@@ -123,7 +148,7 @@ def test_p_matrix_shapes():
     for n in range(5, 13):
         for seq in equation_sequences(n):
             for move in seq.moves:
-                p, _ = build_p_matrix(move, CONSEC[n])
+                p = build_p_matrix(move, CONSEC[n])
                 if n % 2 == 1:
                     assert p.shape == ((n - 1) // 2, (n - 1) // 2)
                 else:
@@ -134,7 +159,7 @@ def test_p_matrix_row_sums_are_one():
     for n in range(5, 13):
         for seq in equation_sequences(n):
             for move in seq.moves:
-                p, _ = build_p_matrix(move, CONSEC[n])
+                p = build_p_matrix(move, CONSEC[n])
                 assert all(s == 1 for s in p.row_sums())
 
 
@@ -151,7 +176,7 @@ def test_lagrange_entries_equal_vandermonde_ratio_form():
         for zeta in assignments:
             for seq in equation_sequences(n):
                 for move in seq.moves:
-                    p, _ = build_p_matrix(move, zeta)
+                    p = build_p_matrix(move, zeta)
                     for i in range(p.rows):
                         for j in range(p.cols):
                             assert p[i, j] == p_entry_vandermonde(
@@ -163,7 +188,7 @@ def test_odd_p_matrices_invertible():
     for n in (5, 7, 9, 11):
         for seq in equation_sequences(n):
             for move in seq.moves:
-                p, _ = build_p_matrix(move, CONSEC[n])
+                p = build_p_matrix(move, CONSEC[n])
                 assert p.rank() == p.rows
 
 
@@ -199,9 +224,9 @@ def test_extend_with_no_fixed_simplices_is_p_up_to_ordering():
     t_old = Triangulation.from_pairs(5, move.removed_pairs())
     t_new = Triangulation.from_pairs(5, move.created_pairs())
     extended = extend_matrix(move, t_old, t_new, CONSEC[5])
-    p, index_map = build_p_matrix(move, CONSEC[5])
-    for i, rp in enumerate(index_map.row_pairs):
-        for j, cp in enumerate(index_map.col_pairs):
+    p = build_p_matrix(move, CONSEC[5])
+    for i, rp in enumerate(move.created_pairs()):
+        for j, cp in enumerate(move.removed_pairs()):
             assert extended[t_new.pairs.index(rp), t_old.pairs.index(cp)] == p[i, j]
 
 
@@ -293,10 +318,10 @@ def test_act_on_rows_replaces_removed_rows_and_carries_the_rest():
     out = act_on_rows(move, CONSEC[5], rows)
     assert rows == before  # the input family is left as it was
     assert set(out) == set(apply_move(t0, move).pairs)
-    p, index_map = build_p_matrix(move, CONSEC[5])
-    for i, created in enumerate(index_map.row_pairs):
+    p = build_p_matrix(move, CONSEC[5])
+    for i, created in enumerate(move.created_pairs()):
         expected = tuple(
-            sum((p[i, j] * rows[removed][k] for j, removed in enumerate(index_map.col_pairs)),
+            sum((p[i, j] * rows[removed][k] for j, removed in enumerate(move.removed_pairs())),
                 frac(0))
             for k in range(3)
         )

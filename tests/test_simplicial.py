@@ -41,6 +41,14 @@ def test_pair_validation():
         Pair(2, 6, 5)
 
 
+def test_pair_other_vertex():
+    assert Pair(2, 5, 6).other(2) == 5
+    assert Pair(2, 5, 6).other(5) == 2
+    for v in (1, 3, 6):
+        with pytest.raises(InvalidInputError):
+            Pair(2, 5, 6).other(v)
+
+
 def test_pair_simplex_bijection_all_small_n():
     for n in range(5, 13):
         for i, j in combinations(range(1, n + 1), 2):

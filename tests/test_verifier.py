@@ -17,6 +17,7 @@ from ngoneq import (
 import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.verifier as verifier_module
+from oracles import with_entry
 
 
 def test_verify_pentagon_default_assignment():
@@ -112,16 +113,36 @@ def test_property_suite_builds_each_invariant_vector_once(monkeypatch):
         assert len(calls) == len(set(calls)) == comb(n, 2)
 
 
+def test_property_suite_builds_no_extended_matrix(monkeypatch):
+    """Row sums are checked on the move matrices alone: one run_property_suite
+    call pads no move matrix, wherever in the package extend_matrix is looked
+    up from."""
+    real = pmatrix_module.extend_matrix
+    calls = []
+
+    def counting(move, t_old, t_new, zeta):
+        calls.append(move)
+        return real(move, t_old, t_new, zeta)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "extend_matrix", None) is real:
+            monkeypatch.setattr(module, "extend_matrix", counting)
+    for n in (5, 8, 9):
+        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5))
+        assert all(r.passed for r in results)
+    assert calls == []
+
+
 def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
     """Flipping the sign of one move-matrix entry turns a row sum of 1 into
     1 - 2x, which the suite must report."""
     real_build = verifier_module.build_p_matrix
 
     def tampered(move, zeta):
-        p, index_map = real_build(move, zeta)
+        p = real_build(move, zeta)
         if move.n == 5 and move.q == 2:
-            p = p.with_entry(0, 0, -p[0, 0])
-        return p, index_map
+            p = with_entry(p, 0, 0, -p[0, 0])
+        return p
 
     monkeypatch.setattr(verifier_module, "build_p_matrix", tampered)
     results = {r.name: r for r in run_property_suite(5, ZetaAssignment.consecutive(5))}
@@ -148,7 +169,7 @@ def test_unequal_products_report_first_difference():
     z = ZetaAssignment.consecutive(5)
     report = verify_equation(5, z)
     lhs = verifier_module.product_for_side(report.lhs, z)
-    tampered = lhs.with_entry(1, 2, lhs[1, 2] + 1)
+    tampered = with_entry(lhs, 1, 2, lhs[1, 2] + 1)
     diff = _first_difference(
         lhs, tampered, final_triangulation(5), initial_triangulation(5)
     )
@@ -165,19 +186,19 @@ def test_verify_detects_every_single_move_matrix_tamper(monkeypatch):
     tampered_calls = []
 
     def tampered(move, zeta):
-        p, index_map = real_build(move, zeta)
+        p = real_build(move, zeta)
         if move == target["move"]:
             i, j = target["entry"]
-            p = p.with_entry(i, j, p[i, j] + 1)
+            p = with_entry(p, i, j, p[i, j] + 1)
             tampered_calls.append(move)
-        return p, index_map
+        return p
 
     monkeypatch.setattr(pmatrix_module, "build_p_matrix", tampered)
     for n in (5, 6):
         zeta = ZetaAssignment.consecutive(n)
         lhs, rhs = equation_sequences(n)
         for move in lhs.moves + rhs.moves:
-            p, _ = real_build(move, zeta)
+            p = real_build(move, zeta)
             for i in range(p.rows):
                 for j in range(p.cols):
                     target.update(move=move, entry=(i, j))
