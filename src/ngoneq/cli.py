@@ -51,7 +51,10 @@ def _emit(text: str, out_path: str | None) -> None:
         return
     # Write beside the target, then rename over it, so a failure leaves it as it was.
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
-    handle = open(tmp_path, "x", encoding="utf-8")
+    try:
+        handle = open(tmp_path, "x", encoding="utf-8")
+    except OSError as exc:  # name the user's path, not the temp file
+        raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         with handle:
             handle.write(text)

@@ -2,9 +2,9 @@
 algebra: multiplication, rank by fraction-free (Bareiss) elimination, JSON and
 LaTeX output.
 
-Every quantity in this package is a ``fractions.Fraction`` (arbitrary-precision
-numerator/denominator, always in lowest terms), so all comparisons are exact and
-no tolerances appear anywhere.
+Values enter and leave the package as ``fractions.Fraction`` (always in lowest
+terms) and the hot loops run over Python ints (``int_row``), so all comparisons
+are exact and no tolerances appear anywhere.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .errors import InvalidInputError
 
 Rat = Fraction
+IntRow = tuple[tuple[int, ...], int]  # (numerators, denominator > 0), gcd 1: canonical
 
 RANDOM_VALUE_RANGE = (1, 10**6)
 
@@ -85,6 +87,16 @@ class ZetaAssignment:
         return [str(v) for v in self.values]
 
 
+def int_row(row: Sequence[Rat]) -> IntRow:
+    """(numerators, d) with d the lcm of the denominators; canonical, as each entry is reduced."""
+    d = lcm(*[x.denominator for x in row])
+    return tuple([x.numerator * (d // x.denominator) for x in row]), d
+
+
+def rat_row(row: IntRow) -> tuple[Rat, ...]:
+    return tuple([Fraction(x, row[1]) for x in row[0]])
+
+
 class DenseMatrix:
     """Immutable dense matrix of exact rationals, stored as a tuple of row tuples."""
 
@@ -92,7 +104,7 @@ class DenseMatrix:
 
     def __init__(self, entries: list[list[Rat]] | tuple[tuple[Rat, ...], ...]):
         self.entries: tuple[tuple[Rat, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in entries
+            tuple([x if type(x) is Fraction else Fraction(x) for x in row]) for row in entries
         )
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.rows else 0
@@ -157,10 +169,7 @@ class DenseMatrix:
         column without a pivot is skipped. Pivots are the first nonzero entry
         in each column.
         """
-        work = []
-        for row in self.entries:
-            scale = lcm(*(x.denominator for x in row))
-            work.append([x.numerator * (scale // x.denominator) for x in row])
+        work = [list(int_row(row)[0]) for row in self.entries]
         previous = 1
         r = 0
         for c in range(self.cols):

@@ -4,9 +4,9 @@ Each simplex on vertex set S (|S| = n - 2) carries a length-n vector supported
 on S whose components annihilate every power row (z_1^m, ..., z_n^m) for
 m = 0 .. floor(n/2) - 1. The component at vertex v is the elementary symmetric
 polynomial e_k, k = floor(n/2), of the values 1 / (z_v - z_w) over the other
-vertices w of S, computed by the O(n k) recurrence; the move matrices map
-stacked old vectors exactly to stacked new vectors, which is what makes the
-two sides of the polygon equation agree.
+vertices w of S, computed over integers by the O(n k) recurrence (see f_value);
+the move matrices map stacked old vectors exactly to stacked new vectors, which
+is what makes the two sides of the polygon equation agree.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Iterable, Mapping
 
 from .errors import InvalidInputError
-from .exactfield import Rat, ZetaAssignment
+from .exactfield import Rat, ZetaAssignment, int_row
 from .pmatrix import act_on_rows
-from .simplicial import PachnerMove, Pair
+from .simplicial import PachnerMove, Pair, check_n
 
 
 def f_value(n: int, head: int, rest: Iterable[int], zeta: ZetaAssignment) -> Rat:
@@ -27,23 +28,24 @@ def f_value(n: int, head: int, rest: Iterable[int], zeta: ZetaAssignment) -> Rat
 
     Equivalently, the sum over all k-subsets s of rest of
     1 / prod_{r in s} (z[head] - z[r]). rest must list the other n-3 vertices
-    of the simplex. The recurrence adds one value x at a time, updating
-    e[j] += e[j-1] * x with j running downward so that each e[j-1] is still
-    the value before x.
+    of the simplex. With the values scaled to integers u = s * z and
+    d_r = u[head] - u[r], this is s^k * e_{n-3-k}(d) / prod(d); the recurrence
+    adds one d at a time, updating e[j] += e[j-1] * d with j running downward.
     """
+    check_n(n)
     rest = list(rest)
     if len(rest) != n - 3:
         raise InvalidInputError(f"rest must have {n - 3} vertices, got {len(rest)}")
     if head in rest or len(set(rest)) != len(rest):
         raise InvalidInputError("f_value requires pairwise distinct indices")
     k = n // 2
-    z_head = zeta[head]
-    e = [Fraction(1)] + [Fraction(0)] * k
-    for count, r in enumerate(rest, start=1):
-        x = 1 / (z_head - zeta[r])
-        for j in range(min(count, k), 0, -1):
-            e[j] += e[j - 1] * x
-    return e[k]
+    u, s = int_row([zeta[v] for v in (head, *rest)])
+    diffs = [u[0] - x for x in u[1:]]
+    e = [1] + [0] * (n - 3 - k)
+    for count, d in enumerate(diffs, start=1):
+        for j in range(min(count, len(e) - 1), 0, -1):
+            e[j] += e[j - 1] * d
+    return Fraction(s**k * e[-1], prod(diffs))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .exactfield import DenseMatrix, ZetaAssignment
+from .exactfield import DenseMatrix, ZetaAssignment, rat_row
 from .fvectors import FVector, check_move_action, check_orthogonality, f_vector_table
-from .pmatrix import build_p_matrix, product_for_side
+from .pmatrix import build_p_matrix, side_rows
 from .simplicial import (
     MoveSequence,
     Pair,
@@ -127,18 +127,21 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
     timings["sequences"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lhs_product = product_for_side(lhs_seq, zeta)
+    lhs_rows = side_rows(lhs_seq, zeta)
     timings["lhs_product"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rhs_product = product_for_side(rhs_seq, zeta)
+    rhs_rows = side_rows(rhs_seq, zeta)
     timings["rhs_product"] = time.perf_counter() - t0
 
     initial = initial_triangulation(n)
     final = final_triangulation(n)
 
     t0 = time.perf_counter()
-    equal = lhs_product == rhs_product
-    difference = None if equal else _first_difference(lhs_product, rhs_product, final, initial)
+    equal = lhs_rows == rhs_rows  # integer rows are canonical
+    difference = None
+    if not equal:
+        lhs, rhs = (DenseMatrix([rat_row(r) for r in rows]) for rows in (lhs_rows, rhs_rows))
+        difference = _first_difference(lhs, rhs, final, initial)
     timings["compare"] = time.perf_counter() - t0
 
     return VerificationReport(

@@ -219,6 +219,15 @@ def negative_fractional(n: int) -> ZetaAssignment:
     return ZetaAssignment(n, values, label="negative-fractional")
 
 
+def mixed_denominators(n: int) -> ZetaAssignment:
+    """Distinct values of both signs over large, pairwise different
+    denominators: -123456789/654321, 123457789/654342, ..."""
+    values = tuple(
+        Fraction((-1) ** r * (123455789 + 1000 * r), 654314 + 7 * r * r) for r in range(1, n + 1)
+    )
+    return ZetaAssignment(n, values, label="mixed-denominators")
+
+
 def oracle_assignments(n: int) -> list[ZetaAssignment]:
     """Consecutive, seeded and negative-fractional assignments for n."""
     return [

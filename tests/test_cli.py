@@ -245,6 +245,14 @@ def test_out_failed_rename_keeps_target_and_leaves_no_temp_file(tmp_path, monkey
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+def test_out_error_names_the_given_path_not_the_temp_file(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "verify", "--n", "5", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
 def test_export_rejects_several_trials(capsys):
     code, out, err = run(capsys, "export", "--n", "5", "--seed", "3", "--trials", "2")
     assert code == 2

@@ -160,6 +160,13 @@ def test_vandermonde_never_zero_on_distinct_indices():
 # matrix operations
 # ---------------------------------------------------------------------------
 
+def test_matrix_keeps_fraction_entries_and_converts_the_rest():
+    half = Fraction(1, 2)
+    m = DenseMatrix([[half, 3]])
+    assert m[0, 0] is half
+    assert type(m[0, 1]) is Fraction and m[0, 1] == 3
+
+
 def test_mat_mul_identity_both_sides():
     rng = random.Random(1)
     m = random_matrix(rng, 3, 4)

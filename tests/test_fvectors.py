@@ -25,6 +25,8 @@ from ngoneq.verifier import max_stack_rank
 from oracles import (
     distinct_assignments,
     g_value,
+    mixed_denominators,
+    negative_fractional,
     oracle_assignments,
     stack_f_matrix,
     subset_sum_f_value,
@@ -118,6 +120,24 @@ def test_f_value_recurrence_matches_subset_sums():
                     assert f_value(n, head, rest, zeta) == subset_sum_f_value(
                         n, head, rest, zeta
                     ), (n, zeta.label, head, rest)
+
+
+@pytest.mark.parametrize("assignment", [negative_fractional, mixed_denominators])
+def test_f_value_matches_subset_sums_at_non_integer_values(assignment):
+    """Non-integer values make the scale s of u = s * z differ from 1, so the
+    s^k factor of the integer recurrence is exercised; n = 5..12, every head."""
+    for n in range(5, 13):
+        zeta = assignment(n)
+        for head in range(1, n + 1):
+            rest = [(head - 1 + k) % n + 1 for k in range(2, n - 1)]
+            assert f_value(n, head, rest, zeta) == subset_sum_f_value(n, head, rest, zeta), (
+                n, head, rest,
+            )
+
+
+def test_f_value_rejects_n_below_five():
+    with pytest.raises(InvalidInputError):
+        f_value(4, 1, [2], ZetaAssignment.consecutive(4))
 
 
 @settings(max_examples=30, deadline=None, database=None)

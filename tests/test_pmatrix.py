@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +25,15 @@ from ngoneq import (
     product_for_side,
     triangulation_path,
 )
+from ngoneq.exactfield import int_row, rat_row
+from ngoneq.pmatrix import side_rows
 from oracles import (
     InterleavedFrame,
     dense_factors,
     dense_fold,
     dense_product,
     distinct_assignments,
+    mixed_denominators,
     oracle_assignments,
     p_entry_vandermonde,
 )
@@ -304,6 +308,29 @@ def test_product_equals_dense_fold_of_extended_matrices_n5_to_16():
                 factors = extended_matrices(seq, zeta)
                 assert factors == dense_factors(seq, zeta), (n, zeta.label, seq.side)
                 assert product_for_side(seq, zeta) == dense_fold(factors), (n, zeta.label, seq.side)
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_side_rows_are_canonical_integer_rows_of_the_dense_product(n):
+    """Every side row is (numerators, d) with d > 0 and gcd(d, *numerators) == 1,
+    the rows read as Fractions are the dense product, and the two sides agree,
+    at the oracle assignments and at values over large mixed denominators."""
+    for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
+        sides = [(seq, side_rows(seq, zeta)) for seq in equation_sequences(n)]
+        for seq, rows in sides:
+            for numerators, d in rows:
+                assert d > 0 and gcd(d, *numerators) == 1, (n, zeta.label, seq.side)
+            expected = dense_product(seq, zeta)
+            assert DenseMatrix([rat_row(row) for row in rows]) == expected, (n, zeta.label)
+        assert sides[0][1] == sides[1][1], (n, zeta.label)
+
+
+def test_int_row_is_canonical_and_round_trips():
+    row = (frac(3, 4), frac(-5, 6), frac(0), frac(7))
+    assert int_row(row) == ((9, -10, 0, 84), 12)
+    assert rat_row(int_row(row)) == row
+    assert int_row((frac(0), frac(0))) == ((0, 0), 1)
+    assert int_row((2, -3)) == ((2, -3), 1)
 
 
 # ---------------------------------------------------------------------------

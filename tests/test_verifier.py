@@ -17,7 +17,7 @@ from ngoneq import (
 import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.verifier as verifier_module
-from oracles import with_entry
+from oracles import negative_fractional, with_entry
 
 
 def test_verify_pentagon_default_assignment():
@@ -168,7 +168,7 @@ def test_unequal_products_report_first_difference():
 
     z = ZetaAssignment.consecutive(5)
     report = verify_equation(5, z)
-    lhs = verifier_module.product_for_side(report.lhs, z)
+    lhs = pmatrix_module.product_for_side(report.lhs, z)
     tampered = with_entry(lhs, 1, 2, lhs[1, 2] + 1)
     diff = _first_difference(
         lhs, tampered, final_triangulation(5), initial_triangulation(5)
@@ -207,3 +207,29 @@ def test_verify_detects_every_single_move_matrix_tamper(monkeypatch):
                     assert tampered_calls == [move]
                     assert not report.equal, (n, move, i, j)
                     assert report.first_difference is not None, (n, move, i, j)
+
+
+def test_verify_detects_every_single_move_matrix_tamper_at_fractional_values(monkeypatch):
+    """The same negative control at n=5 with non-integer values of both signs,
+    so that the integer rows carry denominators other than 1."""
+    real_build = pmatrix_module.build_p_matrix
+    target = {}
+
+    def tampered(move, zeta):
+        p = real_build(move, zeta)
+        if move == target["move"]:
+            i, j = target["entry"]
+            p = with_entry(p, i, j, p[i, j] + 1)
+        return p
+
+    monkeypatch.setattr(pmatrix_module, "build_p_matrix", tampered)
+    zeta = negative_fractional(5)
+    lhs, rhs = equation_sequences(5)
+    for move in lhs.moves + rhs.moves:
+        p = real_build(move, zeta)
+        for i in range(p.rows):
+            for j in range(p.cols):
+                target.update(move=move, entry=(i, j))
+                report = verify_equation(5, zeta)
+                assert not report.equal, (move, i, j)
+                assert report.first_difference is not None, (move, i, j)
