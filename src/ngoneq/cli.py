@@ -59,8 +59,10 @@ def _emit(text: str, out_path: str | None) -> None:
         with handle:
             handle.write(text)
         os.replace(tmp_path, out_path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp_path)
+        if isinstance(exc, OSError) and exc.filename == tmp_path:
+            raise OSError(exc.errno, exc.strerror, out_path) from None
         raise
 
 

@@ -1,6 +1,6 @@
-"""Exact rational scalars, distinct-value assignments, and dense exact linear
-algebra: multiplication, rank by fraction-free (Bareiss) elimination, JSON and
-LaTeX output.
+"""Exact rational scalars, distinct-value assignments, integer rows, rank by
+fraction-free (Bareiss) elimination over integer rows, and a dense exact
+matrix type: multiplication, rank, JSON and LaTeX output.
 
 Values enter and leave the package as ``fractions.Fraction`` (always in lowest
 terms) and the hot loops run over Python ints (``int_row``), so all comparisons
@@ -97,6 +97,35 @@ def rat_row(row: IntRow) -> tuple[Rat, ...]:
     return tuple([Fraction(x, row[1]) for x in row[0]])
 
 
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of integer rows by Bareiss fraction-free elimination (Bareiss
+    1968): with pivot p at (r, c) and previous pivot d, each later entry becomes
+    (p * a[i][j] - a[i][c] * a[r][j]) / d, a minor of the matrix (Sylvester's
+    identity), so the division is exact, also after a column without a pivot
+    is skipped. Pivots are the first nonzero entry in each column."""
+    work = [list(row) for row in rows]
+    height, width = len(work), len(work[0]) if work else 0
+    previous, r = 1, 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, height) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        pivot = top[c]
+        for i in range(r + 1, height):
+            row = work[i]
+            lead = row[c]
+            row[c] = 0
+            for j in range(c + 1, width):
+                row[j] = (pivot * row[j] - lead * top[j]) // previous
+        previous = pivot
+        r += 1
+        if r == height:
+            break
+    return r
+
+
 class DenseMatrix:
     """Immutable dense matrix of exact rationals, stored as a tuple of row tuples."""
 
@@ -159,37 +188,8 @@ class DenseMatrix:
         return DenseMatrix(out)
 
     def rank(self) -> int:
-        """Exact rank by Bareiss fraction-free elimination (Bareiss 1968).
-
-        Each row is scaled by the lcm of its denominators (the rank is
-        unchanged), so elimination runs over Python ints: with pivot p at
-        (r, c) and previous pivot d, each later entry becomes
-        (p * a[i][j] - a[i][c] * a[r][j]) / d. That is a minor of the scaled
-        matrix (Sylvester's identity), so the division is exact, also after a
-        column without a pivot is skipped. Pivots are the first nonzero entry
-        in each column.
-        """
-        work = [list(int_row(row)[0]) for row in self.entries]
-        previous = 1
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if work[i][c]), None)
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            top = work[r]
-            pivot = top[c]
-            for i in range(r + 1, self.rows):
-                row = work[i]
-                lead = row[c]
-                row[c] = 0
-                for j in range(c + 1, self.cols):
-                    row[j] = (pivot * row[j] - lead * top[j]) // previous
-            previous = pivot
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        """``rank`` of the rows with their denominators cleared (same rank)."""
+        return rank([int_row(row)[0] for row in self.entries])
 
     # ---- serialization ------------------------------------------------
 

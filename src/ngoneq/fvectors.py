@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import prod
 from typing import Iterable, Mapping
 
 from .errors import InvalidInputError
-from .exactfield import Rat, ZetaAssignment, int_row
-from .pmatrix import act_on_rows
+from .exactfield import IntRow, Rat, ZetaAssignment, int_row
+from .pmatrix import act_on_int_rows
 from .simplicial import PachnerMove, Pair, check_n
 
 
@@ -59,6 +60,11 @@ class FVector:
     def __getitem__(self, vertex: int) -> Rat:
         return self.components[vertex - 1]
 
+    @cached_property
+    def row(self) -> IntRow:
+        """The components as an integer row, cleared once per vector."""
+        return int_row(self.components)
+
 
 def f_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
     """The invariant vector of the simplex named by the pair."""
@@ -81,14 +87,12 @@ def f_vector_table(n: int, zeta: ZetaAssignment) -> dict[Pair, FVector]:
 
 
 def check_orthogonality(v: FVector, zeta: ZetaAssignment) -> bool:
-    """True iff sum_r v_r * z_r^m = 0 exactly for m = 0 .. floor(n/2) - 1."""
-    for m in range(v.n // 2):
-        total = Fraction(0)
-        for r in range(1, v.n + 1):
-            total += v[r] * zeta[r] ** m
-        if total != 0:
-            return False
-    return True
+    """True iff sum_r v_r * z_r^m = 0 exactly for m = 0 .. floor(n/2) - 1: over
+    integer rows v = a / d and z = u / s, iff sum_r a_r * u_r^m = 0."""
+    if zeta.n != v.n:
+        raise InvalidInputError(f"assignment has {zeta.n} values, vector has {v.n}")
+    a, u = v.row[0], int_row(zeta.values)[0]
+    return not any(sum([x * y**m for x, y in zip(a, u)]) for m in range(v.n // 2))
 
 
 def check_move_action(
@@ -96,7 +100,7 @@ def check_move_action(
 ) -> bool:
     """True iff the move matrix maps the stacked removed-simplex vectors exactly
     to the stacked created-simplex vectors, both read from ``vectors`` (for
-    example ``f_vector_table(move.n, zeta)``)."""
-    old = {pair: vectors[pair].components for pair in move.removed_pairs()}
-    new = {pair: vectors[pair].components for pair in move.created_pairs()}
-    return act_on_rows(move, zeta, old) == new
+    example ``f_vector_table(move.n, zeta)``), as canonical integer rows."""
+    rows = {pair: vectors[pair].row for pair in move.removed_pairs()}
+    act_on_int_rows(move, zeta, rows)
+    return rows == {pair: vectors[pair].row for pair in move.created_pairs()}

@@ -14,11 +14,12 @@ vertex frame; ``tests/oracles.py`` keeps that form as a cross-check.
 
 One primitive, ``act_on_rows``, applies a move to rows keyed by pair: the
 rows of the removed pairs become P times those rows, keyed by the created
-pairs, and every other row is carried over. Inside, one loop does this over
-integer rows (``IntRow``). The side product is that loop folded over a move
-sequence from the identity rows of the initial triangulation, and an extended
-(identity-padded) matrix is one move applied to the identity rows of its
-source triangulation; their dense product is kept in the tests as an oracle.
+pairs, and every other row is carried over. Inside, ``act_on_int_rows`` is the
+one loop that does this over integer rows (``IntRow``). The side product is
+that loop folded over a move sequence from the identity rows of the initial
+triangulation; an extended (identity-padded) matrix and the move-action check
+of ``fvectors`` are one move applied to identity or invariant-vector rows. The
+dense product of extended matrices is kept in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
     return DenseMatrix(entries)
 
 
-def _apply(move: PachnerMove, zeta: ZetaAssignment, rows: dict[Pair, IntRow]) -> None:
+def act_on_int_rows(move: PachnerMove, zeta: ZetaAssignment, rows: dict[Pair, IntRow]) -> None:
     """``act_on_rows`` in place on integer rows: the one loop that combines
     rows. A created row sum_j (a_j / b_j) * (v_j / d_j) is taken over
     L = lcm(b_j * d_j), skipping zero v entries, and reduced once."""
@@ -99,7 +100,7 @@ def act_on_rows(
     """
     removed = set(move.removed_pairs())
     out = {pair: int_row(row) if pair in removed else row for pair, row in rows.items()}
-    _apply(move, zeta, out)
+    act_on_int_rows(move, zeta, out)
     for pair in move.created_pairs():
         out[pair] = rat_row(out[pair])
     return out
@@ -130,7 +131,7 @@ def extend_matrix(
     if apply_move(t_old, move) != t_new:
         raise InvalidInputError("t_new is not the result of applying the move to t_old")
     rows = _identity_rows(t_old)
-    _apply(move, zeta, rows)
+    act_on_int_rows(move, zeta, rows)
     return DenseMatrix([rat_row(rows[pair]) for pair in t_new.pairs])
 
 
@@ -152,7 +153,7 @@ def side_rows(seq: MoveSequence, zeta: ZetaAssignment) -> list[IntRow]:
     """
     rows = _identity_rows(initial_triangulation(seq.n))
     for move in seq.moves:
-        _apply(move, zeta, rows)
+        act_on_int_rows(move, zeta, rows)
     final = final_triangulation(seq.n)
     if rows.keys() != set(final.pairs):
         raise InternalError(

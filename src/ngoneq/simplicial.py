@@ -11,6 +11,7 @@ complementary vertices c.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import InvalidInputError, MoveNotApplicableError
 
@@ -54,7 +55,9 @@ class Triangulation:
 
     Canonical order is ascending lexicographic order of the simplex vertex
     tuples (so for n=6: 1234 before 1245 before 1256); this fixes row and
-    column orderings of all extended matrices.
+    column orderings of all extended matrices. It is descending (i, j) order
+    of the pairs: two simplices first differ at the smaller of the vertices
+    their pairs do not share, and the simplex that keeps it comes first.
     """
 
     n: int
@@ -68,8 +71,7 @@ class Triangulation:
         for p in pairs:
             if p.n != n:
                 raise InvalidInputError(f"pair {p} has wrong ambient size")
-        ordered = tuple(sorted(pairs, key=lambda p: p.simplex()))
-        return cls(n, ordered)
+        return cls(n, tuple(sorted(pairs, reverse=True)))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -131,6 +133,7 @@ def check_n(n: int) -> None:
         raise InvalidInputError(f"construction requires n >= 5, got {n}")
 
 
+@cache
 def initial_triangulation(n: int) -> Triangulation:
     """Pairs (n+1-2k, n+2-2l) for 1 <= l <= k <= floor((n-1)/2)."""
     check_n(n)
@@ -141,6 +144,7 @@ def initial_triangulation(n: int) -> Triangulation:
     return Triangulation.from_pairs(n, pairs)
 
 
+@cache
 def final_triangulation(n: int) -> Triangulation:
     """Pairs (n-2k, n+1-2l); for even n also (1, n+2-2l), l = 1..n/2."""
     check_n(n)
@@ -198,12 +202,13 @@ def rhs_q_order(n: int) -> list[int]:
     return list(range(n, 1, -2))
 
 
+@cache
 def equation_sequences(n: int) -> tuple[MoveSequence, MoveSequence]:
     """Both move sequences of the polygon equation, derived from the evolving
     triangulation rather than hard-coded subscript patterns.
 
     Each side starts from the initial triangulation and must end at the final
-    one; the q-orders are lhs: 2,4,...,n-1 / rhs: n,n-2,...,1 for odd n and
+    one (both cached per n, like this pair); the q-orders are lhs: 2,4,...,n-1 / rhs: n,n-2,...,1 for odd n and
     lhs: 3,5,...,n-1,1 / rhs: n,n-2,...,2 for even n.
     """
     check_n(n)

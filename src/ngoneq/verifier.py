@@ -20,10 +20,11 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from math import comb
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .exactfield import DenseMatrix, ZetaAssignment, rat_row
+from .exactfield import DenseMatrix, ZetaAssignment, rank, rat_row
 from .fvectors import FVector, check_move_action, check_orthogonality, f_vector_table
 from .pmatrix import build_p_matrix, side_rows
 from .simplicial import (
@@ -174,16 +175,17 @@ def max_stack_rank(n: int) -> int:
 @dataclass(frozen=True)
 class SuiteContext:
     """Everything the properties of one (n, zeta) suite run read, built once:
-    the two move sequences and the invariant vectors of all C(n,2) pairs."""
+    the two move sequences and the invariant vectors of all C(n,2) pairs, whose
+    integer rows (``FVector.row``, cleared once) every property reads."""
 
     n: int
     zeta: ZetaAssignment
     sequences: tuple[MoveSequence, MoveSequence]
     vectors: Mapping[Pair, FVector]
 
-    def stack(self, pairs) -> DenseMatrix:
-        """The vectors of the given pairs as the rows of a matrix, in order."""
-        return DenseMatrix([self.vectors[pair].components for pair in pairs])
+    def stack_rank(self, pairs) -> int:
+        """Rank of the vectors of the given pairs, stacked as rows."""
+        return rank([self.vectors[pair].row[0] for pair in pairs])
 
     def omit_vertex_pairs(self, q: int) -> list[Pair]:
         """The n-1 pairs containing q, ordered by their other vertex."""
@@ -222,21 +224,31 @@ def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
     return PropertyResult("move_action", True)
 
 
+def _lex_combination(size: int, m: int, index: int) -> tuple[int, ...]:
+    """``list(combinations(range(size), m))[index]``, without the list."""
+    choice, x = [], 0
+    for left in range(m, 0, -1):
+        while index >= (block := comb(size - x - 1, left - 1)):
+            index, x = index - block, x + 1
+        choice.append(x)
+        x += 1
+    return tuple(choice)
+
+
 def _prop_independence(ctx: SuiteContext) -> PropertyResult:
     """Every choice of floor((n-1)/2) vectors omitting a common vertex has full
     rank; exhaustive when feasible, otherwise a seeded INDEPENDENCE_SAMPLE."""
     n = ctx.n
     m = move_size(n)
+    total = comb(n - 1, m)
     for q in range(1, n + 1):
         pairs = ctx.omit_vertex_pairs(q)
-        all_choices = list(combinations(range(len(pairs)), m))
-        if len(all_choices) > INDEPENDENCE_SAMPLE:
-            rng = random.Random(10_000 * n + q)
-            choices = rng.sample(all_choices, INDEPENDENCE_SAMPLE)
-        else:
-            choices = all_choices
+        choices = combinations(range(n - 1), m)
+        if total > INDEPENDENCE_SAMPLE:
+            indices = random.Random(10_000 * n + q).sample(range(total), INDEPENDENCE_SAMPLE)
+            choices = [_lex_combination(n - 1, m, index) for index in indices]
         for choice in choices:
-            if ctx.stack(pairs[k] for k in choice).rank() != m:
+            if ctx.stack_rank(pairs[k] for k in choice) != m:
                 picked = ",".join(str(k) for k in choice)
                 return PropertyResult(
                     "independence", False, f"q={q} choice [{picked}] rank deficient"
@@ -249,9 +261,9 @@ def _prop_span_rank(ctx: SuiteContext) -> PropertyResult:
     dimensions, for every choice of the common vertex."""
     m = move_size(ctx.n)
     for q in range(1, ctx.n + 1):
-        rank = ctx.stack(ctx.omit_vertex_pairs(q)).rank()
-        if rank != m:
-            return PropertyResult("span_rank", False, f"q={q} rank {rank}, want {m}")
+        got = ctx.stack_rank(ctx.omit_vertex_pairs(q))
+        if got != m:
+            return PropertyResult("span_rank", False, f"q={q} rank {got}, want {m}")
     return PropertyResult("span_rank", True)
 
 
@@ -259,13 +271,13 @@ def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
     """The stacked vectors of the initial triangulation achieve the maximum
     attainable rank min(row count, n - floor(n/2))."""
     initial = initial_triangulation(ctx.n)
-    rank = ctx.stack(initial.pairs).rank()
+    got = ctx.stack_rank(initial.pairs)
     want = min(len(initial), max_stack_rank(ctx.n))
-    if rank != want:
+    if got != want:
         return PropertyResult(
-            "initial_stack_rank", False, f"rank {rank}, want {want}"
+            "initial_stack_rank", False, f"rank {got}, want {want}"
         )
-    return PropertyResult("initial_stack_rank", True, f"rank {rank}")
+    return PropertyResult("initial_stack_rank", True, f"rank {got}")
 
 
 def run_property_suite(n: int, zeta: ZetaAssignment) -> tuple[PropertyResult, ...]:

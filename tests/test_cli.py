@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import pytest
 
@@ -251,6 +253,19 @@ def test_out_error_names_the_given_path_not_the_temp_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+def test_out_rename_error_names_the_given_path_not_the_temp_file(tmp_path, capsys):
+    """--out naming an existing directory fails at the final rename; the error
+    names that directory, the exit code is 2 and no temp file is left."""
+    target = tmp_path / "existing"
+    target.mkdir()
+    code, out, err = run(capsys, "verify", "--n", "5", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+    assert list(target.iterdir()) == []
 
 
 def test_export_rejects_several_trials(capsys):

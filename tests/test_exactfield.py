@@ -11,6 +11,7 @@ from ngoneq import (
     ZetaAssignment,
     rat_from_string,
 )
+from ngoneq.exactfield import int_row, rank
 from oracles import fraction_rank, identity, transpose, vandermonde, with_entry, zeros
 
 
@@ -304,6 +305,7 @@ def test_rank_matches_fraction_elimination_oracle():
             m = DenseMatrix(deficient_matrix(rng, rows, cols))
         want = fraction_rank(m)
         assert m.rank() == want, m
+        assert rank([int_row(row)[0] for row in m.entries]) == want, m
         deficient += want < min(rows, cols)
     assert deficient >= 100
 

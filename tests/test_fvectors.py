@@ -200,6 +200,44 @@ def test_orthogonality_trivial_vectors():
     assert not check_orthogonality(spike, z)
 
 
+def _perturbed(v, changes):
+    components = list(v.components)
+    for vertex, delta in changes.items():
+        components[vertex - 1] += delta
+    return FVector(v.n, v.pair, tuple(components))
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+@pytest.mark.parametrize("make", [negative_fractional, mixed_denominators])
+def test_orthogonality_over_integer_rows_at_non_integer_values(n, make):
+    """Every true vector passes at values with denominators s != 1. One
+    perturbed component breaks m = 0; moving delta from one vertex to another
+    keeps m = 0 and breaks m = 1, where the scale s^m enters."""
+    z = make(n)
+    for pair, v in f_vector_table(n, z).items():
+        assert check_orthogonality(v, z), pair
+        a, b = v.pair.simplex()[:2]
+        assert not check_orthogonality(_perturbed(v, {a: frac(1, 7)}), z), pair
+        assert not check_orthogonality(_perturbed(v, {a: frac(1, 7), b: frac(-1, 7)}), z), pair
+
+
+def test_orthogonality_rejects_an_assignment_of_another_size():
+    z5, z6 = CONSEC[5], CONSEC[6]
+    with pytest.raises(InvalidInputError):
+        check_orthogonality(f_vector(5, Pair(1, 2, 5), z5), z6)
+    with pytest.raises(InvalidInputError):
+        check_orthogonality(f_vector(6, Pair(1, 2, 6), z6), z5)
+
+
+def test_vector_row_is_the_cleared_components_and_leaves_equality_alone():
+    z = mixed_denominators(7)
+    v = f_vector(7, Pair(2, 5, 7), z)
+    numerators, d = v.row
+    assert v.row is v.row
+    assert tuple(Fraction(x, d) for x in numerators) == v.components
+    assert v == f_vector(7, Pair(2, 5, 7), z)
+
+
 # ---------------------------------------------------------------------------
 # stacks and ranks
 # ---------------------------------------------------------------------------
@@ -280,6 +318,27 @@ def test_move_action_detects_a_wrong_created_vector():
     v = table[created]
     table[created] = FVector(6, created, (v.components[0] + 1,) + v.components[1:])
     assert not check_move_action(move, z, table)
+
+
+@pytest.mark.parametrize("make", [negative_fractional, mixed_denominators])
+def test_move_action_detects_a_wrong_created_vector_at_fractional_values(make):
+    """At fractional values the true table passes every move, and a created
+    vector that is halved (where a numerator is odd, its integer row differs
+    only in the denominator) or perturbed in one component fails."""
+    for n in (6, 7):
+        z = make(n)
+        table = f_vector_table(n, z)
+        for seq in equation_sequences(n):
+            for move in seq.moves:
+                assert check_move_action(move, z, table)
+        move = equation_sequences(n)[0].moves[0]
+        created = move.created_pairs()[-1]
+        v = table[created]
+        for wrong in (
+            FVector(n, created, tuple(x / 2 for x in v.components)),
+            _perturbed(v, {v.pair.simplex()[0]: frac(1, 3)}),
+        ):
+            assert not check_move_action(move, z, {**table, created: wrong})
 
 
 def test_f_vector_table_holds_every_pair_in_order():

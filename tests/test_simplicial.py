@@ -103,6 +103,19 @@ def test_small_n_rejected():
             equation_sequences(n)
 
 
+def test_sequences_and_triangulations_are_derived_once_per_n():
+    """The three per-n functions return the same object on every call; a
+    rejected n raises on every call, since exceptions are not cached."""
+    for n in (5, 6, 11):
+        assert equation_sequences(n) is equation_sequences(n)
+        assert initial_triangulation(n) is initial_triangulation(n)
+        assert final_triangulation(n) is final_triangulation(n)
+    for _ in range(3):
+        for fn in (equation_sequences, initial_triangulation, final_triangulation):
+            with pytest.raises(InvalidInputError):
+                fn(4)
+
+
 def test_triangulation_rejects_duplicates():
     with pytest.raises(InvalidInputError):
         Triangulation.from_pairs(5, [Pair(1, 2, 5), Pair(1, 2, 5)])
@@ -111,6 +124,16 @@ def test_triangulation_rejects_duplicates():
 def test_triangulation_canonical_order_is_simplex_lex():
     t = Triangulation.from_pairs(5, [Pair(1, 2, 5), Pair(4, 5, 5), Pair(2, 5, 5)])
     assert simplices(t) == [(1, 2, 3), (1, 3, 4), (3, 4, 5)]
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_descending_pair_order_is_ascending_simplex_order(n):
+    """from_pairs sorts pairs descending; over all C(n,2) pairs that is the
+    ascending lexicographic order of their simplices."""
+    pairs = [Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2)]
+    by_simplex = sorted(pairs, key=lambda p: p.simplex())
+    assert sorted(pairs, reverse=True) == by_simplex
+    assert list(Triangulation.from_pairs(n, reversed(pairs)).pairs) == by_simplex
 
 
 # ---------------------------------------------------------------------------

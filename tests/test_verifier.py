@@ -1,6 +1,8 @@
 import json
+import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -131,6 +133,52 @@ def test_property_suite_builds_no_extended_matrix(monkeypatch):
         results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5))
         assert all(r.passed for r in results)
     assert calls == []
+
+
+def test_property_suite_builds_no_matrix_to_take_a_rank(monkeypatch):
+    """Every rank of the suite runs on the vectors' integer rows."""
+
+    def forbidden(self):
+        raise AssertionError("DenseMatrix.rank called by the property suite")
+
+    monkeypatch.setattr(DenseMatrix, "rank", forbidden)
+    for n in (5, 8, 9):
+        results = run_property_suite(n, negative_fractional(n))
+        assert all(r.passed for r in results), results
+
+
+def test_lex_combination_lists_combinations_in_order():
+    for size in range(1, 9):
+        for m in range(size + 1):
+            want = list(combinations(range(size), m))
+            got = [verifier_module._lex_combination(size, m, k) for k in range(len(want))]
+            assert got == want, (size, m)
+
+
+@pytest.mark.parametrize("n", [9, 12, 16, 20])
+def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
+    """The independence property checks, for every q, the same choices that
+    sampling the list of all C(n-1, m) combinations under the same seed picks."""
+    m = verifier_module.move_size(n)
+    checked = []
+
+    def recording(self, pairs):
+        checked.append(list(pairs))
+        return m
+
+    monkeypatch.setattr(verifier_module.SuiteContext, "stack_rank", recording)
+    ctx = verifier_module.SuiteContext(n, ZetaAssignment.consecutive(n), None, {})
+    assert verifier_module._prop_independence(ctx).passed
+    want = []
+    for q in range(1, n + 1):
+        pairs = ctx.omit_vertex_pairs(q)
+        all_choices = list(combinations(range(n - 1), m))
+        assert len(all_choices) > verifier_module.INDEPENDENCE_SAMPLE
+        sample = random.Random(10_000 * n + q).sample(
+            all_choices, verifier_module.INDEPENDENCE_SAMPLE
+        )
+        want += [[pairs[k] for k in choice] for choice in sample]
+    assert checked == want
 
 
 def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
