@@ -175,8 +175,8 @@ def max_stack_rank(n: int) -> int:
 @dataclass(frozen=True)
 class SuiteContext:
     """Everything the properties of one (n, zeta) suite run read, built once:
-    the two move sequences and the invariant vectors of all C(n,2) pairs, whose
-    integer rows (``FVector.row``, cleared once) every property reads."""
+    the two move sequences and the invariant vectors of all C(n,2) pairs. The
+    vector properties read each vector's integer row (``FVector.row``)."""
 
     n: int
     zeta: ZetaAssignment

@@ -169,11 +169,11 @@ def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
     monkeypatch.setattr(verifier_module.SuiteContext, "stack_rank", recording)
     ctx = verifier_module.SuiteContext(n, ZetaAssignment.consecutive(n), None, {})
     assert verifier_module._prop_independence(ctx).passed
+    all_choices = list(combinations(range(n - 1), m))
+    assert len(all_choices) > verifier_module.INDEPENDENCE_SAMPLE
     want = []
     for q in range(1, n + 1):
         pairs = ctx.omit_vertex_pairs(q)
-        all_choices = list(combinations(range(n - 1), m))
-        assert len(all_choices) > verifier_module.INDEPENDENCE_SAMPLE
         sample = random.Random(10_000 * n + q).sample(
             all_choices, verifier_module.INDEPENDENCE_SAMPLE
         )
