@@ -22,7 +22,6 @@ from .fvectors import (
     f_vector_table,
 )
 from .pmatrix import (
-    act_on_rows,
     build_p_matrix,
     extend_matrix,
     extended_matrices,
@@ -65,7 +64,6 @@ __all__ = [
     "VerificationReport",
     "ZetaAssignment",
     "__version__",
-    "act_on_rows",
     "apply_move",
     "build_p_matrix",
     "check_move_action",

@@ -13,6 +13,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -63,6 +64,12 @@ class ZetaAssignment:
         if not 1 <= vertex <= self.n:
             raise InvalidInputError(f"vertex {vertex} out of range 1..{self.n}")
         return self.values[vertex - 1]
+
+    @cached_property
+    def row(self) -> IntRow:
+        """The values as an integer row (u, s), z = u / s, cleared once per
+        assignment."""
+        return int_row(self.values)
 
     @classmethod
     def consecutive(cls, n: int) -> "ZetaAssignment":

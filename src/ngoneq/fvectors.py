@@ -91,7 +91,7 @@ def check_orthogonality(v: FVector, zeta: ZetaAssignment) -> bool:
     integer rows v = a / d and z = u / s, iff sum_r a_r * u_r^m = 0."""
     if zeta.n != v.n:
         raise InvalidInputError(f"assignment has {zeta.n} values, vector has {v.n}")
-    a, u = v.row[0], int_row(zeta.values)[0]
+    a, u = v.row[0], zeta.row[0]
     return not any(sum([x * y**m for x, y in zip(a, u)]) for m in range(v.n // 2))
 
 

@@ -12,24 +12,22 @@ which makes every row sum to 1. The same entries can be written as
 alternating-sign ratios of Vandermonde determinants over an interleaved
 vertex frame; ``tests/oracles.py`` keeps that form as a cross-check.
 
-One primitive, ``act_on_rows``, applies a move to rows keyed by pair: the
-rows of the removed pairs become P times those rows, keyed by the created
-pairs, and every other row is carried over. Inside, ``act_on_int_rows`` is the
-one loop that does this over integer rows (``IntRow``). The side product is
-that loop folded over a move sequence from the identity rows of the initial
-triangulation; an extended (identity-padded) matrix and the move-action check
-of ``fvectors`` are one move applied to identity or invariant-vector rows. The
-dense product of extended matrices is kept in the tests as an oracle.
+One primitive, ``act_on_int_rows``, applies a move to integer rows
+(``IntRow``) keyed by pair: the rows of the removed pairs become P times those
+rows, keyed by the created pairs, and every other row is carried over. It is
+the one loop that combines rows. The side product is that loop folded over a
+move sequence from the identity rows of the initial triangulation; an extended
+(identity-padded) matrix and the move-action check of ``fvectors`` are one
+move applied to identity or invariant-vector rows. The dense product of
+extended matrices is kept in the tests as an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Mapping, Sequence
-
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
-from .exactfield import DenseMatrix, IntRow, Rat, ZetaAssignment, int_row, rat_row
+from .exactfield import DenseMatrix, IntRow, ZetaAssignment, rat_row
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -54,7 +52,7 @@ def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
         raise InvalidInputError(
             f"assignment is for n={zeta.n} but move is for n={move.n}"
         )
-    u, _ = int_row(zeta.values)
+    u = zeta.row[0]
     u_cols = [u[pair.other(move.q) - 1] for pair in move.removed_pairs()]
     weights = [prod([uj - uk for uk in u_cols if uk != uj]) for uj in u_cols]
     entries = []
@@ -66,9 +64,11 @@ def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
 
 
 def act_on_int_rows(move: PachnerMove, zeta: ZetaAssignment, rows: dict[Pair, IntRow]) -> None:
-    """``act_on_rows`` in place on integer rows: the one loop that combines
-    rows. A created row sum_j (a_j / b_j) * (v_j / d_j) is taken over
-    L = lcm(b_j * d_j), skipping zero v entries, and reduced once."""
+    """Apply a move in place to integer rows keyed by pair: the rows of the
+    removed pairs are replaced by P times those rows, keyed by the created
+    pairs, and every other row is left as it is. A created row
+    sum_j (a_j / b_j) * (v_j / d_j) is taken over L = lcm(b_j * d_j),
+    skipping zero v entries, and reduced once."""
     p = build_p_matrix(move, zeta)
     removed = []
     for pair in move.removed_pairs():
@@ -87,23 +87,6 @@ def act_on_int_rows(move: PachnerMove, zeta: ZetaAssignment, rows: dict[Pair, In
                 acc[k] += scale * x
         g = gcd(common, *acc)
         rows[pair] = (tuple([x // g for x in acc]), common // g)
-
-
-def act_on_rows(
-    move: PachnerMove, zeta: ZetaAssignment, rows: Mapping[Pair, Sequence[Rat]]
-) -> dict[Pair, tuple[Rat, ...]]:
-    """Apply a move to a family of rows keyed by pair.
-
-    The rows of the removed pairs are replaced by P times those rows, keyed by
-    the created pairs; every other row is carried over unchanged (the same
-    object). Returns a new dict and leaves ``rows`` untouched.
-    """
-    removed = set(move.removed_pairs())
-    out = {pair: int_row(row) if pair in removed else row for pair, row in rows.items()}
-    act_on_int_rows(move, zeta, out)
-    for pair in move.created_pairs():
-        out[pair] = rat_row(out[pair])
-    return out
 
 
 def _identity_rows(t: Triangulation) -> dict[Pair, IntRow]:
@@ -144,17 +127,27 @@ def extended_matrices(seq: MoveSequence, zeta: ZetaAssignment) -> list[DenseMatr
     ]
 
 
-def side_rows(seq: MoveSequence, zeta: ZetaAssignment) -> list[IntRow]:
+def side_rows(
+    seq: MoveSequence,
+    zeta: ZetaAssignment,
+    initial: Triangulation | None = None,
+    final: Triangulation | None = None,
+) -> list[IntRow]:
     """The side product M_k ... M_1 (first-applied move rightmost) as integer
     rows in final triangulation order, columns in initial triangulation order.
 
     Computed by applying each move to the rows it touches, starting from the
     identity rows of the initial triangulation; no extended matrix is formed.
+    A caller that already holds the initial and final triangulations of
+    ``seq.n`` passes them in; otherwise they are derived here.
     """
-    rows = _identity_rows(initial_triangulation(seq.n))
+    if initial is None:
+        initial = initial_triangulation(seq.n)
+    if final is None:
+        final = final_triangulation(seq.n)
+    rows = _identity_rows(initial)
     for move in seq.moves:
         act_on_int_rows(move, zeta, rows)
-    final = final_triangulation(seq.n)
     if rows.keys() != set(final.pairs):
         raise InternalError(
             f"{seq.side} sequence for n={seq.n} does not end at the final triangulation"

@@ -11,7 +11,6 @@ complementary vertices c.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from .errors import InvalidInputError, MoveNotApplicableError
 
@@ -133,7 +132,6 @@ def check_n(n: int) -> None:
         raise InvalidInputError(f"construction requires n >= 5, got {n}")
 
 
-@cache
 def initial_triangulation(n: int) -> Triangulation:
     """Pairs (n+1-2k, n+2-2l) for 1 <= l <= k <= floor((n-1)/2)."""
     check_n(n)
@@ -144,7 +142,6 @@ def initial_triangulation(n: int) -> Triangulation:
     return Triangulation.from_pairs(n, pairs)
 
 
-@cache
 def final_triangulation(n: int) -> Triangulation:
     """Pairs (n-2k, n+1-2l); for even n also (1, n+2-2l), l = 1..n/2."""
     check_n(n)
@@ -202,25 +199,25 @@ def rhs_q_order(n: int) -> list[int]:
     return list(range(n, 1, -2))
 
 
-@cache
 def equation_sequences(n: int) -> tuple[MoveSequence, MoveSequence]:
     """Both move sequences of the polygon equation, derived from the evolving
     triangulation rather than hard-coded subscript patterns.
 
     Each side starts from the initial triangulation and must end at the final
-    one (both cached per n, like this pair); the q-orders are lhs: 2,4,...,n-1 / rhs: n,n-2,...,1 for odd n and
+    one; the q-orders are lhs: 2,4,...,n-1 / rhs: n,n-2,...,1 for odd n and
     lhs: 3,5,...,n-1,1 / rhs: n,n-2,...,2 for even n.
     """
     check_n(n)
+    initial, final = initial_triangulation(n), final_triangulation(n)
     sides = []
     for side, q_order in (("lhs", lhs_q_order(n)), ("rhs", rhs_q_order(n))):
-        t = initial_triangulation(n)
+        t = initial
         moves = []
         for q in q_order:
             move = derive_move(t, q)
             t = apply_move(t, move)
             moves.append(move)
-        if t != final_triangulation(n):
+        if t != final:
             raise MoveNotApplicableError(
                 f"{side} sequence for n={n} did not reach the final triangulation"
             )

@@ -125,17 +125,15 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
     timings: dict = {}
     t0 = time.perf_counter()
     lhs_seq, rhs_seq = equation_sequences(n)
+    initial, final = initial_triangulation(n), final_triangulation(n)
     timings["sequences"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lhs_rows = side_rows(lhs_seq, zeta)
+    lhs_rows = side_rows(lhs_seq, zeta, initial, final)
     timings["lhs_product"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rhs_rows = side_rows(rhs_seq, zeta)
+    rhs_rows = side_rows(rhs_seq, zeta, initial, final)
     timings["rhs_product"] = time.perf_counter() - t0
-
-    initial = initial_triangulation(n)
-    final = final_triangulation(n)
 
     t0 = time.perf_counter()
     equal = lhs_rows == rhs_rows  # integer rows are canonical
@@ -176,7 +174,8 @@ def max_stack_rank(n: int) -> int:
 class SuiteContext:
     """Everything the properties of one (n, zeta) suite run read, built once:
     the two move sequences and the invariant vectors of all C(n,2) pairs. The
-    vector properties read each vector's integer row (``FVector.row``)."""
+    vector properties read each vector's integer row (``FVector.row``) and the
+    assignment's (``ZetaAssignment.row``), each cleared once."""
 
     n: int
     zeta: ZetaAssignment
@@ -285,7 +284,13 @@ def run_property_suite(n: int, zeta: ZetaAssignment) -> tuple[PropertyResult, ..
     SuiteContext."""
     if zeta.n != n:
         raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
-    ctx = SuiteContext(n, zeta, equation_sequences(n), f_vector_table(n, zeta))
+    return _run_properties(equation_sequences(n), zeta)
+
+
+def _run_properties(
+    sequences: tuple[MoveSequence, MoveSequence], zeta: ZetaAssignment
+) -> tuple[PropertyResult, ...]:
+    ctx = SuiteContext(zeta.n, zeta, sequences, f_vector_table(zeta.n, zeta))
     return (
         _prop_row_sums(ctx),
         _prop_orthogonality(ctx),
@@ -297,9 +302,10 @@ def run_property_suite(n: int, zeta: ZetaAssignment) -> tuple[PropertyResult, ..
 
 
 def verify_with_properties(n: int, zeta: ZetaAssignment) -> VerificationReport:
-    """verify_equation plus the property suite, bundled into one report."""
+    """verify_equation plus the property suite, bundled into one report; the
+    suite reuses the report's move sequences."""
     report = verify_equation(n, zeta)
     t0 = time.perf_counter()
-    properties = run_property_suite(n, zeta)
+    properties = _run_properties((report.lhs, report.rhs), zeta)
     timings = {**report.timings, "properties": time.perf_counter() - t0}
     return replace(report, properties=properties, timings=timings)

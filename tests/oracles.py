@@ -30,6 +30,8 @@ from ngoneq import (
     f_vector,
     triangulation_path,
 )
+from ngoneq.exactfield import int_row, rat_row
+from ngoneq.pmatrix import act_on_int_rows
 
 
 def vandermonde(indices, zeta: ZetaAssignment) -> Rat:
@@ -124,6 +126,19 @@ def p_entry_vandermonde(move: PachnerMove, zeta: ZetaAssignment, i: int, j: int)
     sign = -1 if (j + (move.n - 1) // 2) % 2 else 1
     numerator_args = [row_vertex] + [b for b in b_asc if b != omitted]
     return sign * vandermonde(numerator_args, zeta) / vandermonde(b_asc, zeta)
+
+
+def act_on_rows(move: PachnerMove, zeta: ZetaAssignment, rows) -> dict:
+    """``act_on_int_rows`` on rows of rationals keyed by pair: returns a new
+    dict in which the rows of the removed pairs are replaced by P times those
+    rows, keyed by the created pairs, and every other row is carried over (the
+    same object); ``rows`` is left untouched."""
+    removed = set(move.removed_pairs())
+    out = {pair: int_row(row) if pair in removed else row for pair, row in rows.items()}
+    act_on_int_rows(move, zeta, out)
+    for pair in move.created_pairs():
+        out[pair] = rat_row(out[pair])
+    return out
 
 
 def dense_extend(move, t_old, t_new, zeta) -> DenseMatrix:

@@ -330,3 +330,11 @@ def test_matrix_latex_entries():
     tex = m.to_latex()
     assert "-\\frac{3}{2}" in tex and "6" in tex
     assert tex.startswith("\\left(\\begin{array}{cc}")
+
+
+def test_assignment_row_is_the_cleared_values_and_leaves_equality_alone():
+    z = ZetaAssignment(3, (Fraction(-1, 2), Fraction(2, 3), Fraction(5)))
+    same = ZetaAssignment(3, z.values, label="other")
+    assert z.row == ((-3, 4, 30), 6) == int_row(z.values)
+    assert z.row is z.row
+    assert z == same and hash(z) == hash(same)

@@ -14,7 +14,6 @@ from ngoneq import (
     Pair,
     Triangulation,
     ZetaAssignment,
-    act_on_rows,
     apply_move,
     build_p_matrix,
     equation_sequences,
@@ -29,6 +28,7 @@ from ngoneq.exactfield import int_row, rat_row
 from ngoneq.pmatrix import side_rows
 from oracles import (
     InterleavedFrame,
+    act_on_rows,
     dense_factors,
     dense_fold,
     dense_product,

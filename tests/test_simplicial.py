@@ -103,19 +103,6 @@ def test_small_n_rejected():
             equation_sequences(n)
 
 
-def test_sequences_and_triangulations_are_derived_once_per_n():
-    """The three per-n functions return the same object on every call; a
-    rejected n raises on every call, since exceptions are not cached."""
-    for n in (5, 6, 11):
-        assert equation_sequences(n) is equation_sequences(n)
-        assert initial_triangulation(n) is initial_triangulation(n)
-        assert final_triangulation(n) is final_triangulation(n)
-    for _ in range(3):
-        for fn in (equation_sequences, initial_triangulation, final_triangulation):
-            with pytest.raises(InvalidInputError):
-                fn(4)
-
-
 def test_triangulation_rejects_duplicates():
     with pytest.raises(InvalidInputError):
         Triangulation.from_pairs(5, [Pair(1, 2, 5), Pair(1, 2, 5)])

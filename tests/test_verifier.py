@@ -16,6 +16,7 @@ from ngoneq import (
     verify_equation,
     verify_with_properties,
 )
+import ngoneq.exactfield as exactfield_module
 import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.verifier as verifier_module
@@ -145,6 +146,47 @@ def test_property_suite_builds_no_matrix_to_take_a_rank(monkeypatch):
     for n in (5, 8, 9):
         results = run_property_suite(n, negative_fractional(n))
         assert all(r.passed for r in results), results
+
+
+def test_one_verification_derives_the_sequences_and_triangulations_once(monkeypatch):
+    """verify_with_properties derives the move sequences once for the side
+    products and the suite; the side products reuse its triangulations."""
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return equation_sequences(n)
+
+    def forbidden(n):
+        raise AssertionError("side product derived a triangulation again")
+
+    monkeypatch.setattr(verifier_module, "equation_sequences", counting)
+    monkeypatch.setattr(pmatrix_module, "initial_triangulation", forbidden)
+    monkeypatch.setattr(pmatrix_module, "final_triangulation", forbidden)
+    for n in (5, 8):
+        report = verify_with_properties(n, negative_fractional(n))
+        assert report.equal and all(r.passed for r in report.properties)
+    assert calls == [5, 8]
+
+
+def test_one_suite_run_clears_the_assignment_once(monkeypatch):
+    """Orthogonality and the move matrices read the assignment's integer row,
+    which is computed once per assignment."""
+    for n in (6, 9):
+        zeta = negative_fractional(n)
+        calls = []
+
+        def counting(row, real=exactfield_module.int_row):
+            if tuple(row) == zeta.values:
+                calls.append(n)
+            return real(row)
+
+        for module in (exactfield_module, fvectors_module, pmatrix_module):
+            monkeypatch.setattr(module, "int_row", counting, raising=False)
+        report = verify_with_properties(n, zeta)
+        assert all(r.passed for r in report.properties)
+        assert calls == [n]
+        monkeypatch.undo()
 
 
 def test_lex_combination_lists_combinations_in_order():
