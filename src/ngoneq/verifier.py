@@ -279,18 +279,17 @@ def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
     return PropertyResult("initial_stack_rank", True, f"rank {got}")
 
 
-def run_property_suite(n: int, zeta: ZetaAssignment) -> tuple[PropertyResult, ...]:
+def run_property_suite(
+    n: int, zeta: ZetaAssignment, sequences: tuple[MoveSequence, MoveSequence] | None = None
+) -> tuple[PropertyResult, ...]:
     """Run every structural property at one assignment, from one shared
-    SuiteContext."""
+    SuiteContext. A caller that already holds the move sequences of n passes
+    them in; otherwise they are derived here."""
     if zeta.n != n:
         raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
-    return _run_properties(equation_sequences(n), zeta)
-
-
-def _run_properties(
-    sequences: tuple[MoveSequence, MoveSequence], zeta: ZetaAssignment
-) -> tuple[PropertyResult, ...]:
-    ctx = SuiteContext(zeta.n, zeta, sequences, f_vector_table(zeta.n, zeta))
+    if sequences is None:
+        sequences = equation_sequences(n)
+    ctx = SuiteContext(n, zeta, sequences, f_vector_table(n, zeta))
     return (
         _prop_row_sums(ctx),
         _prop_orthogonality(ctx),
@@ -306,6 +305,6 @@ def verify_with_properties(n: int, zeta: ZetaAssignment) -> VerificationReport:
     suite reuses the report's move sequences."""
     report = verify_equation(n, zeta)
     t0 = time.perf_counter()
-    properties = _run_properties((report.lhs, report.rhs), zeta)
+    properties = run_property_suite(n, zeta, (report.lhs, report.rhs))
     timings = {**report.timings, "properties": time.perf_counter() - t0}
     return replace(report, properties=properties, timings=timings)
