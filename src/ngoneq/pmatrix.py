@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
 from .exactfield import DenseMatrix, IntRow, ZetaAssignment, rat_row
 from .simplicial import (
