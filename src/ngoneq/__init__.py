@@ -25,6 +25,7 @@ from .pmatrix import (
     build_p_matrix,
     extend_matrix,
     extended_matrices,
+    int_p_matrix,
     product_for_side,
 )
 from .simplicial import (
@@ -77,6 +78,7 @@ __all__ = [
     "f_vector_table",
     "final_triangulation",
     "initial_triangulation",
+    "int_p_matrix",
     "max_stack_rank",
     "product_for_side",
     "rat_from_string",

@@ -21,6 +21,7 @@ from .errors import InvalidInputError
 
 Rat = Fraction
 IntRow = tuple[tuple[int, ...], int]  # (numerators, denominator > 0), gcd 1: canonical
+IntMatrix = tuple[tuple[tuple[int, ...], ...], int]  # (numerator rows, denominator > 0)
 
 RANDOM_VALUE_RANGE = (1, 10**6)
 
@@ -167,9 +168,6 @@ class DenseMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def row_sums(self) -> list[Rat]:
-        return [sum(row, Fraction(0)) for row in self.entries]
 
     # ---- arithmetic ---------------------------------------------------
 

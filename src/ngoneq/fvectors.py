@@ -19,7 +19,7 @@ from math import prod
 from typing import Iterable, Mapping
 
 from .errors import InvalidInputError
-from .exactfield import IntRow, Rat, ZetaAssignment, int_row
+from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, int_row
 from .pmatrix import act_on_int_rows
 from .simplicial import PachnerMove, Pair, check_n
 
@@ -96,11 +96,11 @@ def check_orthogonality(v: FVector, zeta: ZetaAssignment) -> bool:
 
 
 def check_move_action(
-    move: PachnerMove, zeta: ZetaAssignment, vectors: Mapping[Pair, FVector]
+    move: PachnerMove, p: IntMatrix, vectors: Mapping[Pair, FVector]
 ) -> bool:
-    """True iff the move matrix maps the stacked removed-simplex vectors exactly
-    to the stacked created-simplex vectors, both read from ``vectors`` (for
-    example ``f_vector_table(move.n, zeta)``), as canonical integer rows."""
-    rows = {pair: vectors[pair].row for pair in move.removed_pairs()}
-    act_on_int_rows(move, zeta, rows)
-    return rows == {pair: vectors[pair].row for pair in move.created_pairs()}
+    """True iff the move matrix ``p = int_p_matrix(move, zeta)`` maps the stacked
+    removed-simplex vectors exactly to the stacked created-simplex vectors, both
+    read from ``vectors`` (e.g. ``f_vector_table(move.n, zeta)``), as integer rows."""
+    rows = {pair: vectors[pair].row for pair in move.removed_pairs}
+    act_on_int_rows(move, p, rows)
+    return rows == {pair: vectors[pair].row for pair in move.created_pairs}

@@ -2,18 +2,20 @@
 move on a family of rows indexed by simplex pairs.
 
 The matrix P of a move has one row per created simplex and one column per
-removed simplex, in the order of ``move.created_pairs()`` and
-``move.removed_pairs()``: c-vertices and b-vertices descending. The (i, j)
+removed simplex, in the order of ``move.created_pairs`` and
+``move.removed_pairs``: c-vertices and b-vertices descending. The (i, j)
 entry is the Lagrange basis ratio
 
     prod_{j' != j} (z[row_i] - z[col_j']) / prod_{j' != j} (z[col_j] - z[col_j'])
 
-which makes every row sum to 1. The same entries can be written as
-alternating-sign ratios of Vandermonde determinants over an interleaved
-vertex frame; ``tests/oracles.py`` keeps that form as a cross-check.
+which makes every row sum to 1. Only ``int_p_matrix`` computes P: integer rows
+over one positive denominator, with no ``Fraction``; ``build_p_matrix`` is its
+``Fraction`` view. The same entries are alternating-sign ratios of Vandermonde
+determinants over an interleaved vertex frame; ``tests/oracles.py`` keeps that
+form as a cross-check.
 
-One primitive, ``act_on_int_rows``, applies a move to integer rows
-(``IntRow``) keyed by pair: the rows of the removed pairs become P times those
+One primitive, ``act_on_int_rows``, applies a move's integer matrix to integer
+rows (``IntRow``) keyed by pair: the rows of the removed pairs become P times those
 rows, keyed by the created pairs, and every other row is carried over. It is
 the one loop that combines rows. The side product is that loop folded over a
 move sequence from the identity rows of the initial triangulation; an extended
@@ -24,11 +26,10 @@ extended matrices is kept in the tests as an oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
-from .exactfield import DenseMatrix, IntRow, ZetaAssignment, rat_row
+from .exactfield import DenseMatrix, IntMatrix, IntRow, ZetaAssignment, rat_row
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -41,49 +42,59 @@ from .simplicial import (
 )
 
 
-def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
-    """The move matrix in Lagrange-product form; row i belongs to
-    ``move.created_pairs()[i]`` and column j to ``move.removed_pairs()[j]``.
-
-    Shape is m x m for odd n and (m+1) x m for even n, where m = floor((n-1)/2).
-    Entries are Fraction(l(r) // (u[r] - u[col_j]), W_j), l(r) = prod_j (u[r] - u[col_j]),
-    W_j = prod_{j' != j} (u[col_j] - u[col_j']), over integers u = s * z: s cancels.
+def int_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> IntMatrix:
+    """The move matrix as integer rows over one denominator D > 0; row i belongs
+    to ``move.created_pairs[i]``, column j to ``move.removed_pairs[j]``. Shape is
+    m x m for odd n and (m+1) x m for even n, m = floor((n-1)/2). Over integers
+    u = s * z (s cancels), entry (i, j) is (l_i // d_ij) / W_j, d_ij = u[row_i] -
+    u[col_j], l_i = prod_j d_ij, W_j = prod_{j' != j} (u[col_j] - u[col_j']);
+    with D = lcm |W_j| its numerator is (l_i // d_ij) * (D // W_j). Each row sums to D.
     """
     if zeta.n != move.n:
         raise InvalidInputError(
             f"assignment is for n={zeta.n} but move is for n={move.n}"
         )
     u = zeta.row[0]
-    u_cols = [u[pair.other(move.q) - 1] for pair in move.removed_pairs()]
+    u_cols = [u[b - 1] for b in reversed(move.b_set)]
     weights = [prod([uj - uk for uk in u_cols if uk != uj]) for uj in u_cols]
-    entries = []
-    for pair in move.created_pairs():
-        diffs = [u[pair.other(move.q) - 1] - uc for uc in u_cols]
+    d = lcm(*weights)
+    scales = [d // w for w in weights]
+    rows = []
+    for c in reversed(move.c_set):
+        diffs = [u[c - 1] - uc for uc in u_cols]
         ell = prod(diffs)
-        entries.append([Fraction(ell // d, w) for d, w in zip(diffs, weights)])
-    return DenseMatrix(entries)
+        rows.append(tuple([ell // x * f for x, f in zip(diffs, scales)]))
+    return tuple(rows), d
 
 
-def act_on_int_rows(move: PachnerMove, zeta: ZetaAssignment, rows: dict[Pair, IntRow]) -> None:
-    """Apply a move in place to integer rows keyed by pair: the rows of the
-    removed pairs are replaced by P times those rows, keyed by the created
-    pairs, and every other row is left as it is. A created row
-    sum_j (a_j / b_j) * (v_j / d_j) is taken over L = lcm(b_j * d_j),
-    skipping zero v entries, and reduced once."""
-    p = build_p_matrix(move, zeta)
-    removed = []
-    for pair in move.removed_pairs():
+def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
+    """The move matrix of ``int_p_matrix`` as a matrix of rationals."""
+    rows, d = int_p_matrix(move, zeta)
+    return DenseMatrix([rat_row((row, d)) for row in rows])
+
+
+def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow]) -> None:
+    """Apply a move's matrix ``p = int_p_matrix(move, zeta)`` in place to integer
+    rows keyed by pair: the rows of the removed pairs are replaced by P times
+    those rows, keyed by the created pairs; every other row is left as it is.
+    With P = N / D and removed rows v_j / d_j, created row i is sum_j N_ij *
+    (L // d_j) * v_j over D * L, L = lcm(d_j), skipping zero v entries, reduced once."""
+    numerators, denominators = [], []
+    for pair in move.removed_pairs:
         if pair not in rows:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) not present")
-        numerators, d = rows.pop(pair)
-        removed.append(([(k, x) for k, x in enumerate(numerators) if x], d))
-    for pair, coeffs in zip(move.created_pairs(), p.entries):
+        v, d = rows.pop(pair)
+        numerators.append([(k, x) for k, x in enumerate(v) if x])
+        denominators.append(d)
+    common = lcm(*denominators)
+    factors = [common // d for d in denominators]
+    common *= p[1]
+    for pair, coeffs in zip(move.created_pairs, p[0]):
         if pair in rows:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) already present")
-        common = lcm(*[c.denominator * d for c, (_, d) in zip(coeffs, removed)])
-        acc = [0] * len(numerators)
-        for c, (source, d) in zip(coeffs, removed):
-            scale = c.numerator * (common // (c.denominator * d))
+        acc = [0] * len(v)
+        for c, f, source in zip(coeffs, factors, numerators):
+            scale = c * f
             for k, x in source:
                 acc[k] += scale * x
         g = gcd(common, *acc)
@@ -115,7 +126,7 @@ def extend_matrix(
     if apply_move(t_old, move) != t_new:
         raise InvalidInputError("t_new is not the result of applying the move to t_old")
     rows = _identity_rows(t_old)
-    act_on_int_rows(move, zeta, rows)
+    act_on_int_rows(move, int_p_matrix(move, zeta), rows)
     return DenseMatrix([rat_row(rows[pair]) for pair in t_new.pairs])
 
 
@@ -148,7 +159,7 @@ def side_rows(
         final = final_triangulation(seq.n)
     rows = _identity_rows(initial)
     for move in seq.moves:
-        act_on_int_rows(move, zeta, rows)
+        act_on_int_rows(move, int_p_matrix(move, zeta), rows)
     if rows.keys() != set(final.pairs):
         raise InternalError(
             f"{seq.side} sequence for n={seq.n} does not end at the final triangulation"

@@ -10,7 +10,9 @@ complementary vertices c.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InvalidInputError, MoveNotApplicableError
 
@@ -20,17 +22,15 @@ def move_size(n: int) -> int:
     return (n - 1) // 2
 
 
-@dataclass(frozen=True, order=True)
-class Pair:
-    """The (i, j) name of the simplex on {1..n} \\ {i, j}."""
+class Pair(namedtuple("Pair", "i j n")):
+    """The (i, j) name of the simplex on {1..n} \\ {i, j}; a tuple (i, j, n)."""
 
-    i: int
-    j: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.i < self.j <= self.n):
-            raise InvalidInputError(f"pair ({self.i},{self.j}) invalid for n={self.n}")
+    def __new__(cls, i: int, j: int, n: int) -> "Pair":
+        if not (1 <= i < j <= n):
+            raise InvalidInputError(f"pair ({i},{j}) invalid for n={n}")
+        return tuple.__new__(cls, (i, j, n))
 
     def simplex(self) -> tuple[int, ...]:
         """Sorted vertex tuple of the simplex this pair names."""
@@ -101,13 +101,15 @@ class PachnerMove:
         if self.b_set != tuple(sorted(self.b_set)) or self.c_set != tuple(sorted(self.c_set)):
             raise InvalidInputError("b_set and c_set must be sorted")
 
-    def removed_pairs(self) -> list[Pair]:
+    @cached_property
+    def removed_pairs(self) -> tuple[Pair, ...]:
         """The pairs {b, q}, b descending: the column order of the move matrix."""
-        return [Pair.of(self.n, b, self.q) for b in reversed(self.b_set)]
+        return tuple([Pair.of(self.n, b, self.q) for b in reversed(self.b_set)])
 
-    def created_pairs(self) -> list[Pair]:
+    @cached_property
+    def created_pairs(self) -> tuple[Pair, ...]:
         """The pairs {c, q}, c descending: the row order of the move matrix."""
-        return [Pair.of(self.n, c, self.q) for c in reversed(self.c_set)]
+        return tuple([Pair.of(self.n, c, self.q) for c in reversed(self.c_set)])
 
     def label(self) -> str:
         """Subscript notation d^(q)_{b...} used in step listings."""
@@ -176,11 +178,11 @@ def apply_move(t: Triangulation, move: PachnerMove) -> Triangulation:
     if move.n != t.n:
         raise InvalidInputError("move and triangulation have different n")
     current = set(t.pairs)
-    for p in move.removed_pairs():
+    for p in move.removed_pairs:
         if p not in current:
             raise MoveNotApplicableError(f"pair ({p.i},{p.j}) not present")
         current.remove(p)
-    for p in move.created_pairs():
+    for p in move.created_pairs:
         if p in current:
             raise MoveNotApplicableError(f"pair ({p.i},{p.j}) already present")
         current.add(p)

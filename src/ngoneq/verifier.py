@@ -24,11 +24,12 @@ from math import comb
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .exactfield import DenseMatrix, ZetaAssignment, rank, rat_row
+from .exactfield import DenseMatrix, IntMatrix, Rat, ZetaAssignment, rank, rat_row
 from .fvectors import FVector, check_move_action, check_orthogonality, f_vector_table
-from .pmatrix import build_p_matrix, side_rows
+from .pmatrix import int_p_matrix, side_rows
 from .simplicial import (
     MoveSequence,
+    PachnerMove,
     Pair,
     Triangulation,
     equation_sequences,
@@ -173,13 +174,14 @@ def max_stack_rank(n: int) -> int:
 @dataclass(frozen=True)
 class SuiteContext:
     """Everything the properties of one (n, zeta) suite run read, built once:
-    the two move sequences and the invariant vectors of all C(n,2) pairs. The
-    vector properties read each vector's integer row (``FVector.row``) and the
-    assignment's (``ZetaAssignment.row``), each cleared once."""
+    the two move sequences, every move's integer matrix and the invariant vectors
+    of all C(n,2) pairs. The vector properties read each vector's integer row
+    (``FVector.row``) and the assignment's (``ZetaAssignment.row``), each cleared once."""
 
     n: int
     zeta: ZetaAssignment
     sequences: tuple[MoveSequence, MoveSequence]
+    matrices: Mapping[PachnerMove, IntMatrix]
     vectors: Mapping[Pair, FVector]
 
     def stack_rank(self, pairs) -> int:
@@ -192,16 +194,17 @@ class SuiteContext:
 
 
 def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
-    """Every move matrix's rows sum to 1. An extended matrix's rows are its
-    move matrix's rows and identity rows, so this covers them too."""
+    """Every move matrix's rows sum to 1 (numerators to the denominator). An extended
+    matrix's rows are its move matrix's rows and identity rows, so this covers them too."""
     for seq in ctx.sequences:
         for move in seq.moves:
-            for i, s in enumerate(build_p_matrix(move, ctx.zeta).row_sums()):
-                if s != 1:
+            rows, d = ctx.matrices[move]
+            for i, row in enumerate(rows):
+                if sum(row) != d:
                     return PropertyResult(
                         "row_sums",
                         False,
-                        f"{seq.side} {move.label()} move matrix row {i} sums to {s}",
+                        f"{seq.side} {move.label()} move matrix row {i} sums to {Rat(sum(row), d)}",
                     )
     return PropertyResult("row_sums", True)
 
@@ -216,7 +219,7 @@ def _prop_orthogonality(ctx: SuiteContext) -> PropertyResult:
 def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
     for seq in ctx.sequences:
         for move in seq.moves:
-            if not check_move_action(move, ctx.zeta, ctx.vectors):
+            if not check_move_action(move, ctx.matrices[move], ctx.vectors):
                 return PropertyResult(
                     "move_action", False, f"{seq.side} {move.label()}"
                 )
@@ -289,7 +292,8 @@ def run_property_suite(
         raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
     if sequences is None:
         sequences = equation_sequences(n)
-    ctx = SuiteContext(n, zeta, sequences, f_vector_table(n, zeta))
+    matrices = {move: int_p_matrix(move, zeta) for seq in sequences for move in seq.moves}
+    ctx = SuiteContext(n, zeta, sequences, matrices, f_vector_table(n, zeta))
     return (
         _prop_row_sums(ctx),
         _prop_orthogonality(ctx),

@@ -31,7 +31,7 @@ from ngoneq import (
     triangulation_path,
 )
 from ngoneq.exactfield import int_row, rat_row
-from ngoneq.pmatrix import act_on_int_rows
+from ngoneq.pmatrix import act_on_int_rows, int_p_matrix
 
 
 def vandermonde(indices, zeta: ZetaAssignment) -> Rat:
@@ -133,10 +133,10 @@ def act_on_rows(move: PachnerMove, zeta: ZetaAssignment, rows) -> dict:
     dict in which the rows of the removed pairs are replaced by P times those
     rows, keyed by the created pairs, and every other row is carried over (the
     same object); ``rows`` is left untouched."""
-    removed = set(move.removed_pairs())
+    removed = set(move.removed_pairs)
     out = {pair: int_row(row) if pair in removed else row for pair, row in rows.items()}
-    act_on_int_rows(move, zeta, out)
-    for pair in move.created_pairs():
+    act_on_int_rows(move, int_p_matrix(move, zeta), out)
+    for pair in move.created_pairs:
         out[pair] = rat_row(out[pair])
     return out
 
@@ -281,6 +281,10 @@ def zeros(rows: int, cols: int) -> DenseMatrix:
 
 def transpose(matrix: DenseMatrix) -> DenseMatrix:
     return DenseMatrix([list(col) for col in zip(*matrix.entries)])
+
+
+def row_sums(matrix: DenseMatrix) -> list[Rat]:
+    return [sum(row, Fraction(0)) for row in matrix.entries]
 
 
 def with_entry(matrix: DenseMatrix, i: int, j: int, value: Rat) -> DenseMatrix:

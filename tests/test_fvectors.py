@@ -20,6 +20,7 @@ from ngoneq import (
     f_vector,
     f_vector_table,
     initial_triangulation,
+    int_p_matrix,
 )
 from ngoneq.verifier import max_stack_rank
 from oracles import (
@@ -274,8 +275,8 @@ def test_pentagon_move_action_explicit():
     z = CONSEC[5]
     move = PachnerMove(5, 5, (2, 4), (1, 3))
     p = build_p_matrix(move, z)
-    assert [pr.simplex() for pr in move.removed_pairs()] == [(1, 2, 3), (1, 3, 4)]
-    assert [pr.simplex() for pr in move.created_pairs()] == [(1, 2, 4), (2, 3, 4)]
+    assert [pr.simplex() for pr in move.removed_pairs] == [(1, 2, 3), (1, 3, 4)]
+    assert [pr.simplex() for pr in move.created_pairs] == [(1, 2, 4), (2, 3, 4)]
     old = DenseMatrix([
         list(f_vector(5, Pair(4, 5, 5), z).components),
         list(f_vector(5, Pair(2, 5, 5), z).components),
@@ -285,13 +286,14 @@ def test_pentagon_move_action_explicit():
         list(f_vector(5, Pair(1, 5, 5), z).components),
     ])
     assert p.mul(old) == new
-    assert check_move_action(move, z, f_vector_table(5, z))
+    assert check_move_action(move, int_p_matrix(move, z), f_vector_table(5, z))
 
 
 def test_hexagon_and_heptagon_move_action():
     table6, table7 = f_vector_table(6, CONSEC[6]), f_vector_table(7, CONSEC[7])
-    assert check_move_action(PachnerMove(6, 6, (1, 3), (2, 4, 5)), CONSEC[6], table6)
-    assert check_move_action(PachnerMove(7, 7, (2, 4, 6), (1, 3, 5)), CONSEC[7], table7)
+    move6, move7 = PachnerMove(6, 6, (1, 3), (2, 4, 5)), PachnerMove(7, 7, (2, 4, 6), (1, 3, 5))
+    assert check_move_action(move6, int_p_matrix(move6, CONSEC[6]), table6)
+    assert check_move_action(move7, int_p_matrix(move7, CONSEC[7]), table7)
 
 
 def test_move_action_along_sequences():
@@ -299,7 +301,7 @@ def test_move_action_along_sequences():
         table = f_vector_table(n, CONSEC[n])
         for seq in equation_sequences(n):
             for move in seq.moves:
-                assert check_move_action(move, CONSEC[n], table)
+                assert check_move_action(move, int_p_matrix(move, CONSEC[n]), table)
 
 
 def test_move_action_at_random_assignment():
@@ -307,17 +309,17 @@ def test_move_action_at_random_assignment():
     table = f_vector_table(6, z)
     for seq in equation_sequences(6):
         for move in seq.moves:
-            assert check_move_action(move, z, table)
+            assert check_move_action(move, int_p_matrix(move, z), table)
 
 
 def test_move_action_detects_a_wrong_created_vector():
     z = CONSEC[6]
     move = PachnerMove(6, 6, (1, 3), (2, 4, 5))
     table = f_vector_table(6, z)
-    created = move.created_pairs()[0]
+    created = move.created_pairs[0]
     v = table[created]
     table[created] = FVector(6, created, (v.components[0] + 1,) + v.components[1:])
-    assert not check_move_action(move, z, table)
+    assert not check_move_action(move, int_p_matrix(move, z), table)
 
 
 @pytest.mark.parametrize("make", [negative_fractional, mixed_denominators])
@@ -330,15 +332,15 @@ def test_move_action_detects_a_wrong_created_vector_at_fractional_values(make):
         table = f_vector_table(n, z)
         for seq in equation_sequences(n):
             for move in seq.moves:
-                assert check_move_action(move, z, table)
+                assert check_move_action(move, int_p_matrix(move, z), table)
         move = equation_sequences(n)[0].moves[0]
-        created = move.created_pairs()[-1]
+        created = move.created_pairs[-1]
         v = table[created]
         for wrong in (
             FVector(n, created, tuple(x / 2 for x in v.components)),
             _perturbed(v, {v.pair.simplex()[0]: frac(1, 3)}),
         ):
-            assert not check_move_action(move, z, {**table, created: wrong})
+            assert not check_move_action(move, int_p_matrix(move, z), {**table, created: wrong})
 
 
 def test_f_vector_table_holds_every_pair_in_order():

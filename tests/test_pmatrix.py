@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngoneq import (
     DenseMatrix,
@@ -21,6 +22,7 @@ from ngoneq import (
     extended_matrices,
     final_triangulation,
     initial_triangulation,
+    int_p_matrix,
     product_for_side,
     triangulation_path,
 )
@@ -36,6 +38,7 @@ from oracles import (
     mixed_denominators,
     oracle_assignments,
     p_entry_vandermonde,
+    row_sums,
 )
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
@@ -78,15 +81,15 @@ def test_frame_row_col_vertices_are_descending_partner_sets():
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_move_matrix_labels_follow_the_move_pairs(n):
-    """For every move of both sides, P's rows belong to move.created_pairs()
-    and its columns to move.removed_pairs(), other vertex descending: acting
+    """For every move of both sides, P's rows belong to move.created_pairs
+    and its columns to move.removed_pairs, other vertex descending: acting
     on unit rows keyed by the removed pairs returns P's rows keyed by the
     created pairs."""
     zeta = CONSEC[n]
     for seq in equation_sequences(n):
         for move in seq.moves:
             frame = InterleavedFrame.from_move(move)
-            created, removed = move.created_pairs(), move.removed_pairs()
+            created, removed = move.created_pairs, move.removed_pairs
             rows_by_vertex = [pair.other(move.q) for pair in created]
             cols_by_vertex = [pair.other(move.q) for pair in removed]
             assert rows_by_vertex == sorted(move.c_set, reverse=True) == frame.row_vertices()
@@ -116,8 +119,8 @@ def test_pentagon_p_matrix_formulas_and_labels():
             [(z[2] - z[1]) / (z[2] - z[4]), (z[1] - z[4]) / (z[2] - z[4])],
         ])
         assert p == expected
-    assert move.created_pairs() == [Pair(3, 5, 5), Pair(1, 5, 5)]
-    assert move.removed_pairs() == [Pair(4, 5, 5), Pair(2, 5, 5)]
+    assert move.created_pairs == (Pair(3, 5, 5), Pair(1, 5, 5))
+    assert move.removed_pairs == (Pair(4, 5, 5), Pair(2, 5, 5))
 
 
 def test_pentagon_p_matrix_at_consecutive_values():
@@ -135,10 +138,10 @@ def test_hexagon_p_matrix_formulas():
         [(z[1] - z[2]) / (z[1] - z[3]), (z[2] - z[3]) / (z[1] - z[3])],
     ])
     assert p == expected
-    assert [pr.simplex() for pr in move.created_pairs()] == [
+    assert [pr.simplex() for pr in move.created_pairs] == [
         (1, 2, 3, 4), (1, 2, 3, 5), (1, 3, 4, 5)
     ]
-    assert [pr.simplex() for pr in move.removed_pairs()] == [
+    assert [pr.simplex() for pr in move.removed_pairs] == [
         (1, 2, 4, 5), (2, 3, 4, 5)
     ]
 
@@ -164,7 +167,7 @@ def test_p_matrix_row_sums_are_one():
         for seq in equation_sequences(n):
             for move in seq.moves:
                 p = build_p_matrix(move, CONSEC[n])
-                assert all(s == 1 for s in p.row_sums())
+                assert all(s == 1 for s in row_sums(p))
 
 
 def test_p_matrix_size_mismatch():
@@ -188,6 +191,27 @@ def test_lagrange_entries_equal_vandermonde_ratio_form():
                             )
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(distinct_assignments(max_n=10), st.data())
+def test_integer_move_matrix_equals_vandermonde_ratio_form(zeta, data):
+    """At drawn rationals of both signs, integer or not (where some column
+    weights W_j are negative), the integer rows over the denominator equal the
+    Vandermonde-ratio entries; the denominator is positive and every row's
+    numerators sum to it."""
+    seq = equation_sequences(zeta.n)[data.draw(st.integers(0, 1))]
+    move = seq.moves[data.draw(st.integers(0, len(seq.moves) - 1))]
+    cols = [zeta[b] for b in move.b_set]
+    assert any(prod(z - w for w in cols if w != z) < 0 for z in cols)
+    rows, d = int_p_matrix(move, zeta)
+    assert d > 0
+    assert len(rows) == len(move.created_pairs)
+    for i, row in enumerate(rows):
+        assert sum(row) == d
+        assert [Fraction(x, d) for x in row] == [
+            p_entry_vandermonde(move, zeta, i + 1, j + 1) for j in range(len(row))
+        ]
+
+
 def test_odd_p_matrices_invertible():
     for n in (5, 7, 9, 11):
         for seq in equation_sequences(n):
@@ -208,7 +232,7 @@ def test_extend_pentagon_first_step_keeps_fixed_triangle():
     assert m.shape == (3, 3)
     # triangle 123 is untouched and sits first in both orderings
     assert [m[0, j] for j in range(3)] == [1, 0, 0]
-    assert all(s == 1 for s in m.row_sums())
+    assert all(s == 1 for s in row_sums(m))
 
 
 def test_extend_hexagon_first_steps_fixed_rows():
@@ -225,12 +249,12 @@ def test_extend_hexagon_first_steps_fixed_rows():
 
 def test_extend_with_no_fixed_simplices_is_p_up_to_ordering():
     move = PachnerMove(5, 5, (2, 4), (1, 3))
-    t_old = Triangulation.from_pairs(5, move.removed_pairs())
-    t_new = Triangulation.from_pairs(5, move.created_pairs())
+    t_old = Triangulation.from_pairs(5, move.removed_pairs)
+    t_new = Triangulation.from_pairs(5, move.created_pairs)
     extended = extend_matrix(move, t_old, t_new, CONSEC[5])
     p = build_p_matrix(move, CONSEC[5])
-    for i, rp in enumerate(move.created_pairs()):
-        for j, cp in enumerate(move.removed_pairs()):
+    for i, rp in enumerate(move.created_pairs):
+        for j, cp in enumerate(move.removed_pairs):
             assert extended[t_new.pairs.index(rp), t_old.pairs.index(cp)] == p[i, j]
 
 
@@ -245,7 +269,7 @@ def test_extended_row_sums_are_one_everywhere():
     for n in range(5, 13):
         for seq in equation_sequences(n):
             for m in extended_matrices(seq, CONSEC[n]):
-                assert all(s == 1 for s in m.row_sums())
+                assert all(s == 1 for s in row_sums(m))
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +370,24 @@ def test_act_on_rows_replaces_removed_rows_and_carries_the_rest():
     assert rows == before  # the input family is left as it was
     assert set(out) == set(apply_move(t0, move).pairs)
     p = build_p_matrix(move, CONSEC[5])
-    for i, created in enumerate(move.created_pairs()):
+    for i, created in enumerate(move.created_pairs):
         expected = tuple(
-            sum((p[i, j] * rows[removed][k] for j, removed in enumerate(move.removed_pairs())),
+            sum((p[i, j] * rows[removed][k] for j, removed in enumerate(move.removed_pairs)),
                 frac(0))
             for k in range(3)
         )
         assert out[created] == expected
-    for pair in set(t0.pairs) - set(move.removed_pairs()):
+    for pair in set(t0.pairs) - set(move.removed_pairs):
         assert out[pair] is rows[pair]
 
 
 def test_act_on_rows_rejects_inapplicable_moves():
     move = PachnerMove(5, 2, (3, 5), (1, 4))
-    removed = {pair: (frac(1),) for pair in move.removed_pairs()}
+    removed = {pair: (frac(1),) for pair in move.removed_pairs}
     with pytest.raises(MoveNotApplicableError):
-        act_on_rows(move, CONSEC[5], {move.removed_pairs()[0]: (frac(1),)})
+        act_on_rows(move, CONSEC[5], {move.removed_pairs[0]: (frac(1),)})
     with pytest.raises(MoveNotApplicableError):
-        act_on_rows(move, CONSEC[5], {**removed, move.created_pairs()[0]: (frac(1),)})
+        act_on_rows(move, CONSEC[5], {**removed, move.created_pairs[0]: (frac(1),)})
 
 
 @settings(max_examples=30, deadline=None, database=None)

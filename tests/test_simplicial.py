@@ -39,6 +39,21 @@ def test_pair_validation():
         Pair(0, 3, 5)
     with pytest.raises(InvalidInputError):
         Pair(2, 6, 5)
+    with pytest.raises(InvalidInputError):
+        Pair(3, 3, 5)
+    with pytest.raises(InvalidInputError):
+        Pair.of(5, 4, 4)
+
+
+def test_pair_of_is_symmetric_and_hash_agrees_with_equality():
+    for n in (5, 6, 9):
+        for i, j in combinations(range(1, n + 1), 2):
+            p = Pair(i, j, n)
+            assert Pair.of(n, i, j) == Pair.of(n, j, i) == p
+            assert hash(Pair.of(n, j, i)) == hash(p)
+            assert (p.i, p.j, p.n) == (i, j, n)
+            assert p != Pair(i, j, n + 1)
+            assert len({p, Pair.of(n, j, i), Pair(i, j, n + 1)}) == 2
 
 
 def test_pair_other_vertex():
@@ -121,6 +136,13 @@ def test_descending_pair_order_is_ascending_simplex_order(n):
     by_simplex = sorted(pairs, key=lambda p: p.simplex())
     assert sorted(pairs, reverse=True) == by_simplex
     assert list(Triangulation.from_pairs(n, reversed(pairs)).pairs) == by_simplex
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_initial_and_final_pairs_are_in_descending_i_j_order(n):
+    for t in (initial_triangulation(n), final_triangulation(n)):
+        ij = [(p.i, p.j) for p in t.pairs]
+        assert ij == sorted(ij, reverse=True)
 
 
 # ---------------------------------------------------------------------------

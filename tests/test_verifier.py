@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -10,6 +11,7 @@ import pytest
 from ngoneq import (
     DenseMatrix,
     InvalidInputError,
+    Pair,
     ZetaAssignment,
     equation_sequences,
     run_property_suite,
@@ -136,6 +138,56 @@ def test_property_suite_builds_no_extended_matrix(monkeypatch):
     assert calls == []
 
 
+def test_property_suite_builds_each_move_matrix_once(monkeypatch):
+    """One run_property_suite call constructs the integer matrix of every move
+    of both sequences exactly once, for row sums and move action together,
+    wherever in the package int_p_matrix is looked up from."""
+    real = pmatrix_module.int_p_matrix
+    calls = []
+
+    def counting(move, zeta):
+        calls.append(move)
+        return real(move, zeta)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real:
+            monkeypatch.setattr(module, "int_p_matrix", counting)
+    for n in (5, 8, 9):
+        lhs, rhs = equation_sequences(n)
+        calls.clear()
+        results = run_property_suite(n, negative_fractional(n), (lhs, rhs))
+        assert all(r.passed for r in results)
+        assert Counter(calls) == Counter(lhs.moves + rhs.moves)
+        assert len(calls) == len(lhs.moves + rhs.moves)
+
+
+def test_side_products_construct_no_fraction_and_no_pair(monkeypatch):
+    """From the move matrices to the compared rows, the side products of
+    verify_equation run over ints: while they run, no Fraction and no Pair is
+    constructed anywhere (each move built its pairs once, when it was
+    derived), at an integer and at a rational assignment."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("constructed in a side product")
+
+    real_side_rows = verifier_module.side_rows
+    sides = []
+
+    def guarded(*args):
+        sides.append(args[0].side)
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", forbidden)
+            m.setattr(Pair, "__new__", forbidden)
+            return real_side_rows(*args)
+
+    monkeypatch.setattr(verifier_module, "side_rows", guarded)
+    for n in (6, 9):
+        for zeta in (ZetaAssignment.random_distinct(n, 4), negative_fractional(n)):
+            sides.clear()
+            assert verify_equation(n, zeta).equal
+            assert sides == ["lhs", "rhs"]
+
+
 def test_property_suite_builds_no_matrix_to_take_a_rank(monkeypatch):
     """Every rank of the suite runs on the vectors' integer rows."""
 
@@ -209,7 +261,7 @@ def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
         return m
 
     monkeypatch.setattr(verifier_module.SuiteContext, "stack_rank", recording)
-    ctx = verifier_module.SuiteContext(n, ZetaAssignment.consecutive(n), None, {})
+    ctx = verifier_module.SuiteContext(n, ZetaAssignment.consecutive(n), None, {}, {})
     assert verifier_module._prop_independence(ctx).passed
     all_choices = list(combinations(range(n - 1), m))
     assert len(all_choices) > verifier_module.INDEPENDENCE_SAMPLE
@@ -223,18 +275,25 @@ def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
     assert checked == want
 
 
+def _with_numerator(p, i, j, value):
+    """An integer move matrix with numerator (i, j) replaced by value."""
+    rows, d = p
+    row = rows[i][:j] + (value,) + rows[i][j + 1:]
+    return rows[:i] + (row,) + rows[i + 1:], d
+
+
 def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
     """Flipping the sign of one move-matrix entry turns a row sum of 1 into
     1 - 2x, which the suite must report."""
-    real_build = verifier_module.build_p_matrix
+    real_build = verifier_module.int_p_matrix
 
     def tampered(move, zeta):
         p = real_build(move, zeta)
         if move.n == 5 and move.q == 2:
-            p = with_entry(p, 0, 0, -p[0, 0])
+            p = _with_numerator(p, 0, 0, -p[0][0][0])
         return p
 
-    monkeypatch.setattr(verifier_module, "build_p_matrix", tampered)
+    monkeypatch.setattr(verifier_module, "int_p_matrix", tampered)
     results = {r.name: r for r in run_property_suite(5, ZetaAssignment.consecutive(5))}
     assert not results["row_sums"].passed
     assert "row 0" in results["row_sums"].detail
@@ -268,10 +327,20 @@ def test_unequal_products_report_first_difference():
     assert diff.col_simplex == (1, 4, 5)
 
 
-def test_verify_detects_every_single_move_matrix_tamper(monkeypatch):
+@pytest.mark.parametrize(
+    "n, zeta",
+    [(5, ZetaAssignment.consecutive(5)), (6, ZetaAssignment.consecutive(6)),
+     (5, negative_fractional(5)), (6, negative_fractional(6))],
+    ids=["5-consecutive", "6-consecutive", "5-fractional", "6-fractional"],
+)
+def test_verify_detects_every_single_move_matrix_tamper(monkeypatch, n, zeta):
     """Negative control through the production path: adding 1 to any one entry
-    of any one move matrix makes verify_equation report a difference."""
-    real_build = pmatrix_module.build_p_matrix
+    of any one move matrix (the denominator to its numerator) makes
+    verify_equation report a difference, at consecutive values and at
+    non-integer values of both signs, where the integer rows carry
+    denominators other than 1. The tampered constructor is the one the side
+    product calls, once per move."""
+    real_build = pmatrix_module.int_p_matrix
     target = {}
     tampered_calls = []
 
@@ -279,47 +348,19 @@ def test_verify_detects_every_single_move_matrix_tamper(monkeypatch):
         p = real_build(move, zeta)
         if move == target["move"]:
             i, j = target["entry"]
-            p = with_entry(p, i, j, p[i, j] + 1)
+            p = _with_numerator(p, i, j, p[0][i][j] + p[1])
             tampered_calls.append(move)
         return p
 
-    monkeypatch.setattr(pmatrix_module, "build_p_matrix", tampered)
-    for n in (5, 6):
-        zeta = ZetaAssignment.consecutive(n)
-        lhs, rhs = equation_sequences(n)
-        for move in lhs.moves + rhs.moves:
-            p = real_build(move, zeta)
-            for i in range(p.rows):
-                for j in range(p.cols):
-                    target.update(move=move, entry=(i, j))
-                    tampered_calls.clear()
-                    report = verify_equation(n, zeta)
-                    assert tampered_calls == [move]
-                    assert not report.equal, (n, move, i, j)
-                    assert report.first_difference is not None, (n, move, i, j)
-
-
-def test_verify_detects_every_single_move_matrix_tamper_at_fractional_values(monkeypatch):
-    """The same negative control at n=5 with non-integer values of both signs,
-    so that the integer rows carry denominators other than 1."""
-    real_build = pmatrix_module.build_p_matrix
-    target = {}
-
-    def tampered(move, zeta):
-        p = real_build(move, zeta)
-        if move == target["move"]:
-            i, j = target["entry"]
-            p = with_entry(p, i, j, p[i, j] + 1)
-        return p
-
-    monkeypatch.setattr(pmatrix_module, "build_p_matrix", tampered)
-    zeta = negative_fractional(5)
-    lhs, rhs = equation_sequences(5)
+    monkeypatch.setattr(pmatrix_module, "int_p_matrix", tampered)
+    lhs, rhs = equation_sequences(n)
     for move in lhs.moves + rhs.moves:
-        p = real_build(move, zeta)
-        for i in range(p.rows):
-            for j in range(p.cols):
+        rows, _ = real_build(move, zeta)
+        for i, row in enumerate(rows):
+            for j in range(len(row)):
                 target.update(move=move, entry=(i, j))
-                report = verify_equation(5, zeta)
-                assert not report.equal, (move, i, j)
-                assert report.first_difference is not None, (move, i, j)
+                tampered_calls.clear()
+                report = verify_equation(n, zeta)
+                assert tampered_calls == [move]
+                assert not report.equal, (n, move, i, j)
+                assert report.first_difference is not None, (n, move, i, j)
