@@ -22,7 +22,6 @@ from .fvectors import (
     f_vector_table,
 )
 from .pmatrix import (
-    build_p_matrix,
     extend_matrix,
     extended_matrices,
     int_p_matrix,
@@ -38,7 +37,6 @@ from .simplicial import (
     equation_sequences,
     final_triangulation,
     initial_triangulation,
-    triangulation_path,
 )
 from .verifier import (
     PropertyResult,
@@ -66,7 +64,6 @@ __all__ = [
     "ZetaAssignment",
     "__version__",
     "apply_move",
-    "build_p_matrix",
     "check_move_action",
     "check_orthogonality",
     "derive_move",
@@ -83,7 +80,6 @@ __all__ = [
     "product_for_side",
     "rat_from_string",
     "run_property_suite",
-    "triangulation_path",
     "verify_equation",
     "verify_with_properties",
 ]

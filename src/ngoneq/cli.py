@@ -28,8 +28,6 @@ from .simplicial import (
     MoveSequence,
     check_n,
     equation_sequences,
-    initial_triangulation,
-    triangulation_path,
 )
 from .verifier import verify_equation, verify_with_properties
 from .version import __version__
@@ -145,7 +143,7 @@ def _cmd_verify(args) -> int:
 def _cmd_show(args) -> int:
     lhs, rhs = equation_sequences(args.n)
     seq: MoveSequence = lhs if args.side == "lhs" else rhs
-    path = triangulation_path(seq)
+    path = seq.path
 
     lines = [f"n={args.n} side={args.side}: {len(seq.moves)} moves"]
     for k, t in enumerate(path):
@@ -194,7 +192,7 @@ def _cmd_export(args) -> int:
             "sides": {name: _export_side(seq, zeta) for name, seq in sides.items()},
             "fvectors": {
                 f"{p.i},{p.j}": [str(x) for x in f_vector(args.n, p, zeta).components]
-                for p in initial_triangulation(args.n).pairs
+                for p in lhs.path[0].pairs
             },
             "version": __version__,
         }

@@ -9,19 +9,20 @@ entry is the Lagrange basis ratio
     prod_{j' != j} (z[row_i] - z[col_j']) / prod_{j' != j} (z[col_j] - z[col_j'])
 
 which makes every row sum to 1. Only ``int_p_matrix`` computes P: integer rows
-over one positive denominator, with no ``Fraction``; ``build_p_matrix`` is its
-``Fraction`` view. The same entries are alternating-sign ratios of Vandermonde
-determinants over an interleaved vertex frame; ``tests/oracles.py`` keeps that
-form as a cross-check.
+over one positive denominator, with no ``Fraction``. The same entries are
+alternating-sign ratios of Vandermonde determinants over an interleaved vertex
+frame; ``tests/oracles.py`` keeps that form as a cross-check.
 
-One primitive, ``act_on_int_rows``, applies a move's integer matrix to integer
-rows (``IntRow``) keyed by pair: the rows of the removed pairs become P times those
-rows, keyed by the created pairs, and every other row is carried over. It is
-the one loop that combines rows. The side product is that loop folded over a
-move sequence from the identity rows of the initial triangulation; an extended
-(identity-padded) matrix and the move-action check of ``fvectors`` are one
-move applied to identity or invariant-vector rows. The dense product of
-extended matrices is kept in the tests as an oracle.
+One primitive, ``act_on_int_rows``, applies a move's integer matrix in place to
+integer rows (``IntRow``) keyed by pair: the rows of the removed pairs become P
+times those rows, keyed by the created pairs, and every other row is carried
+over. It is the one loop that combines rows. The side product is that loop
+folded over a move sequence from the identity rows of its first triangulation;
+an extended (identity-padded) matrix and the move-action check of ``fvectors``
+are one move applied to identity or invariant-vector rows. The side product
+and the extended matrices of a sequence take their triangulations from
+``MoveSequence.path``. The dense product of extended matrices is kept in the
+tests as an oracle.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from .simplicial import (
     PachnerMove,
     Pair,
     Triangulation,
-    apply_move,
-    final_triangulation,
-    initial_triangulation,
-    triangulation_path,
 )
 
 
@@ -65,12 +62,6 @@ def int_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> IntMatrix:
         ell = prod(diffs)
         rows.append(tuple([ell // x * f for x, f in zip(diffs, scales)]))
     return tuple(rows), d
-
-
-def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
-    """The move matrix of ``int_p_matrix`` as a matrix of rationals."""
-    rows, d = int_p_matrix(move, zeta)
-    return DenseMatrix([rat_row((row, d)) for row in rows])
 
 
 def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow]) -> None:
@@ -123,40 +114,30 @@ def extend_matrix(
     entries. Row and column order follow the canonical triangulation order.
     This is the move applied to the identity rows of t_old.
     """
-    if apply_move(t_old, move) != t_new:
-        raise InvalidInputError("t_new is not the result of applying the move to t_old")
     rows = _identity_rows(t_old)
     act_on_int_rows(move, int_p_matrix(move, zeta), rows)
+    if rows.keys() != set(t_new.pairs):
+        raise InvalidInputError("t_new is not the result of applying the move to t_old")
     return DenseMatrix([rat_row(rows[pair]) for pair in t_new.pairs])
 
 
 def extended_matrices(seq: MoveSequence, zeta: ZetaAssignment) -> list[DenseMatrix]:
     """Extended matrix of every move along a sequence, in application order."""
-    path = triangulation_path(seq)
     return [
-        extend_matrix(move, path[k], path[k + 1], zeta)
+        extend_matrix(move, seq.path[k], seq.path[k + 1], zeta)
         for k, move in enumerate(seq.moves)
     ]
 
 
-def side_rows(
-    seq: MoveSequence,
-    zeta: ZetaAssignment,
-    initial: Triangulation | None = None,
-    final: Triangulation | None = None,
-) -> list[IntRow]:
+def side_rows(seq: MoveSequence, zeta: ZetaAssignment) -> list[IntRow]:
     """The side product M_k ... M_1 (first-applied move rightmost) as integer
-    rows in final triangulation order, columns in initial triangulation order.
+    rows in final triangulation order, columns in initial triangulation order,
+    the two ends of ``seq.path``.
 
     Computed by applying each move to the rows it touches, starting from the
     identity rows of the initial triangulation; no extended matrix is formed.
-    A caller that already holds the initial and final triangulations of
-    ``seq.n`` passes them in; otherwise they are derived here.
     """
-    if initial is None:
-        initial = initial_triangulation(seq.n)
-    if final is None:
-        final = final_triangulation(seq.n)
+    initial, final = seq.path[0], seq.path[-1]
     rows = _identity_rows(initial)
     for move in seq.moves:
         act_on_int_rows(move, int_p_matrix(move, zeta), rows)

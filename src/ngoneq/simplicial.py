@@ -5,16 +5,17 @@ has n-2 vertices and is encoded by the pair (i, j) of vertices it omits.
 A flip move is determined by the one vertex q it does not involve: it removes
 the simplices paired with {b, q} for the floor((n-1)/2) values b present in
 the triangulation, and inserts the simplices paired with {c, q} for the
-complementary vertices c.
+complementary vertices c. A move sequence carries the triangulations it
+visits, recorded while its moves are derived; its consumers read them there.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidInputError, MoveNotApplicableError
+from .errors import InternalError, InvalidInputError, MoveNotApplicableError
 
 
 def move_size(n: int) -> int:
@@ -122,11 +123,14 @@ class PachnerMove:
 
 @dataclass(frozen=True)
 class MoveSequence:
-    """Moves of one side of the polygon equation, in application order."""
+    """Moves of one side of the polygon equation, in application order, and the
+    triangulations they visit: path[0] is the initial triangulation and
+    path[k + 1] = apply_move(path[k], moves[k])."""
 
     n: int
     side: str  # "lhs" or "rhs"
-    moves: tuple[PachnerMove, ...] = field(default_factory=tuple)
+    moves: tuple[PachnerMove, ...]
+    path: tuple[Triangulation, ...]
 
 
 def check_n(n: int) -> None:
@@ -207,31 +211,23 @@ def equation_sequences(n: int) -> tuple[MoveSequence, MoveSequence]:
 
     Each side starts from the initial triangulation and must end at the final
     one; the q-orders are lhs: 2,4,...,n-1 / rhs: n,n-2,...,1 for odd n and
-    lhs: 3,5,...,n-1,1 / rhs: n,n-2,...,2 for even n.
+    lhs: 3,5,...,n-1,1 / rhs: n,n-2,...,2 for even n. At a valid n a failed
+    derivation is a bug, raised as InternalError.
     """
     check_n(n)
     initial, final = initial_triangulation(n), final_triangulation(n)
     sides = []
     for side, q_order in (("lhs", lhs_q_order(n)), ("rhs", rhs_q_order(n))):
-        t = initial
-        moves = []
-        for q in q_order:
-            move = derive_move(t, q)
-            t = apply_move(t, move)
-            moves.append(move)
-        if t != final:
-            raise MoveNotApplicableError(
+        path, moves = [initial], []
+        try:
+            for q in q_order:
+                moves.append(derive_move(path[-1], q))
+                path.append(apply_move(path[-1], moves[-1]))
+        except InvalidInputError as exc:
+            raise InternalError(f"{side} sequence for n={n}: {exc}") from exc
+        if path[-1] != final:
+            raise InternalError(
                 f"{side} sequence for n={n} did not reach the final triangulation"
             )
-        sides.append(MoveSequence(n, side, tuple(moves)))
+        sides.append(MoveSequence(n, side, tuple(moves), tuple(path)))
     return sides[0], sides[1]
-
-
-def triangulation_path(seq: MoveSequence) -> list[Triangulation]:
-    """Triangulations visited by a sequence, starting at the initial one."""
-    t = initial_triangulation(seq.n)
-    path = [t]
-    for move in seq.moves:
-        t = apply_move(t, move)
-        path.append(t)
-    return path

@@ -2,7 +2,8 @@
 
 A verification builds both move sequences for a given n, forms the two side
 products at one concrete distinct-value assignment, and compares them
-entrywise. A passing check certifies the identity at that point.
+entrywise; the initial and final triangulations are the ends of a sequence's
+path. A passing check certifies the identity at that point.
 
 Error bound (Schwartz-Zippel): with K the longer side's move count and
 D = prod_{a<b} (z_b - z_a), every entry of D^K * (LHS - RHS) is a polynomial in
@@ -33,8 +34,6 @@ from .simplicial import (
     Pair,
     Triangulation,
     equation_sequences,
-    final_triangulation,
-    initial_triangulation,
     move_size,
 )
 from .version import __version__
@@ -126,14 +125,14 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
     timings: dict = {}
     t0 = time.perf_counter()
     lhs_seq, rhs_seq = equation_sequences(n)
-    initial, final = initial_triangulation(n), final_triangulation(n)
+    initial, final = lhs_seq.path[0], lhs_seq.path[-1]
     timings["sequences"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lhs_rows = side_rows(lhs_seq, zeta, initial, final)
+    lhs_rows = side_rows(lhs_seq, zeta)
     timings["lhs_product"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rhs_rows = side_rows(rhs_seq, zeta, initial, final)
+    rhs_rows = side_rows(rhs_seq, zeta)
     timings["rhs_product"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -272,7 +271,7 @@ def _prop_span_rank(ctx: SuiteContext) -> PropertyResult:
 def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
     """The stacked vectors of the initial triangulation achieve the maximum
     attainable rank min(row count, n - floor(n/2))."""
-    initial = initial_triangulation(ctx.n)
+    initial = ctx.sequences[0].path[0]
     got = ctx.stack_rank(initial.pairs)
     want = min(len(initial), max_stack_rank(ctx.n))
     if got != want:
@@ -283,15 +282,12 @@ def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
 
 
 def run_property_suite(
-    n: int, zeta: ZetaAssignment, sequences: tuple[MoveSequence, MoveSequence] | None = None
+    n: int, zeta: ZetaAssignment, sequences: tuple[MoveSequence, MoveSequence]
 ) -> tuple[PropertyResult, ...]:
-    """Run every structural property at one assignment, from one shared
-    SuiteContext. A caller that already holds the move sequences of n passes
-    them in; otherwise they are derived here."""
+    """Run every structural property at one assignment, over the two move
+    sequences of n, from one shared SuiteContext."""
     if zeta.n != n:
         raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
-    if sequences is None:
-        sequences = equation_sequences(n)
     matrices = {move: int_p_matrix(move, zeta) for seq in sequences for move in seq.moves}
     ctx = SuiteContext(n, zeta, sequences, matrices, f_vector_table(n, zeta))
     return (

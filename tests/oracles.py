@@ -7,9 +7,11 @@ an interleaved vertex frame, and side products as dense folds of padded
 matrices, exactly as the polygon equation is stated, so that the library's
 results can be checked against them. Likewise the invariant-vector components
 are computed here as explicit sums over subsets, and ranks by Gaussian
-elimination in ``Fraction`` arithmetic. The small dense-matrix helpers at the
-end (identity, zeros, transpose, single-entry edits, vector stacks) serve the
-tests only.
+elimination in ``Fraction`` arithmetic. The padded factors walk their own
+triangulations from the initial one rather than read ``MoveSequence.path``.
+``build_p_matrix`` is the ``Fraction`` view of ``int_p_matrix`` that the tests
+compare against. The small dense-matrix helpers at the end (identity, zeros,
+transpose, single-entry edits, vector stacks) serve the tests only.
 """
 
 from dataclasses import dataclass
@@ -26,9 +28,9 @@ from ngoneq import (
     Rat,
     Triangulation,
     ZetaAssignment,
-    build_p_matrix,
+    apply_move,
     f_vector,
-    triangulation_path,
+    initial_triangulation,
 )
 from ngoneq.exactfield import int_row, rat_row
 from ngoneq.pmatrix import act_on_int_rows, int_p_matrix
@@ -116,6 +118,12 @@ class InterleavedFrame:
         return [self.at(k) for k in range(1, n - 2, 2)]
 
 
+def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
+    """The move matrix of ``int_p_matrix`` as a matrix of rationals."""
+    rows, d = int_p_matrix(move, zeta)
+    return DenseMatrix([rat_row((row, d)) for row in rows])
+
+
 def p_entry_vandermonde(move: PachnerMove, zeta: ZetaAssignment, i: int, j: int) -> Rat:
     """The (i, j) entry (1-based) of the move matrix as a signed ratio of
     Vandermonde determinants; must agree with build_p_matrix entrywise."""
@@ -162,8 +170,12 @@ def dense_extend(move, t_old, t_new, zeta) -> DenseMatrix:
 
 
 def dense_factors(seq, zeta) -> list[DenseMatrix]:
-    """Padded matrix of every move of a sequence, in application order."""
-    path = triangulation_path(seq)
+    """Padded matrix of every move of a sequence, in application order. The
+    triangulations are walked here from the initial one, not read from
+    ``seq.path``."""
+    path = [initial_triangulation(seq.n)]
+    for move in seq.moves:
+        path.append(apply_move(path[-1], move))
     return [dense_extend(move, path[k], path[k + 1], zeta) for k, move in enumerate(seq.moves)]
 
 

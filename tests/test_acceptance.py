@@ -12,7 +12,6 @@ from ngoneq import (
     PachnerMove,
     Pair,
     ZetaAssignment,
-    build_p_matrix,
     check_move_action,
     check_orthogonality,
     equation_sequences,
@@ -23,7 +22,6 @@ from ngoneq import (
     initial_triangulation,
     int_p_matrix,
     product_for_side,
-    triangulation_path,
     verify_equation,
 )
 from ngoneq.simplicial import move_size
@@ -41,7 +39,7 @@ from goldens import (
     permute_cols,
     permute_rows,
 )
-from oracles import dense_fold, row_sums, stack_f_matrix, with_entry
+from oracles import build_p_matrix, dense_fold, row_sums, stack_f_matrix, with_entry
 
 ALL_N = range(5, 13)
 RANDOM_SEEDS = (101, 202, 303)
@@ -100,8 +98,8 @@ def test_criterion_03_hexagon_golden_identity():
     simplex lists) and the six factors (6x5, 5x4, 4x3 per side) match the
     constructed extended matrices entrywise."""
     lhs, rhs = equation_sequences(6)
-    lhs_steps = [t.simplices() for t in triangulation_path(lhs)]
-    rhs_steps = [t.simplices() for t in triangulation_path(rhs)]
+    lhs_steps = [t.simplices() for t in lhs.path]
+    rhs_steps = [t.simplices() for t in rhs.path]
     reference = [[tuple(s) for s in item] for item in HEXAGON_TRIANGULATIONS]
     assert lhs_steps == [reference[k] for k in HEXAGON_LHS_PATH]
     assert rhs_steps == [reference[k] for k in HEXAGON_RHS_PATH]
@@ -235,7 +233,7 @@ def test_criterion_09_sequence_fidelity():
         assert [(m.q, m.b_set) for m in rhs.moves] == expected_rhs, n
     for n in ALL_N:
         for seq in equation_sequences(n):
-            path = triangulation_path(seq)
+            path = seq.path
             assert path[0] == initial_triangulation(n)
             assert path[-1] == final_triangulation(n)
 

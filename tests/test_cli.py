@@ -1,11 +1,13 @@
 import errno
 import json
 import os
+import sys
 
 import pytest
 
 import ngoneq.cli as cli_module
 import ngoneq.pmatrix as pmatrix_module
+import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
 from ngoneq import InternalError, PropertyResult, equation_sequences
 from ngoneq.cli import EXIT_INTERNAL, main
@@ -131,6 +133,20 @@ def test_internal_failure_exits_3_not_mismatch(monkeypatch, capsys, error):
     assert str(error) in err and type(error).__name__ in err
 
 
+@pytest.mark.parametrize(
+    "broken_order", [lambda q: q[:-1], lambda q: q[::-1]], ids=["truncated", "reversed"]
+)
+def test_failed_sequence_derivation_exits_3(monkeypatch, capsys, broken_order):
+    """At a valid n, a q-order that stops short of the final triangulation or
+    meets a vertex it cannot flip is a failed consistency check, not bad input."""
+    real = simplicial_module.lhs_q_order
+    monkeypatch.setattr(simplicial_module, "lhs_q_order", lambda n: broken_order(real(n)))
+    code, out, err = run(capsys, "verify", "--n", "7")
+    assert code == EXIT_INTERNAL == 3
+    assert out == ""
+    assert "internal error: InternalError: lhs sequence for n=7" in err
+
+
 # ---------------------------------------------------------------------------
 # show
 # ---------------------------------------------------------------------------
@@ -211,6 +227,43 @@ def test_export_builds_each_extended_matrix_once(monkeypatch, capsys, fmt):
     assert code == 0
     lhs, rhs = equation_sequences(6)
     assert calls == list(lhs.moves + rhs.moves)
+
+
+def _record_calls(monkeypatch, attr: str) -> list:
+    """Record the arguments of every call of ``simplicial.<attr>``, wherever in
+    the package it is looked up from."""
+    real = getattr(simplicial_module, attr)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, attr, None) is real:
+            monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "--n", "7", "--format", "json"],
+        ["export", "--n", "7", "--format", "latex"],
+        ["show", "--n", "7", "--side", "lhs"],
+        ["show", "--n", "7", "--side", "rhs"],
+    ],
+)
+def test_each_derived_move_is_applied_once(monkeypatch, capsys, argv):
+    """The triangulations are walked once, while the sequences are derived."""
+    lhs, rhs = equation_sequences(7)
+    applied = _record_calls(monkeypatch, "apply_move")
+    initial = _record_calls(monkeypatch, "initial_triangulation")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert [move for _, move in applied] == list(lhs.moves + rhs.moves)
+    assert len(applied) == 7
+    assert initial == [(7,)]
 
 
 def test_export_single_side(capsys):

@@ -270,7 +270,8 @@ def test_initial_stack_ranks():
 def test_pentagon_move_action_explicit():
     """The quadrilateral-1234 move matrix maps the stacked vectors of 123 and
     134 to those of 124 and 234."""
-    from ngoneq import build_p_matrix, DenseMatrix
+    from ngoneq import DenseMatrix
+    from oracles import build_p_matrix
 
     z = CONSEC[5]
     move = PachnerMove(5, 5, (2, 4), (1, 3))

@@ -9,7 +9,6 @@ from ngoneq import (
     PachnerMove,
     Pair,
     ZetaAssignment,
-    build_p_matrix,
     f_value,
     f_vector,
 )
@@ -18,7 +17,7 @@ from goldens import (
     heptagon_m_matrix,
     heptagon_p_matrix,
 )
-from oracles import p_entry_vandermonde, row_sums
+from oracles import build_p_matrix, p_entry_vandermonde, row_sums
 
 ASSIGNMENTS = [
     ZetaAssignment.consecutive(7),

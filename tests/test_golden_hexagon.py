@@ -9,7 +9,6 @@ from ngoneq import (
     equation_sequences,
     extended_matrices,
     product_for_side,
-    triangulation_path,
 )
 from goldens import (
     HEXAGON_LHS_PATH,
@@ -27,8 +26,8 @@ ASSIGNMENTS = [
 
 def test_paths_visit_the_six_reference_triangulations_in_order():
     lhs, rhs = equation_sequences(6)
-    lhs_steps = [t.simplices() for t in triangulation_path(lhs)]
-    rhs_steps = [t.simplices() for t in triangulation_path(rhs)]
+    lhs_steps = [t.simplices() for t in lhs.path]
+    rhs_steps = [t.simplices() for t in rhs.path]
     assert lhs_steps == [
         [tuple(s) for s in HEXAGON_TRIANGULATIONS[k]] for k in HEXAGON_LHS_PATH
     ]

@@ -10,7 +10,6 @@ from ngoneq import (
     equation_sequences,
     extended_matrices,
     product_for_side,
-    triangulation_path,
 )
 from goldens import (
     PENTAGON_MIDDLE_PERMUTATION,
@@ -80,13 +79,13 @@ def test_two_and_three_factor_products_agree(zeta):
 
 def test_pentagon_paths_visit_reference_triangulations():
     lhs, rhs = equation_sequences(5)
-    lhs_steps = [t.simplices() for t in triangulation_path(lhs)]
+    lhs_steps = [t.simplices() for t in lhs.path]
     assert lhs_steps == [
         [(1, 2, 3), (1, 3, 4), (1, 4, 5)],
         [(1, 2, 3), (1, 3, 5), (3, 4, 5)],
         [(1, 2, 5), (2, 3, 5), (3, 4, 5)],
     ]
-    rhs_steps = [t.simplices() for t in triangulation_path(rhs)]
+    rhs_steps = [t.simplices() for t in rhs.path]
     assert rhs_steps == [
         [(1, 2, 3), (1, 3, 4), (1, 4, 5)],
         [(1, 2, 4), (1, 4, 5), (2, 3, 4)],

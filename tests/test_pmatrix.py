@@ -16,7 +16,6 @@ from ngoneq import (
     Triangulation,
     ZetaAssignment,
     apply_move,
-    build_p_matrix,
     equation_sequences,
     extend_matrix,
     extended_matrices,
@@ -24,12 +23,12 @@ from ngoneq import (
     initial_triangulation,
     int_p_matrix,
     product_for_side,
-    triangulation_path,
 )
 from ngoneq.exactfield import int_row, rat_row
 from ngoneq.pmatrix import side_rows
 from oracles import (
     InterleavedFrame,
+    build_p_matrix,
     act_on_rows,
     dense_factors,
     dense_fold,
@@ -297,7 +296,7 @@ def test_pentagon_products_agree():
 
 def test_product_of_a_sequence_not_ending_at_the_final_triangulation_is_internal_error():
     lhs, _ = equation_sequences(6)
-    truncated = MoveSequence(6, "lhs", lhs.moves[:-1])
+    truncated = MoveSequence(6, "lhs", lhs.moves[:-1], lhs.path)
     with pytest.raises(InternalError):
         product_for_side(truncated, CONSEC[6])
 
@@ -313,7 +312,7 @@ def test_product_is_reversed_composition():
 def test_path_shapes_match_product():
     for n in (5, 6, 7, 8):
         for seq in equation_sequences(n):
-            path = triangulation_path(seq)
+            path = seq.path
             product = product_for_side(seq, CONSEC[n])
             assert product.shape == (len(path[-1]), len(path[0]))
             assert product.shape == (

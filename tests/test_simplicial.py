@@ -13,7 +13,6 @@ from ngoneq import (
     equation_sequences,
     final_triangulation,
     initial_triangulation,
-    triangulation_path,
 )
 from ngoneq.simplicial import lhs_q_order, move_size, rhs_q_order
 
@@ -242,13 +241,17 @@ def test_sequence_lengths():
 
 
 def test_sequences_reach_final_and_counts_evolve():
-    """Both sides map initial to final; simplex counts stay constant for odd n
-    and grow by one per move for even n."""
-    for n in range(5, 13):
+    """Both sides map initial to final; each path records one triangulation per
+    move applied; simplex counts stay constant for odd n and grow by one per
+    move for even n."""
+    for n in range(5, 17):
         for seq in equation_sequences(n):
-            path = triangulation_path(seq)
+            path = seq.path
+            assert len(path) == len(seq.moves) + 1
             assert path[0] == initial_triangulation(n)
             assert path[-1] == final_triangulation(n)
+            for k, move in enumerate(seq.moves):
+                assert path[k + 1] == apply_move(path[k], move)
             for before, after in zip(path, path[1:]):
                 if n % 2 == 1:
                     assert len(after) == len(before)

@@ -21,6 +21,7 @@ from ngoneq import (
 import ngoneq.exactfield as exactfield_module
 import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
+import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
 from oracles import negative_fractional, with_entry
 
@@ -78,7 +79,7 @@ def test_property_suite_passes_n7_full_depth():
     # C(6, 3) = 20 choices per vertex, so independence is checked exhaustively
     assert 20 <= verifier_module.INDEPENDENCE_SAMPLE
     z = ZetaAssignment.consecutive(7)
-    results = run_property_suite(7, z)
+    results = run_property_suite(7, z, equation_sequences(7))
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     names = [r.name for r in results]
     assert names == [
@@ -94,7 +95,7 @@ def test_property_suite_passes_n7_full_depth():
 def test_property_suite_passes_random_seeds_n8():
     for seed in (1, 2, 3):
         z = ZetaAssignment.random_distinct(8, seed)
-        results = run_property_suite(8, z)
+        results = run_property_suite(8, z, equation_sequences(8))
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
@@ -113,7 +114,7 @@ def test_property_suite_builds_each_invariant_vector_once(monkeypatch):
             monkeypatch.setattr(module, "f_vector", counting)
     for n in (5, 8, 9):
         calls.clear()
-        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5))
+        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5), equation_sequences(n))
         assert all(r.passed for r in results)
         assert len(calls) == len(set(calls)) == comb(n, 2)
 
@@ -133,7 +134,7 @@ def test_property_suite_builds_no_extended_matrix(monkeypatch):
         if name.split(".")[0] == "ngoneq" and getattr(module, "extend_matrix", None) is real:
             monkeypatch.setattr(module, "extend_matrix", counting)
     for n in (5, 8, 9):
-        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5))
+        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5), equation_sequences(n))
         assert all(r.passed for r in results)
     assert calls == []
 
@@ -195,28 +196,38 @@ def test_property_suite_builds_no_matrix_to_take_a_rank(monkeypatch):
 
     monkeypatch.setattr(DenseMatrix, "rank", forbidden)
     for n in (5, 8, 9):
-        results = run_property_suite(n, negative_fractional(n))
+        results = run_property_suite(n, negative_fractional(n), equation_sequences(n))
         assert all(r.passed for r in results), results
 
 
 def test_one_verification_derives_the_sequences_and_triangulations_once(monkeypatch):
     """verify_with_properties derives the move sequences once for the side
-    products and the suite; the side products reuse its triangulations."""
+    products and the suite, and the initial and final triangulations once
+    each, wherever in the package they are looked up from; every other reader
+    takes them from the sequences' paths."""
     calls = []
 
     def counting(n):
         calls.append(n)
         return equation_sequences(n)
 
-    def forbidden(n):
-        raise AssertionError("side product derived a triangulation again")
-
     monkeypatch.setattr(verifier_module, "equation_sequences", counting)
-    monkeypatch.setattr(pmatrix_module, "initial_triangulation", forbidden)
-    monkeypatch.setattr(pmatrix_module, "final_triangulation", forbidden)
+    triangulations = Counter()
+    for attr in ("initial_triangulation", "final_triangulation"):
+        real = getattr(simplicial_module, attr)
+
+        def counting_triangulation(n, real=real, attr=attr):
+            triangulations[attr] += 1
+            return real(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ngoneq" and getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, counting_triangulation)
     for n in (5, 8):
+        triangulations.clear()
         report = verify_with_properties(n, negative_fractional(n))
         assert report.equal and all(r.passed for r in report.properties)
+        assert triangulations == {"initial_triangulation": 1, "final_triangulation": 1}
     assert calls == [5, 8]
 
 
@@ -293,7 +304,8 @@ def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
         return p
 
     monkeypatch.setattr(verifier_module, "int_p_matrix", tampered)
-    results = {r.name: r for r in run_property_suite(5, ZetaAssignment.consecutive(5))}
+    suite = run_property_suite(5, ZetaAssignment.consecutive(5), equation_sequences(5))
+    results = {r.name: r for r in suite}
     assert not results["row_sums"].passed
     assert "row 0" in results["row_sums"].detail
 
