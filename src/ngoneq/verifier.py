@@ -17,15 +17,14 @@ consecutive assignment is one fixed point and carries no such bound.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations
-from math import comb
+from functools import cached_property
+from math import lcm, prod
 from typing import Mapping
 
 from .errors import InvalidInputError
-from .exactfield import DenseMatrix, IntMatrix, Rat, ZetaAssignment, rank, rat_row
+from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row
 from .fvectors import FVector, check_move_action, check_orthogonality, f_vector_table
 from .pmatrix import int_p_matrix, side_rows
 from .simplicial import (
@@ -102,18 +101,19 @@ class VerificationReport:
 
 
 def _first_difference(
-    lhs: DenseMatrix, rhs: DenseMatrix, final: Triangulation, initial: Triangulation
+    lhs: list[IntRow], rhs: list[IntRow], final: Triangulation, initial: Triangulation
 ) -> FirstDifference | None:
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            if lhs[i, j] != rhs[i, j]:
+    """The first unequal entry of two sides given as integer rows."""
+    for i, rows in enumerate(zip(lhs, rhs)):
+        for j, (x, y) in enumerate(zip(*map(rat_row, rows))):
+            if x != y:
                 return FirstDifference(
                     row=i,
                     col=j,
                     row_simplex=final.pairs[i].simplex(),
                     col_simplex=initial.pairs[j].simplex(),
-                    lhs_value=str(lhs[i, j]),
-                    rhs_value=str(rhs[i, j]),
+                    lhs_value=str(x),
+                    rhs_value=str(y),
                 )
     return None
 
@@ -137,10 +137,7 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
 
     t0 = time.perf_counter()
     equal = lhs_rows == rhs_rows  # integer rows are canonical
-    difference = None
-    if not equal:
-        lhs, rhs = (DenseMatrix([rat_row(r) for r in rows]) for rows in (lhs_rows, rhs_rows))
-        difference = _first_difference(lhs, rhs, final, initial)
+    difference = None if equal else _first_difference(lhs_rows, rhs_rows, final, initial)
     timings["compare"] = time.perf_counter() - t0
 
     return VerificationReport(
@@ -159,10 +156,6 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
 # Property suite
 # ---------------------------------------------------------------------------
 
-# Subset choices checked per common vertex by the independence property.
-INDEPENDENCE_SAMPLE = 50
-
-
 def max_stack_rank(n: int) -> int:
     """Largest possible rank of any stack of invariant vectors: they all lie in
     the orthogonal complement of the floor(n/2) power rows, so the rank of a
@@ -172,10 +165,10 @@ def max_stack_rank(n: int) -> int:
 
 @dataclass(frozen=True)
 class SuiteContext:
-    """Everything the properties of one (n, zeta) suite run read, built once:
-    the two move sequences, every move's integer matrix and the invariant vectors
-    of all C(n,2) pairs. The vector properties read each vector's integer row
-    (``FVector.row``) and the assignment's (``ZetaAssignment.row``), each cleared once."""
+    """Everything the properties of one (n, zeta) suite run read, built once: the two
+    move sequences, every move's integer matrix, the invariant vectors of all C(n,2)
+    pairs and, on first use, the n q-stack ranks. The vector properties read each
+    vector's row (``FVector.row``) and the assignment's (``ZetaAssignment.row``)."""
 
     n: int
     zeta: ZetaAssignment
@@ -186,6 +179,11 @@ class SuiteContext:
     def stack_rank(self, pairs) -> int:
         """Rank of the vectors of the given pairs, stacked as rows."""
         return rank([self.vectors[pair].row[0] for pair in pairs])
+
+    @cached_property
+    def stack_ranks(self) -> tuple[int, ...]:
+        """Rank of the q-stack (the n-1 pairs containing q) at index q - 1, taken once."""
+        return tuple(self.stack_rank(self.omit_vertex_pairs(q)) for q in range(1, self.n + 1))
 
     def omit_vertex_pairs(self, q: int) -> list[Pair]:
         """The n-1 pairs containing q, ordered by their other vertex."""
@@ -225,35 +223,38 @@ def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
     return PropertyResult("move_action", True)
 
 
-def _lex_combination(size: int, m: int, index: int) -> tuple[int, ...]:
-    """``list(combinations(range(size), m))[index]``, without the list."""
-    choice, x = [], 0
-    for left in range(m, 0, -1):
-        while index >= (block := comb(size - x - 1, left - 1)):
-            index, x = index - block, x + 1
-        choice.append(x)
-        x += 1
-    return tuple(choice)
+def _stack_is_orthogonal(ctx: SuiteContext, q: int) -> bool:
+    """True iff every row of the q-stack passes ``check_orthogonality`` and every
+    column w is annihilated by the rows mu_v * z_v^j, j < floor(n/2), v in T = [n] \\ {q},
+    mu_v = 1 / prod_{y in T, y != v} (z_v - z_y): over integers z = u / s and rows
+    a_v / d_v, sum_v c_v * u_v^j * a_v[w] = 0 with c_v = lcm(L d) / (L_v d_v) and
+    L_v = prod_{y in T, y != v} (u_v - u_y); the powers of s cancel per j."""
+    vectors = [ctx.vectors[pair] for pair in ctx.omit_vertex_pairs(q)]
+    points = [x for v, x in enumerate(ctx.zeta.row[0], start=1) if v != q]
+    scaled = [prod([x - y for y in points if y != x]) * f.row[1] for x, f in zip(points, vectors)]
+    top = lcm(*scaled)
+    weights = [top // w for w in scaled]
+    columns = list(zip(*[f.row[0] for f in vectors]))
+    for _ in range(ctx.n // 2):
+        if any(sum([c * a for c, a in zip(weights, column)]) for column in columns):
+            return False
+        weights = [c * x for c, x in zip(weights, points)]
+    return all(check_orthogonality(f, ctx.zeta) for f in vectors)
 
 
 def _prop_independence(ctx: SuiteContext) -> PropertyResult:
-    """Every choice of floor((n-1)/2) vectors omitting a common vertex has full
-    rank; exhaustive when feasible, otherwise a seeded INDEPENDENCE_SAMPLE."""
-    n = ctx.n
-    m = move_size(n)
-    total = comb(n - 1, m)
-    for q in range(1, n + 1):
-        pairs = ctx.omit_vertex_pairs(q)
-        choices = combinations(range(n - 1), m)
-        if total > INDEPENDENCE_SAMPLE:
-            indices = random.Random(10_000 * n + q).sample(range(total), INDEPENDENCE_SAMPLE)
-            choices = [_lex_combination(n - 1, m, index) for index in indices]
-        for choice in choices:
-            if ctx.stack_rank(pairs[k] for k in choice) != m:
-                picked = ",".join(str(k) for k in choice)
-                return PropertyResult(
-                    "independence", False, f"q={q} choice [{picked}] rank deficient"
-                )
+    """Every choice of m = floor((n-1)/2) vectors omitting a common vertex q has rank
+    m, for all C(n-1, m) choices at once. A q-stack W that passes ``_stack_is_orthogonal``
+    is V K (diag(mu) V)^T, V the (n-1) x m Vandermonde matrix on T (Gale duality,
+    Eisenbud-Popescu 2000); any m rows of V are invertible, so every m-choice of
+    rows has rank m exactly when rank W = m, and none has when rank W < m."""
+    m = move_size(ctx.n)
+    for q, got in enumerate(ctx.stack_ranks, start=1):
+        if not _stack_is_orthogonal(ctx, q):
+            return PropertyResult("independence", False, f"q={q} rows or columns not orthogonal")
+        if got < m:
+            picked = ",".join(str(k) for k in range(m))
+            return PropertyResult("independence", False, f"q={q} choice [{picked}] rank deficient")
     return PropertyResult("independence", True)
 
 
@@ -261,8 +262,7 @@ def _prop_span_rank(ctx: SuiteContext) -> PropertyResult:
     """All n-1 vectors omitting a common vertex span exactly floor((n-1)/2)
     dimensions, for every choice of the common vertex."""
     m = move_size(ctx.n)
-    for q in range(1, ctx.n + 1):
-        got = ctx.stack_rank(ctx.omit_vertex_pairs(q))
+    for q, got in enumerate(ctx.stack_ranks, start=1):
         if got != m:
             return PropertyResult("span_rank", False, f"q={q} rank {got}, want {m}")
     return PropertyResult("span_rank", True)

@@ -10,13 +10,18 @@ are computed here as explicit sums over subsets, and ranks by Gaussian
 elimination in ``Fraction`` arithmetic. The padded factors walk their own
 triangulations from the initial one rather than read ``MoveSequence.path``.
 ``build_p_matrix`` is the ``Fraction`` view of ``int_p_matrix`` that the tests
-compare against. The small dense-matrix helpers at the end (identity, zeros,
-transpose, single-entry edits, vector stacks) serve the tests only.
+compare against. ``sampled_independence`` is the independence property as it
+was before the certificate: Bareiss ranks of seeded sampled (or, with
+``sample=inf``, all) choices of vectors omitting a common vertex. The small
+dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
+vector stacks) serve the tests only.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -34,6 +39,8 @@ from ngoneq import (
 )
 from ngoneq.exactfield import int_row, rat_row
 from ngoneq.pmatrix import act_on_int_rows, int_p_matrix
+from ngoneq.simplicial import move_size
+from ngoneq.verifier import PropertyResult, SuiteContext
 
 
 def vandermonde(indices, zeta: ZetaAssignment) -> Rat:
@@ -234,6 +241,64 @@ def fraction_rank(matrix: DenseMatrix) -> int:
         if r == matrix.rows:
             break
     return r
+
+
+def fraction_det(rows) -> Rat:
+    """Determinant of a square matrix of rationals by Gaussian elimination over
+    Fraction, pivoting on the first nonzero entry in each column."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(work)):
+        pivot_row = next((i for i in range(c, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            det = -det
+        pivot = work[c][c]
+        det *= pivot
+        for i in range(c + 1, len(work)):
+            factor = work[i][c] / pivot
+            for j in range(c, len(work)):
+                work[i][j] -= factor * work[c][j]
+    return det
+
+
+# Subset choices checked per common vertex by the independence property.
+INDEPENDENCE_SAMPLE = 50
+
+
+def _lex_combination(size: int, m: int, index: int) -> tuple[int, ...]:
+    """``list(combinations(range(size), m))[index]``, without the list."""
+    choice, x = [], 0
+    for left in range(m, 0, -1):
+        while index >= (block := comb(size - x - 1, left - 1)):
+            index, x = index - block, x + 1
+        choice.append(x)
+        x += 1
+    return tuple(choice)
+
+
+def sampled_independence(ctx: SuiteContext, sample=INDEPENDENCE_SAMPLE) -> PropertyResult:
+    """Every choice of floor((n-1)/2) vectors omitting a common vertex has full
+    rank; exhaustive when feasible, otherwise a seeded sample of that many
+    choices per vertex (``sample=inf`` checks every choice)."""
+    n = ctx.n
+    m = move_size(n)
+    total = comb(n - 1, m)
+    for q in range(1, n + 1):
+        pairs = ctx.omit_vertex_pairs(q)
+        choices = combinations(range(n - 1), m)
+        if total > sample:
+            indices = random.Random(10_000 * n + q).sample(range(total), sample)
+            choices = [_lex_combination(n - 1, m, index) for index in indices]
+        for choice in choices:
+            if ctx.stack_rank(pairs[k] for k in choice) != m:
+                picked = ",".join(str(k) for k in choice)
+                return PropertyResult(
+                    "independence", False, f"q={q} choice [{picked}] rank deficient"
+                )
+    return PropertyResult("independence", True)
 
 
 # ---------------------------------------------------------------------------

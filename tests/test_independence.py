@@ -1,0 +1,132 @@
+"""The independence certificate: agreement with the Bareiss-rank oracles, two
+tampered tables it must reject, its rank count, and the theorem it rests on."""
+
+from fractions import Fraction
+from math import comb, inf, prod
+
+import pytest
+
+from ngoneq import FVector, Pair, ZetaAssignment, equation_sequences, f_vector_table
+import ngoneq.verifier as verifier_module
+from ngoneq.verifier import SuiteContext, _prop_independence, _prop_orthogonality, run_property_suite
+from oracles import fraction_det, negative_fractional, sampled_independence, vandermonde
+
+
+def _context(n, zeta, vectors=None):
+    """A suite context carrying only what independence reads."""
+    return SuiteContext(n, zeta, None, {}, vectors or f_vector_table(n, zeta))
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_certificate_agrees_with_every_choice(n):
+    for zeta in (
+        ZetaAssignment.consecutive(n),
+        ZetaAssignment.random_distinct(n, 7),
+        negative_fractional(n),
+    ):
+        ctx = _context(n, zeta)
+        result = _prop_independence(ctx)
+        assert result == sampled_independence(ctx, sample=inf), zeta.label
+        assert result.passed
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_certificate_agrees_with_the_sampled_oracle(n):
+    zetas = [ZetaAssignment.consecutive(n), negative_fractional(n)]
+    if n <= 12:
+        zetas.append(ZetaAssignment.random_distinct(n, 7))
+    for zeta in zetas:
+        ctx = _context(n, zeta)
+        result = _prop_independence(ctx)
+        assert result == sampled_independence(ctx), zeta.label
+        assert result.passed
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_a_vector_replaced_by_a_combination_fails_both(monkeypatch, n):
+    """Replace the third vector of the first choice the oracle checks by a
+    combination of the first two: that choice is rank deficient, and the stack's
+    columns are no longer values of one polynomial of degree below m."""
+    zeta = ZetaAssignment.consecutive(n)
+    vectors = f_vector_table(n, zeta)
+    checked = []
+    with monkeypatch.context() as m:  # records the first choice, then stops the oracle
+        m.setattr(SuiteContext, "stack_rank", lambda self, pairs: checked.append(list(pairs)))
+        sampled_independence(_context(n, zeta, vectors))
+    first, second, third = checked[0][:3]  # three pairs (1, v) of the q = 1 stack
+    combined = [a + 2 * b for a, b in zip(vectors[first].components, vectors[second].components)]
+    vectors[third] = FVector(n, third, tuple(combined))
+    ctx = _context(n, zeta, vectors)
+    assert not sampled_independence(ctx).passed
+    assert _prop_independence(ctx).detail == "q=1 rows or columns not orthogonal"
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_one_changed_component_fails_the_certificate_and_orthogonality(n):
+    zeta = negative_fractional(n)
+    vectors = f_vector_table(n, zeta)
+    pair = Pair(2, 4, n)
+    components = list(vectors[pair].components)
+    components[0] += 1
+    vectors[pair] = FVector(n, pair, tuple(components))
+    ctx = _context(n, zeta, vectors)
+    assert _prop_independence(ctx).detail == "q=2 rows or columns not orthogonal"
+    assert not _prop_orthogonality(ctx).passed
+
+
+def test_a_deficient_stack_reports_the_first_choice(monkeypatch):
+    """With every row and column orthogonal, a stack rank below m means every
+    m-choice is deficient; the detail names the first."""
+    monkeypatch.setattr(SuiteContext, "stack_ranks", (4, 4, 3, 4, 4, 4, 4, 4, 4))
+    assert _prop_independence(_context(9, ZetaAssignment.consecutive(9))).detail == (
+        "q=3 choice [0,1,2,3] rank deficient"
+    )
+
+
+def test_suite_takes_n_plus_one_ranks(monkeypatch):
+    """One rank per q-stack, shared by independence and span rank, and one for
+    the initial stack."""
+    calls = []
+    real = verifier_module.rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(verifier_module, "rank", counting)
+    for n in (5, 8, 11):
+        calls.clear()
+        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 7), equation_sequences(n))
+        assert all(r.passed for r in results)
+        assert len(calls) == n + 1
+
+
+def det_c(n: int) -> int:
+    """det C of Identity 2 in closed form: nonzero binomials only."""
+    m, r = (n - 1) // 2, n - 3 - n // 2
+    return (
+        (-1) ** (m * (m - 1) // 2)
+        * comb(n - 2, r)
+        * prod([-comb(n - 2 - b, m - 1 - b) for b in range(1, m)])
+    )
+
+
+@pytest.mark.parametrize("n", range(5, 15))
+def test_q_stack_factors_through_a_constant_nonsingular_matrix(n):
+    """With q = n, T = [n-1] and mu_w = 1 / prod_{y in T, y != w} (z_w - z_y),
+    W[v, w] / mu_w = (V_rows C^T V_cols^T)[v, w] for Vandermonde matrices V of
+    degree below m: det C, a constant, follows from one m x m block."""
+    m = (n - 1) // 2
+    others = list(range(1, n))
+    rows, cols = others[:m], others[m : 2 * m]
+    for zeta in (ZetaAssignment.random_distinct(n, 3), negative_fractional(n)):
+        vectors = f_vector_table(n, zeta)
+        mu = {w: 1 / prod([zeta[w] - zeta[y] for y in others if y != w]) for w in cols}
+        phi = [[vectors[Pair(v, n, n)][w] / mu[w] for w in cols] for v in rows]
+        got = fraction_det(phi) / (vandermonde(rows, zeta) * vandermonde(cols, zeta))
+        assert got == Fraction(det_c(n)), zeta.label
+
+
+def test_det_c_starts_as_computed_and_never_vanishes():
+    assert [det_c(n) for n in range(5, 12)] == [1, 1, -20, -30, -1575, -3528, 592704]
+    assert all(det_c(n) for n in range(5, 201))

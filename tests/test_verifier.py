@@ -23,7 +23,8 @@ import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
-from oracles import negative_fractional, with_entry
+import oracles
+from oracles import negative_fractional
 
 
 def test_verify_pentagon_default_assignment():
@@ -76,8 +77,6 @@ def test_report_json_schema():
 
 
 def test_property_suite_passes_n7_full_depth():
-    # C(6, 3) = 20 choices per vertex, so independence is checked exhaustively
-    assert 20 <= verifier_module.INDEPENDENCE_SAMPLE
     z = ZetaAssignment.consecutive(7)
     results = run_property_suite(7, z, equation_sequences(7))
     assert all(r.passed for r in results), [r for r in results if not r.passed]
@@ -255,13 +254,13 @@ def test_lex_combination_lists_combinations_in_order():
     for size in range(1, 9):
         for m in range(size + 1):
             want = list(combinations(range(size), m))
-            got = [verifier_module._lex_combination(size, m, k) for k in range(len(want))]
+            got = [oracles._lex_combination(size, m, k) for k in range(len(want))]
             assert got == want, (size, m)
 
 
 @pytest.mark.parametrize("n", [9, 12, 16, 20])
 def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
-    """The independence property checks, for every q, the same choices that
+    """The sampled independence oracle checks, for every q, the same choices that
     sampling the list of all C(n-1, m) combinations under the same seed picks."""
     m = verifier_module.move_size(n)
     checked = []
@@ -272,15 +271,13 @@ def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
 
     monkeypatch.setattr(verifier_module.SuiteContext, "stack_rank", recording)
     ctx = verifier_module.SuiteContext(n, ZetaAssignment.consecutive(n), None, {}, {})
-    assert verifier_module._prop_independence(ctx).passed
+    assert oracles.sampled_independence(ctx).passed
     all_choices = list(combinations(range(n - 1), m))
-    assert len(all_choices) > verifier_module.INDEPENDENCE_SAMPLE
+    assert len(all_choices) > oracles.INDEPENDENCE_SAMPLE
     want = []
     for q in range(1, n + 1):
         pairs = ctx.omit_vertex_pairs(q)
-        sample = random.Random(10_000 * n + q).sample(
-            all_choices, verifier_module.INDEPENDENCE_SAMPLE
-        )
+        sample = random.Random(10_000 * n + q).sample(all_choices, oracles.INDEPENDENCE_SAMPLE)
         want += [[pairs[k] for k in choice] for choice in sample]
     assert checked == want
 
@@ -328,8 +325,10 @@ def test_unequal_products_report_first_difference():
 
     z = ZetaAssignment.consecutive(5)
     report = verify_equation(5, z)
-    lhs = pmatrix_module.product_for_side(report.lhs, z)
-    tampered = with_entry(lhs, 1, 2, lhs[1, 2] + 1)
+    lhs = pmatrix_module.side_rows(report.lhs, z)
+    numerators, d = lhs[1]
+    tampered = list(lhs)
+    tampered[1] = (numerators[:2] + (numerators[2] + d,) + numerators[3:], d)
     diff = _first_difference(
         lhs, tampered, final_triangulation(5), initial_triangulation(5)
     )
