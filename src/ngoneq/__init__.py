@@ -17,9 +17,9 @@ from .fvectors import (
     FVector,
     check_move_action,
     check_orthogonality,
-    f_value,
     f_vector,
     f_vector_table,
+    gale_table,
 )
 from .pmatrix import (
     extend_matrix,
@@ -70,10 +70,10 @@ __all__ = [
     "equation_sequences",
     "extend_matrix",
     "extended_matrices",
-    "f_value",
     "f_vector",
     "f_vector_table",
     "final_triangulation",
+    "gale_table",
     "initial_triangulation",
     "int_p_matrix",
     "max_stack_rank",

@@ -22,7 +22,7 @@ import traceback
 
 from .errors import InvalidInputError
 from .exactfield import ZetaAssignment
-from .fvectors import f_vector
+from .fvectors import f_vector_table
 from .pmatrix import extended_matrices, product_for_side
 from .simplicial import (
     MoveSequence,
@@ -184,6 +184,7 @@ def _cmd_export(args) -> int:
         sides = {args.side: sides[args.side]}
 
     if args.format == "json":
+        vectors = f_vector_table(args.n, zeta)
         doc = {
             "command": "export",
             "n": args.n,
@@ -191,7 +192,7 @@ def _cmd_export(args) -> int:
             "zeta_label": zeta.label,
             "sides": {name: _export_side(seq, zeta) for name, seq in sides.items()},
             "fvectors": {
-                f"{p.i},{p.j}": [str(x) for x in f_vector(args.n, p, zeta).components]
+                f"{p.i},{p.j}": [str(x) for x in vectors[p].components]
                 for p in lhs.path[0].pairs
             },
             "version": __version__,

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import InvalidInputError
@@ -71,6 +71,14 @@ class ZetaAssignment:
         """The values as an integer row (u, s), z = u / s, cleared once per
         assignment."""
         return int_row(self.values)
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """c_w = lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y), u = row[0], taken once: sum_w
+        c_w p(u_w) = 0 for every polynomial p of degree below n - 1 (Lagrange)."""
+        scaled = [prod([x - y for y in self.row[0] if y != x]) for x in self.row[0]]
+        top = lcm(*scaled)
+        return tuple([top // w for w in scaled])
 
     @classmethod
     def consecutive(cls, n: int) -> "ZetaAssignment":

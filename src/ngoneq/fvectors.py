@@ -1,52 +1,54 @@
-"""Invariant vectors attached to simplices.
+"""Invariant vectors attached to simplices, in Gale coordinates.
 
-Each simplex on vertex set S (|S| = n - 2) carries a length-n vector supported
-on S whose components annihilate every power row (z_1^m, ..., z_n^m) for
-m = 0 .. floor(n/2) - 1. The component at vertex v is the elementary symmetric
-polynomial e_k, k = floor(n/2), of the values 1 / (z_v - z_w) over the other
-vertices w of S, computed over integers by the O(n k) recurrence (see f_value);
-the move matrices map stacked old vectors exactly to stacked new vectors, which
-is what makes the two sides of the polygon equation agree.
+The simplex on S = [n] \\ {i, j} carries a vector f_ij, zero off S, whose component
+at w is e_k, k = floor(n/2), of the 1 / (z_w - z_x) over the other x in S. It
+annihilates the power rows (z_1^t, ..., z_n^t), t < k, and the move matrices map
+stacked old vectors exactly to stacked new ones, which makes the two sides of the
+polygon equation agree. Identity 1, the Gale form: f_ij(w) = lambda_w * g_ij(z_w),
+with one global diagonal lambda_w = 1 / prod_{y != w} (z_w - z_y) and the Gale
+polynomial g_ij(t) = (t - z_i)(t - z_j) e_r(t - z_x : x not in {i, j}), r = n - 3 - k,
+as e_k(1/d) prod(d) = e_r(d) and the zero difference at x = w adds nothing. The
+package works on the integer rows (g_ij(u_w))_w of ``gale_table``, u = s * z (Gale
+duality, Eisenbud-Popescu 2000); ``f_vector_table`` is their ``Fraction`` view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import prod
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from .errors import InvalidInputError
-from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, int_row
+from .exactfield import IntMatrix, Rat, ZetaAssignment
 from .pmatrix import act_on_int_rows
 from .simplicial import PachnerMove, Pair, check_n
 
 
-def f_value(n: int, head: int, rest: Iterable[int], zeta: ZetaAssignment) -> Rat:
-    """e_k, k = floor(n/2), of the values 1 / (z[head] - z[r]) over r in rest.
+def gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
+    """The integer Gale rows (g_ij(u_w))_w of all C(n,2) pairs in lexicographic order,
+    zero at w = i and w = j. At each w, e_0..e_r of all d_x = u_w - u_x are built once;
+    two deletions e'_t = e_t - d * e'_{t-1} drop d_i and d_j: O(r) per component."""
+    def delete(e: list[int], d: int) -> list[int]:
+        return list(accumulate(e, lambda previous, current: current - d * previous))
 
-    Equivalently, the sum over all k-subsets s of rest of
-    1 / prod_{r in s} (z[head] - z[r]). rest must list the other n-3 vertices
-    of the simplex. With the values scaled to integers u = s * z and
-    d_r = u[head] - u[r], this is s^k * e_{n-3-k}(d) / prod(d); the recurrence
-    adds one d at a time, updating e[j] += e[j-1] * d with j running downward.
-    """
     check_n(n)
-    rest = list(rest)
-    if len(rest) != n - 3:
-        raise InvalidInputError(f"rest must have {n - 3} vertices, got {len(rest)}")
-    if head in rest or len(set(rest)) != len(rest):
-        raise InvalidInputError("f_value requires pairwise distinct indices")
-    k = n // 2
-    u, s = int_row([zeta[v] for v in (head, *rest)])
-    diffs = [u[0] - x for x in u[1:]]
-    e = [1] + [0] * (n - 3 - k)
-    for count, d in enumerate(diffs, start=1):
-        for j in range(min(count, len(e) - 1), 0, -1):
-            e[j] += e[j - 1] * d
-    return Fraction(s**k * e[-1], prod(diffs))
+    if zeta.n != n:
+        raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
+    u, r = zeta.row[0], n - 3 - n // 2
+    rows = {pair: [0] * n for pair in combinations(range(n), 2)}
+    for w, uw in enumerate(u):
+        d = [uw - x for x in u]
+        e = [1] + [0] * r
+        for x in d:
+            for t in range(r, 0, -1):
+                e[t] += e[t - 1] * x
+        without = [delete(e, x) for x in d]
+        for (i, j), row in rows.items():
+            if w != i and w != j:
+                row[w] = d[i] * d[j] * delete(without[i], d[j])[-1]
+    return {Pair(i + 1, j + 1, n): tuple(row) for (i, j), row in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -60,47 +62,36 @@ class FVector:
     def __getitem__(self, vertex: int) -> Rat:
         return self.components[vertex - 1]
 
-    @cached_property
-    def row(self) -> IntRow:
-        """The components as an integer row, cleared once per vector."""
-        return int_row(self.components)
+
+def f_vector_table(n: int, zeta: ZetaAssignment) -> dict[Pair, FVector]:
+    """All C(n,2) vectors, f_ij(w) = s^k g_ij(u_w) / prod_{y != w} (u_w - u_y), by pair."""
+    u, s = zeta.row
+    scales = [Fraction(s ** (n // 2), prod([x - y for y in u if y != x])) for x in u]
+    return {
+        pair: FVector(n, pair, tuple([g * c for g, c in zip(row, scales)]))
+        for pair, row in gale_table(n, zeta).items()
+    }
 
 
 def f_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
     """The invariant vector of the simplex named by the pair."""
     if pair.n != n or zeta.n != n:
         raise InvalidInputError("pair, assignment and n must agree")
-    simplex = pair.simplex()
-    components = [Fraction(0)] * n
-    for v in simplex:
-        components[v - 1] = f_value(n, v, [w for w in simplex if w != v], zeta)
-    return FVector(n, pair, tuple(components))
+    return f_vector_table(n, zeta)[pair]
 
 
-def f_vector_table(n: int, zeta: ZetaAssignment) -> dict[Pair, FVector]:
-    """The invariant vectors of all C(n,2) simplices, keyed by pair in
-    lexicographic (i, j) order."""
-    return {
-        pair: f_vector(n, pair, zeta)
-        for pair in (Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2))
-    }
+def check_orthogonality(row: Sequence[int], zeta: ZetaAssignment) -> bool:
+    """True iff the vector of the Gale row ``row`` annihilates the power rows: iff
+    sum_w c_w row_w u_w^t = 0 for t < floor(n/2), c = ``zeta.weights`` (c_w ~ lambda_w)."""
+    if zeta.n != len(row):
+        raise InvalidInputError(f"assignment has {zeta.n} values, row has {len(row)}")
+    weighted, u = [c * g for c, g in zip(zeta.weights, row)], zeta.row[0]
+    return not any(sum([x * y**t for x, y in zip(weighted, u)]) for t in range(zeta.n // 2))
 
 
-def check_orthogonality(v: FVector, zeta: ZetaAssignment) -> bool:
-    """True iff sum_r v_r * z_r^m = 0 exactly for m = 0 .. floor(n/2) - 1: over
-    integer rows v = a / d and z = u / s, iff sum_r a_r * u_r^m = 0."""
-    if zeta.n != v.n:
-        raise InvalidInputError(f"assignment has {zeta.n} values, vector has {v.n}")
-    a, u = v.row[0], zeta.row[0]
-    return not any(sum([x * y**m for x, y in zip(a, u)]) for m in range(v.n // 2))
-
-
-def check_move_action(
-    move: PachnerMove, p: IntMatrix, vectors: Mapping[Pair, FVector]
-) -> bool:
-    """True iff the move matrix ``p = int_p_matrix(move, zeta)`` maps the stacked
-    removed-simplex vectors exactly to the stacked created-simplex vectors, both
-    read from ``vectors`` (e.g. ``f_vector_table(move.n, zeta)``), as integer rows."""
-    rows = {pair: vectors[pair].row for pair in move.removed_pairs}
-    act_on_int_rows(move, p, rows)
-    return rows == {pair: vectors[pair].row for pair in move.created_pairs}
+def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple]) -> bool:
+    """True iff ``p = int_p_matrix(move, zeta)`` maps the removed pairs' Gale rows (from
+    ``gale_table``) exactly to the created pairs': iff P F_removed = F_created."""
+    acted = {pair: (rows[pair], 1) for pair in move.removed_pairs}
+    act_on_int_rows(move, p, acted)
+    return acted == {pair: (rows[pair], 1) for pair in move.created_pairs}

@@ -19,7 +19,7 @@ times those rows, keyed by the created pairs, and every other row is carried
 over. It is the one loop that combines rows. The side product is that loop
 folded over a move sequence from the identity rows of its first triangulation;
 an extended (identity-padded) matrix and the move-action check of ``fvectors``
-are one move applied to identity or invariant-vector rows. The side product
+are one move applied to identity rows or to Gale rows (g, 1). The side product
 and the extended matrices of a sequence take their triangulations from
 ``MoveSequence.path``. The dense product of extended matrices is kept in the
 tests as an oracle.
@@ -129,10 +129,10 @@ def extended_matrices(seq: MoveSequence, zeta: ZetaAssignment) -> list[DenseMatr
     ]
 
 
-def side_rows(seq: MoveSequence, zeta: ZetaAssignment) -> list[IntRow]:
-    """The side product M_k ... M_1 (first-applied move rightmost) as integer
-    rows in final triangulation order, columns in initial triangulation order,
-    the two ends of ``seq.path``.
+def side_rows(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[IntRow]:
+    """The side product M_k ... M_1 (first-applied move rightmost), given each move's
+    ``int_p_matrix``, as integer rows in final triangulation order, columns in
+    initial triangulation order, the two ends of ``seq.path``.
 
     Computed by applying each move to the rows it touches, starting from the
     identity rows of the initial triangulation; no extended matrix is formed.
@@ -140,7 +140,7 @@ def side_rows(seq: MoveSequence, zeta: ZetaAssignment) -> list[IntRow]:
     initial, final = seq.path[0], seq.path[-1]
     rows = _identity_rows(initial)
     for move in seq.moves:
-        act_on_int_rows(move, int_p_matrix(move, zeta), rows)
+        act_on_int_rows(move, matrices[move], rows)
     if rows.keys() != set(final.pairs):
         raise InternalError(
             f"{seq.side} sequence for n={seq.n} does not end at the final triangulation"
@@ -150,4 +150,5 @@ def side_rows(seq: MoveSequence, zeta: ZetaAssignment) -> list[IntRow]:
 
 def product_for_side(seq: MoveSequence, zeta: ZetaAssignment) -> DenseMatrix:
     """The side product of ``side_rows`` as a matrix of rationals."""
-    return DenseMatrix([rat_row(row) for row in side_rows(seq, zeta)])
+    matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
+    return DenseMatrix([rat_row(row) for row in side_rows(seq, matrices)])

@@ -20,12 +20,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import lcm, prod
 from typing import Mapping
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row
-from .fvectors import FVector, check_move_action, check_orthogonality, f_vector_table
+from .fvectors import check_move_action, check_orthogonality, gale_table
 from .pmatrix import int_p_matrix, side_rows
 from .simplicial import (
     MoveSequence,
@@ -120,6 +119,11 @@ def _first_difference(
 
 def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
     """Check that both side products agree entrywise."""
+    return _verify(n, zeta)[0]
+
+
+def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
+    """``verify_equation`` and the move matrices of its side products, for the suite."""
     if zeta.n != n:
         raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
     timings: dict = {}
@@ -129,10 +133,12 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
     timings["sequences"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lhs_rows = side_rows(lhs_seq, zeta)
+    matrices = {move: int_p_matrix(move, zeta) for move in lhs_seq.moves}
+    lhs_rows = side_rows(lhs_seq, matrices)
     timings["lhs_product"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rhs_rows = side_rows(rhs_seq, zeta)
+    matrices.update({move: int_p_matrix(move, zeta) for move in rhs_seq.moves})
+    rhs_rows = side_rows(rhs_seq, matrices)
     timings["rhs_product"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -140,16 +146,9 @@ def verify_equation(n: int, zeta: ZetaAssignment) -> VerificationReport:
     difference = None if equal else _first_difference(lhs_rows, rhs_rows, final, initial)
     timings["compare"] = time.perf_counter() - t0
 
-    return VerificationReport(
-        n=n,
-        zeta=zeta,
-        lhs=lhs_seq,
-        rhs=rhs_seq,
-        shape=(len(final), len(initial)),
-        equal=equal,
-        first_difference=difference,
-        timings=timings,
-    )
+    shape = (len(final), len(initial))
+    report = VerificationReport(n, zeta, lhs_seq, rhs_seq, shape, equal, difference, None, timings)
+    return report, matrices
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +164,27 @@ def max_stack_rank(n: int) -> int:
 
 @dataclass(frozen=True)
 class SuiteContext:
-    """Everything the properties of one (n, zeta) suite run read, built once: the two
-    move sequences, every move's integer matrix, the invariant vectors of all C(n,2)
-    pairs and, on first use, the n q-stack ranks. The vector properties read each
-    vector's row (``FVector.row``) and the assignment's (``ZetaAssignment.row``)."""
+    """What one (n, zeta) suite run reads, built once: the move sequences and matrices,
+    the integer Gale rows of all C(n,2) pairs (``gale_table``), and on first use each
+    row's orthogonality and the n q-stack ranks. By Identity 1 each vector is Lambda g_ij:
+    Lambda = diag(1 / prod_{y != w} (z_w - z_y)) is one global diagonal and g_ij(t) =
+    (t - z_i)(t - z_j) e_r(t - z_x : x not in {i, j}) the Gale polynomial, so ranks ignore
+    Lambda, moves act on the rows, and orthogonality weighs them by ``zeta.weights``."""
 
     n: int
     zeta: ZetaAssignment
     sequences: tuple[MoveSequence, MoveSequence]
     matrices: Mapping[PachnerMove, IntMatrix]
-    vectors: Mapping[Pair, FVector]
+    rows: Mapping[Pair, tuple[int, ...]]
 
     def stack_rank(self, pairs) -> int:
-        """Rank of the vectors of the given pairs, stacked as rows."""
-        return rank([self.vectors[pair].row[0] for pair in pairs])
+        """Rank of the Gale rows of the given pairs, stacked."""
+        return rank([self.rows[pair] for pair in pairs])
+
+    @cached_property
+    def orthogonal(self) -> dict[Pair, bool]:
+        """Whether each pair's vector annihilates the power rows, taken once."""
+        return {pair: check_orthogonality(row, self.zeta) for pair, row in self.rows.items()}
 
     @cached_property
     def stack_ranks(self) -> tuple[int, ...]:
@@ -207,39 +213,28 @@ def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
 
 
 def _prop_orthogonality(ctx: SuiteContext) -> PropertyResult:
-    for pair, vector in ctx.vectors.items():
-        if not check_orthogonality(vector, ctx.zeta):
-            return PropertyResult("orthogonality", False, f"pair ({pair.i},{pair.j})")
-    return PropertyResult("orthogonality", True)
+    bad = [pair for pair, orthogonal in ctx.orthogonal.items() if not orthogonal]
+    return PropertyResult("orthogonality", not bad, f"pair ({bad[0].i},{bad[0].j})" if bad else "")
 
 
 def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
     for seq in ctx.sequences:
         for move in seq.moves:
-            if not check_move_action(move, ctx.matrices[move], ctx.vectors):
-                return PropertyResult(
-                    "move_action", False, f"{seq.side} {move.label()}"
-                )
+            if not check_move_action(move, ctx.matrices[move], ctx.rows):
+                return PropertyResult("move_action", False, f"{seq.side} {move.label()}")
     return PropertyResult("move_action", True)
 
 
 def _stack_is_orthogonal(ctx: SuiteContext, q: int) -> bool:
-    """True iff every row of the q-stack passes ``check_orthogonality`` and every
-    column w is annihilated by the rows mu_v * z_v^j, j < floor(n/2), v in T = [n] \\ {q},
-    mu_v = 1 / prod_{y in T, y != v} (z_v - z_y): over integers z = u / s and rows
-    a_v / d_v, sum_v c_v * u_v^j * a_v[w] = 0 with c_v = lcm(L d) / (L_v d_v) and
-    L_v = prod_{y in T, y != v} (u_v - u_y); the powers of s cancel per j."""
-    vectors = [ctx.vectors[pair] for pair in ctx.omit_vertex_pairs(q)]
-    points = [x for v, x in enumerate(ctx.zeta.row[0], start=1) if v != q]
-    scaled = [prod([x - y for y in points if y != x]) * f.row[1] for x, f in zip(points, vectors)]
-    top = lcm(*scaled)
-    weights = [top // w for w in scaled]
-    columns = list(zip(*[f.row[0] for f in vectors]))
-    for _ in range(ctx.n // 2):
-        if any(sum([c * a for c, a in zip(weights, column)]) for column in columns):
-            return False
-        weights = [c * x for c, x in zip(weights, points)]
-    return all(check_orthogonality(f, ctx.zeta) for f in vectors)
+    """True iff every row of the q-stack is orthogonal and every column w is annihilated
+    by mu_v * z_v^j, j < floor(n/2), v in T = [n] \\ {q}, mu_v = 1 / prod_{y in T, y != v}
+    (z_v - z_y) = (z_v - z_q) lambda_v: iff each column (u_v - u_q) g_qv(u_w) is orthogonal."""
+    if not all(ctx.orthogonal[pair] for pair in ctx.omit_vertex_pairs(q)):
+        return False
+    u, n = ctx.zeta.row[0], ctx.n
+    rows = [ctx.rows[Pair.of(n, q, v)] if v != q else (0,) * n for v in range(1, n + 1)]
+    stack = [[(x - u[q - 1]) * a for a in row] for x, row in zip(u, rows)]
+    return all(check_orthogonality(column, ctx.zeta) for column in zip(*stack))
 
 
 def _prop_independence(ctx: SuiteContext) -> PropertyResult:
@@ -286,10 +281,12 @@ def run_property_suite(
 ) -> tuple[PropertyResult, ...]:
     """Run every structural property at one assignment, over the two move
     sequences of n, from one shared SuiteContext."""
-    if zeta.n != n:
-        raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
+    rows = gale_table(n, zeta)  # checks that zeta has n values first
     matrices = {move: int_p_matrix(move, zeta) for seq in sequences for move in seq.moves}
-    ctx = SuiteContext(n, zeta, sequences, matrices, f_vector_table(n, zeta))
+    return _run_suite(SuiteContext(n, zeta, sequences, matrices, rows))
+
+
+def _run_suite(ctx: SuiteContext) -> tuple[PropertyResult, ...]:
     return (
         _prop_row_sums(ctx),
         _prop_orthogonality(ctx),
@@ -302,9 +299,10 @@ def run_property_suite(
 
 def verify_with_properties(n: int, zeta: ZetaAssignment) -> VerificationReport:
     """verify_equation plus the property suite, bundled into one report; the
-    suite reuses the report's move sequences."""
-    report = verify_equation(n, zeta)
+    suite reuses the report's move sequences and move matrices."""
+    report, matrices = _verify(n, zeta)
     t0 = time.perf_counter()
-    properties = run_property_suite(n, zeta, (report.lhs, report.rhs))
-    timings = {**report.timings, "properties": time.perf_counter() - t0}
-    return replace(report, properties=properties, timings=timings)
+    sequences = (report.lhs, report.rhs)
+    properties = _run_suite(SuiteContext(n, zeta, sequences, matrices, gale_table(n, zeta)))
+    report.timings["properties"] = time.perf_counter() - t0
+    return replace(report, properties=properties)

@@ -6,8 +6,12 @@ both the other way: entries as signed ratios of Vandermonde determinants over
 an interleaved vertex frame, and side products as dense folds of padded
 matrices, exactly as the polygon equation is stated, so that the library's
 results can be checked against them. Likewise the invariant-vector components
-are computed here as explicit sums over subsets, and ranks by Gaussian
-elimination in ``Fraction`` arithmetic. The padded factors walk their own
+are computed here as explicit sums over subsets and by the O(n k) recurrence
+``f_value`` the library used before its Gale rows, the Gale polynomial is
+evaluated directly in ``Fraction`` arithmetic (``gale_polynomial``), the whole
+property suite is run the old way on ``FVector`` rows built from ``f_value``
+(``fvector_property_suite``), and ranks are taken by Gaussian elimination in
+``Fraction`` arithmetic. The padded factors walk their own
 triangulations from the initial one rather than read ``MoveSequence.path``.
 ``build_p_matrix`` is the ``Fraction`` view of ``int_p_matrix`` that the tests
 compare against. ``sampled_independence`` is the independence property as it
@@ -21,12 +25,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
 
 from hypothesis import strategies as st
 
 from ngoneq import (
     DenseMatrix,
+    FVector,
     InvalidInputError,
     PachnerMove,
     Pair,
@@ -37,10 +42,10 @@ from ngoneq import (
     f_vector,
     initial_triangulation,
 )
-from ngoneq.exactfield import int_row, rat_row
+from ngoneq.exactfield import int_row, rank, rat_row
 from ngoneq.pmatrix import act_on_int_rows, int_p_matrix
-from ngoneq.simplicial import move_size
-from ngoneq.verifier import PropertyResult, SuiteContext
+from ngoneq.simplicial import check_n, move_size
+from ngoneq.verifier import PropertyResult, SuiteContext, _prop_row_sums, max_stack_rank
 
 
 def vandermonde(indices, zeta: ZetaAssignment) -> Rat:
@@ -219,6 +224,122 @@ def subset_sum_f_value(n: int, head: int, rest, zeta: ZetaAssignment) -> Rat:
     if head in rest or len(set(rest)) != len(rest):
         raise InvalidInputError("f_value requires pairwise distinct indices")
     return sum((g_value(head, s, zeta) for s in combinations(rest, n // 2)), Fraction(0))
+
+
+def f_value(n: int, head: int, rest, zeta: ZetaAssignment) -> Rat:
+    """e_k, k = floor(n/2), of the values 1 / (z[head] - z[r]) over r in rest.
+
+    Equivalently, the sum over all k-subsets s of rest of
+    1 / prod_{r in s} (z[head] - z[r]). rest must list the other n-3 vertices
+    of the simplex. With the values scaled to integers u = s * z and
+    d_r = u[head] - u[r], this is s^k * e_{n-3-k}(d) / prod(d); the recurrence
+    adds one d at a time, updating e[j] += e[j-1] * d with j running downward.
+    """
+    check_n(n)
+    rest = list(rest)
+    if len(rest) != n - 3:
+        raise InvalidInputError(f"rest must have {n - 3} vertices, got {len(rest)}")
+    if head in rest or len(set(rest)) != len(rest):
+        raise InvalidInputError("f_value requires pairwise distinct indices")
+    k = n // 2
+    u, s = int_row([zeta[v] for v in (head, *rest)])
+    diffs = [u[0] - x for x in u[1:]]
+    e = [1] + [0] * (n - 3 - k)
+    for count, d in enumerate(diffs, start=1):
+        for j in range(min(count, len(e) - 1), 0, -1):
+            e[j] += e[j - 1] * d
+    return Fraction(s**k * e[-1], prod(diffs))
+
+
+def f_value_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
+    """The invariant vector of a pair with every component from ``f_value``."""
+    simplex = pair.simplex()
+    components = [Fraction(0)] * n
+    for v in simplex:
+        components[v - 1] = f_value(n, v, [w for w in simplex if w != v], zeta)
+    return FVector(n, pair, tuple(components))
+
+
+def cleared_row(v: FVector):
+    """The components as an integer row (numerators, lcm of the denominators)."""
+    return int_row(v.components)
+
+
+def gale_polynomial(n: int, i: int, j: int, t, values):
+    """g_ij(t) = (t - v_i)(t - v_j) e_r(t - v_x : x not in {i, j}), r = n - 3 - floor(n/2),
+    over the 1-based values v (integers or rationals), e_r by adding one difference
+    at a time: the definition, evaluated at one point."""
+    e = [1] + [0] * (n - 3 - n // 2)
+    for x in range(1, n + 1):
+        if x not in (i, j):
+            for k in range(len(e) - 1, 0, -1):
+                e[k] += e[k - 1] * (t - values[x - 1])
+    return (t - values[i - 1]) * (t - values[j - 1]) * e[-1]
+
+
+def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[PropertyResult, ...]:
+    """The property suite as it ran on ``FVector`` rows: every vector from ``f_value``
+    and cleared to an integer row a / d, orthogonality as sum_r a_r u_r^t = 0, the
+    q-stack columns under the weights lcm(L d) / (L_v d_v), the move action on
+    Fraction rows (``act_on_rows``), and ranks of the cleared rows. Names, outcomes
+    and details are the library's."""
+    vectors = {
+        pair: f_value_vector(n, pair, zeta)
+        for pair in (Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2))
+    }
+    cleared = {pair: cleared_row(v) for pair, v in vectors.items()}
+    u = zeta.row[0]
+    m, everyone = move_size(n), range(1, n + 1)
+
+    def orthogonal(a, points):
+        return not any(sum([x * y**t for x, y in zip(a, points)]) for t in range(n // 2))
+
+    def stack_is_orthogonal(q):
+        rows = [cleared[Pair.of(n, q, v)] for v in everyone if v != q]
+        points = [x for v, x in enumerate(u, start=1) if v != q]
+        scaled = [prod([x - y for y in points if y != x]) * d for x, (_, d) in zip(points, rows)]
+        weights = [lcm(*scaled) // w for w in scaled]
+        return all(orthogonal([c * a for c, a in zip(weights, column)], points)
+                   for column in zip(*[a for a, _ in rows])) and all(orthogonal(a, u) for a, _ in rows)
+
+    matrices = {move: int_p_matrix(move, zeta) for seq in sequences for move in seq.moves}
+    results = [_prop_row_sums(SuiteContext(n, zeta, sequences, matrices, {}))]
+    bad = [pair for pair, (a, _) in cleared.items() if not orthogonal(a, u)]
+    results.append(PropertyResult("orthogonality", not bad, f"pair ({bad[0].i},{bad[0].j})" if bad else ""))
+    failed = [
+        f"{seq.side} {move.label()}"
+        for seq in sequences
+        for move in seq.moves
+        if any(
+            row != vectors[pair].components
+            for pair, row in act_on_rows(
+                move, zeta, {p: vectors[p].components for p in move.removed_pairs}
+            ).items()
+        )
+    ]
+    results.append(PropertyResult("move_action", not failed, failed[0] if failed else ""))
+    ranks = [rank([cleared[Pair.of(n, q, v)][0] for v in everyone if v != q]) for q in everyone]
+    independence = PropertyResult("independence", True)
+    for q in everyone:
+        if not stack_is_orthogonal(q):
+            independence = PropertyResult("independence", False, f"q={q} rows or columns not orthogonal")
+            break
+        if ranks[q - 1] < m:
+            picked = ",".join(str(c) for c in range(m))
+            independence = PropertyResult("independence", False, f"q={q} choice [{picked}] rank deficient")
+            break
+    results.append(independence)
+    wrong = [(q, got) for q, got in enumerate(ranks, start=1) if got != m]
+    results.append(PropertyResult(
+        "span_rank", not wrong, f"q={wrong[0][0]} rank {wrong[0][1]}, want {m}" if wrong else ""
+    ))
+    initial = sequences[0].path[0]
+    got = rank([cleared[pair][0] for pair in initial.pairs])
+    want = min(len(initial), max_stack_rank(n))
+    results.append(PropertyResult(
+        "initial_stack_rank", got == want, f"rank {got}" if got == want else f"rank {got}, want {want}"
+    ))
+    return tuple(results)
 
 
 def fraction_rank(matrix: DenseMatrix) -> int:

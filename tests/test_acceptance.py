@@ -17,8 +17,8 @@ from ngoneq import (
     equation_sequences,
     extended_matrices,
     f_vector,
-    f_vector_table,
     final_triangulation,
+    gale_table,
     initial_triangulation,
     int_p_matrix,
     product_for_side,
@@ -144,23 +144,25 @@ def test_criterion_05_row_sums_are_exactly_one():
 
 
 def test_criterion_06_orthogonality_for_all_pairs():
-    """sum_r f_r z_r^m = 0 exactly for m = 0..floor(n/2)-1, all pairs, n = 5..12."""
+    """sum_r f_r z_r^m = 0 exactly for m = 0..floor(n/2)-1, all pairs, n = 5..12,
+    checked on each vector's Gale row."""
     bad = []
     for n in ALL_N:
         zeta = consecutive(n)
+        rows = gale_table(n, zeta)
         for i, j in combinations(range(1, n + 1), 2):
-            if not check_orthogonality(f_vector(n, Pair(i, j, n), zeta), zeta):
+            if not check_orthogonality(rows[Pair(i, j, n)], zeta):
                 bad.append((n, i, j))
     assert not bad, bad
 
 
 def test_criterion_07_move_action_for_all_moves():
     """P x stacked old vectors = stacked new vectors exactly, every move of
-    both sequences, n <= 10."""
+    both sequences, n <= 10, checked on the vectors' Gale rows."""
     bad = []
     for n in range(5, 11):
         zeta = consecutive(n)
-        table = f_vector_table(n, zeta)
+        table = gale_table(n, zeta)
         for seq in equation_sequences(n):
             for move in seq.moves:
                 if not check_move_action(move, int_p_matrix(move, zeta), table):

@@ -9,8 +9,15 @@ import ngoneq.cli as cli_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
-from ngoneq import InternalError, PropertyResult, equation_sequences
+from ngoneq import (
+    InternalError,
+    PropertyResult,
+    ZetaAssignment,
+    equation_sequences,
+    initial_triangulation,
+)
 from ngoneq.cli import EXIT_INTERNAL, main
+from oracles import f_value_vector, negative_fractional
 
 
 def run(capsys, *argv):
@@ -204,6 +211,27 @@ def test_export_json_entries_are_rational_strings(capsys):
     first = doc["sides"]["lhs"]["matrices"][0]
     assert all(isinstance(x, str) for row in first for x in row)
     assert doc["fvectors"]["4,5"] == ["1/2", "-1", "1/2", "0", "0"]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_export_json_fvectors_are_the_f_value_components(capsys, n):
+    """The exported invariant vectors are the strings of the f_value components of
+    the initial triangulation's pairs, in its order, at consecutive, seeded and
+    negative-fractional values."""
+    fractional = negative_fractional(n)
+    for zeta_args, zeta in (
+        ((), ZetaAssignment.consecutive(n)),
+        (("--seed", "7"), ZetaAssignment.random_distinct(n, 7)),
+        ((f"--zeta={','.join(fractional.to_strings())}",), fractional),
+    ):
+        code, out, _ = run(capsys, "export", "--n", str(n), *zeta_args, "--format", "json")
+        assert code == 0
+        got = json.loads(out)["fvectors"]
+        want = {
+            f"{p.i},{p.j}": [str(x) for x in f_value_vector(n, p, zeta).components]
+            for p in initial_triangulation(n).pairs
+        }
+        assert list(got.items()) == list(want.items()), zeta.label
 
 
 def test_export_latex_contains_arrays(capsys):

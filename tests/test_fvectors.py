@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngoneq import (
-    FVector,
     InvalidInputError,
     PachnerMove,
     Pair,
@@ -16,16 +16,20 @@ from ngoneq import (
     check_move_action,
     check_orthogonality,
     equation_sequences,
-    f_value,
     f_vector,
     f_vector_table,
+    gale_table,
     initial_triangulation,
     int_p_matrix,
 )
 from ngoneq.verifier import max_stack_rank
 from oracles import (
+    cleared_row,
     distinct_assignments,
+    f_value,
+    f_value_vector,
     g_value,
+    gale_polynomial,
     mixed_denominators,
     negative_fractional,
     oracle_assignments,
@@ -189,54 +193,99 @@ def test_vector_zero_positions_match_pair():
 def test_orthogonality_all_pairs_small_n():
     for n in (5, 6, 7, 8):
         z = CONSEC[n]
+        rows = gale_table(n, z)
         for i, j in combinations(range(1, n + 1), 2):
-            assert check_orthogonality(f_vector(n, Pair(i, j, n), z), z)
+            assert check_orthogonality(rows[Pair(i, j, n)], z)
 
 
 def test_orthogonality_trivial_vectors():
     z = CONSEC[5]
-    zero = FVector(5, Pair(4, 5, 5), (frac(0),) * 5)
-    assert check_orthogonality(zero, z)
-    spike = FVector(5, Pair(4, 5, 5), (frac(1), frac(0), frac(0), frac(0), frac(0)))
-    assert not check_orthogonality(spike, z)
+    assert check_orthogonality((0,) * 5, z)
+    assert not check_orthogonality((1, 0, 0, 0, 0), z)
 
 
-def _perturbed(v, changes):
-    components = list(v.components)
+def _perturbed(row, changes):
+    out = list(row)
     for vertex, delta in changes.items():
-        components[vertex - 1] += delta
-    return FVector(v.n, v.pair, tuple(components))
+        out[vertex - 1] += delta
+    return tuple(out)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 @pytest.mark.parametrize("make", [negative_fractional, mixed_denominators])
 def test_orthogonality_over_integer_rows_at_non_integer_values(n, make):
-    """Every true vector passes at values with denominators s != 1. One
-    perturbed component breaks m = 0; moving delta from one vertex to another
-    keeps m = 0 and breaks m = 1, where the scale s^m enters."""
+    """Every true row passes at values with denominators s != 1. One perturbed
+    component breaks t = 0; moving weight c_b to vertex a and -c_a to vertex b
+    (c = zeta.weights) keeps t = 0 and breaks t = 1, where the values enter."""
     z = make(n)
-    for pair, v in f_vector_table(n, z).items():
-        assert check_orthogonality(v, z), pair
-        a, b = v.pair.simplex()[:2]
-        assert not check_orthogonality(_perturbed(v, {a: frac(1, 7)}), z), pair
-        assert not check_orthogonality(_perturbed(v, {a: frac(1, 7), b: frac(-1, 7)}), z), pair
+    c = z.weights
+    for pair, row in gale_table(n, z).items():
+        assert check_orthogonality(row, z), pair
+        a, b = pair.simplex()[:2]
+        assert not check_orthogonality(_perturbed(row, {a: 1}), z), pair
+        assert not check_orthogonality(_perturbed(row, {a: c[b - 1], b: -c[a - 1]}), z), pair
 
 
 def test_orthogonality_rejects_an_assignment_of_another_size():
     z5, z6 = CONSEC[5], CONSEC[6]
     with pytest.raises(InvalidInputError):
-        check_orthogonality(f_vector(5, Pair(1, 2, 5), z5), z6)
+        check_orthogonality(gale_table(5, z5)[Pair(1, 2, 5)], z6)
     with pytest.raises(InvalidInputError):
-        check_orthogonality(f_vector(6, Pair(1, 2, 6), z6), z5)
+        check_orthogonality(gale_table(6, z6)[Pair(1, 2, 6)], z5)
 
 
 def test_vector_row_is_the_cleared_components_and_leaves_equality_alone():
+    """The oracle's cleared integer row of a vector (the row the suite read
+    before it read Gale rows) round-trips to its components."""
     z = mixed_denominators(7)
     v = f_vector(7, Pair(2, 5, 7), z)
-    numerators, d = v.row
-    assert v.row is v.row
+    numerators, d = cleared_row(v)
     assert tuple(Fraction(x, d) for x in numerators) == v.components
-    assert v == f_vector(7, Pair(2, 5, 7), z)
+    assert v == f_vector(7, Pair(2, 5, 7), z) == f_value_vector(7, Pair(2, 5, 7), z)
+
+
+# ---------------------------------------------------------------------------
+# the Gale form (Identity 1)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_gale_form_equals_the_defining_vectors(n):
+    """Identity 1: lambda_w * g_ij(z_w) equals the defining component exactly, with
+    lambda_w = 1 / prod_{y != w} (z_w - z_y), at consecutive, seeded,
+    negative-fractional and mixed-denominator values. The table's rows are the Gale
+    polynomial at the integer values u = s * z (so g_ij(z_w) = row_w / s^(r+2)) and
+    vanish at i and j; every component matches the f_value recurrence, and up to
+    n = 12 those of the pairs (1, 2) and (1, n) also match the subset sums."""
+    r = n - 3 - n // 2
+    for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
+        u, s = zeta.row
+        lam = [1 / prod([zeta[w] - zeta[y] for y in range(1, n + 1) if y != w], start=Fraction(1))
+               for w in range(1, n + 1)]
+        vectors = f_vector_table(n, zeta)
+        for pair, row in gale_table(n, zeta).items():
+            assert row[pair.i - 1] == row[pair.j - 1] == 0
+            for w in pair.simplex():
+                assert row[w - 1] == gale_polynomial(n, pair.i, pair.j, u[w - 1], u)
+                got = lam[w - 1] * Fraction(row[w - 1], s ** (r + 2))
+                rest = [x for x in pair.simplex() if x != w]
+                assert got == f_value(n, w, rest, zeta) == vectors[pair][w], (zeta.label, pair, w)
+                if n <= 12 and pair in (Pair(1, 2, n), Pair(1, n, n)):
+                    assert got == subset_sum_f_value(n, w, rest, zeta), (zeta.label, pair, w)
+            assert gale_polynomial(n, pair.i, pair.j, zeta[pair.i], zeta.values) == 0
+
+
+def test_gale_table_holds_every_pair_in_order():
+    for n in (5, 8):
+        rows = gale_table(n, ZetaAssignment.random_distinct(n, 4))
+        assert list(rows) == [Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2)]
+        assert all(type(row) is tuple and len(row) == n for row in rows.values())
+
+
+def test_gale_table_rejects_bad_sizes():
+    with pytest.raises(InvalidInputError):
+        gale_table(4, ZetaAssignment.consecutive(4))
+    with pytest.raises(InvalidInputError):
+        gale_table(6, CONSEC[5])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +318,7 @@ def test_initial_stack_ranks():
 
 def test_pentagon_move_action_explicit():
     """The quadrilateral-1234 move matrix maps the stacked vectors of 123 and
-    134 to those of 124 and 234."""
+    134 to those of 124 and 234, and so their Gale rows too."""
     from ngoneq import DenseMatrix
     from oracles import build_p_matrix
 
@@ -287,61 +336,61 @@ def test_pentagon_move_action_explicit():
         list(f_vector(5, Pair(1, 5, 5), z).components),
     ])
     assert p.mul(old) == new
-    assert check_move_action(move, int_p_matrix(move, z), f_vector_table(5, z))
+    rows = gale_table(5, z)
+    assert p.mul(DenseMatrix([rows[Pair(4, 5, 5)], rows[Pair(2, 5, 5)]])) == DenseMatrix(
+        [rows[Pair(3, 5, 5)], rows[Pair(1, 5, 5)]]
+    )
+    assert check_move_action(move, int_p_matrix(move, z), rows)
 
 
 def test_hexagon_and_heptagon_move_action():
-    table6, table7 = f_vector_table(6, CONSEC[6]), f_vector_table(7, CONSEC[7])
+    rows6, rows7 = gale_table(6, CONSEC[6]), gale_table(7, CONSEC[7])
     move6, move7 = PachnerMove(6, 6, (1, 3), (2, 4, 5)), PachnerMove(7, 7, (2, 4, 6), (1, 3, 5))
-    assert check_move_action(move6, int_p_matrix(move6, CONSEC[6]), table6)
-    assert check_move_action(move7, int_p_matrix(move7, CONSEC[7]), table7)
+    assert check_move_action(move6, int_p_matrix(move6, CONSEC[6]), rows6)
+    assert check_move_action(move7, int_p_matrix(move7, CONSEC[7]), rows7)
 
 
 def test_move_action_along_sequences():
     for n in (5, 6, 7, 8):
-        table = f_vector_table(n, CONSEC[n])
+        rows = gale_table(n, CONSEC[n])
         for seq in equation_sequences(n):
             for move in seq.moves:
-                assert check_move_action(move, int_p_matrix(move, CONSEC[n]), table)
+                assert check_move_action(move, int_p_matrix(move, CONSEC[n]), rows)
 
 
 def test_move_action_at_random_assignment():
     z = ZetaAssignment.random_distinct(6, 31)
-    table = f_vector_table(6, z)
+    rows = gale_table(6, z)
     for seq in equation_sequences(6):
         for move in seq.moves:
-            assert check_move_action(move, int_p_matrix(move, z), table)
+            assert check_move_action(move, int_p_matrix(move, z), rows)
 
 
 def test_move_action_detects_a_wrong_created_vector():
     z = CONSEC[6]
     move = PachnerMove(6, 6, (1, 3), (2, 4, 5))
-    table = f_vector_table(6, z)
+    rows = gale_table(6, z)
     created = move.created_pairs[0]
-    v = table[created]
-    table[created] = FVector(6, created, (v.components[0] + 1,) + v.components[1:])
-    assert not check_move_action(move, int_p_matrix(move, z), table)
+    rows[created] = _perturbed(rows[created], {1: 1})
+    assert not check_move_action(move, int_p_matrix(move, z), rows)
 
 
 @pytest.mark.parametrize("make", [negative_fractional, mixed_denominators])
 def test_move_action_detects_a_wrong_created_vector_at_fractional_values(make):
-    """At fractional values the true table passes every move, and a created
-    vector that is halved (where a numerator is odd, its integer row differs
-    only in the denominator) or perturbed in one component fails."""
+    """At fractional values the true table passes every move, and a created row
+    that is doubled (the acted row is reduced, so only its numerators differ) or
+    perturbed in one component fails."""
     for n in (6, 7):
         z = make(n)
-        table = f_vector_table(n, z)
+        rows = gale_table(n, z)
         for seq in equation_sequences(n):
             for move in seq.moves:
-                assert check_move_action(move, int_p_matrix(move, z), table)
+                assert check_move_action(move, int_p_matrix(move, z), rows)
         move = equation_sequences(n)[0].moves[0]
         created = move.created_pairs[-1]
-        v = table[created]
-        for wrong in (
-            FVector(n, created, tuple(x / 2 for x in v.components)),
-            _perturbed(v, {v.pair.simplex()[0]: frac(1, 3)}),
-        ):
-            assert not check_move_action(move, int_p_matrix(move, z), {**table, created: wrong})
+        row = rows[created]
+        for wrong in (tuple(2 * x for x in row), _perturbed(row, {created.simplex()[0]: 1})):
+            assert not check_move_action(move, int_p_matrix(move, z), {**rows, created: wrong})
 
 
 def test_f_vector_table_holds_every_pair_in_order():

@@ -9,7 +9,6 @@ from ngoneq import (
     PachnerMove,
     Pair,
     ZetaAssignment,
-    f_value,
     f_vector,
 )
 from goldens import (
@@ -17,7 +16,7 @@ from goldens import (
     heptagon_m_matrix,
     heptagon_p_matrix,
 )
-from oracles import build_p_matrix, p_entry_vandermonde, row_sums
+from oracles import build_p_matrix, f_value, p_entry_vandermonde, row_sums
 
 ASSIGNMENTS = [
     ZetaAssignment.consecutive(7),

@@ -1,20 +1,30 @@
 """The independence certificate: agreement with the Bareiss-rank oracles, two
-tampered tables it must reject, its rank count, and the theorem it rests on."""
+tampered Gale tables it must reject, its rank count, and the theorem it rests on;
+and a tampered move matrix that the move action must reject."""
 
 from fractions import Fraction
 from math import comb, inf, prod
 
 import pytest
 
-from ngoneq import FVector, Pair, ZetaAssignment, equation_sequences, f_vector_table
+import sys
+
+from ngoneq import Pair, ZetaAssignment, equation_sequences, f_vector_table, gale_table
+import ngoneq.pmatrix as pmatrix_module
 import ngoneq.verifier as verifier_module
-from ngoneq.verifier import SuiteContext, _prop_independence, _prop_orthogonality, run_property_suite
+from ngoneq.verifier import (
+    SuiteContext,
+    _prop_independence,
+    _prop_orthogonality,
+    run_property_suite,
+    verify_with_properties,
+)
 from oracles import fraction_det, negative_fractional, sampled_independence, vandermonde
 
 
-def _context(n, zeta, vectors=None):
+def _context(n, zeta, rows=None):
     """A suite context carrying only what independence reads."""
-    return SuiteContext(n, zeta, None, {}, vectors or f_vector_table(n, zeta))
+    return SuiteContext(n, zeta, None, {}, rows or gale_table(n, zeta))
 
 
 @pytest.mark.parametrize("n", range(5, 11))
@@ -44,34 +54,70 @@ def test_certificate_agrees_with_the_sampled_oracle(n):
 
 @pytest.mark.parametrize("n", range(7, 11))
 def test_a_vector_replaced_by_a_combination_fails_both(monkeypatch, n):
-    """Replace the third vector of the first choice the oracle checks by a
-    combination of the first two: that choice is rank deficient, and the stack's
-    columns are no longer values of one polynomial of degree below m."""
+    """Replace the Gale row of the third pair of the first choice the oracle checks
+    by a combination of the first two: that choice is rank deficient, each row is
+    still orthogonal, and the stack's columns are no longer values of one
+    polynomial of degree below m."""
     zeta = ZetaAssignment.consecutive(n)
-    vectors = f_vector_table(n, zeta)
+    rows = gale_table(n, zeta)
     checked = []
     with monkeypatch.context() as m:  # records the first choice, then stops the oracle
         m.setattr(SuiteContext, "stack_rank", lambda self, pairs: checked.append(list(pairs)))
-        sampled_independence(_context(n, zeta, vectors))
+        sampled_independence(_context(n, zeta, rows))
     first, second, third = checked[0][:3]  # three pairs (1, v) of the q = 1 stack
-    combined = [a + 2 * b for a, b in zip(vectors[first].components, vectors[second].components)]
-    vectors[third] = FVector(n, third, tuple(combined))
-    ctx = _context(n, zeta, vectors)
+    rows[third] = tuple([a + 2 * b for a, b in zip(rows[first], rows[second])])
+    ctx = _context(n, zeta, rows)
     assert not sampled_independence(ctx).passed
+    assert _prop_orthogonality(ctx).passed
     assert _prop_independence(ctx).detail == "q=1 rows or columns not orthogonal"
 
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_one_changed_component_fails_the_certificate_and_orthogonality(n):
     zeta = negative_fractional(n)
-    vectors = f_vector_table(n, zeta)
+    rows = gale_table(n, zeta)
     pair = Pair(2, 4, n)
-    components = list(vectors[pair].components)
-    components[0] += 1
-    vectors[pair] = FVector(n, pair, tuple(components))
-    ctx = _context(n, zeta, vectors)
+    rows[pair] = (rows[pair][0] + 1,) + rows[pair][1:]
+    ctx = _context(n, zeta, rows)
     assert _prop_independence(ctx).detail == "q=2 rows or columns not orthogonal"
     assert not _prop_orthogonality(ctx).passed
+
+
+def _tamper_one_move_matrix(monkeypatch, target):
+    """Add the denominator to numerator (0, 0) of the target move's matrix, wherever
+    in the package int_p_matrix is looked up from; returns the tampered moves seen."""
+    real = pmatrix_module.int_p_matrix
+    seen = []
+
+    def tampered(move, zeta):
+        rows, d = real(move, zeta)
+        if move == target:
+            seen.append(move)
+            rows = ((rows[0][0] + d,) + rows[0][1:],) + rows[1:]
+        return rows, d
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real:
+            monkeypatch.setattr(module, "int_p_matrix", tampered)
+    return seen
+
+
+@pytest.mark.parametrize("n", [5, 8, 9])
+def test_a_tampered_move_matrix_fails_the_move_action(monkeypatch, n):
+    """Negative control for the move action on Gale rows: with one entry of one move
+    matrix changed, the suite reports that move, both alone and inside
+    verify_with_properties, where the side products and the suite share the matrix."""
+    zeta = negative_fractional(n)
+    lhs, rhs = equation_sequences(n)
+    move = rhs.moves[-1]
+    seen = _tamper_one_move_matrix(monkeypatch, move)
+    results = {r.name: r for r in run_property_suite(n, zeta, (lhs, rhs))}
+    assert results["move_action"].detail == f"rhs {move.label()}"
+    assert not results["move_action"].passed
+    report = verify_with_properties(n, zeta)
+    assert not report.equal
+    assert {r.name: r for r in report.properties}["move_action"].detail == f"rhs {move.label()}"
+    assert seen == [move, move]
 
 
 def test_a_deficient_stack_reports_the_first_choice(monkeypatch):

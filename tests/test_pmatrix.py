@@ -339,7 +339,10 @@ def test_side_rows_are_canonical_integer_rows_of_the_dense_product(n):
     the rows read as Fractions are the dense product, and the two sides agree,
     at the oracle assignments and at values over large mixed denominators."""
     for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
-        sides = [(seq, side_rows(seq, zeta)) for seq in equation_sequences(n)]
+        sides = [
+            (seq, side_rows(seq, {move: int_p_matrix(move, zeta) for move in seq.moves}))
+            for seq in equation_sequences(n)
+        ]
         for seq, rows in sides:
             for numerators, d in rows:
                 assert d > 0 and gcd(d, *numerators) == 1, (n, zeta.label, seq.side)

@@ -24,7 +24,7 @@ import ngoneq.pmatrix as pmatrix_module
 import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
 import oracles
-from oracles import negative_fractional
+from oracles import fvector_property_suite, negative_fractional, oracle_assignments
 
 
 def test_verify_pentagon_default_assignment():
@@ -91,6 +91,16 @@ def test_property_suite_passes_n7_full_depth():
     ]
 
 
+@pytest.mark.parametrize("n", range(5, 17))
+def test_property_results_match_the_fvector_oracle(n):
+    """Every property's name, outcome and detail on Gale rows equal those of the
+    suite run the old way, on FVector rows from f_value, at consecutive, seeded
+    and negative-fractional values."""
+    sequences = equation_sequences(n)
+    for zeta in oracle_assignments(n):
+        assert run_property_suite(n, zeta, sequences) == fvector_property_suite(n, zeta, sequences)
+
+
 def test_property_suite_passes_random_seeds_n8():
     for seed in (1, 2, 3):
         z = ZetaAssignment.random_distinct(8, seed)
@@ -98,24 +108,75 @@ def test_property_suite_passes_random_seeds_n8():
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
-def test_property_suite_builds_each_invariant_vector_once(monkeypatch):
-    """One run_property_suite call computes the C(n,2) vectors of its table and
-    nothing more, wherever in the package f_vector is looked up from."""
-    real = fvectors_module.f_vector
+def test_property_suite_builds_one_gale_table_and_no_f_vector(monkeypatch):
+    """One run_property_suite call builds one table of Gale rows and no Fraction
+    vector, wherever in the package gale_table, f_vector and f_vector_table are
+    looked up from."""
     calls = []
+    for attr in ("gale_table", "f_vector", "f_vector_table"):
+        real = getattr(fvectors_module, attr)
 
-    def counting(n, pair, zeta):
-        calls.append(pair)
-        return real(n, pair, zeta)
+        def counting(*args, real=real, attr=attr):
+            calls.append(attr)
+            return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, "f_vector", None) is real:
-            monkeypatch.setattr(module, "f_vector", counting)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ngoneq" and getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, counting)
     for n in (5, 8, 9):
         calls.clear()
         results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5), equation_sequences(n))
         assert all(r.passed for r in results)
-        assert len(calls) == len(set(calls)) == comb(n, 2)
+        assert calls == ["gale_table"]
+
+
+def test_property_suite_checks_each_row_orthogonality_once(monkeypatch):
+    """Each Gale row's orthogonality is computed once per suite run and shared by
+    orthogonality and independence, which checks only its q-stacks' n columns
+    itself: C(n,2) + n^2 calls, wherever check_orthogonality is looked up from."""
+    real = fvectors_module.check_orthogonality
+    calls = []
+
+    def counting(row, zeta):
+        calls.append(row)
+        return real(row, zeta)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "check_orthogonality", None) is real:
+            monkeypatch.setattr(module, "check_orthogonality", counting)
+    for n in (5, 8, 9):
+        calls.clear()
+        results = run_property_suite(n, negative_fractional(n), equation_sequences(n))
+        assert all(r.passed for r in results)
+        assert len(calls) == comb(n, 2) + n * n
+
+
+def _count_int_p_matrix(monkeypatch):
+    """Record every int_p_matrix call, wherever in the package it is looked up from."""
+    real = pmatrix_module.int_p_matrix
+    calls = []
+
+    def counting(move, zeta):
+        calls.append(move)
+        return real(move, zeta)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real:
+            monkeypatch.setattr(module, "int_p_matrix", counting)
+    return calls
+
+
+def test_verify_with_properties_builds_each_move_matrix_once(monkeypatch):
+    """The side products and the suite of one verify_with_properties call share one
+    map of move matrices: int_p_matrix runs exactly once per move."""
+    calls = _count_int_p_matrix(monkeypatch)
+    for n in (5, 8, 9, 10):
+        lhs, rhs = equation_sequences(n)
+        calls.clear()
+        report = verify_with_properties(n, negative_fractional(n))
+        assert report.equal and all(r.passed for r in report.properties)
+        assert Counter(calls) == Counter(lhs.moves + rhs.moves)
+        assert len(calls) == len(lhs.moves) + len(rhs.moves)
 
 
 def test_property_suite_builds_no_extended_matrix(monkeypatch):
@@ -142,16 +203,7 @@ def test_property_suite_builds_each_move_matrix_once(monkeypatch):
     """One run_property_suite call constructs the integer matrix of every move
     of both sequences exactly once, for row sums and move action together,
     wherever in the package int_p_matrix is looked up from."""
-    real = pmatrix_module.int_p_matrix
-    calls = []
-
-    def counting(move, zeta):
-        calls.append(move)
-        return real(move, zeta)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real:
-            monkeypatch.setattr(module, "int_p_matrix", counting)
+    calls = _count_int_p_matrix(monkeypatch)
     for n in (5, 8, 9):
         lhs, rhs = equation_sequences(n)
         calls.clear()
@@ -325,7 +377,8 @@ def test_unequal_products_report_first_difference():
 
     z = ZetaAssignment.consecutive(5)
     report = verify_equation(5, z)
-    lhs = pmatrix_module.side_rows(report.lhs, z)
+    matrices = {move: pmatrix_module.int_p_matrix(move, z) for move in report.lhs.moves}
+    lhs = pmatrix_module.side_rows(report.lhs, matrices)
     numerators, d = lhs[1]
     tampered = list(lhs)
     tampered[1] = (numerators[:2] + (numerators[2] + d,) + numerators[3:], d)
@@ -340,7 +393,8 @@ def test_unequal_products_report_first_difference():
 def _assert_every_move_matrix_tamper_is_detected(monkeypatch, n, zeta):
     """Adding 1 to any one entry of any one move matrix (the denominator to its
     numerator) makes verify_equation report a difference; the tampered
-    constructor is the one the side products call, once per move."""
+    constructor is the one the side products call (wherever in the package it is
+    looked up from), once per move."""
     real_build = pmatrix_module.int_p_matrix
     target = {}
     tampered_calls = []
@@ -355,7 +409,9 @@ def _assert_every_move_matrix_tamper_is_detected(monkeypatch, n, zeta):
 
     lhs, rhs = equation_sequences(n)
     with monkeypatch.context() as m:
-        m.setattr(pmatrix_module, "int_p_matrix", tampered)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real_build:
+                m.setattr(module, "int_p_matrix", tampered)
         for move in lhs.moves + rhs.moves:
             rows, _ = real_build(move, zeta)
             for i, row in enumerate(rows):
