@@ -73,12 +73,16 @@ class ZetaAssignment:
         return int_row(self.values)
 
     @cached_property
-    def weights(self) -> tuple[int, ...]:
-        """c_w = lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y), u = row[0], taken once: sum_w
-        c_w p(u_w) = 0 for every polynomial p of degree below n - 1 (Lagrange)."""
-        scaled = [prod([x - y for y in self.row[0] if y != x]) for x in self.row[0]]
+    def weighted_powers(self) -> tuple[tuple[int, ...], ...]:
+        """The floor(n/2) rows (c_w u_w^t)_w, t = 0, 1, ..., u = row[0], taken once; c_w =
+        lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y), and sum_w c_w p(u_w) = 0 for every
+        polynomial p of degree below n - 1 (Lagrange)."""
+        u = self.row[0]
+        scaled = [prod([x - y for y in u if y != x]) for x in u]
         top = lcm(*scaled)
-        return tuple([top // w for w in scaled])
+        return tuple(
+            tuple([top // w * x**t for w, x in zip(scaled, u)]) for t in range(self.n // 2)
+        )
 
     @classmethod
     def consecutive(cls, n: int) -> "ZetaAssignment":

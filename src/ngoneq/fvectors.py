@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import InvalidInputError
@@ -82,11 +83,11 @@ def f_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
 
 def check_orthogonality(row: Sequence[int], zeta: ZetaAssignment) -> bool:
     """True iff the vector of the Gale row ``row`` annihilates the power rows: iff
-    sum_w c_w row_w u_w^t = 0 for t < floor(n/2), c = ``zeta.weights`` (c_w ~ lambda_w)."""
+    sum_w c_w u_w^t row_w = 0 for t < floor(n/2) (c_w ~ lambda_w), one dot product with
+    each row of ``zeta.weighted_powers``."""
     if zeta.n != len(row):
         raise InvalidInputError(f"assignment has {zeta.n} values, row has {len(row)}")
-    weighted, u = [c * g for c, g in zip(zeta.weights, row)], zeta.row[0]
-    return not any(sum([x * y**t for x, y in zip(weighted, u)]) for t in range(zeta.n // 2))
+    return not any(sum(map(mul, powers, row)) for powers in zeta.weighted_powers)
 
 
 def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple]) -> bool:

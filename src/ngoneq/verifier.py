@@ -166,10 +166,10 @@ def max_stack_rank(n: int) -> int:
 class SuiteContext:
     """What one (n, zeta) suite run reads, built once: the move sequences and matrices,
     the integer Gale rows of all C(n,2) pairs (``gale_table``), and on first use each
-    row's orthogonality and the n q-stack ranks. By Identity 1 each vector is Lambda g_ij:
+    row's orthogonality, each q-stack and its rank. By Identity 1 each vector is Lambda g_ij:
     Lambda = diag(1 / prod_{y != w} (z_w - z_y)) is one global diagonal and g_ij(t) =
     (t - z_i)(t - z_j) e_r(t - z_x : x not in {i, j}) the Gale polynomial, so ranks ignore
-    Lambda, moves act on the rows, and orthogonality weighs them by ``zeta.weights``."""
+    Lambda, moves act on the rows, and orthogonality reads ``zeta.weighted_powers``."""
 
     n: int
     zeta: ZetaAssignment
@@ -187,13 +187,24 @@ class SuiteContext:
         return {pair: check_orthogonality(row, self.zeta) for pair, row in self.rows.items()}
 
     @cached_property
-    def stack_ranks(self) -> tuple[int, ...]:
-        """Rank of the q-stack (the n-1 pairs containing q) at index q - 1, taken once."""
-        return tuple(self.stack_rank(self.omit_vertex_pairs(q)) for q in range(1, self.n + 1))
+    def q_stacks(self) -> tuple[dict[Pair, tuple[int, ...]], ...]:
+        """At index q - 1, the Gale rows of the n-1 pairs containing q by their other vertex."""
+        n, everyone = self.n, range(1, self.n + 1)
+        return tuple({p: self.rows[p] for p in (Pair.of(n, q, v) for v in everyone if v != q)}
+                     for q in everyone)
 
-    def omit_vertex_pairs(self, q: int) -> list[Pair]:
-        """The n-1 pairs containing q, ordered by their other vertex."""
-        return [Pair.of(self.n, q, v) for v in range(1, self.n + 1) if v != q]
+    @cached_property
+    def stack_ranks(self) -> tuple[int, ...]:
+        """Rank of the q-stack at index q - 1, taken once. Orthogonal rows that vanish at
+        column q span at most n - 1 - floor(n/2) = m dimensions, so a nonsingular m x m block
+        (first m rows, first m columns other than q) certifies rank m; else the full rank."""
+        m, ranks = move_size(self.n), []
+        for q, stack in enumerate(self.q_stacks, start=1):
+            rows = list(stack.values())
+            bounded = all(self.orthogonal[pair] and not row[q - 1] for pair, row in stack.items())
+            block = bounded and rank([(row[: q - 1] + row[q:])[:m] for row in rows[:m]]) == m
+            ranks.append(m if block else rank(rows))
+        return tuple(ranks)
 
 
 def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
@@ -204,11 +215,8 @@ def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
             rows, d = ctx.matrices[move]
             for i, row in enumerate(rows):
                 if sum(row) != d:
-                    return PropertyResult(
-                        "row_sums",
-                        False,
-                        f"{seq.side} {move.label()} move matrix row {i} sums to {Rat(sum(row), d)}",
-                    )
+                    where = f"{seq.side} {move.label()} move matrix row {i}"
+                    return PropertyResult("row_sums", False, f"{where} sums to {Rat(sum(row), d)}")
     return PropertyResult("row_sums", True)
 
 
@@ -229,20 +237,21 @@ def _stack_is_orthogonal(ctx: SuiteContext, q: int) -> bool:
     """True iff every row of the q-stack is orthogonal and every column w is annihilated
     by mu_v * z_v^j, j < floor(n/2), v in T = [n] \\ {q}, mu_v = 1 / prod_{y in T, y != v}
     (z_v - z_y) = (z_v - z_q) lambda_v: iff each column (u_v - u_q) g_qv(u_w) is orthogonal."""
-    if not all(ctx.orthogonal[pair] for pair in ctx.omit_vertex_pairs(q)):
+    stack = ctx.q_stacks[q - 1]
+    if not all(ctx.orthogonal[pair] for pair in stack):
         return False
-    u, n = ctx.zeta.row[0], ctx.n
-    rows = [ctx.rows[Pair.of(n, q, v)] if v != q else (0,) * n for v in range(1, n + 1)]
-    stack = [[(x - u[q - 1]) * a for a in row] for x, row in zip(u, rows)]
-    return all(check_orthogonality(column, ctx.zeta) for column in zip(*stack))
+    u, rows = ctx.zeta.row[0], list(stack.values())
+    rows.insert(q - 1, (0,) * ctx.n)
+    scaled = [[(x - u[q - 1]) * a for a in row] for x, row in zip(u, rows)]
+    return all(check_orthogonality(column, ctx.zeta) for column in zip(*scaled))
 
 
 def _prop_independence(ctx: SuiteContext) -> PropertyResult:
     """Every choice of m = floor((n-1)/2) vectors omitting a common vertex q has rank
     m, for all C(n-1, m) choices at once. A q-stack W that passes ``_stack_is_orthogonal``
     is V K (diag(mu) V)^T, V the (n-1) x m Vandermonde matrix on T (Gale duality,
-    Eisenbud-Popescu 2000); any m rows of V are invertible, so every m-choice of
-    rows has rank m exactly when rank W = m, and none has when rank W < m."""
+    Eisenbud-Popescu 2000); any m rows of V are invertible, so every m-choice of rows has
+    rank m exactly when rank W = m (``stack_ranks``: one m x m block), none when it is less."""
     m = move_size(ctx.n)
     for q, got in enumerate(ctx.stack_ranks, start=1):
         if not _stack_is_orthogonal(ctx, q):
@@ -270,9 +279,7 @@ def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
     got = ctx.stack_rank(initial.pairs)
     want = min(len(initial), max_stack_rank(ctx.n))
     if got != want:
-        return PropertyResult(
-            "initial_stack_rank", False, f"rank {got}, want {want}"
-        )
+        return PropertyResult("initial_stack_rank", False, f"rank {got}, want {want}")
     return PropertyResult("initial_stack_rank", True, f"rank {got}")
 
 

@@ -16,7 +16,9 @@ triangulations from the initial one rather than read ``MoveSequence.path``.
 ``build_p_matrix`` is the ``Fraction`` view of ``int_p_matrix`` that the tests
 compare against. ``sampled_independence`` is the independence property as it
 was before the certificate: Bareiss ranks of seeded sampled (or, with
-``sample=inf``, all) choices of vectors omitting a common vertex. The small
+``sample=inf``, all) choices of vectors omitting a common vertex, and
+``lagrange_orthogonality`` is the orthogonality test as it was before
+``ZetaAssignment.weighted_powers``: Lagrange weights and every power taken afresh. The small
 dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
 vector stacks) serve the tests only.
 """
@@ -24,6 +26,7 @@ vector stacks) serve the tests only.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm, prod
 
@@ -342,6 +345,23 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
     return tuple(results)
 
 
+@lru_cache(maxsize=None)
+def lagrange_weights(zeta: ZetaAssignment) -> tuple[int, ...]:
+    """c_w = lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y): sum_w c_w p(u_w) = 0 for every
+    polynomial p of degree below n - 1."""
+    u = zeta.row[0]
+    scaled = [prod([x - y for y in u if y != x]) for x in u]
+    top = lcm(*scaled)
+    return tuple([top // w for w in scaled])
+
+
+def lagrange_orthogonality(row, zeta: ZetaAssignment) -> bool:
+    """``check_orthogonality`` as it was before the power table: sum_w c_w row_w u_w^t = 0
+    for every t < floor(n/2), c = ``lagrange_weights(zeta)``, each power u_w^t taken afresh."""
+    weighted, u = [c * g for c, g in zip(lagrange_weights(zeta), row)], zeta.row[0]
+    return not any(sum([x * y**t for x, y in zip(weighted, u)]) for t in range(zeta.n // 2))
+
+
 def fraction_rank(matrix: DenseMatrix) -> int:
     """Rank by Gaussian elimination over Fraction, pivoting on the first nonzero
     entry in each column; must equal DenseMatrix.rank."""
@@ -408,7 +428,7 @@ def sampled_independence(ctx: SuiteContext, sample=INDEPENDENCE_SAMPLE) -> Prope
     m = move_size(n)
     total = comb(n - 1, m)
     for q in range(1, n + 1):
-        pairs = ctx.omit_vertex_pairs(q)
+        pairs = list(ctx.q_stacks[q - 1])
         choices = combinations(range(n - 1), m)
         if total > sample:
             indices = random.Random(10_000 * n + q).sample(range(total), sample)

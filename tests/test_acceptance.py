@@ -16,7 +16,7 @@ from ngoneq import (
     check_orthogonality,
     equation_sequences,
     extended_matrices,
-    f_vector,
+    f_vector_table,
     final_triangulation,
     gale_table,
     initial_triangulation,
@@ -194,10 +194,10 @@ def test_criterion_08b_fixed_vertex_stack_rank():
     from q has exact rank floor((n-1)/2), n = 5..12."""
     bad = []
     for n in ALL_N:
-        zeta = consecutive(n)
+        vectors = f_vector_table(n, consecutive(n))
         for q in range(1, n + 1):
             stack = DenseMatrix([
-                list(f_vector(n, Pair.of(n, q, v), zeta).components)
+                list(vectors[Pair.of(n, q, v)].components)
                 for v in range(1, n + 1)
                 if v != q
             ])

@@ -30,6 +30,7 @@ from oracles import (
     f_value_vector,
     g_value,
     gale_polynomial,
+    lagrange_orthogonality,
     mixed_denominators,
     negative_fractional,
     oracle_assignments,
@@ -216,14 +217,33 @@ def _perturbed(row, changes):
 def test_orthogonality_over_integer_rows_at_non_integer_values(n, make):
     """Every true row passes at values with denominators s != 1. One perturbed
     component breaks t = 0; moving weight c_b to vertex a and -c_a to vertex b
-    (c = zeta.weights) keeps t = 0 and breaks t = 1, where the values enter."""
+    (c = zeta.weighted_powers[0]) keeps t = 0 and breaks t = 1, where the values enter."""
     z = make(n)
-    c = z.weights
+    c = z.weighted_powers[0]
     for pair, row in gale_table(n, z).items():
         assert check_orthogonality(row, z), pair
         a, b = pair.simplex()[:2]
         assert not check_orthogonality(_perturbed(row, {a: 1}), z), pair
         assert not check_orthogonality(_perturbed(row, {a: c[b - 1], b: -c[a - 1]}), z), pair
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_orthogonality_table_agrees_with_the_lagrange_oracle(n):
+    """The dot products with ``zeta.weighted_powers`` decide as the Lagrange-weight
+    formula with every power taken afresh: true on every Gale row and on every q-stack
+    column (u_v - u_q) g_qv(u_w), false on every row with one component changed."""
+    for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
+        u, rows = zeta.row[0], gale_table(n, zeta)
+        cases = [(row, True) for row in rows.values()]
+        cases += [(_perturbed(row, {pair.simplex()[0]: 1}), False) for pair, row in rows.items()]
+        for q in range(1, n + 1):
+            stack = [
+                [(u[v - 1] - u[q - 1]) * a for a in rows[Pair.of(n, q, v)]] if v != q else [0] * n
+                for v in range(1, n + 1)
+            ]
+            cases += [(column, True) for column in zip(*stack)]
+        for row, want in cases:
+            assert check_orthogonality(row, zeta) == lagrange_orthogonality(row, zeta) == want
 
 
 def test_orthogonality_rejects_an_assignment_of_another_size():

@@ -1,6 +1,7 @@
 """The independence certificate: agreement with the Bareiss-rank oracles, two
-tampered Gale tables it must reject, its rank count, and the theorem it rests on;
-and a tampered move matrix that the move action must reject."""
+tampered Gale tables it must reject, its rank count, the m x m block that decides
+each q-stack rank and the full-rank fallback, and the theorem it rests on; and a
+tampered move matrix that the move action must reject."""
 
 from fractions import Fraction
 from math import comb, inf, prod
@@ -19,7 +20,16 @@ from ngoneq.verifier import (
     run_property_suite,
     verify_with_properties,
 )
-from oracles import fraction_det, negative_fractional, sampled_independence, vandermonde
+from ngoneq.exactfield import rank
+from ngoneq.simplicial import move_size
+from oracles import (
+    fraction_det,
+    mixed_denominators,
+    negative_fractional,
+    oracle_assignments,
+    sampled_independence,
+    vandermonde,
+)
 
 
 def _context(n, zeta, rows=None):
@@ -52,21 +62,37 @@ def test_certificate_agrees_with_the_sampled_oracle(n):
         assert result.passed
 
 
-@pytest.mark.parametrize("n", range(7, 11))
-def test_a_vector_replaced_by_a_combination_fails_both(monkeypatch, n):
-    """Replace the Gale row of the third pair of the first choice the oracle checks
-    by a combination of the first two: that choice is rank deficient, each row is
-    still orthogonal, and the stack's columns are no longer values of one
-    polynomial of degree below m."""
+def _combination_table(monkeypatch, n):
+    """The Gale table at consecutive values with the row of the third pair of the first
+    choice the oracle checks replaced by the first row plus twice the second: three
+    pairs (1, v) of the q = 1 stack."""
     zeta = ZetaAssignment.consecutive(n)
     rows = gale_table(n, zeta)
     checked = []
     with monkeypatch.context() as m:  # records the first choice, then stops the oracle
         m.setattr(SuiteContext, "stack_rank", lambda self, pairs: checked.append(list(pairs)))
         sampled_independence(_context(n, zeta, rows))
-    first, second, third = checked[0][:3]  # three pairs (1, v) of the q = 1 stack
+    first, second, third = checked[0][:3]
     rows[third] = tuple([a + 2 * b for a, b in zip(rows[first], rows[second])])
-    ctx = _context(n, zeta, rows)
+    return zeta, rows
+
+
+def _changed_component_table(n):
+    """The Gale table at negative fractional values with component 1 of pair (2, 4) plus 1."""
+    zeta = negative_fractional(n)
+    rows = gale_table(n, zeta)
+    pair = Pair(2, 4, n)
+    rows[pair] = (rows[pair][0] + 1,) + rows[pair][1:]
+    return zeta, rows
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_a_vector_replaced_by_a_combination_fails_both(monkeypatch, n):
+    """Replace the Gale row of the third pair of the first choice the oracle checks
+    by a combination of the first two: that choice is rank deficient, each row is
+    still orthogonal, and the stack's columns are no longer values of one
+    polynomial of degree below m."""
+    ctx = _context(n, *_combination_table(monkeypatch, n))
     assert not sampled_independence(ctx).passed
     assert _prop_orthogonality(ctx).passed
     assert _prop_independence(ctx).detail == "q=1 rows or columns not orthogonal"
@@ -74,13 +100,47 @@ def test_a_vector_replaced_by_a_combination_fails_both(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_one_changed_component_fails_the_certificate_and_orthogonality(n):
-    zeta = negative_fractional(n)
-    rows = gale_table(n, zeta)
-    pair = Pair(2, 4, n)
-    rows[pair] = (rows[pair][0] + 1,) + rows[pair][1:]
-    ctx = _context(n, zeta, rows)
+    ctx = _context(n, *_changed_component_table(n))
     assert _prop_independence(ctx).detail == "q=2 rows or columns not orthogonal"
     assert not _prop_orthogonality(ctx).passed
+
+
+def _full_stack_ranks(ctx):
+    """The Bareiss rank of every q-stack, its n - 1 rows read from the table."""
+    n = ctx.n
+    return tuple(
+        rank([ctx.rows[Pair.of(n, q, v)] for v in range(1, n + 1) if v != q])
+        for q in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_stack_ranks_equal_the_full_ranks(n):
+    """The block certificate gives each q-stack's full rank, m, on correct tables."""
+    for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
+        ctx = _context(n, zeta)
+        assert ctx.stack_ranks == _full_stack_ranks(ctx) == (move_size(n),) * n, zeta.label
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_stack_ranks_fall_back_to_the_full_rank_on_tampered_tables(monkeypatch, n):
+    """A row that fails orthogonality (pair (2, 4)) skips the block of the q = 2 and
+    q = 4 stacks. The combination row keeps every row orthogonal and zero at q = 1, and
+    where it lies among the first m rows (n = 7, 8: the oracle's first choice is
+    (0, 1, 2)) it makes the block singular. Either way the full rank of the n - 1 rows
+    decides, and every stack rank equals the full rank."""
+    m, calls = move_size(n), []
+    combination, changed = _combination_table(monkeypatch, n), _changed_component_table(n)
+    real = verifier_module.rank
+    monkeypatch.setattr(verifier_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
+    ctx = _context(n, *combination)
+    assert ctx.stack_ranks == _full_stack_ranks(ctx)
+    if n <= 8:
+        assert calls[:2] == [m, n - 1]
+    calls.clear()
+    ctx = _context(n, *changed)
+    assert ctx.stack_ranks == _full_stack_ranks(ctx)
+    assert calls[:4] == [m, n - 1, m, n - 1]
 
 
 def _tamper_one_move_matrix(monkeypatch, target):
@@ -130,8 +190,8 @@ def test_a_deficient_stack_reports_the_first_choice(monkeypatch):
 
 
 def test_suite_takes_n_plus_one_ranks(monkeypatch):
-    """One rank per q-stack, shared by independence and span rank, and one for
-    the initial stack."""
+    """One rank per q-stack, of its m x m block, shared by independence and span rank,
+    and one for the initial stack."""
     calls = []
     real = verifier_module.rank
 
@@ -145,6 +205,7 @@ def test_suite_takes_n_plus_one_ranks(monkeypatch):
         results = run_property_suite(n, ZetaAssignment.random_distinct(n, 7), equation_sequences(n))
         assert all(r.passed for r in results)
         assert len(calls) == n + 1
+        assert calls[:n] == [move_size(n)] * n  # each q-stack decided by its m x m block
 
 
 def det_c(n: int) -> int:

@@ -14,6 +14,7 @@ from ngoneq import (
     Pair,
     ZetaAssignment,
     equation_sequences,
+    gale_table,
     run_property_suite,
     verify_equation,
     verify_with_properties,
@@ -24,7 +25,12 @@ import ngoneq.pmatrix as pmatrix_module
 import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
 import oracles
-from oracles import fvector_property_suite, negative_fractional, oracle_assignments
+from oracles import (
+    fvector_property_suite,
+    mixed_denominators,
+    negative_fractional,
+    oracle_assignments,
+)
 
 
 def test_verify_pentagon_default_assignment():
@@ -99,6 +105,13 @@ def test_property_results_match_the_fvector_oracle(n):
     sequences = equation_sequences(n)
     for zeta in oracle_assignments(n):
         assert run_property_suite(n, zeta, sequences) == fvector_property_suite(n, zeta, sequences)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_property_results_match_the_fvector_oracle_at_mixed_denominators(n):
+    """As above, at values over large, pairwise different denominators."""
+    sequences, zeta = equation_sequences(n), mixed_denominators(n)
+    assert run_property_suite(n, zeta, sequences) == fvector_property_suite(n, zeta, sequences)
 
 
 def test_property_suite_passes_random_seeds_n8():
@@ -322,13 +335,14 @@ def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
         return m
 
     monkeypatch.setattr(verifier_module.SuiteContext, "stack_rank", recording)
-    ctx = verifier_module.SuiteContext(n, ZetaAssignment.consecutive(n), None, {}, {})
+    zeta = ZetaAssignment.consecutive(n)
+    ctx = verifier_module.SuiteContext(n, zeta, None, {}, gale_table(n, zeta))
     assert oracles.sampled_independence(ctx).passed
     all_choices = list(combinations(range(n - 1), m))
     assert len(all_choices) > oracles.INDEPENDENCE_SAMPLE
     want = []
     for q in range(1, n + 1):
-        pairs = ctx.omit_vertex_pairs(q)
+        pairs = list(ctx.q_stacks[q - 1])
         sample = random.Random(10_000 * n + q).sample(all_choices, oracles.INDEPENDENCE_SAMPLE)
         want += [[pairs[k] for k in choice] for choice in sample]
     assert checked == want
