@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import prod
 from operator import mul
 from typing import Mapping, Sequence
@@ -29,27 +29,25 @@ from .simplicial import PachnerMove, Pair, check_n
 
 def gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
     """The integer Gale rows (g_ij(u_w))_w of all C(n,2) pairs in lexicographic order,
-    zero at w = i and w = j. At each w, e_0..e_r of all d_x = u_w - u_x are built once;
-    two deletions e'_t = e_t - d * e'_{t-1} drop d_i and d_j: O(r) per component."""
-    def delete(e: list[int], d: int) -> list[int]:
-        return list(accumulate(e, lambda previous, current: current - d * previous))
-
+    zero at w = i and w = j. At each w, e_0..e_{r+1} of all d_x = u_w - u_x are built once;
+    a Horner deletion gives E_x = e_{r+1}(d without d_x). As E_i - E_j = (u_i - u_j) *
+    e_r(d without d_i, d_j), each component is d_i d_j (E_i - E_j) / (u_i - u_j), exact: O(1)."""
     check_n(n)
     if zeta.n != n:
         raise InvalidInputError(f"assignment has {zeta.n} values, expected {n}")
     u, r = zeta.row[0], n - 3 - n // 2
-    rows = {pair: [0] * n for pair in combinations(range(n), 2)}
-    for w, uw in enumerate(u):
-        d = [uw - x for x in u]
-        e = [1] + [0] * r
+    pairs = [(i, j, u[i] - u[j]) for i, j in combinations(range(n), 2)]
+    columns = []
+    for uw in u:
+        d, e = [uw - x for x in u], [1] + [0] * (r + 1)
         for x in d:
-            for t in range(r, 0, -1):
+            for t in range(r + 1, 0, -1):
                 e[t] += e[t - 1] * x
-        without = [delete(e, x) for x in d]
-        for (i, j), row in rows.items():
-            if w != i and w != j:
-                row[w] = d[i] * d[j] * delete(without[i], d[j])[-1]
-    return {Pair(i + 1, j + 1, n): tuple(row) for (i, j), row in rows.items()}
+        deleted = [0] * n
+        for c in e:  # Horner, for every x at once: h <- e_t - d_x h
+            deleted = [c - x * h for x, h in zip(d, deleted)]
+        columns.append([d[i] * d[j] * ((deleted[i] - deleted[j]) // g) for i, j, g in pairs])
+    return {Pair(i + 1, j + 1, n): row for (i, j, _), row in zip(pairs, zip(*columns))}
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,12 @@ def check_orthogonality(row: Sequence[int], zeta: ZetaAssignment) -> bool:
     each row of ``zeta.weighted_powers``."""
     if zeta.n != len(row):
         raise InvalidInputError(f"assignment has {zeta.n} values, row has {len(row)}")
-    return not any(sum(map(mul, powers, row)) for powers in zeta.weighted_powers)
+    return annihilates(zeta.weighted_powers, row)
+
+
+def annihilates(weights: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
+    """True iff every weight row has zero dot product with the vector."""
+    return not any(sum(map(mul, row, vector)) for row in weights)
 
 
 def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple]) -> bool:

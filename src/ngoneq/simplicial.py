@@ -105,12 +105,14 @@ class PachnerMove:
     @cached_property
     def removed_pairs(self) -> tuple[Pair, ...]:
         """The pairs {b, q}, b descending: the column order of the move matrix."""
-        return tuple([Pair.of(self.n, b, self.q) for b in reversed(self.b_set)])
+        n, q = self.n, self.q  # checked by __post_init__: Pair._make skips Pair's check
+        return tuple([Pair._make((min(b, q), max(b, q), n)) for b in reversed(self.b_set)])
 
     @cached_property
     def created_pairs(self) -> tuple[Pair, ...]:
         """The pairs {c, q}, c descending: the row order of the move matrix."""
-        return tuple([Pair.of(self.n, c, self.q) for c in reversed(self.c_set)])
+        n, q = self.n, self.q  # checked by __post_init__: Pair._make skips Pair's check
+        return tuple([Pair._make((min(c, q), max(c, q), n)) for c in reversed(self.c_set)])
 
     def label(self) -> str:
         """Subscript notation d^(q)_{b...} used in step listings."""
@@ -168,12 +170,12 @@ def derive_move(t: Triangulation, q: int) -> PachnerMove:
     n = t.n
     if not 1 <= q <= n:
         raise InvalidInputError(f"vertex {q} out of range 1..{n}")
-    b = sorted(p.other(q) for p in t.pairs if q in (p.i, p.j))
+    b = sorted([p.i + p.j - q for p in t.pairs if p.i == q or p.j == q])
     if len(b) != move_size(n):
         raise MoveNotApplicableError(
             f"vertex {q} lies in {len(b)} pairs, need {move_size(n)}"
         )
-    c = sorted(set(range(1, n + 1)) - {q} - set(b))
+    c = sorted(set(range(1, n + 1)).difference(b, (q,)))
     return PachnerMove(n, q, tuple(b), tuple(c))
 
 
@@ -182,15 +184,15 @@ def apply_move(t: Triangulation, move: PachnerMove) -> Triangulation:
     if move.n != t.n:
         raise InvalidInputError("move and triangulation have different n")
     current = set(t.pairs)
-    for p in move.removed_pairs:
-        if p not in current:
-            raise MoveNotApplicableError(f"pair ({p.i},{p.j}) not present")
-        current.remove(p)
-    for p in move.created_pairs:
-        if p in current:
-            raise MoveNotApplicableError(f"pair ({p.i},{p.j}) already present")
-        current.add(p)
-    return Triangulation.from_pairs(t.n, current)
+    if not current.issuperset(move.removed_pairs):
+        p = next(p for p in move.removed_pairs if p not in current)
+        raise MoveNotApplicableError(f"pair ({p.i},{p.j}) not present")
+    current.difference_update(move.removed_pairs)
+    if not current.isdisjoint(move.created_pairs):
+        p = next(p for p in move.created_pairs if p in current)
+        raise MoveNotApplicableError(f"pair ({p.i},{p.j}) already present")
+    current.update(move.created_pairs)
+    return Triangulation(t.n, tuple(sorted(current, reverse=True)))  # a set: no duplicates
 
 
 def lhs_q_order(n: int) -> list[int]:

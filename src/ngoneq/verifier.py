@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row
-from .fvectors import check_move_action, check_orthogonality, gale_table
+from .fvectors import annihilates, check_move_action, check_orthogonality, gale_table
 from .pmatrix import int_p_matrix, side_rows
 from .simplicial import (
     MoveSequence,
@@ -234,16 +234,18 @@ def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
 
 
 def _stack_is_orthogonal(ctx: SuiteContext, q: int) -> bool:
-    """True iff every row of the q-stack is orthogonal and every column w is annihilated
+    """True iff every row of the q-stack W is orthogonal and every column w is annihilated
     by mu_v * z_v^j, j < floor(n/2), v in T = [n] \\ {q}, mu_v = 1 / prod_{y in T, y != v}
-    (z_v - z_y) = (z_v - z_q) lambda_v: iff each column (u_v - u_q) g_qv(u_w) is orthogonal."""
+    (z_v - z_y) = (z_v - z_q) lambda_v: by F, the rows of ``zeta.weighted_powers`` on T with
+    (u_v - u_q) folded in. As W's rows are orthogonal, each row of F W is the values at the
+    u_w of a polynomial of degree below n - floor(n/2), so that many columns decide all."""
     stack = ctx.q_stacks[q - 1]
     if not all(ctx.orthogonal[pair] for pair in stack):
         return False
-    u, rows = ctx.zeta.row[0], list(stack.values())
-    rows.insert(q - 1, (0,) * ctx.n)
-    scaled = [[(x - u[q - 1]) * a for a in row] for x, row in zip(u, rows)]
-    return all(check_orthogonality(column, ctx.zeta) for column in zip(*scaled))
+    u, others = ctx.zeta.row[0], [v for v in range(ctx.n) if v != q - 1]
+    folded = [[(u[v] - u[q - 1]) * row[v] for v in others] for row in ctx.zeta.weighted_powers]
+    columns = list(zip(*stack.values()))[: max_stack_rank(ctx.n)]
+    return all(annihilates(folded, column) for column in columns)
 
 
 def _prop_independence(ctx: SuiteContext) -> PropertyResult:
@@ -273,11 +275,13 @@ def _prop_span_rank(ctx: SuiteContext) -> PropertyResult:
 
 
 def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
-    """The stacked vectors of the initial triangulation achieve the maximum
-    attainable rank min(row count, n - floor(n/2))."""
-    initial = ctx.sequences[0].path[0]
-    got = ctx.stack_rank(initial.pairs)
-    want = min(len(initial), max_stack_rank(ctx.n))
+    """The initial triangulation's stacked vectors reach the maximum attainable rank want =
+    min(row count, n - floor(n/2)). Orthogonal rows span at most n - floor(n/2) dimensions:
+    if every initial row is, want independent first rows certify it; else the full rank."""
+    pairs = ctx.sequences[0].path[0].pairs
+    want = min(len(pairs), max_stack_rank(ctx.n))
+    bounded = all(ctx.orthogonal[pair] for pair in pairs)
+    got = want if bounded and ctx.stack_rank(pairs[:want]) == want else ctx.stack_rank(pairs)
     if got != want:
         return PropertyResult("initial_stack_rank", False, f"rank {got}, want {want}")
     return PropertyResult("initial_stack_rank", True, f"rank {got}")

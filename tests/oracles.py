@@ -8,8 +8,10 @@ matrices, exactly as the polygon equation is stated, so that the library's
 results can be checked against them. Likewise the invariant-vector components
 are computed here as explicit sums over subsets and by the O(n k) recurrence
 ``f_value`` the library used before its Gale rows, the Gale polynomial is
-evaluated directly in ``Fraction`` arithmetic (``gale_polynomial``), the whole
-property suite is run the old way on ``FVector`` rows built from ``f_value``
+evaluated directly in ``Fraction`` arithmetic (``gale_polynomial``), the Gale
+table is built with two deletions per component as the library built it before
+its difference form (``deletion_gale_table``), the whole property suite is run
+the old way on ``FVector`` rows built from ``f_value``
 (``fvector_property_suite``), and ranks are taken by Gaussian elimination in
 ``Fraction`` arithmetic. The padded factors walk their own
 triangulations from the initial one rather than read ``MoveSequence.path``.
@@ -27,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, lcm, prod
 
 from hypothesis import strategies as st
@@ -261,6 +263,29 @@ def f_value_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
     for v in simplex:
         components[v - 1] = f_value(n, v, [w for w in simplex if w != v], zeta)
     return FVector(n, pair, tuple(components))
+
+
+def deletion_gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
+    """``gale_table`` as it was built before the difference form: at each w, e_0..e_r of
+    all d_x = u_w - u_x once, then two deletions e'_t = e_t - d * e'_{t-1} drop d_i and
+    d_j from them for every component, O(r) each."""
+    def delete(e, d):
+        return list(accumulate(e, lambda previous, current: current - d * previous))
+
+    check_n(n)
+    u, r = zeta.row[0], n - 3 - n // 2
+    rows = {pair: [0] * n for pair in combinations(range(n), 2)}
+    for w, uw in enumerate(u):
+        d = [uw - x for x in u]
+        e = [1] + [0] * r
+        for x in d:
+            for t in range(r, 0, -1):
+                e[t] += e[t - 1] * x
+        without = [delete(e, x) for x in d]
+        for (i, j), row in rows.items():
+            if w != i and w != j:
+                row[w] = d[i] * d[j] * delete(without[i], d[j])[-1]
+    return {Pair(i + 1, j + 1, n): tuple(row) for (i, j), row in rows.items()}
 
 
 def cleared_row(v: FVector):

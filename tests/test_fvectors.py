@@ -25,6 +25,7 @@ from ngoneq import (
 from ngoneq.verifier import max_stack_rank
 from oracles import (
     cleared_row,
+    deletion_gale_table,
     distinct_assignments,
     f_value,
     f_value_vector,
@@ -299,6 +300,15 @@ def test_gale_table_holds_every_pair_in_order():
         rows = gale_table(n, ZetaAssignment.random_distinct(n, 4))
         assert list(rows) == [Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2)]
         assert all(type(row) is tuple and len(row) == n for row in rows.values())
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_gale_table_agrees_with_the_deletion_oracle(n):
+    """The difference form d_i d_j (E_i - E_j) / (u_i - u_j) gives the table the two
+    deletions per component gave, entry for entry and in the same pair order."""
+    for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
+        rows, expected = gale_table(n, zeta), deletion_gale_table(n, zeta)
+        assert list(rows.items()) == list(expected.items()), zeta.label
 
 
 def test_gale_table_rejects_bad_sizes():

@@ -1,7 +1,9 @@
 """The independence certificate: agreement with the Bareiss-rank oracles, two
 tampered Gale tables it must reject, its rank count, the m x m block that decides
-each q-stack rank and the full-rank fallback, and the theorem it rests on; and a
-tampered move matrix that the move action must reject."""
+each q-stack rank and the full-rank fallback, and the theorem it rests on; the
+initial-stack certificate (the first rows when every row is orthogonal) and its
+full-rank fallback on two tampered tables; and a tampered move matrix that the
+move action must reject."""
 
 from fractions import Fraction
 from math import comb, inf, prod
@@ -10,13 +12,24 @@ import pytest
 
 import sys
 
-from ngoneq import Pair, ZetaAssignment, equation_sequences, f_vector_table, gale_table
+from ngoneq import (
+    Pair,
+    ZetaAssignment,
+    equation_sequences,
+    f_vector_table,
+    gale_table,
+    initial_triangulation,
+)
+import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.verifier as verifier_module
+import oracles
 from ngoneq.verifier import (
     SuiteContext,
     _prop_independence,
+    _prop_initial_stack_rank,
     _prop_orthogonality,
+    max_stack_rank,
     run_property_suite,
     verify_with_properties,
 )
@@ -24,6 +37,7 @@ from ngoneq.exactfield import rank
 from ngoneq.simplicial import move_size
 from oracles import (
     fraction_det,
+    fvector_property_suite,
     mixed_denominators,
     negative_fractional,
     oracle_assignments,
@@ -143,6 +157,59 @@ def test_stack_ranks_fall_back_to_the_full_rank_on_tampered_tables(monkeypatch, 
     assert calls[:4] == [m, n - 1, m, n - 1]
 
 
+def _suites_on_table(monkeypatch, n, zeta, rows):
+    """run_property_suite with ``rows`` in place of the Gale table, and
+    fvector_property_suite with the Fraction view of ``rows`` in place of its vectors."""
+    sequences = equation_sequences(n)
+    for module in (verifier_module, fvectors_module):
+        monkeypatch.setattr(module, "gale_table", lambda n, zeta: rows)
+    vectors = f_vector_table(n, zeta)
+    monkeypatch.setattr(oracles, "f_value_vector", lambda n, pair, zeta: vectors[pair])
+    return run_property_suite(n, zeta, sequences), fvector_property_suite(n, zeta, sequences)
+
+
+def _initial_stack_rank_calls(monkeypatch, n, zeta, rows):
+    """The initial-stack property on ``rows`` and the sizes of the ranks it takes."""
+    calls, real = [], verifier_module.rank
+    monkeypatch.setattr(verifier_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
+    ctx = SuiteContext(n, zeta, equation_sequences(n), {}, rows)
+    return _prop_initial_stack_rank(ctx), calls
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_initial_stack_rank_falls_back_on_a_dependent_prefix(monkeypatch, n):
+    """The third initial row replaced by the sum of the first two stays orthogonal, so
+    the prefix of want rows is tried, is rank deficient, and the full rank of all rows
+    decides: the suite then reads as the FVector oracle on the same table."""
+    zeta = negative_fractional(n)
+    rows, pairs = gale_table(n, zeta), initial_triangulation(n).pairs
+    want = min(len(pairs), max_stack_rank(n))
+    rows[pairs[2]] = tuple([a + b for a, b in zip(rows[pairs[0]], rows[pairs[1]])])
+    with monkeypatch.context() as m:
+        result, calls = _initial_stack_rank_calls(m, n, zeta, rows)
+    assert calls == [want, len(pairs)]
+    suite, oracle = _suites_on_table(monkeypatch, n, zeta, rows)
+    assert suite == oracle
+    assert suite[-1] == result
+    assert result.passed == (len(pairs) > want)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_initial_stack_rank_falls_back_on_a_non_orthogonal_row(monkeypatch, n):
+    """With one component of the first initial row changed, that row is not orthogonal,
+    the prefix bound does not hold, and only the full rank of all rows is taken."""
+    zeta = ZetaAssignment.random_distinct(n, 7)
+    rows, pairs = gale_table(n, zeta), initial_triangulation(n).pairs
+    rows[pairs[0]] = (rows[pairs[0]][0] + 1,) + rows[pairs[0]][1:]
+    with monkeypatch.context() as m:
+        result, calls = _initial_stack_rank_calls(m, n, zeta, rows)
+    assert calls == [len(pairs)]
+    suite, oracle = _suites_on_table(monkeypatch, n, zeta, rows)
+    assert suite == oracle
+    assert suite[-1] == result
+    assert not suite[1].passed  # orthogonality
+
+
 def _tamper_one_move_matrix(monkeypatch, target):
     """Add the denominator to numerator (0, 0) of the target move's matrix, wherever
     in the package int_p_matrix is looked up from; returns the tampered moves seen."""
@@ -191,7 +258,7 @@ def test_a_deficient_stack_reports_the_first_choice(monkeypatch):
 
 def test_suite_takes_n_plus_one_ranks(monkeypatch):
     """One rank per q-stack, of its m x m block, shared by independence and span rank,
-    and one for the initial stack."""
+    and one for the initial stack, of its first rows."""
     calls = []
     real = verifier_module.rank
 
@@ -206,6 +273,7 @@ def test_suite_takes_n_plus_one_ranks(monkeypatch):
         assert all(r.passed for r in results)
         assert len(calls) == n + 1
         assert calls[:n] == [move_size(n)] * n  # each q-stack decided by its m x m block
+        assert calls[n] == max_stack_rank(n)  # the initial stack by its first rows
 
 
 def det_c(n: int) -> int:

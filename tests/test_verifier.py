@@ -145,23 +145,30 @@ def test_property_suite_builds_one_gale_table_and_no_f_vector(monkeypatch):
 
 def test_property_suite_checks_each_row_orthogonality_once(monkeypatch):
     """Each Gale row's orthogonality is computed once per suite run and shared by
-    orthogonality and independence, which checks only its q-stacks' n columns
-    itself: C(n,2) + n^2 calls, wherever check_orthogonality is looked up from."""
-    real = fvectors_module.check_orthogonality
-    calls = []
+    orthogonality and independence: C(n,2) check_orthogonality calls, one per row. The
+    first n - floor(n/2) columns of each q-stack go to the same kernel, ``annihilates``,
+    with the folded weights of their stack: C(n,2) + n (n - floor(n/2)) kernel calls,
+    wherever either is looked up from."""
+    calls, kernel = [], []
+    for attr, record in (("check_orthogonality", calls), ("annihilates", kernel)):
+        real = getattr(fvectors_module, attr)
 
-    def counting(row, zeta):
-        calls.append(row)
-        return real(row, zeta)
+        def counting(weights_or_row, arg, real=real, record=record):
+            record.append(weights_or_row)
+            return real(weights_or_row, arg)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, "check_orthogonality", None) is real:
-            monkeypatch.setattr(module, "check_orthogonality", counting)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ngoneq" and getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, counting)
     for n in (5, 8, 9):
         calls.clear()
-        results = run_property_suite(n, negative_fractional(n), equation_sequences(n))
+        kernel.clear()
+        zeta = negative_fractional(n)
+        results = run_property_suite(n, zeta, equation_sequences(n))
         assert all(r.passed for r in results)
-        assert len(calls) == comb(n, 2) + n * n
+        assert sorted(calls) == sorted(gale_table(n, zeta).values())
+        assert len(calls) == comb(n, 2)
+        assert len(kernel) == comb(n, 2) + n * (n - n // 2)
 
 
 def _count_int_p_matrix(monkeypatch):
