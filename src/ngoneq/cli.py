@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-import traceback
 
 from .errors import InvalidInputError
 from .exactfield import ZetaAssignment
@@ -329,6 +328,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        import traceback  # only on this path: a passing run never loads it
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from typing import Sequence
 
 from .errors import InvalidInputError
 
@@ -41,25 +41,30 @@ def rat_from_string(text: str) -> Rat:
     return Fraction(int(match["num"]), int(match["den"] or 1))
 
 
-@dataclass(frozen=True)
-class ZetaAssignment:
-    """Pairwise-distinct rational values, one per vertex 1..n.
+class ZetaAssignment(namedtuple("ZetaAssignment", "n values label")):
+    """Pairwise-distinct rational values, one per vertex 1..n; a tuple (n, values,
+    label) whose equality and hash ignore the label (a description only).
 
     Indexing is 1-based to match vertex labels: ``zeta[r]`` is the value at
     vertex ``r``.
     """
 
-    n: int
-    values: tuple[Rat, ...]
-    label: str = field(default="explicit", compare=False)  # description only
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or len(self.values) != self.n:
-            raise InvalidInputError(
-                f"expected {self.n} values, got {len(self.values)}"
-            )
-        if len(set(self.values)) != self.n:
+    def __new__(cls, n: int, values: tuple[Rat, ...], label: str = "explicit"):
+        if n < 1 or len(values) != n:
+            raise InvalidInputError(f"expected {n} values, got {len(values)}")
+        if len(set(values)) != n:
             raise InvalidInputError("assignment values must be pairwise distinct")
+        return tuple.__new__(cls, (n, values, label))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ZetaAssignment):
+            return NotImplemented
+        return self.n == other.n and self.values == other.values
+
+    __ne__ = object.__ne__  # the negated __eq__; tuple's own compares every field
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.values))
 
     def __getitem__(self, vertex: int) -> Rat:
         if not 1 <= vertex <= self.n:

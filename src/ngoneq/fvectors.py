@@ -14,12 +14,12 @@ duality, Eisenbud-Popescu 2000); ``f_vector_table`` is their ``Fraction`` view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 from operator import mul
-from typing import Mapping, Sequence
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, Rat, ZetaAssignment
@@ -50,13 +50,11 @@ def gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
     return {Pair(i + 1, j + 1, n): row for (i, j, _), row in zip(pairs, zip(*columns))}
 
 
-@dataclass(frozen=True)
-class FVector:
-    """Length-n vector of a simplex: zero at the two omitted vertices."""
+class FVector(namedtuple("FVector", "n pair components")):
+    """Length-n vector of a simplex, zero at the two omitted vertices; a tuple (n, pair,
+    components) indexed 1-based by vertex."""
 
-    n: int
-    pair: Pair
-    components: tuple[Rat, ...]
+    __slots__ = ()
 
     def __getitem__(self, vertex: int) -> Rat:
         return self.components[vertex - 1]

@@ -12,7 +12,6 @@ visits, recorded while its moves are derived; its consumers read them there.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
@@ -49,9 +48,9 @@ class Pair(namedtuple("Pair", "i j n")):
         return cls(min(i, j), max(i, j), n)
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    """A duplicate-free collection of pairs, stored in canonical order.
+class Triangulation(namedtuple("Triangulation", "n pairs")):
+    """A duplicate-free collection of pairs, stored in canonical order; a tuple
+    (n, pairs) whose ``len`` is the number of pairs.
 
     Canonical order is ascending lexicographic order of the simplex vertex
     tuples (so for n=6: 1234 before 1245 before 1256); this fixes row and
@@ -60,8 +59,8 @@ class Triangulation:
     their pairs do not share, and the simplex that keeps it comes first.
     """
 
-    n: int
-    pairs: tuple[Pair, ...]
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)  # namedtuple's _make checks len(), redefined below
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Triangulation":
@@ -80,38 +79,31 @@ class Triangulation:
         return [p.simplex() for p in self.pairs]
 
 
-@dataclass(frozen=True)
-class PachnerMove:
-    """One flip: remove the pairs {b, q}, insert the pairs {c, q}."""
+class PachnerMove(namedtuple("PachnerMove", "n q b_set c_set")):
+    """One flip: remove the pairs {b, q}, insert the pairs {c, q}; a tuple (n, q, b_set, c_set)."""
 
-    n: int
-    q: int
-    b_set: tuple[int, ...]
-    c_set: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        b, c = set(self.b_set), set(self.c_set)
-        if self.q in b or self.q in c or b & c:
+    def __new__(cls, n: int, q: int, b_set: tuple[int, ...], c_set: tuple[int, ...]):
+        b, c = set(b_set), set(c_set)
+        if q in b or q in c or b & c:
             raise InvalidInputError("q, b_set, c_set must be disjoint")
-        if b | c | {self.q} != set(range(1, self.n + 1)):
+        if b | c | {q} != set(range(1, n + 1)):
             raise InvalidInputError("move must cover all vertices 1..n")
-        if len(self.b_set) != move_size(self.n):
-            raise InvalidInputError(
-                f"b_set must have {move_size(self.n)} vertices, got {len(self.b_set)}"
-            )
-        if self.b_set != tuple(sorted(self.b_set)) or self.c_set != tuple(sorted(self.c_set)):
+        if len(b_set) != move_size(n):
+            raise InvalidInputError(f"b_set must have {move_size(n)} vertices, got {len(b_set)}")
+        if b_set != tuple(sorted(b_set)) or c_set != tuple(sorted(c_set)):
             raise InvalidInputError("b_set and c_set must be sorted")
+        return tuple.__new__(cls, (n, q, b_set, c_set))
 
     @cached_property
     def removed_pairs(self) -> tuple[Pair, ...]:
         """The pairs {b, q}, b descending: the column order of the move matrix."""
-        n, q = self.n, self.q  # checked by __post_init__: Pair._make skips Pair's check
+        n, q = self.n, self.q  # checked by __new__: Pair._make skips Pair's check
         return tuple([Pair._make((min(b, q), max(b, q), n)) for b in reversed(self.b_set)])
 
     @cached_property
     def created_pairs(self) -> tuple[Pair, ...]:
         """The pairs {c, q}, c descending: the row order of the move matrix."""
-        n, q = self.n, self.q  # checked by __post_init__: Pair._make skips Pair's check
+        n, q = self.n, self.q  # checked by __new__: Pair._make skips Pair's check
         return tuple([Pair._make((min(c, q), max(c, q), n)) for c in reversed(self.c_set)])
 
     def label(self) -> str:
@@ -123,16 +115,12 @@ class PachnerMove:
         return {"q": self.q, "b": list(self.b_set), "c": list(self.c_set)}
 
 
-@dataclass(frozen=True)
-class MoveSequence:
-    """Moves of one side of the polygon equation, in application order, and the
-    triangulations they visit: path[0] is the initial triangulation and
-    path[k + 1] = apply_move(path[k], moves[k])."""
+class MoveSequence(namedtuple("MoveSequence", "n side moves path")):
+    """Moves of one side ("lhs" or "rhs") of the polygon equation, in application
+    order, and the triangulations they visit: path[0] is the initial triangulation
+    and path[k + 1] = apply_move(path[k], moves[k])."""
 
-    n: int
-    side: str  # "lhs" or "rhs"
-    moves: tuple[PachnerMove, ...]
-    path: tuple[Triangulation, ...]
+    __slots__ = ()
 
 
 def check_n(n: int) -> None:

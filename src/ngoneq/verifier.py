@@ -18,9 +18,9 @@ consecutive assignment is one fixed point and carries no such bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row
@@ -37,36 +37,40 @@ from .simplicial import (
 from .version import __version__
 
 
-@dataclass(frozen=True)
-class FirstDifference:
+class FirstDifference(
+    namedtuple("FirstDifference", "row col row_simplex col_simplex lhs_value rhs_value")
+):
     """Location and values of the first unequal product entry (row-major)."""
 
-    row: int
-    col: int
-    row_simplex: tuple[int, ...]
-    col_simplex: tuple[int, ...]
-    lhs_value: str
-    rhs_value: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class PropertyResult(namedtuple("PropertyResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    zeta: ZetaAssignment
-    lhs: MoveSequence
-    rhs: MoveSequence
-    shape: tuple[int, int]
-    equal: bool
-    first_difference: FirstDifference | None = None
-    properties: tuple[PropertyResult, ...] | None = None
-    timings: dict = field(default_factory=dict, compare=False)
+class VerificationReport(namedtuple(
+    "VerificationReport", "n zeta lhs rhs shape equal first_difference properties timings"
+)):
+    """One verification; a tuple whose equality and hash ignore ``timings`` (the last field)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, zeta, lhs, rhs, shape, equal, first_difference=None, properties=None,
+                timings=None):
+        timings = {} if timings is None else timings
+        return tuple.__new__(cls, (n, zeta, lhs, rhs, shape, equal, first_difference, properties,
+                                   timings))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    __ne__ = object.__ne__  # the negated __eq__; tuple's own compares every field
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form; deterministic for identical inputs (timings
@@ -162,7 +166,6 @@ def max_stack_rank(n: int) -> int:
     return n - n // 2
 
 
-@dataclass(frozen=True)
 class SuiteContext:
     """What one (n, zeta) suite run reads, built once: the move sequences and matrices,
     the integer Gale rows of all C(n,2) pairs (``gale_table``), and on first use each
@@ -171,11 +174,10 @@ class SuiteContext:
     (t - z_i)(t - z_j) e_r(t - z_x : x not in {i, j}) the Gale polynomial, so ranks ignore
     Lambda, moves act on the rows, and orthogonality reads ``zeta.weighted_powers``."""
 
-    n: int
-    zeta: ZetaAssignment
-    sequences: tuple[MoveSequence, MoveSequence]
-    matrices: Mapping[PachnerMove, IntMatrix]
-    rows: Mapping[Pair, tuple[int, ...]]
+    def __init__(self, n: int, zeta: ZetaAssignment, sequences: tuple[MoveSequence, MoveSequence],
+                 matrices: Mapping[PachnerMove, IntMatrix], rows: Mapping[Pair, tuple[int, ...]]):
+        self.n, self.zeta, self.sequences = n, zeta, sequences
+        self.matrices, self.rows = matrices, rows
 
     def stack_rank(self, pairs) -> int:
         """Rank of the Gale rows of the given pairs, stacked."""
@@ -189,9 +191,12 @@ class SuiteContext:
     @cached_property
     def q_stacks(self) -> tuple[dict[Pair, tuple[int, ...]], ...]:
         """At index q - 1, the Gale rows of the n-1 pairs containing q by their other vertex."""
-        n, everyone = self.n, range(1, self.n + 1)
-        return tuple({p: self.rows[p] for p in (Pair.of(n, q, v) for v in everyone if v != q)}
-                     for q in everyone)
+        n, rows, everyone = self.n, self.rows, range(1, self.n + 1)
+        return tuple(  # valid pairs by construction: Pair._make skips Pair's check
+            {p: rows[p] for p in
+             [Pair._make((min(q, v), max(q, v), n)) for v in everyone if v != q]}
+            for q in everyone
+        )
 
     @cached_property
     def stack_ranks(self) -> tuple[int, ...]:
@@ -316,4 +321,4 @@ def verify_with_properties(n: int, zeta: ZetaAssignment) -> VerificationReport:
     sequences = (report.lhs, report.rhs)
     properties = _run_suite(SuiteContext(n, zeta, sequences, matrices, gale_table(n, zeta)))
     report.timings["properties"] = time.perf_counter() - t0
-    return replace(report, properties=properties)
+    return report._replace(properties=properties)

@@ -138,6 +138,7 @@ def test_internal_failure_exits_3_not_mismatch(monkeypatch, capsys, error):
     assert code == EXIT_INTERNAL == 3
     assert out == ""
     assert str(error) in err and type(error).__name__ in err
+    assert "Traceback (most recent call last)" in err  # traceback is imported on this path only
 
 
 @pytest.mark.parametrize(

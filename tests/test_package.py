@@ -1,4 +1,22 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
 import ngoneq
+from ngoneq import (
+    InvalidInputError,
+    PropertyResult,
+    ZetaAssignment,
+    f_vector_table,
+    verify_with_properties,
+)
+from ngoneq.verifier import FirstDifference
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_export_resolves_and_the_list_is_sorted_without_duplicates():
@@ -12,3 +30,70 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from ngoneq import *", namespace)
     assert set(ngoneq.__all__) <= set(namespace)
+
+
+def test_importing_the_package_and_cli_loads_no_heavy_stdlib_module():
+    """dataclasses (with inspect), typing and traceback cost start-up time on every
+    command; a fresh interpreter without site imports none of them for ngoneq."""
+    heavy = ("dataclasses", "inspect", "typing", "traceback")
+    code = f"import sys, ngoneq, ngoneq.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def _records():
+    """One instance of every public record type, from a real verification at n = 6."""
+    report = verify_with_properties(6, ZetaAssignment.consecutive(6))
+    lhs = report.lhs
+    return {
+        "ZetaAssignment": report.zeta,
+        "Triangulation": lhs.path[0],
+        "PachnerMove": lhs.moves[0],
+        "MoveSequence": lhs,
+        "FVector": next(iter(f_vector_table(6, report.zeta).values())),
+        "FirstDifference": FirstDifference(0, 1, (1, 2, 3), (1, 2, 4), "1", "2"),
+        "PropertyResult": report.properties[0],
+        "VerificationReport": report,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_every_record_field_is_read_only_and_the_record_is_its_fields(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert tuple(record) == tuple(getattr(record, field) for field in record._fields)
+    assert record._replace() == record and hash(record._replace()) == hash(record)
+
+
+def test_report_equality_and_hash_ignore_timings_only():
+    report = verify_with_properties(5, ZetaAssignment.consecutive(5))
+    timed = report._replace(timings={"sequences": 1.0})
+    assert report.timings and report == timed and not report != timed
+    assert hash(report) == hash(timed)
+    assert report != report._replace(equal=False)
+    assert report.properties is not None
+    assert report != report._replace(properties=None)
+
+
+def test_record_construction_keeps_defaults_and_indexing():
+    """The constructors' checks are pinned by test_simplicial.py::test_move_validation
+    and test_verifier.py::test_verify_rejects_duplicate_assignment."""
+    zeta = ZetaAssignment(5, tuple(Fraction(v) for v in range(1, 6)))
+    assert zeta.label == "explicit" and zeta[1] == 1 and zeta[5] == 5
+    assert zeta == (5, zeta.values, "explicit")
+    with pytest.raises(InvalidInputError):
+        zeta[0]
+    report = verify_with_properties(5, zeta)
+    triangulation = report.lhs.path[0]
+    assert len(triangulation) == len(triangulation.pairs) == 3
+    assert triangulation._replace(n=5) == triangulation == (5, triangulation.pairs)
+    assert PropertyResult("row_sums", True) == ("row_sums", True, "")
+    vector = f_vector_table(5, zeta)[triangulation.pairs[0]]
+    assert vector[1] == vector.components[0]
