@@ -6,6 +6,9 @@ Subcommands:
     export   write matrices, invariant vectors and reports as JSON or LaTeX
     suite    batch verification plus property suite over a range of n
 
+A command builds only its own subcommand's parser. The full parser is built for --help,
+--version, a missing or unknown command and left-over arguments, and prints as it always has.
+
 Exit codes: 0 all verified, 1 mathematical mismatch, 2 usage or input error,
 3 internal error (a failed consistency check or any other unexpected
 exception; a bug, never a verdict about the equation).
@@ -23,11 +26,7 @@ from .errors import InvalidInputError
 from .exactfield import ZetaAssignment
 from .fvectors import f_vector_table
 from .pmatrix import extended_matrices, product_for_side
-from .simplicial import (
-    MoveSequence,
-    check_n,
-    equation_sequences,
-)
+from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
 from .version import __version__
 
@@ -270,12 +269,51 @@ def _cmd_suite(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_zeta_options(parser: argparse.ArgumentParser) -> None:
+def _add_assignment_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--zeta", help="comma-separated p/q values, one per vertex")
     parser.add_argument("--seed", type=int, help="seed for random distinct assignments")
-    parser.add_argument(
-        "--trials", type=int, default=1, help="number of assignments to check"
-    )
+    parser.add_argument("--trials", type=int, default=1, help="number of assignments to check")
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_assignment_options(parser)
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.add_argument("--out")
+    parser.set_defaults(func=_cmd_verify)
+
+
+def _show_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--side", choices=["lhs", "rhs"], required=True)
+    parser.add_argument("--out")
+    parser.set_defaults(func=_cmd_show)
+
+
+def _export_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_assignment_options(parser)
+    parser.add_argument("--side", choices=["lhs", "rhs", "both"], default="both")
+    parser.add_argument("--format", choices=["json", "latex"], default="json")
+    parser.add_argument("--out")
+    parser.set_defaults(func=_cmd_export)
+
+
+def _suite_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--min-n", dest="min_n", type=int, required=True)
+    parser.add_argument("--max-n", dest="max_n", type=int, required=True)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int, default=1)
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.add_argument("--out")
+    parser.set_defaults(func=_cmd_suite)
+
+
+COMMANDS = {
+    "verify": ("verify the equation for one n", _verify_arguments),
+    "show": ("print one side's move-by-move steps", _show_arguments),
+    "export": ("export matrices and vectors", _export_arguments),
+    "suite": ("batch verify a range of n", _suite_arguments),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,43 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="verify the equation for one n")
-    p_verify.add_argument("--n", type=int, required=True)
-    _add_zeta_options(p_verify)
-    p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_show = sub.add_parser("show", help="print one side's move-by-move steps")
-    p_show.add_argument("--n", type=int, required=True)
-    p_show.add_argument("--side", choices=["lhs", "rhs"], required=True)
-    p_show.add_argument("--out")
-    p_show.set_defaults(func=_cmd_show)
-
-    p_export = sub.add_parser("export", help="export matrices and vectors")
-    p_export.add_argument("--n", type=int, required=True)
-    _add_zeta_options(p_export)
-    p_export.add_argument("--side", choices=["lhs", "rhs", "both"], default="both")
-    p_export.add_argument("--format", choices=["json", "latex"], default="json")
-    p_export.add_argument("--out")
-    p_export.set_defaults(func=_cmd_export)
-
-    p_suite = sub.add_parser("suite", help="batch verify a range of n")
-    p_suite.add_argument("--min-n", dest="min_n", type=int, required=True)
-    p_suite.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p_suite.add_argument("--seed", type=int)
-    p_suite.add_argument("--trials", type=int, default=1)
-    p_suite.add_argument("--format", choices=["text", "json"], default="text")
-    p_suite.add_argument("--out")
-    p_suite.set_defaults(func=_cmd_suite)
-
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as build_parser() does; that parser is built only to print help or an error."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"ngoneq {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_command_line(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (InvalidInputError, OSError) as exc:

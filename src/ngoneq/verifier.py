@@ -281,12 +281,13 @@ def _prop_span_rank(ctx: SuiteContext) -> PropertyResult:
 
 def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
     """The initial triangulation's stacked vectors reach the maximum attainable rank want =
-    min(row count, n - floor(n/2)). Orthogonal rows span at most n - floor(n/2) dimensions:
-    if every initial row is, want independent first rows certify it; else the full rank."""
-    pairs = ctx.sequences[0].path[0].pairs
-    want = min(len(pairs), max_stack_rank(ctx.n))
+    min(row count, n - floor(n/2)). Orthogonal rows span at most n - floor(n/2) dimensions: if every
+    initial row is, want independent rows (those through n first) certify it; else the full rank."""
+    n, pairs = ctx.n, ctx.sequences[0].path[0].pairs
+    want = min(len(pairs), max_stack_rank(n))
+    chosen = sorted(pairs, key=lambda pair: pair.j != n)[:want]  # stable: through n first
     bounded = all(ctx.orthogonal[pair] for pair in pairs)
-    got = want if bounded and ctx.stack_rank(pairs[:want]) == want else ctx.stack_rank(pairs)
+    got = want if bounded and ctx.stack_rank(chosen) == want else ctx.stack_rank(pairs)
     if got != want:
         return PropertyResult("initial_stack_rank", False, f"rank {got}, want {want}")
     return PropertyResult("initial_stack_rank", True, f"rank {got}")

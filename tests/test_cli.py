@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -16,7 +17,7 @@ from ngoneq import (
     equation_sequences,
     initial_triangulation,
 )
-from ngoneq.cli import EXIT_INTERNAL, main
+from ngoneq.cli import EXIT_INTERNAL, build_parser, main, parse_command_line
 from oracles import f_value_vector, negative_fractional
 
 
@@ -450,3 +451,76 @@ def test_suite_text_lists_no_detail_for_passing_properties(capsys):
     assert code == 0
     assert "rank 4" not in out
     assert len(out.splitlines()) == 3
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+PARSE_CASES = {
+    "verify": ["verify", "--n", "7", "--seed", "3", "--trials", "2", "--format", "json"],
+    "show": ["show", "--n", "6", "--side", "rhs", "--out", "steps.txt"],
+    "export": ["export", "--n", "5", "--side", "lhs", "--format", "latex"],
+    "suite": ["suite", "--min-n", "5", "--max-n", "6", "--seed", "1", "--trials", "2"],
+    "verify-help": ["verify", "-h"],
+    "version": ["--version"],
+    "missing-n": ["verify", "--format", "json"],
+    "bad-format": ["export", "--n", "5", "--format", "xml"],
+    "unknown-option": ["show", "--n", "5", "--side", "lhs", "--bogus"],
+    "stray-token": ["verify", "--n", "5", "stray"],
+    "version-after-command": ["verify", "--n", "5", "--version"],
+    "zeta-dash-value": ["verify", "--n", "5", "--zeta", "-1,2,3,4,5"],
+    "zeta-equals-value": ["verify", "--n", "5", "--zeta=-1,2,3,4,5"],
+    "abbreviation": ["verify", "--n", "5", "--se", "3"],
+    "unknown-command": ["prove", "--n", "5"],
+    "no-arguments": [],
+}
+
+
+def _parse_outcome(capsys, parse, argv):
+    """The namespace (without ``command``, which no handler reads) or the exit code,
+    with stdout and stderr."""
+    try:
+        outcome = {k: v for k, v in vars(parse(list(argv))).items() if k != "command"}
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_command_parser_matches_the_full_parser(capsys, argv):
+    """Parsing with the subcommand's own parser gives what the full parser gives: the
+    same namespace, or the same exit code with byte-identical stdout and stderr."""
+    fast = _parse_outcome(capsys, parse_command_line, argv)
+    full = _parse_outcome(capsys, lambda argv: build_parser().parse_args(argv), argv)
+    assert fast == full
+    assert isinstance(fast[0], dict) or fast[1] + fast[2]
+
+
+def _count_parsers(monkeypatch) -> list:
+    """The prog of every ArgumentParser built from now on, in order."""
+    built, real = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    assert main(["verify", "--n", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_equal"] is True
+    assert built == ["ngoneq verify"]
+
+
+def test_a_rejected_command_line_builds_the_full_parser(monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "5", "stray"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("ngoneq: error: unrecognized arguments: stray\n")
+    assert built == ["ngoneq verify", "ngoneq"] + [f"ngoneq {name}" for name in cli_module.COMMANDS]

@@ -1,9 +1,9 @@
 """The independence certificate: agreement with the Bareiss-rank oracles, two
 tampered Gale tables it must reject, its rank count, the m x m block that decides
 each q-stack rank and the full-rank fallback, and the theorem it rests on; the
-initial-stack certificate (the first rows when every row is orthogonal) and its
-full-rank fallback on two tampered tables; and a tampered move matrix that the
-move action must reject."""
+initial-stack certificate (the rows through n first, when every row is orthogonal),
+which needs no fallback for n = 5..40, and its full-rank fallback on two tampered
+tables; and a tampered move matrix that the move action must reject."""
 
 from fractions import Fraction
 from math import comb, inf, prod
@@ -208,6 +208,27 @@ def test_initial_stack_rank_falls_back_on_a_non_orthogonal_row(monkeypatch, n):
     assert suite == oracle
     assert suite[-1] == result
     assert not suite[1].passed  # orthogonality
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["consecutive", "seed7"])
+@pytest.mark.parametrize("n", range(5, 41))
+def test_initial_stack_certificate_needs_no_fallback(monkeypatch, n, seeded):
+    """The want rows the certificate ranks, the initial pairs through n and then the first
+    pair avoiding n, are independent at every n tried, so the full rank of all initial rows is
+    never taken; at consecutive values the first want rows fall short from n = 25 on. The rows
+    are Gale rows, orthogonal by Identity 1 and checked so above up to n = 16; that check is
+    taken as given here (it alone takes about 1 s at seeded n = 40)."""
+    zeta = ZetaAssignment.random_distinct(n, 7) if seeded else ZetaAssignment.consecutive(n)
+    table, pairs = gale_table(n, zeta), initial_triangulation(n).pairs
+    rows, want = {pair: table[pair] for pair in pairs}, max_stack_rank(n)
+    calls, real = [], verifier_module.rank
+    monkeypatch.setattr(verifier_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
+    ctx = SuiteContext(n, zeta, equation_sequences(n), {}, rows)
+    ctx.orthogonal = dict.fromkeys(pairs, True)
+    assert _prop_initial_stack_rank(ctx) == ("initial_stack_rank", True, f"rank {want}")
+    assert calls == [want]
+    if not seeded:
+        assert (real([rows[pair] for pair in pairs[:want]]) == want) == (n < 25)
 
 
 def _tamper_one_move_matrix(monkeypatch, target):
