@@ -21,7 +21,7 @@ from .errors import InvalidInputError
 
 Rat = Fraction
 IntRow = tuple[tuple[int, ...], int]  # (numerators, denominator > 0), gcd 1: canonical
-IntMatrix = tuple[tuple[tuple[int, ...], ...], int]  # (numerator rows, denominator > 0)
+IntMatrix = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]  # (N, W): P_ij = N_ij / W_j, W_j != 0
 
 RANDOM_VALUE_RANGE = (1, 10**6)
 

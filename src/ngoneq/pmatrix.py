@@ -8,8 +8,9 @@ entry is the Lagrange basis ratio
 
     prod_{j' != j} (z[row_i] - z[col_j']) / prod_{j' != j} (z[col_j] - z[col_j'])
 
-which makes every row sum to 1. Only ``int_p_matrix`` computes P: integer rows
-over one positive denominator, with no ``Fraction``. The same entries are
+which makes every row sum to 1. Only ``int_p_matrix`` computes P, with no
+``Fraction``: P = N diag(1 / W_j), integer numerator rows N and one signed
+column weight W_j (the entry's denominator) per column. The same entries are
 alternating-sign ratios of Vandermonde determinants over an interleaved vertex
 frame; ``tests/oracles.py`` keeps that form as a cross-check.
 
@@ -40,12 +41,12 @@ from .simplicial import (
 
 
 def int_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> IntMatrix:
-    """The move matrix as integer rows over one denominator D > 0; row i belongs
-    to ``move.created_pairs[i]``, column j to ``move.removed_pairs[j]``. Shape is
-    m x m for odd n and (m+1) x m for even n, m = floor((n-1)/2). Over integers
-    u = s * z (s cancels), entry (i, j) is (l_i // d_ij) / W_j, d_ij = u[row_i] -
-    u[col_j], l_i = prod_j d_ij, W_j = prod_{j' != j} (u[col_j] - u[col_j']);
-    with D = lcm |W_j| its numerator is (l_i // d_ij) * (D // W_j). Each row sums to D.
+    """The move matrix as (N, W), P_ij = N_ij / W_j; row i belongs to
+    ``move.created_pairs[i]``, column j to ``move.removed_pairs[j]``. Shape is m x m
+    for odd n and (m+1) x m for even n, m = floor((n-1)/2). Over integers u = s * z
+    (s cancels), N_ij = l_i // d_ij = prod_{j' != j} d_ij', d_ij = u[row_i] - u[col_j],
+    l_i = prod_j d_ij, and the nonzero, signed W_j = prod_{j' != j} (u[col_j] - u[col_j']),
+    with no scaling common to the columns.
     """
     if zeta.n != move.n:
         raise InvalidInputError(
@@ -53,33 +54,28 @@ def int_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> IntMatrix:
         )
     u = zeta.row[0]
     u_cols = [u[b - 1] for b in reversed(move.b_set)]
-    weights = [prod([uj - uk for uk in u_cols if uk != uj]) for uj in u_cols]
-    d = lcm(*weights)
-    scales = [d // w for w in weights]
-    rows = []
-    for c in reversed(move.c_set):
-        diffs = [u[c - 1] - uc for uc in u_cols]
-        ell = prod(diffs)
-        rows.append(tuple([ell // x * f for x, f in zip(diffs, scales)]))
-    return tuple(rows), d
+    weights = tuple([prod([uj - uk for uk in u_cols if uk != uj]) for uj in u_cols])
+    diffs = [[u[c - 1] - uc for uc in u_cols] for c in reversed(move.c_set)]
+    rows = tuple([tuple([ell // x for x in row]) for row, ell in zip(diffs, map(prod, diffs))])
+    return rows, weights
 
 
 def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow]) -> None:
     """Apply a move's matrix ``p = int_p_matrix(move, zeta)`` in place to integer
     rows keyed by pair: the rows of the removed pairs are replaced by P times
     those rows, keyed by the created pairs; every other row is left as it is.
-    With P = N / D and removed rows v_j / d_j, created row i is sum_j N_ij *
-    (L // d_j) * v_j over D * L, L = lcm(d_j), skipping zero v entries, reduced once."""
+    With P = (N, W) and removed rows v_j / d_j, created row i is sum_j N_ij * f_j *
+    v_j over L = lcm(d_j W_j) > 0, f_j = L // (d_j W_j) signed, skipping zero v
+    entries, reduced once."""
     numerators, denominators = [], []
-    for pair in move.removed_pairs:
+    for pair, w in zip(move.removed_pairs, p[1]):
         if pair not in rows:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) not present")
         v, d = rows.pop(pair)
         numerators.append([(k, x) for k, x in enumerate(v) if x])
-        denominators.append(d)
+        denominators.append(d * w)
     common = lcm(*denominators)
     factors = [common // d for d in denominators]
-    common *= p[1]
     for pair, coeffs in zip(move.created_pairs, p[0]):
         if pair in rows:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) already present")

@@ -21,6 +21,8 @@ import time
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row
@@ -213,15 +215,17 @@ class SuiteContext:
 
 
 def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
-    """Every move matrix's rows sum to 1 (numerators to the denominator). An extended
-    matrix's rows are its move matrix's rows and identity rows, so this covers them too."""
+    """Every move matrix's rows sum to 1: over D = lcm |W_j|, sum_j N_ij (D // W_j) = D. An
+    extended matrix's rows are its move matrix's rows and identity rows, so this covers them too."""
     for seq in ctx.sequences:
         for move in seq.moves:
-            rows, d = ctx.matrices[move]
+            rows, weights = ctx.matrices[move]
+            d = lcm(*weights)
+            scales = [d // w for w in weights]
             for i, row in enumerate(rows):
-                if sum(row) != d:
+                if (total := sum(map(mul, row, scales))) != d:
                     where = f"{seq.side} {move.label()} move matrix row {i}"
-                    return PropertyResult("row_sums", False, f"{where} sums to {Rat(sum(row), d)}")
+                    return PropertyResult("row_sums", False, f"{where} sums to {Rat(total, d)}")
     return PropertyResult("row_sums", True)
 
 

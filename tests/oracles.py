@@ -16,9 +16,13 @@ the old way on ``FVector`` rows built from ``f_value``
 ``Fraction`` arithmetic. The padded factors walk their own
 triangulations from the initial one rather than read ``MoveSequence.path``.
 ``build_p_matrix`` is the ``Fraction`` view of ``int_p_matrix`` that the tests
-compare against. ``sampled_independence`` is the independence property as it
-was before the certificate: Bareiss ranks of seeded sampled (or, with
-``sample=inf``, all) choices of vectors omitting a common vertex, and
+compare against. ``one_denominator_p_matrix`` and ``one_denominator_act`` keep the
+move matrix and row action as they were before column weights: every column scaled
+to one denominator D = lcm |W_j|, and each created row accumulated over D lcm(d_j)
+(``one_denominator_side_rows`` folds them over a sequence). ``sampled_independence``
+is the independence property as it was before the certificate: Bareiss ranks of
+seeded sampled (or, with ``sample=inf``, all) choices of vectors omitting a common
+vertex, and
 ``lagrange_orthogonality`` is the orthogonality test as it was before
 ``ZetaAssignment.weighted_powers``: Lagrange weights and every power taken afresh. The small
 dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from hypothesis import strategies as st
 
@@ -48,7 +52,7 @@ from ngoneq import (
     initial_triangulation,
 )
 from ngoneq.exactfield import int_row, rank, rat_row
-from ngoneq.pmatrix import act_on_int_rows, int_p_matrix
+from ngoneq.pmatrix import _identity_rows, act_on_int_rows, int_p_matrix
 from ngoneq.simplicial import check_n, move_size
 from ngoneq.verifier import PropertyResult, SuiteContext, _prop_row_sums, max_stack_rank
 
@@ -136,9 +140,57 @@ class InterleavedFrame:
 
 
 def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
-    """The move matrix of ``int_p_matrix`` as a matrix of rationals."""
-    rows, d = int_p_matrix(move, zeta)
-    return DenseMatrix([rat_row((row, d)) for row in rows])
+    """The move matrix of ``int_p_matrix`` as a matrix of rationals N_ij / W_j."""
+    rows, weights = int_p_matrix(move, zeta)
+    return DenseMatrix([[Fraction(x, w) for x, w in zip(row, weights)] for row in rows])
+
+
+def one_denominator_p_matrix(move: PachnerMove, zeta: ZetaAssignment):
+    """The move matrix as integer rows over one denominator D = lcm |W_j| > 0, as
+    ``int_p_matrix`` returned it before column weights: numerator (i, j) is
+    (l_i // d_ij) * (D // W_j), d_ij = u[row_i] - u[col_j], l_i = prod_j d_ij, and
+    each row sums to D."""
+    u = zeta.row[0]
+    u_cols = [u[b - 1] for b in reversed(move.b_set)]
+    weights = [prod([uj - uk for uk in u_cols if uk != uj]) for uj in u_cols]
+    d = lcm(*weights)
+    scales = [d // w for w in weights]
+    rows = []
+    for c in reversed(move.c_set):
+        diffs = [u[c - 1] - uc for uc in u_cols]
+        ell = prod(diffs)
+        rows.append(tuple([ell // x * f for x, f in zip(diffs, scales)]))
+    return tuple(rows), d
+
+
+def one_denominator_act(move: PachnerMove, p, rows) -> None:
+    """``act_on_int_rows`` as it was before column weights, on ``p =
+    one_denominator_p_matrix(move, zeta)``: with P = N / D and removed rows v_j / d_j,
+    created row i is sum_j N_ij (L // d_j) v_j over D L, L = lcm(d_j), reduced once."""
+    numerators, denominators = [], []
+    for pair in move.removed_pairs:
+        v, d = rows.pop(pair)
+        numerators.append(v)
+        denominators.append(d)
+    common = lcm(*denominators)
+    factors = [common // d for d in denominators]
+    common *= p[1]
+    for pair, coeffs in zip(move.created_pairs, p[0]):
+        acc = [0] * len(v)
+        for c, f, source in zip(coeffs, factors, numerators):
+            for k, x in enumerate(source):
+                acc[k] += c * f * x
+        g = gcd(common, *acc)
+        rows[pair] = (tuple([x // g for x in acc]), common // g)
+
+
+def one_denominator_side_rows(seq, zeta: ZetaAssignment) -> tuple:
+    """``side_rows`` with the one-denominator matrix and row action, from the identity
+    rows of the initial triangulation, in final triangulation order."""
+    rows = _identity_rows(seq.path[0])
+    for move in seq.moves:
+        one_denominator_act(move, one_denominator_p_matrix(move, zeta), rows)
+    return tuple([rows[pair] for pair in seq.path[-1].pairs])
 
 
 def p_entry_vandermonde(move: PachnerMove, zeta: ZetaAssignment, i: int, j: int) -> Rat:

@@ -179,8 +179,9 @@ def _initial_stack_rank_calls(monkeypatch, n, zeta, rows):
 @pytest.mark.parametrize("n", range(5, 11))
 def test_initial_stack_rank_falls_back_on_a_dependent_prefix(monkeypatch, n):
     """The third initial row replaced by the sum of the first two stays orthogonal, so
-    the prefix of want rows is tried, is rank deficient, and the full rank of all rows
-    decides: the suite then reads as the FVector oracle on the same table."""
+    the pairs through n, then the first pair avoiding n, are ranked, are rank deficient,
+    and the full rank of all rows decides: the suite then reads as the FVector oracle
+    on the same table."""
     zeta = negative_fractional(n)
     rows, pairs = gale_table(n, zeta), initial_triangulation(n).pairs
     want = min(len(pairs), max_stack_rank(n))
@@ -232,17 +233,18 @@ def test_initial_stack_certificate_needs_no_fallback(monkeypatch, n, seeded):
 
 
 def _tamper_one_move_matrix(monkeypatch, target):
-    """Add the denominator to numerator (0, 0) of the target move's matrix, wherever
-    in the package int_p_matrix is looked up from; returns the tampered moves seen."""
+    """Add the column weight W_0 to numerator (0, 0) of the target move's matrix, so
+    entry (0, 0) grows by exactly 1, wherever in the package int_p_matrix is looked up
+    from; returns the tampered moves seen."""
     real = pmatrix_module.int_p_matrix
     seen = []
 
     def tampered(move, zeta):
-        rows, d = real(move, zeta)
+        rows, weights = real(move, zeta)
         if move == target:
             seen.append(move)
-            rows = ((rows[0][0] + d,) + rows[0][1:],) + rows[1:]
-        return rows, d
+            rows = ((rows[0][0] + weights[0],) + rows[0][1:],) + rows[1:]
+        return rows, weights
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +35,7 @@ from oracles import (
     dense_product,
     distinct_assignments,
     mixed_denominators,
+    one_denominator_side_rows,
     oracle_assignments,
     p_entry_vandermonde,
     row_sums,
@@ -193,22 +194,41 @@ def test_lagrange_entries_equal_vandermonde_ratio_form():
 @settings(max_examples=60, deadline=None, database=None)
 @given(distinct_assignments(max_n=10), st.data())
 def test_integer_move_matrix_equals_vandermonde_ratio_form(zeta, data):
-    """At drawn rationals of both signs, integer or not (where some column
-    weights W_j are negative), the integer rows over the denominator equal the
-    Vandermonde-ratio entries; the denominator is positive and every row's
-    numerators sum to it."""
+    """At drawn rationals of both signs, integer or not, the integer rows over the
+    column weights equal the Vandermonde-ratio entries: every W_j is nonzero, some
+    W_j is negative, N_ij / W_j is the entry and every row's N_ij / W_j sum to 1."""
     seq = equation_sequences(zeta.n)[data.draw(st.integers(0, 1))]
     move = seq.moves[data.draw(st.integers(0, len(seq.moves) - 1))]
-    cols = [zeta[b] for b in move.b_set]
-    assert any(prod(z - w for w in cols if w != z) < 0 for z in cols)
-    rows, d = int_p_matrix(move, zeta)
-    assert d > 0
+    rows, weights = int_p_matrix(move, zeta)
+    assert all(weights) and any(w < 0 for w in weights)
     assert len(rows) == len(move.created_pairs)
     for i, row in enumerate(rows):
-        assert sum(row) == d
-        assert [Fraction(x, d) for x in row] == [
+        assert len(row) == len(weights) == len(move.removed_pairs)
+        assert sum(Fraction(x, w) for x, w in zip(row, weights)) == 1
+        assert [Fraction(x, w) for x, w in zip(row, weights)] == [
             p_entry_vandermonde(move, zeta, i + 1, j + 1) for j in range(len(row))
         ]
+
+
+@pytest.mark.parametrize("n", range(5, 15))
+def test_integer_move_matrix_is_numerators_over_unscaled_column_weights(n):
+    """``int_p_matrix`` returns exactly N_ij = prod_{j' != j} (u_{c_i} - u_{b_j'}) and
+    W_j = prod_{j' != j} (u_{b_j} - u_{b_j'}) over the integer values u = s z, s the lcm
+    of the denominators, with the created and removed partners read from the
+    interleaved frame: no factor common to the columns."""
+    for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 1000 + n),
+                 mixed_denominators(n)):
+        s = lcm(*[z.denominator for z in zeta.values])
+        u = {v: int(zeta[v] * s) for v in range(1, n + 1)}
+        for seq in equation_sequences(n):
+            for move in seq.moves:
+                frame = InterleavedFrame.from_move(move)
+                cs, bs = frame.row_vertices(), frame.col_vertices()
+                want_rows = tuple(
+                    tuple(prod(u[c] - u[b] for b in bs if b != bj) for bj in bs) for c in cs
+                )
+                want_weights = tuple(prod(u[bj] - u[b] for b in bs if b != bj) for bj in bs)
+                assert int_p_matrix(move, zeta) == (want_rows, want_weights), (n, zeta.label)
 
 
 def test_odd_p_matrices_invertible():
@@ -349,6 +369,16 @@ def test_side_rows_are_canonical_integer_rows_of_the_dense_product(n):
             expected = dense_product(seq, zeta)
             assert DenseMatrix([rat_row(row) for row in rows]) == expected, (n, zeta.label)
         assert sides[0][1] == sides[1][1], (n, zeta.label)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(distinct_assignments(max_n=12))
+def test_column_weight_side_rows_equal_the_one_denominator_oracle(zeta):
+    """Both sides' rows over the column weights are the rows of the one-denominator
+    matrix and row action, entry for entry and denominator for denominator."""
+    for seq in equation_sequences(zeta.n):
+        rows = side_rows(seq, {move: int_p_matrix(move, zeta) for move in seq.moves})
+        assert tuple(rows) == one_denominator_side_rows(seq, zeta), seq.side
 
 
 def test_int_row_is_canonical_and_round_trips():

@@ -356,10 +356,11 @@ def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
 
 
 def _with_numerator(p, i, j, value):
-    """An integer move matrix with numerator (i, j) replaced by value."""
-    rows, d = p
+    """An integer move matrix with numerator (i, j) replaced by value; the column
+    weights are kept."""
+    rows, weights = p
     row = rows[i][:j] + (value,) + rows[i][j + 1:]
-    return rows[:i] + (row,) + rows[i + 1:], d
+    return rows[:i] + (row,) + rows[i + 1:], weights
 
 
 def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
@@ -377,7 +378,7 @@ def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
     suite = run_property_suite(5, ZetaAssignment.consecutive(5), equation_sequences(5))
     results = {r.name: r for r in suite}
     assert not results["row_sums"].passed
-    assert "row 0" in results["row_sums"].detail
+    assert results["row_sums"].detail == "lhs d^(2)_{35} move matrix row 0 sums to 0"
 
 
 def test_verify_with_properties_bundles_results():
@@ -412,8 +413,8 @@ def test_unequal_products_report_first_difference():
 
 
 def _assert_every_move_matrix_tamper_is_detected(monkeypatch, n, zeta):
-    """Adding 1 to any one entry of any one move matrix (the denominator to its
-    numerator) makes verify_equation report a difference; the tampered
+    """Adding 1 to any one entry of any one move matrix (its column weight W_j to
+    its numerator) makes verify_equation report a difference; the tampered
     constructor is the one the side products call (wherever in the package it is
     looked up from), once per move."""
     real_build = pmatrix_module.int_p_matrix
@@ -424,7 +425,7 @@ def _assert_every_move_matrix_tamper_is_detected(monkeypatch, n, zeta):
         p = real_build(move, zeta)
         if move == target["move"]:
             i, j = target["entry"]
-            p = _with_numerator(p, i, j, p[0][i][j] + p[1])
+            p = _with_numerator(p, i, j, p[0][i][j] + p[1][j])
             tampered_calls.append(move)
         return p
 
