@@ -7,26 +7,9 @@ equality, all in exact arithmetic.
 """
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
-from .exactfield import (
-    DenseMatrix,
-    Rat,
-    ZetaAssignment,
-    rat_from_string,
-)
-from .fvectors import (
-    FVector,
-    check_move_action,
-    check_orthogonality,
-    f_vector,
-    f_vector_table,
-    gale_table,
-)
-from .pmatrix import (
-    extend_matrix,
-    extended_matrices,
-    int_p_matrix,
-    product_for_side,
-)
+from .exactfield import DenseMatrix, Rat, ZetaAssignment, rat_from_string
+from .fvectors import FVector, check_move_action, f_vector_table, gale_table
+from .pmatrix import int_p_matrix
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -38,14 +21,7 @@ from .simplicial import (
     final_triangulation,
     initial_triangulation,
 )
-from .verifier import (
-    PropertyResult,
-    VerificationReport,
-    max_stack_rank,
-    run_property_suite,
-    verify_equation,
-    verify_with_properties,
-)
+from .verifier import PropertyResult, VerificationReport, verify_equation, verify_with_properties
 from .version import __version__
 
 __all__ = [
@@ -65,21 +41,14 @@ __all__ = [
     "__version__",
     "apply_move",
     "check_move_action",
-    "check_orthogonality",
     "derive_move",
     "equation_sequences",
-    "extend_matrix",
-    "extended_matrices",
-    "f_vector",
     "f_vector_table",
     "final_triangulation",
     "gale_table",
     "initial_triangulation",
     "int_p_matrix",
-    "max_stack_rank",
-    "product_for_side",
     "rat_from_string",
-    "run_property_suite",
     "verify_equation",
     "verify_with_properties",
 ]

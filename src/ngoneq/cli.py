@@ -6,6 +6,10 @@ Subcommands:
     export   write matrices, invariant vectors and reports as JSON or LaTeX
     suite    batch verification plus property suite over a range of n
 
+Every matrix stays in exact integer rows (numerators, denominator) until ``export``
+writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from one
+move matrix per move and side.
+
 A command builds only its own subcommand's parser. The full parser is built for --help,
 --version, a missing or unknown command and left-over arguments, and prints as it always has.
 
@@ -21,11 +25,12 @@ import json
 import os
 import sys
 import time
+from math import gcd
 
 from .errors import InvalidInputError
-from .exactfield import ZetaAssignment
+from .exactfield import IntRow, ZetaAssignment
 from .fvectors import f_vector_table
-from .pmatrix import extended_matrices, product_for_side
+from .pmatrix import int_p_matrix, side_factors, side_rows
 from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
 from .version import __version__
@@ -162,13 +167,39 @@ def _cmd_show(args) -> int:
 # export
 # ---------------------------------------------------------------------------
 
+def _entry(x: int, d: int, fraction: str) -> str:
+    """x / d in lowest terms: the integer, or ``fraction`` filled with the sign, |p| and q."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else fraction.format("-" if x < 0 else "", abs(x) // g, d // g)
+
+
+def _json_rows(rows: list[IntRow]) -> list[list[str]]:
+    """Integer rows as "p/q" strings, "p" when q = 1."""
+    return [[_entry(x, d, "{}{}/{}") for x in v] for v, d in rows]
+
+
+def _latex_rows(rows: list[IntRow]) -> str:
+    """Integer rows as a LaTeX array with \\frac{p}{q} entries."""
+    lines = ["\\left(\\begin{array}{%s}" % ("c" * len(rows[0][0]))]
+    for v, d in rows:
+        lines.append(" & ".join(_entry(x, d, "{}\\frac{{{}}}{{{}}}") for x in v) + " \\\\")
+    lines.append("\\end{array}\\right)")
+    return "\n".join(lines)
+
+
+def _side_factors_and_product(seq: MoveSequence, zeta: ZetaAssignment):
+    """One side's extended factors and product, from one ``int_p_matrix`` per move."""
+    matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
+    return side_factors(seq, matrices), side_rows(seq, matrices)
+
+
 def _export_side(seq: MoveSequence, zeta: ZetaAssignment) -> dict:
-    matrices = extended_matrices(seq, zeta)
+    factors, product = _side_factors_and_product(seq, zeta)
     return {
         "moves": [m.to_json_dict() for m in seq.moves],
-        "shapes": [[m.rows, m.cols] for m in matrices],
-        "matrices": [m.to_json_rows() for m in matrices],
-        "product": product_for_side(seq, zeta).to_json_rows(),
+        "shapes": [[len(rows), len(rows[0][0])] for rows in factors],
+        "matrices": [_json_rows(rows) for rows in factors],
+        "product": _json_rows(product),
     }
 
 
@@ -199,13 +230,13 @@ def _cmd_export(args) -> int:
     else:
         blocks = []
         for name, seq in sides.items():
-            matrices = extended_matrices(seq, zeta)
+            factors, product = _side_factors_and_product(seq, zeta)
             blocks.append(f"% {name} product, leftmost factor applied last")
-            for move, matrix in reversed(list(zip(seq.moves, matrices))):
+            for move, rows in reversed(list(zip(seq.moves, factors))):
                 blocks.append(f"% factor for {move.label()}")
-                blocks.append(matrix.to_latex())
+                blocks.append(_latex_rows(rows))
             blocks.append(f"% {name} product value")
-            blocks.append(product_for_side(seq, zeta).to_latex())
+            blocks.append(_latex_rows(product))
         _emit("\n".join(blocks) + "\n", args.out)
     return EXIT_OK
 

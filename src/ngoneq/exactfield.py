@@ -1,6 +1,6 @@
 """Exact rational scalars, distinct-value assignments, integer rows, rank by
 fraction-free (Bareiss) elimination over integer rows, and a dense exact
-matrix type: multiplication, rank, JSON and LaTeX output.
+matrix type (multiplication, rank, equality) that only the tests build.
 
 Values enter and leave the package as ``fractions.Fraction`` (always in lowest
 terms) and the hot loops run over Python ints (``int_row``), so all comparisons
@@ -212,25 +212,3 @@ class DenseMatrix:
     def rank(self) -> int:
         """``rank`` of the rows with their denominators cleared (same rank)."""
         return rank([int_row(row)[0] for row in self.entries])
-
-    # ---- serialization ------------------------------------------------
-
-    def to_json_rows(self) -> list[list[str]]:
-        """2-D array of "p/q" strings (row-major)."""
-        return [[str(x) for x in row] for row in self.entries]
-
-    def to_latex(self) -> str:
-        """Render as a LaTeX array with \\frac{p}{q} entries."""
-        lines = ["\\left(\\begin{array}{%s}" % ("c" * self.cols)]
-        for row in self.entries:
-            lines.append(" & ".join(_latex_rat(x) for x in row) + " \\\\")
-        lines.append("\\end{array}\\right)")
-        return "\n".join(lines)
-
-
-def _latex_rat(value: Rat) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-

@@ -70,22 +70,6 @@ def f_vector_table(n: int, zeta: ZetaAssignment) -> dict[Pair, FVector]:
     }
 
 
-def f_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
-    """The invariant vector of the simplex named by the pair."""
-    if pair.n != n or zeta.n != n:
-        raise InvalidInputError("pair, assignment and n must agree")
-    return f_vector_table(n, zeta)[pair]
-
-
-def check_orthogonality(row: Sequence[int], zeta: ZetaAssignment) -> bool:
-    """True iff the vector of the Gale row ``row`` annihilates the power rows: iff
-    sum_w c_w u_w^t row_w = 0 for t < floor(n/2) (c_w ~ lambda_w), one dot product with
-    each row of ``zeta.weighted_powers``."""
-    if zeta.n != len(row):
-        raise InvalidInputError(f"assignment has {zeta.n} values, row has {len(row)}")
-    return annihilates(zeta.weighted_powers, row)
-
-
 def annihilates(weights: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
     """True iff every weight row has zero dot product with the vector."""
     return not any(sum(map(mul, row, vector)) for row in weights)

@@ -17,13 +17,13 @@ frame; ``tests/oracles.py`` keeps that form as a cross-check.
 One primitive, ``act_on_int_rows``, applies a move's integer matrix in place to
 integer rows (``IntRow``) keyed by pair: the rows of the removed pairs become P
 times those rows, keyed by the created pairs, and every other row is carried
-over. It is the one loop that combines rows. The side product is that loop
-folded over a move sequence from the identity rows of its first triangulation;
-an extended (identity-padded) matrix and the move-action check of ``fvectors``
-are one move applied to identity rows or to Gale rows (g, 1). The side product
-and the extended matrices of a sequence take their triangulations from
-``MoveSequence.path``. The dense product of extended matrices is kept in the
-tests as an oracle.
+over. It is the one loop that combines rows. The side product (``side_rows``) is
+that loop folded over a move sequence from the identity rows of its first
+triangulation; an extended (identity-padded) matrix (``side_factors``) and the
+move-action check of ``fvectors`` are one move applied to identity rows or to
+Gale rows (g, 1). Both take their triangulations from ``MoveSequence.path`` and
+their move matrices from the caller, who builds each one once. The dense
+product of extended matrices is kept in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
-from .exactfield import DenseMatrix, IntMatrix, IntRow, ZetaAssignment, rat_row
+from .exactfield import IntMatrix, IntRow, ZetaAssignment
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -97,32 +97,16 @@ def _identity_rows(t: Triangulation) -> dict[Pair, IntRow]:
     }
 
 
-def extend_matrix(
-    move: PachnerMove,
-    t_old: Triangulation,
-    t_new: Triangulation,
-    zeta: ZetaAssignment,
-) -> DenseMatrix:
-    """The move matrix padded to |t_new| x |t_old| over the ambient triangulations.
-
-    Every simplex untouched by the move contributes a single 1 at its
-    (row, column) position; the active rows and columns carry the move matrix
-    entries. Row and column order follow the canonical triangulation order.
-    This is the move applied to the identity rows of t_old.
-    """
-    rows = _identity_rows(t_old)
-    act_on_int_rows(move, int_p_matrix(move, zeta), rows)
-    if rows.keys() != set(t_new.pairs):
-        raise InvalidInputError("t_new is not the result of applying the move to t_old")
-    return DenseMatrix([rat_row(rows[pair]) for pair in t_new.pairs])
-
-
-def extended_matrices(seq: MoveSequence, zeta: ZetaAssignment) -> list[DenseMatrix]:
-    """Extended matrix of every move along a sequence, in application order."""
-    return [
-        extend_matrix(move, seq.path[k], seq.path[k + 1], zeta)
-        for k, move in enumerate(seq.moves)
-    ]
+def side_factors(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[list[IntRow]]:
+    """The extended (identity-padded) matrix of every move along a sequence, in application
+    order, given each move's ``int_p_matrix``: move k applied to the identity rows of
+    ``seq.path[k]``, as integer rows in ``seq.path[k + 1]`` order."""
+    factors = []
+    for move, t_old, t_new in zip(seq.moves, seq.path, seq.path[1:]):
+        rows = _identity_rows(t_old)
+        act_on_int_rows(move, matrices[move], rows)
+        factors.append([rows[pair] for pair in t_new.pairs])
+    return factors
 
 
 def side_rows(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[IntRow]:
@@ -142,9 +126,3 @@ def side_rows(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list
             f"{seq.side} sequence for n={seq.n} does not end at the final triangulation"
         )
     return [rows[pair] for pair in final.pairs]
-
-
-def product_for_side(seq: MoveSequence, zeta: ZetaAssignment) -> DenseMatrix:
-    """The side product of ``side_rows`` as a matrix of rationals."""
-    matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
-    return DenseMatrix([rat_row(row) for row in side_rows(seq, matrices)])

@@ -36,12 +36,6 @@ class Pair(namedtuple("Pair", "i j n")):
         """Sorted vertex tuple of the simplex this pair names."""
         return tuple(v for v in range(1, self.n + 1) if v != self.i and v != self.j)
 
-    def other(self, v: int) -> int:
-        """The vertex paired with v."""
-        if v not in (self.i, self.j):
-            raise InvalidInputError(f"vertex {v} not in pair ({self.i},{self.j})")
-        return self.i if v == self.j else self.j
-
     @classmethod
     def of(cls, n: int, i: int, j: int) -> "Pair":
         """Pair with i, j given in either order."""

@@ -26,7 +26,7 @@ from operator import mul
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row
-from .fvectors import annihilates, check_move_action, check_orthogonality, gale_table
+from .fvectors import annihilates, check_move_action, gale_table
 from .pmatrix import int_p_matrix, side_rows
 from .simplicial import (
     MoveSequence,
@@ -161,13 +161,6 @@ def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
 # Property suite
 # ---------------------------------------------------------------------------
 
-def max_stack_rank(n: int) -> int:
-    """Largest possible rank of any stack of invariant vectors: they all lie in
-    the orthogonal complement of the floor(n/2) power rows, so the rank of a
-    k-row stack is at most min(k, n - floor(n/2))."""
-    return n - n // 2
-
-
 class SuiteContext:
     """What one (n, zeta) suite run reads, built once: the move sequences and matrices,
     the integer Gale rows of all C(n,2) pairs (``gale_table``), and on first use each
@@ -187,8 +180,10 @@ class SuiteContext:
 
     @cached_property
     def orthogonal(self) -> dict[Pair, bool]:
-        """Whether each pair's vector annihilates the power rows, taken once."""
-        return {pair: check_orthogonality(row, self.zeta) for pair, row in self.rows.items()}
+        """Whether each pair's vector annihilates the power rows, taken once: iff its Gale
+        row has zero dot product with every row of ``zeta.weighted_powers`` (c_w ~ lambda_w)."""
+        weights = self.zeta.weighted_powers
+        return {pair: annihilates(weights, row) for pair, row in self.rows.items()}
 
     @cached_property
     def q_stacks(self) -> tuple[dict[Pair, tuple[int, ...]], ...]:
@@ -253,7 +248,7 @@ def _stack_is_orthogonal(ctx: SuiteContext, q: int) -> bool:
         return False
     u, others = ctx.zeta.row[0], [v for v in range(ctx.n) if v != q - 1]
     folded = [[(u[v] - u[q - 1]) * row[v] for v in others] for row in ctx.zeta.weighted_powers]
-    columns = list(zip(*stack.values()))[: max_stack_rank(ctx.n)]
+    columns = list(zip(*stack.values()))[: ctx.n - ctx.n // 2]
     return all(annihilates(folded, column) for column in columns)
 
 
@@ -288,23 +283,13 @@ def _prop_initial_stack_rank(ctx: SuiteContext) -> PropertyResult:
     min(row count, n - floor(n/2)). Orthogonal rows span at most n - floor(n/2) dimensions: if every
     initial row is, want independent rows (those through n first) certify it; else the full rank."""
     n, pairs = ctx.n, ctx.sequences[0].path[0].pairs
-    want = min(len(pairs), max_stack_rank(n))
+    want = min(len(pairs), n - n // 2)
     chosen = sorted(pairs, key=lambda pair: pair.j != n)[:want]  # stable: through n first
     bounded = all(ctx.orthogonal[pair] for pair in pairs)
     got = want if bounded and ctx.stack_rank(chosen) == want else ctx.stack_rank(pairs)
     if got != want:
         return PropertyResult("initial_stack_rank", False, f"rank {got}, want {want}")
     return PropertyResult("initial_stack_rank", True, f"rank {got}")
-
-
-def run_property_suite(
-    n: int, zeta: ZetaAssignment, sequences: tuple[MoveSequence, MoveSequence]
-) -> tuple[PropertyResult, ...]:
-    """Run every structural property at one assignment, over the two move
-    sequences of n, from one shared SuiteContext."""
-    rows = gale_table(n, zeta)  # checks that zeta has n values first
-    matrices = {move: int_p_matrix(move, zeta) for seq in sequences for move in seq.moves}
-    return _run_suite(SuiteContext(n, zeta, sequences, matrices, rows))
 
 
 def _run_suite(ctx: SuiteContext) -> tuple[PropertyResult, ...]:

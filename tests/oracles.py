@@ -24,7 +24,11 @@ is the independence property as it was before the certificate: Bareiss ranks of
 seeded sampled (or, with ``sample=inf``, all) choices of vectors omitting a common
 vertex, and
 ``lagrange_orthogonality`` is the orthogonality test as it was before
-``ZetaAssignment.weighted_powers``: Lagrange weights and every power taken afresh. The small
+``ZetaAssignment.weighted_powers``: Lagrange weights and every power taken afresh.
+``factors_view`` and ``product_view`` read the library's ``side_factors`` and
+``side_rows`` as ``DenseMatrix``es, for comparison with tabulated factors and with
+the dense oracle; ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
+``other_vertex`` are the small lookups the package no longer exports. The small
 dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
 vector stacks) serve the tests only.
 """
@@ -48,13 +52,14 @@ from ngoneq import (
     Triangulation,
     ZetaAssignment,
     apply_move,
-    f_vector,
+    f_vector_table,
     initial_triangulation,
 )
 from ngoneq.exactfield import int_row, rank, rat_row
-from ngoneq.pmatrix import _identity_rows, act_on_int_rows, int_p_matrix
+from ngoneq.fvectors import annihilates
+from ngoneq.pmatrix import _identity_rows, act_on_int_rows, int_p_matrix, side_factors, side_rows
 from ngoneq.simplicial import check_n, move_size
-from ngoneq.verifier import PropertyResult, SuiteContext, _prop_row_sums, max_stack_rank
+from ngoneq.verifier import PropertyResult, SuiteContext, _prop_row_sums
 
 
 def vandermonde(indices, zeta: ZetaAssignment) -> Rat:
@@ -259,6 +264,44 @@ def dense_fold(factors) -> DenseMatrix:
 def dense_product(seq, zeta) -> DenseMatrix:
     """The side product as the dense fold of the padded move matrices."""
     return dense_fold(dense_factors(seq, zeta))
+
+
+def factors_view(seq, zeta) -> list[DenseMatrix]:
+    """The library's extended factors of a side, ``side_factors``, as matrices of rationals."""
+    matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
+    return [DenseMatrix([rat_row(row) for row in rows]) for rows in side_factors(seq, matrices)]
+
+
+def product_view(seq, zeta) -> DenseMatrix:
+    """The library's side product, ``side_rows``, as a matrix of rationals."""
+    matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
+    return DenseMatrix([rat_row(row) for row in side_rows(seq, matrices)])
+
+
+def other_vertex(pair: Pair, v: int) -> int:
+    """The vertex paired with v."""
+    if v not in (pair.i, pair.j):
+        raise InvalidInputError(f"vertex {v} not in pair ({pair.i},{pair.j})")
+    return pair.i if v == pair.j else pair.j
+
+
+def f_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
+    """The invariant vector of the simplex named by the pair, from ``f_vector_table``."""
+    if pair.n != n or zeta.n != n:
+        raise InvalidInputError("pair, assignment and n must agree")
+    return f_vector_table(n, zeta)[pair]
+
+
+def check_orthogonality(row, zeta: ZetaAssignment) -> bool:
+    """The suite's orthogonality test of one Gale row: zero dot product with every row of
+    ``zeta.weighted_powers``."""
+    return annihilates(zeta.weighted_powers, row)
+
+
+def max_stack_rank(n: int) -> int:
+    """Largest possible rank of any stack of invariant vectors: they all lie in the
+    orthogonal complement of the floor(n/2) power rows, so at most n - floor(n/2)."""
+    return n - n // 2
 
 
 def g_value(head: int, rest, zeta: ZetaAssignment) -> Rat:

@@ -2,7 +2,10 @@ import argparse
 import errno
 import json
 import os
+import random
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ import ngoneq.pmatrix as pmatrix_module
 import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
 from ngoneq import (
+    DenseMatrix,
     InternalError,
     PropertyResult,
     ZetaAssignment,
@@ -243,26 +247,71 @@ def test_export_latex_contains_arrays(capsys):
     assert "\\frac" in out
 
 
+def test_latex_rows_entries():
+    tex = cli_module._latex_rows([((-9, 36), 6)])
+    assert "-\\frac{3}{2}" in tex and "& 6 " in tex
+    assert tex.startswith("\\left(\\begin{array}{cc}")
+
+
+def test_json_rows_read_as_fractions_in_lowest_terms():
+    rng = random.Random(5)
+    for _ in range(200):
+        d = rng.randint(1, 60)
+        v = tuple(rng.randint(-200, 200) for _ in range(4))
+        assert cli_module._json_rows([(v, d)]) == [[str(Fraction(x, d)) for x in v]]
+
+
 @pytest.mark.parametrize("fmt", ["json", "latex"])
 def test_export_builds_each_extended_matrix_once(monkeypatch, capsys, fmt):
-    real_extend = pmatrix_module.extend_matrix
-    calls = []
+    """Each exported side builds every move matrix once, with int_p_matrix, and its
+    extended factors once, with side_factors; the product reuses the same matrices."""
+    matrices = _record_calls(monkeypatch, "int_p_matrix", pmatrix_module)
+    factors = _record_calls(monkeypatch, "side_factors", pmatrix_module)
+    for side in ("lhs", "rhs", "both"):
+        matrices.clear()
+        factors.clear()
+        code, _, _ = run(capsys, "export", "--n", "6", "--format", fmt, "--side", side)
+        assert code == 0
+        sides = [seq for seq in equation_sequences(6) if side in ("both", seq.side)]
+        assert [move for move, _ in matrices] == [move for seq in sides for move in seq.moves]
+        assert [seq for seq, _ in factors] == sides
 
-    def counting(move, t_old, t_new, zeta):
-        calls.append(move)
-        return real_extend(move, t_old, t_new, zeta)
 
-    monkeypatch.setattr(pmatrix_module, "extend_matrix", counting)
-    code, _, _ = run(capsys, "export", "--n", "6", "--format", fmt)
-    assert code == 0
-    lhs, rhs = equation_sequences(6)
-    assert calls == list(lhs.moves + rhs.moves)
+COMMANDS_THAT_PRINT = [
+    ["verify", "--n", "7", "--trials", "2", "--format", "json"],
+    ["verify", "--n", "6", "--zeta=-1/2,4/3,-9/4,16/5,-25/6,36/7"],
+    ["show", "--n", "7", "--side", "rhs"],
+    ["export", "--n", "7", "--seed", "3"],
+    ["export", "--n", "6", "--format", "latex"],
+    ["suite", "--min-n", "5", "--max-n", "7", "--trials", "2", "--format", "json"],
+]
 
 
-def _record_calls(monkeypatch, attr: str) -> list:
-    """Record the arguments of every call of ``simplicial.<attr>``, wherever in
-    the package it is looked up from."""
-    real = getattr(simplicial_module, attr)
+@pytest.mark.parametrize("argv", COMMANDS_THAT_PRINT, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_commands_construct_no_dense_matrix(monkeypatch, capsys, argv):
+    """No command builds a DenseMatrix: every matrix stays in integer rows until export
+    formats it."""
+
+    def forbidden(self, *args):
+        raise AssertionError("DenseMatrix constructed by a command")
+
+    monkeypatch.setattr(DenseMatrix, "__init__", forbidden)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
+def test_only_exactfield_names_the_dense_matrix():
+    """exactfield defines DenseMatrix and the package re-exports it; no other module uses it."""
+    package = Path(cli_module.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py") if "DenseMatrix" in p.read_text())
+    assert naming == ["__init__.py", "exactfield.py"]
+
+
+def _record_calls(monkeypatch, attr: str, source=simplicial_module) -> list:
+    """Record the arguments of every call of ``source.<attr>`` (``simplicial`` unless
+    given), wherever in the package it is looked up from."""
+    real = getattr(source, attr)
     calls = []
 
     def counting(*args):

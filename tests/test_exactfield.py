@@ -325,13 +325,6 @@ def test_rank_with_large_entries_and_skipped_leading_columns():
     assert transpose(m).rank() == 3
 
 
-def test_matrix_latex_entries():
-    m = DenseMatrix([[Fraction(-3, 2), Fraction(6)]])
-    tex = m.to_latex()
-    assert "-\\frac{3}{2}" in tex and "6" in tex
-    assert tex.startswith("\\left(\\begin{array}{cc}")
-
-
 def test_assignment_row_is_the_cleared_values_and_leaves_equality_alone():
     z = ZetaAssignment(3, (Fraction(-1, 2), Fraction(2, 3), Fraction(5)))
     same = ZetaAssignment(3, z.values, label="other")

@@ -9,14 +9,13 @@ from ngoneq import (
     PachnerMove,
     Pair,
     ZetaAssignment,
-    f_vector,
 )
 from goldens import (
     heptagon_closed_form_component,
     heptagon_m_matrix,
     heptagon_p_matrix,
 )
-from oracles import build_p_matrix, f_value, p_entry_vandermonde, row_sums
+from oracles import build_p_matrix, f_value, f_vector, p_entry_vandermonde, row_sums
 
 ASSIGNMENTS = [
     ZetaAssignment.consecutive(7),

@@ -7,8 +7,6 @@ import pytest
 from ngoneq import (
     ZetaAssignment,
     equation_sequences,
-    extended_matrices,
-    product_for_side,
 )
 from goldens import (
     HEXAGON_LHS_PATH,
@@ -17,6 +15,7 @@ from goldens import (
     hexagon_lhs_factors,
     hexagon_rhs_factors,
 )
+from oracles import factors_view, product_view
 
 ASSIGNMENTS = [
     ZetaAssignment.consecutive(6),
@@ -39,7 +38,7 @@ def test_paths_visit_the_six_reference_triangulations_in_order():
 @pytest.mark.parametrize("zeta", ASSIGNMENTS, ids=lambda z: z.label)
 def test_lhs_factors_match_reference(zeta):
     lhs, _ = equation_sequences(6)
-    built = extended_matrices(lhs, zeta)
+    built = factors_view(lhs, zeta)
     golden = hexagon_lhs_factors(zeta)  # leftmost = last applied
     assert [m.shape for m in golden] == [(6, 5), (5, 4), (4, 3)]
     assert built[2] == golden[0]
@@ -50,7 +49,7 @@ def test_lhs_factors_match_reference(zeta):
 @pytest.mark.parametrize("zeta", ASSIGNMENTS, ids=lambda z: z.label)
 def test_rhs_factors_match_reference(zeta):
     _, rhs = equation_sequences(6)
-    built = extended_matrices(rhs, zeta)
+    built = factors_view(rhs, zeta)
     golden = hexagon_rhs_factors(zeta)
     assert [m.shape for m in golden] == [(6, 5), (5, 4), (4, 3)]
     assert built[2] == golden[0]
@@ -67,5 +66,5 @@ def test_factor_products_agree(zeta):
     rhs_product = r1.mul(r2).mul(r3)
     assert lhs_product.shape == (6, 3)
     assert lhs_product == rhs_product
-    assert lhs_product == product_for_side(lhs, zeta)
-    assert rhs_product == product_for_side(rhs, zeta)
+    assert lhs_product == product_view(lhs, zeta)
+    assert rhs_product == product_view(rhs, zeta)

@@ -8,8 +8,6 @@ from ngoneq import (
     DenseMatrix,
     ZetaAssignment,
     equation_sequences,
-    extended_matrices,
-    product_for_side,
 )
 from goldens import (
     PENTAGON_MIDDLE_PERMUTATION,
@@ -19,7 +17,7 @@ from goldens import (
     permute_cols,
     permute_rows,
 )
-from oracles import row_sums, transpose
+from oracles import factors_view, product_view, row_sums, transpose
 
 ASSIGNMENTS = [
     ZetaAssignment.consecutive(5),
@@ -30,7 +28,7 @@ ASSIGNMENTS = [
 @pytest.mark.parametrize("zeta", ASSIGNMENTS, ids=lambda z: z.label)
 def test_lhs_factors_match_reference(zeta):
     lhs, _ = equation_sequences(5)
-    built = extended_matrices(lhs, zeta)
+    built = factors_view(lhs, zeta)
     golden = pentagon_lhs_factors(zeta)  # leftmost factor = last applied
     assert built[1] == golden[0]
     assert built[0] == golden[1]
@@ -42,7 +40,7 @@ def test_tabulated_lhs_factors_are_transposed(zeta):
     ones; their rows as printed do not sum to 1, so the transposed orientation
     is the only one consistent with the row-sum normalization."""
     lhs, _ = equation_sequences(5)
-    built = extended_matrices(lhs, zeta)
+    built = factors_view(lhs, zeta)
     tabulated = pentagon_lhs_factors_as_tabulated(zeta)
     assert transpose(built[1]) == tabulated[0]
     assert transpose(built[0]) == tabulated[1]
@@ -56,7 +54,7 @@ def test_rhs_factors_match_reference(zeta):
     two factors carry the tabulated (124, 234, 145) ordering of the middle
     triangulation, which is a row/column permutation of canonical order."""
     _, rhs = equation_sequences(5)
-    built = extended_matrices(rhs, zeta)
+    built = factors_view(rhs, zeta)
     golden = pentagon_rhs_factors(zeta)
     perm = PENTAGON_MIDDLE_PERMUTATION
     assert built[2] == golden[0]
@@ -73,8 +71,8 @@ def test_two_and_three_factor_products_agree(zeta):
     lhs_product = l1.mul(l2)
     rhs_product = r1.mul(r2).mul(r3)
     assert lhs_product == rhs_product
-    assert lhs_product == product_for_side(lhs, zeta)
-    assert rhs_product == product_for_side(rhs, zeta)
+    assert lhs_product == product_view(lhs, zeta)
+    assert rhs_product == product_view(rhs, zeta)
 
 
 def test_pentagon_paths_visit_reference_triangulations():
@@ -96,7 +94,7 @@ def test_pentagon_paths_visit_reference_triangulations():
 
 def test_pentagon_product_value_at_consecutive():
     lhs, _ = equation_sequences(5)
-    assert product_for_side(lhs, ZetaAssignment.consecutive(5)) == DenseMatrix([
+    assert product_view(lhs, ZetaAssignment.consecutive(5)) == DenseMatrix([
         [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
         [Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)],
         [Fraction(0), Fraction(-1), Fraction(2)],

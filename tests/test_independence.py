@@ -29,8 +29,6 @@ from ngoneq.verifier import (
     _prop_independence,
     _prop_initial_stack_rank,
     _prop_orthogonality,
-    max_stack_rank,
-    run_property_suite,
     verify_with_properties,
 )
 from ngoneq.exactfield import rank
@@ -38,6 +36,7 @@ from ngoneq.simplicial import move_size
 from oracles import (
     fraction_det,
     fvector_property_suite,
+    max_stack_rank,
     mixed_denominators,
     negative_fractional,
     oracle_assignments,
@@ -158,14 +157,15 @@ def test_stack_ranks_fall_back_to_the_full_rank_on_tampered_tables(monkeypatch, 
 
 
 def _suites_on_table(monkeypatch, n, zeta, rows):
-    """run_property_suite with ``rows`` in place of the Gale table, and
+    """The suite of verify_with_properties with ``rows`` in place of the Gale table, and
     fvector_property_suite with the Fraction view of ``rows`` in place of its vectors."""
     sequences = equation_sequences(n)
     for module in (verifier_module, fvectors_module):
         monkeypatch.setattr(module, "gale_table", lambda n, zeta: rows)
     vectors = f_vector_table(n, zeta)
     monkeypatch.setattr(oracles, "f_value_vector", lambda n, pair, zeta: vectors[pair])
-    return run_property_suite(n, zeta, sequences), fvector_property_suite(n, zeta, sequences)
+    suite = verify_with_properties(n, zeta).properties
+    return suite, fvector_property_suite(n, zeta, sequences)
 
 
 def _initial_stack_rank_calls(monkeypatch, n, zeta, rows):
@@ -255,19 +255,18 @@ def _tamper_one_move_matrix(monkeypatch, target):
 @pytest.mark.parametrize("n", [5, 8, 9])
 def test_a_tampered_move_matrix_fails_the_move_action(monkeypatch, n):
     """Negative control for the move action on Gale rows: with one entry of one move
-    matrix changed, the suite reports that move, both alone and inside
-    verify_with_properties, where the side products and the suite share the matrix."""
+    matrix changed, verify_with_properties, where the side products and the suite share
+    the matrix, reports that move."""
     zeta = negative_fractional(n)
-    lhs, rhs = equation_sequences(n)
+    _, rhs = equation_sequences(n)
     move = rhs.moves[-1]
     seen = _tamper_one_move_matrix(monkeypatch, move)
-    results = {r.name: r for r in run_property_suite(n, zeta, (lhs, rhs))}
-    assert results["move_action"].detail == f"rhs {move.label()}"
-    assert not results["move_action"].passed
     report = verify_with_properties(n, zeta)
     assert not report.equal
-    assert {r.name: r for r in report.properties}["move_action"].detail == f"rhs {move.label()}"
-    assert seen == [move, move]
+    results = {r.name: r for r in report.properties}
+    assert results["move_action"].detail == f"rhs {move.label()}"
+    assert not results["move_action"].passed
+    assert seen == [move]
 
 
 def test_a_deficient_stack_reports_the_first_choice(monkeypatch):
@@ -292,7 +291,7 @@ def test_suite_takes_n_plus_one_ranks(monkeypatch):
     monkeypatch.setattr(verifier_module, "rank", counting)
     for n in (5, 8, 11):
         calls.clear()
-        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 7), equation_sequences(n))
+        results = verify_with_properties(n, ZetaAssignment.random_distinct(n, 7)).properties
         assert all(r.passed for r in results)
         assert len(calls) == n + 1
         assert calls[:n] == [move_size(n)] * n  # each q-stack decided by its m x m block

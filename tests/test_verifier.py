@@ -15,7 +15,6 @@ from ngoneq import (
     ZetaAssignment,
     equation_sequences,
     gale_table,
-    run_property_suite,
     verify_equation,
     verify_with_properties,
 )
@@ -83,8 +82,7 @@ def test_report_json_schema():
 
 
 def test_property_suite_passes_n7_full_depth():
-    z = ZetaAssignment.consecutive(7)
-    results = run_property_suite(7, z, equation_sequences(7))
+    results = verify_with_properties(7, ZetaAssignment.consecutive(7)).properties
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     names = [r.name for r in results]
     assert names == [
@@ -104,29 +102,28 @@ def test_property_results_match_the_fvector_oracle(n):
     and negative-fractional values."""
     sequences = equation_sequences(n)
     for zeta in oracle_assignments(n):
-        assert run_property_suite(n, zeta, sequences) == fvector_property_suite(n, zeta, sequences)
+        assert verify_with_properties(n, zeta).properties == fvector_property_suite(n, zeta, sequences)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_property_results_match_the_fvector_oracle_at_mixed_denominators(n):
     """As above, at values over large, pairwise different denominators."""
     sequences, zeta = equation_sequences(n), mixed_denominators(n)
-    assert run_property_suite(n, zeta, sequences) == fvector_property_suite(n, zeta, sequences)
+    assert verify_with_properties(n, zeta).properties == fvector_property_suite(n, zeta, sequences)
 
 
 def test_property_suite_passes_random_seeds_n8():
     for seed in (1, 2, 3):
         z = ZetaAssignment.random_distinct(8, seed)
-        results = run_property_suite(8, z, equation_sequences(8))
+        results = verify_with_properties(8, z).properties
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_property_suite_builds_one_gale_table_and_no_f_vector(monkeypatch):
-    """One run_property_suite call builds one table of Gale rows and no Fraction
-    vector, wherever in the package gale_table, f_vector and f_vector_table are
-    looked up from."""
+    """One verify_with_properties call builds one table of Gale rows and no Fraction
+    vector, wherever in the package gale_table and f_vector_table are looked up from."""
     calls = []
-    for attr in ("gale_table", "f_vector", "f_vector_table"):
+    for attr in ("gale_table", "f_vector_table"):
         real = getattr(fvectors_module, attr)
 
         def counting(*args, real=real, attr=attr):
@@ -138,37 +135,34 @@ def test_property_suite_builds_one_gale_table_and_no_f_vector(monkeypatch):
                 monkeypatch.setattr(module, attr, counting)
     for n in (5, 8, 9):
         calls.clear()
-        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5), equation_sequences(n))
+        results = verify_with_properties(n, ZetaAssignment.random_distinct(n, 5)).properties
         assert all(r.passed for r in results)
         assert calls == ["gale_table"]
 
 
 def test_property_suite_checks_each_row_orthogonality_once(monkeypatch):
     """Each Gale row's orthogonality is computed once per suite run and shared by
-    orthogonality and independence: C(n,2) check_orthogonality calls, one per row. The
-    first n - floor(n/2) columns of each q-stack go to the same kernel, ``annihilates``,
-    with the folded weights of their stack: C(n,2) + n (n - floor(n/2)) kernel calls,
-    wherever either is looked up from."""
-    calls, kernel = [], []
-    for attr, record in (("check_orthogonality", calls), ("annihilates", kernel)):
-        real = getattr(fvectors_module, attr)
+    orthogonality and independence: C(n,2) calls of the kernel ``annihilates`` with
+    ``zeta.weighted_powers``, one per row. The first n - floor(n/2) columns of each
+    q-stack go to the same kernel with the folded weights of their stack: C(n,2) +
+    n (n - floor(n/2)) kernel calls, wherever it is looked up from."""
+    real, calls = fvectors_module.annihilates, []
 
-        def counting(weights_or_row, arg, real=real, record=record):
-            record.append(weights_or_row)
-            return real(weights_or_row, arg)
+    def counting(weights, vector):
+        calls.append((weights, vector))
+        return real(weights, vector)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "ngoneq" and getattr(module, attr, None) is real:
-                monkeypatch.setattr(module, attr, counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "annihilates", None) is real:
+            monkeypatch.setattr(module, "annihilates", counting)
     for n in (5, 8, 9):
         calls.clear()
-        kernel.clear()
         zeta = negative_fractional(n)
-        results = run_property_suite(n, zeta, equation_sequences(n))
+        results = verify_with_properties(n, zeta).properties
         assert all(r.passed for r in results)
-        assert sorted(calls) == sorted(gale_table(n, zeta).values())
-        assert len(calls) == comb(n, 2)
-        assert len(kernel) == comb(n, 2) + n * (n - n // 2)
+        rows = [vector for weights, vector in calls if weights is zeta.weighted_powers]
+        assert sorted(rows) == sorted(gale_table(n, zeta).values())
+        assert len(calls) == comb(n, 2) + n * (n - n // 2)
 
 
 def _count_int_p_matrix(monkeypatch):
@@ -200,36 +194,19 @@ def test_verify_with_properties_builds_each_move_matrix_once(monkeypatch):
 
 
 def test_property_suite_builds_no_extended_matrix(monkeypatch):
-    """Row sums are checked on the move matrices alone: one run_property_suite
-    call pads no move matrix, wherever in the package extend_matrix is looked
-    up from."""
-    real = pmatrix_module.extend_matrix
-    calls = []
+    """Row sums are checked on the move matrices alone: verify_with_properties never
+    calls side_factors, wherever in the package it is looked up from."""
+    real = pmatrix_module.side_factors
 
-    def counting(move, t_old, t_new, zeta):
-        calls.append(move)
-        return real(move, t_old, t_new, zeta)
+    def forbidden(*args):
+        raise AssertionError("side_factors called by verify_with_properties")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, "extend_matrix", None) is real:
-            monkeypatch.setattr(module, "extend_matrix", counting)
+        if name.split(".")[0] == "ngoneq" and getattr(module, "side_factors", None) is real:
+            monkeypatch.setattr(module, "side_factors", forbidden)
     for n in (5, 8, 9):
-        results = run_property_suite(n, ZetaAssignment.random_distinct(n, 5), equation_sequences(n))
-        assert all(r.passed for r in results)
-    assert calls == []
-
-
-def test_property_suite_builds_each_move_matrix_once(monkeypatch):
-    """One run_property_suite call constructs the integer matrix of every move
-    of both sequences exactly once, for row sums and move action together,
-    wherever in the package int_p_matrix is looked up from."""
-    calls = _count_int_p_matrix(monkeypatch)
-    for n in (5, 8, 9):
-        lhs, rhs = equation_sequences(n)
-        calls.clear()
-        results = run_property_suite(n, negative_fractional(n), (lhs, rhs))
-        assert all(r.passed for r in results)
-        assert Counter(calls) == Counter(lhs.moves + rhs.moves)
+        report = verify_with_properties(n, ZetaAssignment.random_distinct(n, 5))
+        assert report.equal and all(r.passed for r in report.properties)
 
 
 def test_side_products_construct_no_fraction_and_no_pair(monkeypatch):
@@ -267,7 +244,7 @@ def test_property_suite_builds_no_matrix_to_take_a_rank(monkeypatch):
 
     monkeypatch.setattr(DenseMatrix, "rank", forbidden)
     for n in (5, 8, 9):
-        results = run_property_suite(n, negative_fractional(n), equation_sequences(n))
+        results = verify_with_properties(n, negative_fractional(n)).properties
         assert all(r.passed for r in results), results
 
 
@@ -375,7 +352,7 @@ def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
         return p
 
     monkeypatch.setattr(verifier_module, "int_p_matrix", tampered)
-    suite = run_property_suite(5, ZetaAssignment.consecutive(5), equation_sequences(5))
+    suite = verify_with_properties(5, ZetaAssignment.consecutive(5)).properties
     results = {r.name: r for r in suite}
     assert not results["row_sums"].passed
     assert results["row_sums"].detail == "lhs d^(2)_{35} move matrix row 0 sums to 0"
