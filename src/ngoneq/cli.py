@@ -8,7 +8,7 @@ Subcommands:
 
 Every matrix stays in exact integer rows (numerators, denominator) until ``export``
 writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from one
-move matrix per move and side.
+move matrix per move and side, with the pair gauge of the rows taken out entrywise.
 
 A command builds only its own subcommand's parser. The full parser is built for --help,
 --version, a missing or unknown command and left-over arguments, and prints as it always has.
@@ -30,7 +30,7 @@ from math import gcd
 from .errors import InvalidInputError
 from .exactfield import IntRow, ZetaAssignment
 from .fvectors import f_vector_table
-from .pmatrix import int_p_matrix, side_factors, side_rows
+from .pmatrix import int_p_matrix, pair_gauge, side_factors, side_rows
 from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
 from .version import __version__
@@ -187,10 +187,21 @@ def _latex_rows(rows: list[IntRow]) -> str:
     return "\n".join(lines)
 
 
+def _true_rows(rows: list[IntRow], target, source, zeta: ZetaAssignment) -> list[IntRow]:
+    """Rows in the pair gauge at the pairs A of ``target`` and B of ``source``, made true:
+    x / d becomes x s(B) / (d s(A)) (``pair_gauge``), left for ``_entry`` to reduce."""
+    if zeta.row[1] == 1:  # integral: every s(pair) is 1
+        return rows
+    cols, heights = pair_gauge(zeta, source.pairs), pair_gauge(zeta, target.pairs)
+    return [(tuple([x * c for x, c in zip(v, cols)]), d * s) for (v, d), s in zip(rows, heights)]
+
+
 def _side_factors_and_product(seq: MoveSequence, zeta: ZetaAssignment):
-    """One side's extended factors and product, from one ``int_p_matrix`` per move."""
-    matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
-    return side_factors(seq, matrices), side_rows(seq, matrices)
+    """One side's true extended factors and product, from one ``int_p_matrix`` per move."""
+    matrices, path = {move: int_p_matrix(move, zeta) for move in seq.moves}, seq.path
+    factors = [_true_rows(rows, new, old, zeta)
+               for rows, old, new in zip(side_factors(seq, matrices), path, path[1:])]
+    return factors, _true_rows(side_rows(seq, matrices), path[-1], path[0], zeta)
 
 
 def _export_side(seq: MoveSequence, zeta: ZetaAssignment) -> dict:

@@ -21,7 +21,7 @@ from .errors import InvalidInputError
 
 Rat = Fraction
 IntRow = tuple[tuple[int, ...], int]  # (numerators, denominator > 0), gcd 1: canonical
-IntMatrix = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]  # (N, W): P_ij = N_ij / W_j, W_j != 0
+IntMatrix = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]  # (N, W): N_ij / W_j, W_j != 0
 
 RANDOM_VALUE_RANGE = (1, 10**6)
 
@@ -76,6 +76,13 @@ class ZetaAssignment(namedtuple("ZetaAssignment", "n values label")):
         """The values as an integer row (u, s), z = u / s, cleared once per
         assignment."""
         return int_row(self.values)
+
+    @cached_property
+    def deltas(self) -> tuple[tuple[int, ...], ...]:
+        """The 2x2 determinants Delta_ab = p_a q_b - p_b q_a = q_a q_b (z_a - z_b), z = p / q
+        in lowest terms, 0-based, taken once; u_a - u_b, u = row[0], at integral values."""
+        pq = [(x.numerator, x.denominator) for x in self.values]
+        return tuple(tuple([p * r - o * q for o, r in pq]) for p, q in pq)
 
     @cached_property
     def weighted_powers(self) -> tuple[tuple[int, ...], ...]:

@@ -23,7 +23,7 @@ from operator import mul
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, Rat, ZetaAssignment
-from .pmatrix import act_on_int_rows
+from .pmatrix import act_on_int_rows, pair_gauge
 from .simplicial import PachnerMove, Pair, check_n
 
 
@@ -75,9 +75,15 @@ def annihilates(weights: Sequence[Sequence[int]], vector: Sequence[int]) -> bool
     return not any(sum(map(mul, row, vector)) for row in weights)
 
 
-def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple]) -> bool:
+def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple],
+                      zeta: ZetaAssignment) -> bool:
     """True iff ``p = int_p_matrix(move, zeta)`` maps the removed pairs' Gale rows (from
-    ``gale_table``) exactly to the created pairs': iff P F_removed = F_created."""
+    ``gale_table``) exactly to the created pairs': iff P F_removed = F_created, that is, as
+    P = S_c^-1 P_hom S_r (``pair_gauge``), iff P_hom maps S G_removed to S G_created."""
+    if zeta.row[1] > 1:  # not integral: every s(pair) is 1 otherwise
+        pairs = move.removed_pairs + move.created_pairs
+        rows = {pair: tuple([s * x for x in rows[pair]])
+                for pair, s in zip(pairs, pair_gauge(zeta, pairs))}
     acted = {pair: (rows[pair], 1) for pair in move.removed_pairs}
     act_on_int_rows(move, p, acted)
     return acted == {pair: (rows[pair], 1) for pair in move.created_pairs}

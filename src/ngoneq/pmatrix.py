@@ -8,11 +8,12 @@ entry is the Lagrange basis ratio
 
     prod_{j' != j} (z[row_i] - z[col_j']) / prod_{j' != j} (z[col_j] - z[col_j'])
 
-which makes every row sum to 1. Only ``int_p_matrix`` computes P, with no
-``Fraction``: P = N diag(1 / W_j), integer numerator rows N and one signed
-column weight W_j (the entry's denominator) per column. The same entries are
-alternating-sign ratios of Vandermonde determinants over an interleaved vertex
-frame; ``tests/oracles.py`` keeps that form as a cross-check.
+which makes every row sum to 1. Only ``int_p_matrix`` computes it, with no ``Fraction``:
+P_hom = N diag(1 / W_j) over the determinants Delta_ab = p_a q_b - p_b q_a of z = p / q
+(``ZetaAssignment.deltas``), and P = S_c^-1 P_hom S_r with s(i, j) = (q_i q_j)^(m-1)
+(Identity 3, the pair gauge, in README; ``pair_gauge``). A side product of P_hom is
+S_final M S_initial^-1, and every s is 1 at integral values. ``tests/oracles.py`` keeps
+the Vandermonde-ratio form of the entries as a cross-check.
 
 One primitive, ``act_on_int_rows``, applies a move's integer matrix in place to
 integer rows (``IntRow``) keyed by pair: the rows of the removed pairs become P
@@ -22,13 +23,14 @@ that loop folded over a move sequence from the identity rows of its first
 triangulation; an extended (identity-padded) matrix (``side_factors``) and the
 move-action check of ``fvectors`` are one move applied to identity rows or to
 Gale rows (g, 1). Both take their triangulations from ``MoveSequence.path`` and
-their move matrices from the caller, who builds each one once. The dense
-product of extended matrices is kept in the tests as an oracle.
+their move matrices from the caller, so all run in the pair gauge. The dense product of
+extended matrices is kept in the tests as an oracle.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm, prod
+from operator import itemgetter
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
 from .exactfield import IntMatrix, IntRow, ZetaAssignment
@@ -37,27 +39,35 @@ from .simplicial import (
     PachnerMove,
     Pair,
     Triangulation,
+    move_size,
 )
 
 
 def int_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> IntMatrix:
-    """The move matrix as (N, W), P_ij = N_ij / W_j; row i belongs to
-    ``move.created_pairs[i]``, column j to ``move.removed_pairs[j]``. Shape is m x m
-    for odd n and (m+1) x m for even n, m = floor((n-1)/2). Over integers u = s * z
-    (s cancels), N_ij = l_i // d_ij = prod_{j' != j} d_ij', d_ij = u[row_i] - u[col_j],
-    l_i = prod_j d_ij, and the nonzero, signed W_j = prod_{j' != j} (u[col_j] - u[col_j']),
-    with no scaling common to the columns.
+    """The move matrix in the pair gauge as (N, W), P_hom_ij = N_ij / W_j; row i belongs to
+    ``move.created_pairs[i]``, column j to ``move.removed_pairs[j]``. Shape is m x m for odd
+    n and (m+1) x m for even n, m = floor((n-1)/2). Over D = ``zeta.deltas``, N_ij = l_i //
+    D(c_i, b_j) = prod_{j' != j} D(c_i, b_j'), l_i = prod_j D(c_i, b_j), and the signed W_j =
+    prod_{j' != j} D(b_j, b_j'), the nonzero ones of D(b_j, b) over all b (D(b_j, b_j) = 0),
+    with no scaling common to the columns. The true P is S_c^-1 P_hom S_r (``pair_gauge``);
+    at integral values D is u_a - u_b and P_hom is P.
     """
     if zeta.n != move.n:
         raise InvalidInputError(
             f"assignment is for n={zeta.n} but move is for n={move.n}"
         )
-    u = zeta.row[0]
-    u_cols = [u[b - 1] for b in reversed(move.b_set)]
-    weights = tuple([prod([uj - uk for uk in u_cols if uk != uj]) for uj in u_cols])
-    diffs = [[u[c - 1] - uc for uc in u_cols] for c in reversed(move.c_set)]
+    delta, pick = zeta.deltas, itemgetter(*[b - 1 for b in reversed(move.b_set)])
+    weights = tuple([prod([x for x in pick(delta[b - 1]) if x]) for b in reversed(move.b_set)])
+    diffs = [pick(delta[c - 1]) for c in reversed(move.c_set)]
     rows = tuple([tuple([ell // x for x in row]) for row, ell in zip(diffs, map(prod, diffs))])
     return rows, weights
+
+
+def pair_gauge(zeta: ZetaAssignment, pairs) -> list[int]:
+    """s(i, j) = (q_i q_j)^(m-1) per pair, z = p / q, m = floor((n-1)/2): a matrix built from
+    ``int_p_matrix`` holding x at row pair A, column pair B has the true entry x s(B) / s(A)."""
+    e, z = move_size(zeta.n) - 1, zeta.values
+    return [(z[p.i - 1].denominator * z[p.j - 1].denominator) ** e for p in pairs]
 
 
 def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow]) -> None:

@@ -27,7 +27,7 @@ from operator import mul
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row
 from .fvectors import annihilates, check_move_action, gale_table
-from .pmatrix import int_p_matrix, side_rows
+from .pmatrix import int_p_matrix, pair_gauge, side_rows
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -105,13 +105,15 @@ class VerificationReport(namedtuple(
         return doc
 
 
-def _first_difference(
-    lhs: list[IntRow], rhs: list[IntRow], final: Triangulation, initial: Triangulation
-) -> FirstDifference | None:
-    """The first unequal entry of two sides given as integer rows."""
+def _first_difference(lhs: list[IntRow], rhs: list[IntRow], final: Triangulation,
+                      initial: Triangulation, zeta: ZetaAssignment) -> FirstDifference | None:
+    """The first unequal entry of two sides in the pair gauge, with true values x s(B) / s(A)."""
     for i, rows in enumerate(zip(lhs, rhs)):
         for j, (x, y) in enumerate(zip(*map(rat_row, rows))):
             if x != y:
+                if zeta.row[1] > 1:  # not integral: every s(pair) is 1 otherwise
+                    scale = Rat(*pair_gauge(zeta, (initial.pairs[j], final.pairs[i])))
+                    x, y = x * scale, y * scale
                 return FirstDifference(
                     row=i,
                     col=j,
@@ -149,7 +151,7 @@ def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
 
     t0 = time.perf_counter()
     equal = lhs_rows == rhs_rows  # integer rows are canonical
-    difference = None if equal else _first_difference(lhs_rows, rhs_rows, final, initial)
+    difference = None if equal else _first_difference(lhs_rows, rhs_rows, final, initial, zeta)
     timings["compare"] = time.perf_counter() - t0
 
     shape = (len(final), len(initial))
@@ -210,17 +212,21 @@ class SuiteContext:
 
 
 def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
-    """Every move matrix's rows sum to 1: over D = lcm |W_j|, sum_j N_ij (D // W_j) = D. An
-    extended matrix's rows are its move matrix's rows and identity rows, so this covers them too."""
+    """Every move matrix's rows sum to 1: over D = lcm |W_j|, sum_j N_ij (D // W_j) s(b_j) =
+    D s(c_i), as P = S_c^-1 P_hom S_r (``pair_gauge``). An extended matrix's rows are its move
+    matrix's rows and identity rows, so this covers them too."""
     for seq in ctx.sequences:
         for move in seq.moves:
             rows, weights = ctx.matrices[move]
             d = lcm(*weights)
-            scales = [d // w for w in weights]
-            for i, row in enumerate(rows):
-                if (total := sum(map(mul, row, scales))) != d:
+            scales, sums = [d // w for w in weights], [d] * len(rows)
+            if ctx.zeta.row[1] > 1:  # not integral: every s(pair) is 1 otherwise
+                scales = list(map(mul, scales, pair_gauge(ctx.zeta, move.removed_pairs)))
+                sums = [d * s for s in pair_gauge(ctx.zeta, move.created_pairs)]
+            for i, (row, want) in enumerate(zip(rows, sums)):
+                if (total := sum(map(mul, row, scales))) != want:
                     where = f"{seq.side} {move.label()} move matrix row {i}"
-                    return PropertyResult("row_sums", False, f"{where} sums to {Rat(total, d)}")
+                    return PropertyResult("row_sums", False, f"{where} sums to {Rat(total, want)}")
     return PropertyResult("row_sums", True)
 
 
@@ -232,7 +238,7 @@ def _prop_orthogonality(ctx: SuiteContext) -> PropertyResult:
 def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
     for seq in ctx.sequences:
         for move in seq.moves:
-            if not check_move_action(move, ctx.matrices[move], ctx.rows):
+            if not check_move_action(move, ctx.matrices[move], ctx.rows, ctx.zeta):
                 return PropertyResult("move_action", False, f"{seq.side} {move.label()}")
     return PropertyResult("move_action", True)
 

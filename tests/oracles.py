@@ -16,7 +16,9 @@ the old way on ``FVector`` rows built from ``f_value``
 ``Fraction`` arithmetic. The padded factors walk their own
 triangulations from the initial one rather than read ``MoveSequence.path``.
 ``build_p_matrix`` is the ``Fraction`` view of ``int_p_matrix`` that the tests
-compare against. ``one_denominator_p_matrix`` and ``one_denominator_act`` keep the
+compare against, taken out of the pair gauge: ``gauge`` is s(i, j) = (q_i q_j)^(m-1)
+written out afresh, and ``true_matrix`` reads integer rows in the gauge as the matrix
+of their true values. ``one_denominator_p_matrix`` and ``one_denominator_act`` keep the
 move matrix and row action as they were before column weights: every column scaled
 to one denominator D = lcm |W_j|, and each created row accumulated over D lcm(d_j)
 (``one_denominator_side_rows`` folds them over a sequence). ``sampled_independence``
@@ -26,8 +28,8 @@ vertex, and
 ``lagrange_orthogonality`` is the orthogonality test as it was before
 ``ZetaAssignment.weighted_powers``: Lagrange weights and every power taken afresh.
 ``factors_view`` and ``product_view`` read the library's ``side_factors`` and
-``side_rows`` as ``DenseMatrix``es, for comparison with tabulated factors and with
-the dense oracle; ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
+``side_rows`` as ``DenseMatrix``es of true values, for comparison with tabulated
+factors and with the dense oracle; ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
 ``other_vertex`` are the small lookups the package no longer exports. The small
 dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
 vector stacks) serve the tests only.
@@ -144,10 +146,31 @@ class InterleavedFrame:
         return [self.at(k) for k in range(1, n - 2, 2)]
 
 
+def gauge(zeta: ZetaAssignment, pair: Pair) -> int:
+    """The pair gauge s(i, j) = (q_i q_j)^(m - 1), q the denominators of z_i and z_j,
+    m = floor((n - 1)/2): the library's matrices hold x s(A) / s(B) at row pair A and
+    column pair B for the true entry x."""
+    return (zeta[pair.i].denominator * zeta[pair.j].denominator) ** (move_size(zeta.n) - 1)
+
+
+def true_matrix(rows, row_pairs, col_pairs, zeta: ZetaAssignment) -> DenseMatrix:
+    """Integer rows in the pair gauge, at the given row and column pairs, as the matrix of
+    their true values x s(B) / (d s(A))."""
+    return DenseMatrix([
+        [Fraction(x * gauge(zeta, b), d * gauge(zeta, a)) for x, b in zip(v, col_pairs)]
+        for (v, d), a in zip(rows, row_pairs)
+    ])
+
+
 def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
-    """The move matrix of ``int_p_matrix`` as a matrix of rationals N_ij / W_j."""
+    """The move matrix of ``int_p_matrix`` as a matrix of rationals, the true entries
+    (N_ij / W_j) s(b_j) / s(c_i)."""
     rows, weights = int_p_matrix(move, zeta)
-    return DenseMatrix([[Fraction(x, w) for x, w in zip(row, weights)] for row in rows])
+    return DenseMatrix([
+        [Fraction(x * gauge(zeta, b), w * gauge(zeta, c))
+         for x, w, b in zip(row, weights, move.removed_pairs)]
+        for row, c in zip(rows, move.created_pairs)
+    ])
 
 
 def one_denominator_p_matrix(move: PachnerMove, zeta: ZetaAssignment):
@@ -214,12 +237,14 @@ def act_on_rows(move: PachnerMove, zeta: ZetaAssignment, rows) -> dict:
     """``act_on_int_rows`` on rows of rationals keyed by pair: returns a new
     dict in which the rows of the removed pairs are replaced by P times those
     rows, keyed by the created pairs, and every other row is carried over (the
-    same object); ``rows`` is left untouched."""
+    same object); ``rows`` is left untouched. As P = S_c^-1 P_hom S_r, the removed
+    rows enter scaled by their gauge and the created rows leave divided by theirs."""
     removed = set(move.removed_pairs)
-    out = {pair: int_row(row) if pair in removed else row for pair, row in rows.items()}
+    out = {pair: int_row([x * gauge(zeta, pair) for x in row]) if pair in removed else row
+           for pair, row in rows.items()}
     act_on_int_rows(move, int_p_matrix(move, zeta), out)
     for pair in move.created_pairs:
-        out[pair] = rat_row(out[pair])
+        out[pair] = tuple([x / gauge(zeta, pair) for x in rat_row(out[pair])])
     return out
 
 
@@ -267,15 +292,19 @@ def dense_product(seq, zeta) -> DenseMatrix:
 
 
 def factors_view(seq, zeta) -> list[DenseMatrix]:
-    """The library's extended factors of a side, ``side_factors``, as matrices of rationals."""
+    """The library's extended factors of a side, ``side_factors``, as matrices of their true
+    rationals."""
     matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
-    return [DenseMatrix([rat_row(row) for row in rows]) for rows in side_factors(seq, matrices)]
+    return [
+        true_matrix(rows, new.pairs, old.pairs, zeta)
+        for rows, old, new in zip(side_factors(seq, matrices), seq.path, seq.path[1:])
+    ]
 
 
 def product_view(seq, zeta) -> DenseMatrix:
-    """The library's side product, ``side_rows``, as a matrix of rationals."""
+    """The library's side product, ``side_rows``, as a matrix of its true rationals."""
     matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
-    return DenseMatrix([rat_row(row) for row in side_rows(seq, matrices)])
+    return true_matrix(side_rows(seq, matrices), seq.path[-1].pairs, seq.path[0].pairs, zeta)
 
 
 def other_vertex(pair: Pair, v: int) -> int:

@@ -171,7 +171,7 @@ def test_criterion_07_move_action_for_all_moves():
         table = gale_table(n, zeta)
         for seq in equation_sequences(n):
             for move in seq.moves:
-                if not check_move_action(move, int_p_matrix(move, zeta), table):
+                if not check_move_action(move, int_p_matrix(move, zeta), table, zeta):
                     bad.append((n, seq.side, move.label()))
     assert not bad, bad
 

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,9 @@ from ngoneq import (
     ZetaAssignment,
     equation_sequences,
     initial_triangulation,
+    int_p_matrix,
+    verify_equation,
+    verify_with_properties,
 )
 from ngoneq.cli import EXIT_INTERNAL, build_parser, main, parse_command_line
 from oracles import f_value_vector, negative_fractional
@@ -275,6 +279,35 @@ def test_export_builds_each_extended_matrix_once(monkeypatch, capsys, fmt):
         sides = [seq for seq in equation_sequences(6) if side in ("both", seq.side)]
         assert [move for move, _ in matrices] == [move for seq in sides for move in seq.moves]
         assert [seq for seq, _ in factors] == sides
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_integral_values_take_no_pair_gauge(monkeypatch, capsys, seeded):
+    """At integral values every s(pair) is 1: ``int_p_matrix`` returns the difference form
+    N_ij = prod_{j' != j} (z_{c_i} - z_{b_j'}), W_j = prod_{j' != j} (z_{b_j} - z_{b_j'}), and
+    ``pair_gauge`` is never called by verify_equation, verify_with_properties or export,
+    so they run the arithmetic they ran before the gauge. At fractional values the suite
+    does call it, so the counter is attached."""
+    gauges = _record_calls(monkeypatch, "pair_gauge", pmatrix_module)
+    for n in (5, 6, 9, 10):
+        zeta = ZetaAssignment.random_distinct(n, 5) if seeded else ZetaAssignment.consecutive(n)
+        u = [int(z) for z in zeta.values]
+        for seq in equation_sequences(n):
+            for move in seq.moves:
+                cols = [u[b - 1] for b in reversed(move.b_set)]
+                assert int_p_matrix(move, zeta) == (
+                    tuple(tuple(prod(u[c - 1] - y for y in cols if y != x) for x in cols)
+                          for c in reversed(move.c_set)),
+                    tuple(prod(x - y for y in cols if y != x) for x in cols),
+                )
+        assert verify_equation(n, zeta).equal
+        assert all(r.passed for r in verify_with_properties(n, zeta).properties)
+        options = ["--seed", "5"] if seeded else []
+        for fmt in ("json", "latex"):
+            assert run(capsys, "export", "--n", str(n), *options, "--format", fmt)[0] == 0
+    assert gauges == []
+    verify_with_properties(5, negative_fractional(5))
+    assert gauges
 
 
 COMMANDS_THAT_PRINT = [

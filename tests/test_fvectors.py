@@ -362,14 +362,14 @@ def test_pentagon_move_action_explicit():
     assert p.mul(DenseMatrix([rows[Pair(4, 5, 5)], rows[Pair(2, 5, 5)]])) == DenseMatrix(
         [rows[Pair(3, 5, 5)], rows[Pair(1, 5, 5)]]
     )
-    assert check_move_action(move, int_p_matrix(move, z), rows)
+    assert check_move_action(move, int_p_matrix(move, z), rows, z)
 
 
 def test_hexagon_and_heptagon_move_action():
     rows6, rows7 = gale_table(6, CONSEC[6]), gale_table(7, CONSEC[7])
     move6, move7 = PachnerMove(6, 6, (1, 3), (2, 4, 5)), PachnerMove(7, 7, (2, 4, 6), (1, 3, 5))
-    assert check_move_action(move6, int_p_matrix(move6, CONSEC[6]), rows6)
-    assert check_move_action(move7, int_p_matrix(move7, CONSEC[7]), rows7)
+    assert check_move_action(move6, int_p_matrix(move6, CONSEC[6]), rows6, CONSEC[6])
+    assert check_move_action(move7, int_p_matrix(move7, CONSEC[7]), rows7, CONSEC[7])
 
 
 def test_move_action_along_sequences():
@@ -377,7 +377,7 @@ def test_move_action_along_sequences():
         rows = gale_table(n, CONSEC[n])
         for seq in equation_sequences(n):
             for move in seq.moves:
-                assert check_move_action(move, int_p_matrix(move, CONSEC[n]), rows)
+                assert check_move_action(move, int_p_matrix(move, CONSEC[n]), rows, CONSEC[n])
 
 
 def test_move_action_at_random_assignment():
@@ -385,7 +385,7 @@ def test_move_action_at_random_assignment():
     rows = gale_table(6, z)
     for seq in equation_sequences(6):
         for move in seq.moves:
-            assert check_move_action(move, int_p_matrix(move, z), rows)
+            assert check_move_action(move, int_p_matrix(move, z), rows, z)
 
 
 def test_move_action_detects_a_wrong_created_vector():
@@ -394,7 +394,7 @@ def test_move_action_detects_a_wrong_created_vector():
     rows = gale_table(6, z)
     created = move.created_pairs[0]
     rows[created] = _perturbed(rows[created], {1: 1})
-    assert not check_move_action(move, int_p_matrix(move, z), rows)
+    assert not check_move_action(move, int_p_matrix(move, z), rows, z)
 
 
 @pytest.mark.parametrize("make", [negative_fractional, mixed_denominators])
@@ -407,12 +407,12 @@ def test_move_action_detects_a_wrong_created_vector_at_fractional_values(make):
         rows = gale_table(n, z)
         for seq in equation_sequences(n):
             for move in seq.moves:
-                assert check_move_action(move, int_p_matrix(move, z), rows)
+                assert check_move_action(move, int_p_matrix(move, z), rows, z)
         move = equation_sequences(n)[0].moves[0]
         created = move.created_pairs[-1]
         row = rows[created]
         for wrong in (tuple(2 * x for x in row), _perturbed(row, {created.simplex()[0]: 1})):
-            assert not check_move_action(move, int_p_matrix(move, z), {**rows, created: wrong})
+            assert not check_move_action(move, int_p_matrix(move, z), {**rows, created: wrong}, z)
 
 
 def test_f_vector_table_holds_every_pair_in_order():

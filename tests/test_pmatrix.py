@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ from ngoneq import (
     int_p_matrix,
 )
 from ngoneq.exactfield import int_row, rat_row
-from ngoneq.pmatrix import side_rows
+from ngoneq.pmatrix import pair_gauge, side_rows
 from oracles import (
     InterleavedFrame,
     build_p_matrix,
@@ -32,13 +32,16 @@ from oracles import (
     dense_product,
     distinct_assignments,
     factors_view,
+    gauge,
     mixed_denominators,
+    negative_fractional,
     one_denominator_side_rows,
     oracle_assignments,
     other_vertex,
     p_entry_vandermonde,
     product_view,
     row_sums,
+    true_matrix,
 )
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
@@ -195,39 +198,67 @@ def test_lagrange_entries_equal_vandermonde_ratio_form():
 @given(distinct_assignments(max_n=10), st.data())
 def test_integer_move_matrix_equals_vandermonde_ratio_form(zeta, data):
     """At drawn rationals of both signs, integer or not, the integer rows over the
-    column weights equal the Vandermonde-ratio entries: every W_j is nonzero, some
-    W_j is negative, N_ij / W_j is the entry and every row's N_ij / W_j sum to 1."""
+    column weights, read through the pair gauge (``build_p_matrix``), equal the
+    Vandermonde-ratio entries: every W_j is nonzero, some W_j is negative and every
+    row of P sums to 1."""
     seq = equation_sequences(zeta.n)[data.draw(st.integers(0, 1))]
     move = seq.moves[data.draw(st.integers(0, len(seq.moves) - 1))]
     rows, weights = int_p_matrix(move, zeta)
     assert all(weights) and any(w < 0 for w in weights)
     assert len(rows) == len(move.created_pairs)
-    for i, row in enumerate(rows):
-        assert len(row) == len(weights) == len(move.removed_pairs)
-        assert sum(Fraction(x, w) for x, w in zip(row, weights)) == 1
-        assert [Fraction(x, w) for x, w in zip(row, weights)] == [
+    assert all(len(row) == len(weights) == len(move.removed_pairs) for row in rows)
+    p = build_p_matrix(move, zeta)
+    for i, row in enumerate(p.entries):
+        assert sum(row) == 1
+        assert list(row) == [
             p_entry_vandermonde(move, zeta, i + 1, j + 1) for j in range(len(row))
         ]
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(distinct_assignments(max_n=10), st.data())
+def test_pair_gauge_takes_the_move_matrix_to_the_vandermonde_entries(zeta, data):
+    """Identity 3 at drawn rationals: (P_hom)_ij s(b_j) / s(c_i), with ``int_p_matrix``
+    for P_hom and the library's ``pair_gauge`` for s, is the Vandermonde-ratio entry,
+    and the gauge is (q_i q_j)^(m-1)."""
+    seq = equation_sequences(zeta.n)[data.draw(st.integers(0, 1))]
+    move = seq.moves[data.draw(st.integers(0, len(seq.moves) - 1))]
+    rows, weights = int_p_matrix(move, zeta)
+    s_rows = pair_gauge(zeta, move.created_pairs)
+    s_cols = pair_gauge(zeta, move.removed_pairs)
+    pairs = move.created_pairs + move.removed_pairs
+    assert s_rows + s_cols == [gauge(zeta, pair) for pair in pairs]
+    for i, (row, s_row) in enumerate(zip(rows, s_rows)):
+        assert [Fraction(x * s_col, w * s_row) for x, w, s_col in zip(row, weights, s_cols)] == [
+            p_entry_vandermonde(move, zeta, i + 1, j + 1) for j in range(len(row))
+        ]
+
+
+def _delta(zeta, a, b):
+    """p_a q_b - p_b q_a for z_a = p_a / q_a and z_b = p_b / q_b in lowest terms."""
+    return zeta[a].numerator * zeta[b].denominator - zeta[b].numerator * zeta[a].denominator
+
+
 @pytest.mark.parametrize("n", range(5, 15))
 def test_integer_move_matrix_is_numerators_over_unscaled_column_weights(n):
-    """``int_p_matrix`` returns exactly N_ij = prod_{j' != j} (u_{c_i} - u_{b_j'}) and
-    W_j = prod_{j' != j} (u_{b_j} - u_{b_j'}) over the integer values u = s z, s the lcm
-    of the denominators, with the created and removed partners read from the
-    interleaved frame: no factor common to the columns."""
+    """``int_p_matrix`` returns exactly N_ij = prod_{j' != j} Delta(c_i, b_j') and
+    W_j = prod_{j' != j} Delta(b_j, b_j') over the 2x2 determinants
+    Delta_ab = p_a q_b - p_b q_a of z = p / q, with the created and removed partners read
+    from the interleaved frame: no factor common to the columns. At integral values
+    Delta_ab = z_a - z_b."""
     for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 1000 + n),
-                 mixed_denominators(n)):
-        s = lcm(*[z.denominator for z in zeta.values])
-        u = {v: int(zeta[v] * s) for v in range(1, n + 1)}
+                 mixed_denominators(n), negative_fractional(n)):
         for seq in equation_sequences(n):
             for move in seq.moves:
                 frame = InterleavedFrame.from_move(move)
                 cs, bs = frame.row_vertices(), frame.col_vertices()
                 want_rows = tuple(
-                    tuple(prod(u[c] - u[b] for b in bs if b != bj) for bj in bs) for c in cs
+                    tuple(prod(_delta(zeta, c, b) for b in bs if b != bj) for bj in bs)
+                    for c in cs
                 )
-                want_weights = tuple(prod(u[bj] - u[b] for b in bs if b != bj) for bj in bs)
+                want_weights = tuple(
+                    prod(_delta(zeta, bj, b) for b in bs if b != bj) for bj in bs
+                )
                 assert int_p_matrix(move, zeta) == (want_rows, want_weights), (n, zeta.label)
 
 
@@ -355,8 +386,9 @@ def test_product_equals_dense_fold_of_extended_matrices_n5_to_16():
 @pytest.mark.parametrize("n", range(5, 17))
 def test_side_rows_are_canonical_integer_rows_of_the_dense_product(n):
     """Every side row is (numerators, d) with d > 0 and gcd(d, *numerators) == 1,
-    the rows read as Fractions are the dense product, and the two sides agree,
-    at the oracle assignments and at values over large mixed denominators."""
+    the rows read as Fractions through the pair gauge are the dense product, and the
+    two sides agree, at the oracle assignments and at values over large mixed
+    denominators."""
     for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
         sides = [
             (seq, side_rows(seq, {move: int_p_matrix(move, zeta) for move in seq.moves}))
@@ -366,18 +398,38 @@ def test_side_rows_are_canonical_integer_rows_of_the_dense_product(n):
             for numerators, d in rows:
                 assert d > 0 and gcd(d, *numerators) == 1, (n, zeta.label, seq.side)
             expected = dense_product(seq, zeta)
-            assert DenseMatrix([rat_row(row) for row in rows]) == expected, (n, zeta.label)
+            assert true_matrix(rows, seq.path[-1].pairs, seq.path[0].pairs, zeta) == expected, (
+                n, zeta.label)
         assert sides[0][1] == sides[1][1], (n, zeta.label)
+
+
+def _true_side_rows(seq, zeta):
+    """A side's rows from ``side_rows``, taken out of the pair gauge and written canonically."""
+    rows = side_rows(seq, {move: int_p_matrix(move, zeta) for move in seq.moves})
+    true = true_matrix(rows, seq.path[-1].pairs, seq.path[0].pairs, zeta)
+    return tuple([int_row(row) for row in true.entries])
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(distinct_assignments(max_n=12))
 def test_column_weight_side_rows_equal_the_one_denominator_oracle(zeta):
-    """Both sides' rows over the column weights are the rows of the one-denominator
-    matrix and row action, entry for entry and denominator for denominator."""
+    """Both sides' rows over the column weights, out of the pair gauge, are the rows of
+    the one-denominator matrix and row action, entry for entry and denominator for
+    denominator."""
     for seq in equation_sequences(zeta.n):
-        rows = side_rows(seq, {move: int_p_matrix(move, zeta) for move in seq.moves})
-        assert tuple(rows) == one_denominator_side_rows(seq, zeta), seq.side
+        assert _true_side_rows(seq, zeta) == one_denominator_side_rows(seq, zeta), seq.side
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_side_rows_out_of_the_pair_gauge_equal_the_one_denominator_oracle(n):
+    """Identity 3 on whole sides: S_final^-1 (gauged side rows) S_initial is the side
+    product of the true move matrices, over u = s z, on both sides, at fractional values
+    of both signs, over large mixed denominators and at one seed."""
+    for zeta in (negative_fractional(n), mixed_denominators(n),
+                 ZetaAssignment.random_distinct(n, 77)):
+        for seq in equation_sequences(n):
+            assert _true_side_rows(seq, zeta) == one_denominator_side_rows(seq, zeta), (
+                zeta.label, seq.side)
 
 
 def test_int_row_is_canonical_and_round_trips():

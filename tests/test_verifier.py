@@ -382,11 +382,39 @@ def test_unequal_products_report_first_difference():
     tampered = list(lhs)
     tampered[1] = (numerators[:2] + (numerators[2] + d,) + numerators[3:], d)
     diff = _first_difference(
-        lhs, tampered, final_triangulation(5), initial_triangulation(5)
+        lhs, tampered, final_triangulation(5), initial_triangulation(5), z
     )
     assert (diff.row, diff.col) == (1, 2)
     assert diff.row_simplex == (2, 3, 5)
     assert diff.col_simplex == (1, 4, 5)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_first_difference_at_fractional_values_reports_true_entries(n):
+    """With one entry of the gauged LHS rows changed at fractional values, the first
+    difference names that entry and reports both values out of the pair gauge: the
+    Fraction oracle's entries of the true LHS product and of the tampered one."""
+    from ngoneq.verifier import _first_difference
+
+    z = negative_fractional(n)
+    lhs_seq, _ = equation_sequences(n)
+    final, initial = lhs_seq.path[-1], lhs_seq.path[0]
+    matrices = {move: pmatrix_module.int_p_matrix(move, z) for move in lhs_seq.moves}
+    lhs = pmatrix_module.side_rows(lhs_seq, matrices)
+    i, j = len(lhs) // 2, len(initial) - 1
+    numerators, d = lhs[i]
+    tampered = list(lhs)
+    tampered[i] = (numerators[:j] + (numerators[j] + d,) + numerators[j + 1:], d)
+    diff = _first_difference(lhs, tampered, final, initial, z)
+    want = oracles.dense_product(lhs_seq, z)
+    changed = oracles.true_matrix(tampered, final.pairs, initial.pairs, z)
+    first = next((r, c) for r in range(want.rows) for c in range(want.cols)
+                 if want[r, c] != changed[r, c])
+    assert first == (i, j) == (diff.row, diff.col)
+    assert diff.row_simplex == final.pairs[i].simplex()
+    assert diff.col_simplex == initial.pairs[j].simplex()
+    assert (diff.lhs_value, diff.rhs_value) == (str(want[i, j]), str(changed[i, j]))
+    assert changed[i, j] != want[i, j] + 1  # the gauge scales the change: s(B) / s(A) != 1
 
 
 def _assert_every_move_matrix_tamper_is_detected(monkeypatch, n, zeta):
