@@ -15,8 +15,6 @@ from .simplicial import (
     PachnerMove,
     Pair,
     Triangulation,
-    apply_move,
-    derive_move,
     equation_sequences,
     final_triangulation,
     initial_triangulation,
@@ -39,9 +37,7 @@ __all__ = [
     "VerificationReport",
     "ZetaAssignment",
     "__version__",
-    "apply_move",
     "check_move_action",
-    "derive_move",
     "equation_sequences",
     "f_vector_table",
     "final_triangulation",

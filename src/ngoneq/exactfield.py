@@ -52,6 +52,9 @@ class ZetaAssignment(namedtuple("ZetaAssignment", "n values label")):
     def __new__(cls, n: int, values: tuple[Rat, ...], label: str = "explicit"):
         if n < 1 or len(values) != n:
             raise InvalidInputError(f"expected {n} values, got {len(values)}")
+        for x in values:  # bool is an int subclass, and would print as "True"
+            if type(x) is not int and type(x) is not Fraction:
+                raise InvalidInputError(f"value {x!r} is not an int or a Fraction")
         if len(set(values)) != n:
             raise InvalidInputError("assignment values must be pairwise distinct")
         return tuple.__new__(cls, (n, values, label))

@@ -47,7 +47,9 @@ def gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
         for c in e:  # Horner, for every x at once: h <- e_t - d_x h
             deleted = [c - x * h for x, h in zip(d, deleted)]
         columns.append([d[i] * d[j] * ((deleted[i] - deleted[j]) // g) for i, j, g in pairs])
-    return {Pair(i + 1, j + 1, n): row for (i, j, _), row in zip(pairs, zip(*columns))}
+    return {  # i < j by construction: Pair._make skips Pair's check
+        Pair._make((i + 1, j + 1, n)): row for (i, j, _), row in zip(pairs, zip(*columns))
+    }
 
 
 class FVector(namedtuple("FVector", "n pair components")):

@@ -99,12 +99,11 @@ def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow]) -
 
 
 def _identity_rows(t: Triangulation) -> dict[Pair, IntRow]:
-    """Rows of the |t| x |t| identity, keyed by t's pairs in canonical order."""
+    """Rows of the |t| x |t| identity, keyed by t's pairs in canonical order: row i is
+    the slice of one zero tuple, 1 in its middle, that puts the 1 at index i."""
     size = len(t)
-    return {
-        pair: (tuple([int(k == i) for k in range(size)]), 1)
-        for i, pair in enumerate(t.pairs)
-    }
+    unit = (0,) * (size - 1) + (1,) + (0,) * (size - 1)
+    return {pair: (unit[size - 1 - i:2 * size - 1 - i], 1) for i, pair in enumerate(t.pairs)}
 
 
 def side_factors(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[list[IntRow]]:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import combinations, compress
 
-from .errors import InternalError, InvalidInputError, MoveNotApplicableError
+from .errors import InternalError, InvalidInputError
 
 
 def move_size(n: int) -> int:
@@ -26,6 +27,7 @@ class Pair(namedtuple("Pair", "i j n")):
     """The (i, j) name of the simplex on {1..n} \\ {i, j}; a tuple (i, j, n)."""
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)  # namedtuple's _make checks len(); this skips all checks
 
     def __new__(cls, i: int, j: int, n: int) -> "Pair":
         if not (1 <= i < j <= n):
@@ -112,7 +114,7 @@ class PachnerMove(namedtuple("PachnerMove", "n q b_set c_set")):
 class MoveSequence(namedtuple("MoveSequence", "n side moves path")):
     """Moves of one side ("lhs" or "rhs") of the polygon equation, in application
     order, and the triangulations they visit: path[0] is the initial triangulation
-    and path[k + 1] = apply_move(path[k], moves[k])."""
+    and path[k + 1] is path[k] with moves[k] applied."""
 
     __slots__ = ()
 
@@ -122,59 +124,28 @@ def check_n(n: int) -> None:
         raise InvalidInputError(f"construction requires n >= 5, got {n}")
 
 
+def _made(n: int, ij) -> Triangulation:
+    """The triangulation of the pairs (i, j) given, distinct and 1 <= i < j <= n by
+    construction: Pair._make and Triangulation._make skip their checks."""
+    pairs = [Pair._make((i, j, n)) for i, j in ij]
+    return Triangulation._make((n, tuple(sorted(pairs, reverse=True))))
+
+
 def initial_triangulation(n: int) -> Triangulation:
     """Pairs (n+1-2k, n+2-2l) for 1 <= l <= k <= floor((n-1)/2)."""
     check_n(n)
-    pairs = []
-    for k in range(1, move_size(n) + 1):
-        for l in range(1, k + 1):
-            pairs.append(Pair.of(n, n + 1 - 2 * k, n + 2 - 2 * l))
-    return Triangulation.from_pairs(n, pairs)
+    ks = range(1, move_size(n) + 1)
+    return _made(n, [(n + 1 - 2 * k, n + 2 - 2 * l) for k in ks for l in range(1, k + 1)])
 
 
 def final_triangulation(n: int) -> Triangulation:
     """Pairs (n-2k, n+1-2l); for even n also (1, n+2-2l), l = 1..n/2."""
     check_n(n)
-    pairs = []
-    top = move_size(n) if n % 2 == 1 else n // 2 - 1
-    for k in range(1, top + 1):
-        for l in range(1, k + 1):
-            pairs.append(Pair.of(n, n - 2 * k, n + 1 - 2 * l))
+    ks = range(1, (move_size(n) if n % 2 == 1 else n // 2 - 1) + 1)
+    ij = [(n - 2 * k, n + 1 - 2 * l) for k in ks for l in range(1, k + 1)]
     if n % 2 == 0:
-        for l in range(1, n // 2 + 1):
-            pairs.append(Pair.of(n, 1, n + 2 - 2 * l))
-    return Triangulation.from_pairs(n, pairs)
-
-
-def derive_move(t: Triangulation, q: int) -> PachnerMove:
-    """Read the move at q off a triangulation: b_set collects every b with
-    pair {b, q} present. Fails unless exactly floor((n-1)/2) pairs contain q."""
-    n = t.n
-    if not 1 <= q <= n:
-        raise InvalidInputError(f"vertex {q} out of range 1..{n}")
-    b = sorted([p.i + p.j - q for p in t.pairs if p.i == q or p.j == q])
-    if len(b) != move_size(n):
-        raise MoveNotApplicableError(
-            f"vertex {q} lies in {len(b)} pairs, need {move_size(n)}"
-        )
-    c = sorted(set(range(1, n + 1)).difference(b, (q,)))
-    return PachnerMove(n, q, tuple(b), tuple(c))
-
-
-def apply_move(t: Triangulation, move: PachnerMove) -> Triangulation:
-    """Replace the removed pairs with the created pairs, re-sorted canonically."""
-    if move.n != t.n:
-        raise InvalidInputError("move and triangulation have different n")
-    current = set(t.pairs)
-    if not current.issuperset(move.removed_pairs):
-        p = next(p for p in move.removed_pairs if p not in current)
-        raise MoveNotApplicableError(f"pair ({p.i},{p.j}) not present")
-    current.difference_update(move.removed_pairs)
-    if not current.isdisjoint(move.created_pairs):
-        p = next(p for p in move.created_pairs if p in current)
-        raise MoveNotApplicableError(f"pair ({p.i},{p.j}) already present")
-    current.update(move.created_pairs)
-    return Triangulation(t.n, tuple(sorted(current, reverse=True)))  # a set: no duplicates
+        ij += [(1, n + 2 - 2 * l) for l in range(1, n // 2 + 1)]
+    return _made(n, ij)
 
 
 def lhs_q_order(n: int) -> list[int]:
@@ -195,20 +166,48 @@ def equation_sequences(n: int) -> tuple[MoveSequence, MoveSequence]:
 
     Each side starts from the initial triangulation and must end at the final
     one; the q-orders are lhs: 2,4,...,n-1 / rhs: n,n-2,...,1 for odd n and
-    lhs: 3,5,...,n-1,1 / rhs: n,n-2,...,2 for even n. At a valid n a failed
-    derivation is a bug, raised as InternalError.
+    lhs: 3,5,...,n-1,1 / rhs: n,n-2,...,2 for even n. Both sides walk one table of
+    the C(n,2) pairs in canonical order, built once per call, with a flag per pair for
+    the current triangulation. The link of q, the vertices w whose pair {q, w} is
+    present, is read off q's row of table positions: the move at q takes its b-set from
+    the link and its c-set as the complement, flips its pairs' flags and takes its
+    removed and created pairs from the table, in O(n); each path triangulation is the
+    flagged pairs in table order, with no sort. At a valid n a failed derivation is a
+    bug, raised as InternalError.
     """
     check_n(n)
     initial, final = initial_triangulation(n), final_triangulation(n)
+    m, everyone = move_size(n), range(1, n + 1)
+    ranked = [Pair._make((i, j, n)) for i, j in combinations(everyone, 2)][::-1]  # canonical
+    at = [[0] * (n + 1) for _ in range(n + 1)]  # at[v][w]: position of the pair {v, w}
+    for k, (i, j, _) in enumerate(ranked):
+        at[i][j] = at[j][i] = k
+    start = bytearray(len(ranked))
+    for i, j, _ in initial.pairs:
+        start[at[i][j]] = 1
     sides = []
     for side, q_order in (("lhs", lhs_q_order(n)), ("rhs", rhs_q_order(n))):
-        path, moves = [initial], []
-        try:
-            for q in q_order:
-                moves.append(derive_move(path[-1], q))
-                path.append(apply_move(path[-1], moves[-1]))
-        except InvalidInputError as exc:
-            raise InternalError(f"{side} sequence for n={n}: {exc}") from exc
+        present, path, moves = bytearray(start), [initial], []
+        for q in q_order:
+            link = at[q]  # w is in the link of q iff present[link[w]]
+            b_set = tuple([v for v in everyone if v != q and present[link[v]]])
+            if len(b_set) != m:
+                raise InternalError(
+                    f"{side} sequence for n={n}: vertex {q} lies in {len(b_set)} pairs, need {m}"
+                )
+            c_set = tuple([v for v in everyone if v != q and not present[link[v]]])
+            move = PachnerMove(n, q, b_set, c_set)
+            vars(move).update(  # fill the cached properties from the table
+                removed_pairs=tuple([ranked[link[b]] for b in reversed(b_set)]),
+                created_pairs=tuple([ranked[link[c]] for c in reversed(c_set)]),
+            )
+            for b in b_set:
+                present[link[b]] = 0
+            for c in c_set:
+                present[link[c]] = 1
+            moves.append(move)
+            # via a list: tuple(iterator) resizes as it grows, which fragments the heap
+            path.append(Triangulation._make((n, tuple(list(compress(ranked, present))))))
         if path[-1] != final:
             raise InternalError(
                 f"{side} sequence for n={n} did not reach the final triangulation"

@@ -193,7 +193,7 @@ class SuiteContext:
         n, rows, everyone = self.n, self.rows, range(1, self.n + 1)
         return tuple(  # valid pairs by construction: Pair._make skips Pair's check
             {p: rows[p] for p in
-             [Pair._make((min(q, v), max(q, v), n)) for v in everyone if v != q]}
+             [Pair._make((q, v, n) if q < v else (v, q, n)) for v in everyone if v != q]}
             for q in everyone
         )
 

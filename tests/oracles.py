@@ -15,6 +15,9 @@ the old way on ``FVector`` rows built from ``f_value``
 (``fvector_property_suite``), and ranks are taken by Gaussian elimination in
 ``Fraction`` arithmetic. The padded factors walk their own
 triangulations from the initial one rather than read ``MoveSequence.path``.
+``derive_move`` and ``apply_move`` are the stepwise derivation the library used before
+its vertex links: each move read off, and applied to, the whole current triangulation
+(``stepwise_sequences`` folds them over both q-orders).
 ``build_p_matrix`` is the ``Fraction`` view of ``int_p_matrix`` that the tests
 compare against, taken out of the pair gauge: ``gauge`` is s(i, j) = (q_i q_j)^(m-1)
 written out afresh, and ``true_matrix`` reads integer rows in the gauge as the matrix
@@ -47,20 +50,23 @@ from hypothesis import strategies as st
 from ngoneq import (
     DenseMatrix,
     FVector,
+    InternalError,
     InvalidInputError,
+    MoveNotApplicableError,
+    MoveSequence,
     PachnerMove,
     Pair,
     Rat,
     Triangulation,
     ZetaAssignment,
-    apply_move,
     f_vector_table,
+    final_triangulation,
     initial_triangulation,
 )
 from ngoneq.exactfield import int_row, rank, rat_row
 from ngoneq.fvectors import annihilates
 from ngoneq.pmatrix import _identity_rows, act_on_int_rows, int_p_matrix, side_factors, side_rows
-from ngoneq.simplicial import check_n, move_size
+from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
 from ngoneq.verifier import PropertyResult, SuiteContext, _prop_row_sums
 
 
@@ -246,6 +252,59 @@ def act_on_rows(move: PachnerMove, zeta: ZetaAssignment, rows) -> dict:
     for pair in move.created_pairs:
         out[pair] = tuple([x / gauge(zeta, pair) for x in rat_row(out[pair])])
     return out
+
+
+def derive_move(t: Triangulation, q: int) -> PachnerMove:
+    """Read the move at q off a triangulation: b_set collects every b with
+    pair {b, q} present. Fails unless exactly floor((n-1)/2) pairs contain q."""
+    n = t.n
+    if not 1 <= q <= n:
+        raise InvalidInputError(f"vertex {q} out of range 1..{n}")
+    b = sorted([p.i + p.j - q for p in t.pairs if p.i == q or p.j == q])
+    if len(b) != move_size(n):
+        raise MoveNotApplicableError(
+            f"vertex {q} lies in {len(b)} pairs, need {move_size(n)}"
+        )
+    c = sorted(set(range(1, n + 1)).difference(b, (q,)))
+    return PachnerMove(n, q, tuple(b), tuple(c))
+
+
+def apply_move(t: Triangulation, move: PachnerMove) -> Triangulation:
+    """Replace the removed pairs with the created pairs, re-sorted canonically."""
+    if move.n != t.n:
+        raise InvalidInputError("move and triangulation have different n")
+    current = set(t.pairs)
+    if not current.issuperset(move.removed_pairs):
+        p = next(p for p in move.removed_pairs if p not in current)
+        raise MoveNotApplicableError(f"pair ({p.i},{p.j}) not present")
+    current.difference_update(move.removed_pairs)
+    if not current.isdisjoint(move.created_pairs):
+        p = next(p for p in move.created_pairs if p in current)
+        raise MoveNotApplicableError(f"pair ({p.i},{p.j}) already present")
+    current.update(move.created_pairs)
+    return Triangulation(t.n, tuple(sorted(current, reverse=True)))  # a set: no duplicates
+
+
+def stepwise_sequences(n: int) -> tuple[MoveSequence, MoveSequence]:
+    """Both move sequences derived the stepwise way: every move read off the whole
+    current triangulation by ``derive_move`` and applied to it by ``apply_move``."""
+    check_n(n)
+    initial, final = initial_triangulation(n), final_triangulation(n)
+    sides = []
+    for side, q_order in (("lhs", lhs_q_order(n)), ("rhs", rhs_q_order(n))):
+        path, moves = [initial], []
+        try:
+            for q in q_order:
+                moves.append(derive_move(path[-1], q))
+                path.append(apply_move(path[-1], moves[-1]))
+        except InvalidInputError as exc:
+            raise InternalError(f"{side} sequence for n={n}: {exc}") from exc
+        if path[-1] != final:
+            raise InternalError(
+                f"{side} sequence for n={n} did not reach the final triangulation"
+            )
+        sides.append(MoveSequence(n, side, tuple(moves), tuple(path)))
+    return sides[0], sides[1]
 
 
 def dense_extend(move, t_old, t_new, zeta) -> DenseMatrix:

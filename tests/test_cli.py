@@ -151,9 +151,14 @@ def test_internal_failure_exits_3_not_mismatch(monkeypatch, capsys, error):
 
 
 @pytest.mark.parametrize(
-    "broken_order", [lambda q: q[:-1], lambda q: q[::-1]], ids=["truncated", "reversed"]
+    "broken_order, message",
+    [
+        (lambda q: q[:-1], "lhs sequence for n=7 did not reach the final triangulation"),
+        (lambda q: q[::-1], "lhs sequence for n=7: vertex 6 lies in 1 pairs, need 3"),
+    ],
+    ids=["truncated", "reversed"],
 )
-def test_failed_sequence_derivation_exits_3(monkeypatch, capsys, broken_order):
+def test_failed_sequence_derivation_exits_3(monkeypatch, capsys, broken_order, message):
     """At a valid n, a q-order that stops short of the final triangulation or
     meets a vertex it cannot flip is a failed consistency check, not bad input."""
     real = simplicial_module.lhs_q_order
@@ -161,7 +166,7 @@ def test_failed_sequence_derivation_exits_3(monkeypatch, capsys, broken_order):
     code, out, err = run(capsys, "verify", "--n", "7")
     assert code == EXIT_INTERNAL == 3
     assert out == ""
-    assert "internal error: InternalError: lhs sequence for n=7" in err
+    assert err.endswith(f"internal error: InternalError: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +372,13 @@ def _record_calls(monkeypatch, attr: str, source=simplicial_module) -> list:
     ],
 )
 def test_each_derived_move_is_applied_once(monkeypatch, capsys, argv):
-    """The triangulations are walked once, while the sequences are derived."""
-    lhs, rhs = equation_sequences(7)
-    applied = _record_calls(monkeypatch, "apply_move")
+    """The triangulations are walked once, while the sequences are derived: one
+    ``equation_sequences`` call per command, one initial triangulation for both sides."""
+    derived = _record_calls(monkeypatch, "equation_sequences")
     initial = _record_calls(monkeypatch, "initial_triangulation")
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert [move for _, move in applied] == list(lhs.moves + rhs.moves)
-    assert len(applied) == 7
+    assert derived == [(7,)]
     assert initial == [(7,)]
 
 

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -10,6 +11,7 @@ from ngoneq import (
     InvalidInputError,
     ZetaAssignment,
     rat_from_string,
+    verify_equation,
 )
 from ngoneq.exactfield import int_row, rank
 from oracles import fraction_rank, identity, transpose, vandermonde, with_entry, zeros
@@ -80,6 +82,28 @@ def test_rat_normalized_to_lowest_terms():
 def test_assignment_rejects_duplicates():
     with pytest.raises(InvalidInputError):
         ZetaAssignment(6, tuple(Fraction(v) for v in (1, 1, 3, 4, 5, 6)))
+
+
+@pytest.mark.parametrize(
+    "bad", [True, False, 2.0, "2", Decimal(2), Decimal("0.5")], ids=repr
+)
+def test_assignment_accepts_only_int_and_fraction_values(bad):
+    """A bool would verify and print as "True"; a float, str or Decimal would pass the
+    constructor and fail later in ``deltas`` or ``row``."""
+    values = [Fraction(v) for v in (7, 8, 9, 10, 11)]
+    values[1] = bad
+    with pytest.raises(InvalidInputError, match="is not an int or a Fraction"):
+        ZetaAssignment(5, tuple(values))
+
+
+def test_assignment_of_int_values_verifies():
+    zeta = ZetaAssignment(6, (1, 2, 3, 4, 5, 6))
+    report = verify_equation(6, zeta)
+    assert report.equal and report == verify_equation(6, ZetaAssignment.consecutive(6))
+    assert ZetaAssignment(5, (-3, Fraction(1, 2), 0, 4, 9)).to_strings() == [
+        "-3", "1/2", "0", "4", "9"
+    ]
+    assert verify_equation(5, ZetaAssignment(5, (-3, Fraction(1, 2), 0, 4, 9))).equal
 
 
 def test_assignment_consecutive_and_indexing():

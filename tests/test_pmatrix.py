@@ -15,7 +15,6 @@ from ngoneq import (
     Pair,
     Triangulation,
     ZetaAssignment,
-    apply_move,
     equation_sequences,
     final_triangulation,
     initial_triangulation,
@@ -25,6 +24,7 @@ from ngoneq.exactfield import int_row, rat_row
 from ngoneq.pmatrix import pair_gauge, side_rows
 from oracles import (
     InterleavedFrame,
+    apply_move,
     build_p_matrix,
     act_on_rows,
     dense_factors,

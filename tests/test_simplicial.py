@@ -2,20 +2,21 @@ from itertools import combinations
 
 import pytest
 
+import ngoneq.simplicial as simplicial_module
 from ngoneq import (
+    InternalError,
     InvalidInputError,
     MoveNotApplicableError,
     PachnerMove,
     Pair,
     Triangulation,
-    apply_move,
-    derive_move,
     equation_sequences,
     final_triangulation,
     initial_triangulation,
 )
 from ngoneq.simplicial import lhs_q_order, move_size, rhs_q_order
-from oracles import other_vertex
+import oracles
+from oracles import apply_move, derive_move, other_vertex, stepwise_sequences
 
 
 def simplices(t: Triangulation) -> list[tuple[int, ...]]:
@@ -258,6 +259,37 @@ def test_sequences_reach_final_and_counts_evolve():
                     assert len(after) == len(before)
                 else:
                     assert len(after) == len(before) + 1
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_sequences_match_the_stepwise_oracle(n):
+    """The vertex-link derivation gives the moves, the paths and each move's pairs
+    that reading every move off the whole triangulation gives."""
+    for seq, oracle in zip(equation_sequences(n), stepwise_sequences(n)):
+        assert (seq.n, seq.side) == (oracle.n, oracle.side)
+        assert seq.moves == oracle.moves
+        assert seq.path == oracle.path
+        for t in seq.path:  # built unchecked: every pair valid, no duplicate, canonical order
+            assert Triangulation.from_pairs(n, [Pair(*p) for p in t.pairs]) == t
+        for move, expected in zip(seq.moves, oracle.moves):
+            assert move.removed_pairs == expected.removed_pairs
+            assert move.created_pairs == expected.created_pairs
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+@pytest.mark.parametrize(
+    "broken_order", [lambda q: q[:-1], lambda q: q[::-1]], ids=["truncated", "reversed"]
+)
+def test_failed_derivation_reads_as_the_stepwise_oracle(monkeypatch, n, broken_order):
+    real = simplicial_module.lhs_q_order
+    for module in (simplicial_module, oracles):
+        monkeypatch.setattr(module, "lhs_q_order", lambda k: broken_order(real(k)))
+    messages = []
+    for derive in (equation_sequences, stepwise_sequences):
+        with pytest.raises(InternalError) as failure:
+            derive(n)
+        messages.append(str(failure.value))
+    assert messages[0] == messages[1]
 
 
 def test_every_prefix_derivable():
