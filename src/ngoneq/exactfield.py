@@ -3,8 +3,8 @@ fraction-free (Bareiss) elimination over integer rows, and a dense exact
 matrix type (multiplication, rank, equality) that only the tests build.
 
 Values enter and leave the package as ``fractions.Fraction`` (always in lowest
-terms) and the hot loops run over Python ints (``int_row``), so all comparisons
-are exact and no tolerances appear anywhere.
+terms) and the hot loops run over rows of Python ints (``IntRow``, not always in lowest
+terms; ``same_rows`` compares two by value), so all comparisons are exact, with no tolerances.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import InvalidInputError
 
 Rat = Fraction
-IntRow = tuple[tuple[int, ...], int]  # (numerators, denominator > 0), gcd 1: canonical
+IntRow = tuple[tuple[int, ...], int]  # (numerators, denominator > 0), not always in lowest terms
 IntMatrix = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]  # (N, W): N_ij / W_j, W_j != 0
 
 RANDOM_VALUE_RANGE = (1, 10**6)
@@ -130,6 +130,17 @@ def int_row(row: Sequence[Rat]) -> IntRow:
 
 def rat_row(row: IntRow) -> tuple[Rat, ...]:
     return tuple([Fraction(x, row[1]) for x in row[0]])
+
+
+def same_rows(a: IntRow, b: IntRow) -> bool:
+    """Whether v / d and w / e hold the same rationals, reduced or not: v == w if d == e,
+    else v (e / g) == w (d / g), g = gcd(d, e)."""
+    (v, d), (w, e) = a, b
+    if d == e:
+        return v == w
+    g = gcd(d, e)
+    d, e = d // g, e // g
+    return [x * e for x in v] == [y * d for y in w]
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:

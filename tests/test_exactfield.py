@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ngoneq.exactfield as exactfield_module
 from ngoneq import (
@@ -13,7 +15,7 @@ from ngoneq import (
     rat_from_string,
     verify_equation,
 )
-from ngoneq.exactfield import int_row, rank
+from ngoneq.exactfield import int_row, rank, rat_row, same_rows
 from oracles import fraction_rank, identity, transpose, vandermonde, with_entry, zeros
 
 
@@ -355,3 +357,28 @@ def test_assignment_row_is_the_cleared_values_and_leaves_equality_alone():
     assert z.row == ((-3, 4, 30), 6) == int_row(z.values)
     assert z.row is z.row
     assert z == same and hash(z) == hash(same)
+
+
+_INT_ROWS = st.tuples(
+    st.lists(st.integers(-10**9, 10**9), min_size=3, max_size=3).map(tuple),
+    st.integers(1, 10**9),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_INT_ROWS, _INT_ROWS, st.integers(1, 10**6), st.integers(0, 2), st.integers(-2, 2))
+def test_same_rows_is_fraction_equality(a, b, k, j, change):
+    """same_rows(a, b) holds exactly when the rows hold the same Fractions: for two drawn
+    rows, for a row against itself scaled by a common factor k (in lowest terms or not),
+    and for a row against a copy with one entry changed (unchanged when change == 0),
+    over the same and over a scaled denominator."""
+    (v, d), (w, e) = a, b
+    scaled = (tuple([k * x for x in v]), k * d)
+    changed = (v[:j] + (v[j] + change,) + v[j + 1:], d)
+    changed_scaled = (tuple([k * x for x in changed[0]]), k * d)
+    same_denominator = (w, d)
+    for x, y in [(a, b), (a, same_denominator), (a, scaled), (scaled, a), (a, changed),
+                 (changed, a), (scaled, changed), (a, changed_scaled)]:
+        assert same_rows(x, y) == (rat_row(x) == rat_row(y)), (x, y)
+    assert same_rows(a, scaled) and same_rows(scaled, changed_scaled) == (change == 0)
+

@@ -11,7 +11,6 @@ from ngoneq import (
     InvalidInputError,
     PachnerMove,
     Pair,
-    Triangulation,
     ZetaAssignment,
     check_move_action,
     equation_sequences,
@@ -35,8 +34,10 @@ from oracles import (
     mixed_denominators,
     negative_fractional,
     oracle_assignments,
+    pair_of,
     stack_f_matrix,
     subset_sum_f_value,
+    triangulation_from_pairs,
 )
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
@@ -239,7 +240,7 @@ def test_orthogonality_table_agrees_with_the_lagrange_oracle(n):
         cases += [(_perturbed(row, {pair.simplex()[0]: 1}), False) for pair, row in rows.items()]
         for q in range(1, n + 1):
             stack = [
-                [(u[v - 1] - u[q - 1]) * a for a in rows[Pair.of(n, q, v)]] if v != q else [0] * n
+                [(u[v - 1] - u[q - 1]) * a for a in rows[pair_of(n, q, v)]] if v != q else [0] * n
                 for v in range(1, n + 1)
             ]
             cases += [(column, True) for column in zip(*stack)]
@@ -316,7 +317,7 @@ def test_gale_table_rejects_bad_sizes():
 
 def test_stack_shape_and_single_row_rank():
     z = CONSEC[5]
-    t = Triangulation.from_pairs(5, [Pair(4, 5, 5)])
+    t = triangulation_from_pairs(5, [Pair(4, 5, 5)])
     stack = stack_f_matrix(t, z)
     assert stack.shape == (1, 5)
     assert stack.rank() == 1

@@ -7,7 +7,6 @@ import pytest
 from ngoneq import (
     DenseMatrix,
     PachnerMove,
-    Pair,
     ZetaAssignment,
 )
 from goldens import (
@@ -15,7 +14,7 @@ from goldens import (
     heptagon_m_matrix,
     heptagon_p_matrix,
 )
-from oracles import build_p_matrix, f_value, f_vector, p_entry_vandermonde, row_sums
+from oracles import build_p_matrix, f_value, f_vector, p_entry_vandermonde, pair_of, row_sums
 
 ASSIGNMENTS = [
     ZetaAssignment.consecutive(7),
@@ -74,7 +73,7 @@ def test_m_matrix_is_the_vector_stack_and_has_rank_3(zeta):
     vertices r and 7, restricted to coordinates 1..6."""
     table = heptagon_m_matrix(zeta)
     stack = DenseMatrix([
-        list(f_vector(7, Pair.of(7, r, 7), zeta).components)[:6] for r in range(1, 7)
+        list(f_vector(7, pair_of(7, r, 7), zeta).components)[:6] for r in range(1, 7)
     ])
     assert table == stack
     assert table.rank() == 3

@@ -40,6 +40,7 @@ from oracles import (
     mixed_denominators,
     negative_fractional,
     oracle_assignments,
+    pair_of,
     sampled_independence,
     vandermonde,
 )
@@ -122,7 +123,7 @@ def _full_stack_ranks(ctx):
     """The Bareiss rank of every q-stack, its n - 1 rows read from the table."""
     n = ctx.n
     return tuple(
-        rank([ctx.rows[Pair.of(n, q, v)] for v in range(1, n + 1) if v != q])
+        rank([ctx.rows[pair_of(n, q, v)] for v in range(1, n + 1) if v != q])
         for q in range(1, n + 1)
     )
 

@@ -13,15 +13,14 @@ from ngoneq import (
     MoveSequence,
     PachnerMove,
     Pair,
-    Triangulation,
     ZetaAssignment,
     equation_sequences,
     final_triangulation,
     initial_triangulation,
     int_p_matrix,
 )
-from ngoneq.exactfield import int_row, rat_row
-from ngoneq.pmatrix import pair_gauge, side_rows
+from ngoneq.exactfield import int_row, rat_row, same_rows
+from ngoneq.pmatrix import _identity_rows, act_on_int_rows, pair_gauge, side_rows
 from oracles import (
     InterleavedFrame,
     apply_move,
@@ -41,6 +40,7 @@ from oracles import (
     p_entry_vandermonde,
     product_view,
     row_sums,
+    triangulation_from_pairs,
     true_matrix,
 )
 
@@ -305,8 +305,8 @@ def test_extend_hexagon_first_steps_fixed_rows():
 
 def test_extend_with_no_fixed_simplices_is_p_up_to_ordering():
     move = PachnerMove(5, 5, (2, 4), (1, 3))
-    t_old = Triangulation.from_pairs(5, move.removed_pairs)
-    t_new = Triangulation.from_pairs(5, move.created_pairs)
+    t_old = triangulation_from_pairs(5, move.removed_pairs)
+    t_new = triangulation_from_pairs(5, move.created_pairs)
     extended = extend_one(move, t_old, t_new, CONSEC[5])
     p = build_p_matrix(move, CONSEC[5])
     for i, rp in enumerate(move.created_pairs):
@@ -384,23 +384,44 @@ def test_product_equals_dense_fold_of_extended_matrices_n5_to_16():
 
 
 @pytest.mark.parametrize("n", range(5, 17))
-def test_side_rows_are_canonical_integer_rows_of_the_dense_product(n):
-    """Every side row is (numerators, d) with d > 0 and gcd(d, *numerators) == 1,
+def test_side_rows_are_integer_rows_of_the_dense_product(n):
+    """Every side row is (numerators, d) with d > 0, not necessarily in lowest terms,
     the rows read as Fractions through the pair gauge are the dense product, and the
-    two sides agree, at the oracle assignments and at values over large mixed
-    denominators."""
+    two sides agree by value (``same_rows``), at the oracle assignments and at values
+    over large mixed denominators."""
     for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
         sides = [
             (seq, side_rows(seq, {move: int_p_matrix(move, zeta) for move in seq.moves}))
             for seq in equation_sequences(n)
         ]
         for seq, rows in sides:
-            for numerators, d in rows:
-                assert d > 0 and gcd(d, *numerators) == 1, (n, zeta.label, seq.side)
+            assert all(d > 0 for _, d in rows), (n, zeta.label, seq.side)
             expected = dense_product(seq, zeta)
             assert true_matrix(rows, seq.path[-1].pairs, seq.path[0].pairs, zeta) == expected, (
                 n, zeta.label)
-        assert sides[0][1] == sides[1][1], (n, zeta.label)
+        assert all(map(same_rows, sides[0][1], sides[1][1])), (n, zeta.label)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_removed_rows_are_read_by_value(n):
+    """Each removed row is reduced as the move reads it: fed as (k v, k d), k > 1 and
+    different for every row, instead of (v, d), it leaves every created row of
+    act_on_int_rows tuple-identical, at every move of both sides, at a seed and at
+    fractional values. The created rows themselves are stored unreduced: some are not in
+    lowest terms."""
+    for zeta in (ZetaAssignment.random_distinct(n, 3), negative_fractional(n)):
+        for seq in equation_sequences(n):
+            rows, unreduced = _identity_rows(seq.path[0]), 0
+            for step, move in enumerate(seq.moves):
+                p, scaled = int_p_matrix(move, zeta), dict(rows)
+                for k, pair in enumerate(move.removed_pairs, start=2 + step):
+                    v, d = rows[pair]
+                    scaled[pair] = (tuple([k * x for x in v]), k * d)
+                act_on_int_rows(move, p, rows)
+                act_on_int_rows(move, p, scaled)
+                assert scaled == rows, (n, zeta.label, seq.side, step)
+                unreduced += sum(gcd(d, *v) > 1 for v, d in map(rows.get, move.created_pairs))
+            assert unreduced, (n, zeta.label, seq.side)
 
 
 def _true_side_rows(seq, zeta):

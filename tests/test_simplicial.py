@@ -16,7 +16,14 @@ from ngoneq import (
 )
 from ngoneq.simplicial import lhs_q_order, move_size, rhs_q_order
 import oracles
-from oracles import apply_move, derive_move, other_vertex, stepwise_sequences
+from oracles import (
+    apply_move,
+    derive_move,
+    other_vertex,
+    pair_of,
+    stepwise_sequences,
+    triangulation_from_pairs,
+)
 
 
 def simplices(t: Triangulation) -> list[tuple[int, ...]]:
@@ -43,18 +50,18 @@ def test_pair_validation():
     with pytest.raises(InvalidInputError):
         Pair(3, 3, 5)
     with pytest.raises(InvalidInputError):
-        Pair.of(5, 4, 4)
+        pair_of(5, 4, 4)
 
 
 def test_pair_of_is_symmetric_and_hash_agrees_with_equality():
     for n in (5, 6, 9):
         for i, j in combinations(range(1, n + 1), 2):
             p = Pair(i, j, n)
-            assert Pair.of(n, i, j) == Pair.of(n, j, i) == p
-            assert hash(Pair.of(n, j, i)) == hash(p)
+            assert pair_of(n, i, j) == pair_of(n, j, i) == p
+            assert hash(pair_of(n, j, i)) == hash(p)
             assert (p.i, p.j, p.n) == (i, j, n)
             assert p != Pair(i, j, n + 1)
-            assert len({p, Pair.of(n, j, i), Pair(i, j, n + 1)}) == 2
+            assert len({p, pair_of(n, j, i), Pair(i, j, n + 1)}) == 2
 
 
 def test_pair_other_vertex():
@@ -121,22 +128,22 @@ def test_small_n_rejected():
 
 def test_triangulation_rejects_duplicates():
     with pytest.raises(InvalidInputError):
-        Triangulation.from_pairs(5, [Pair(1, 2, 5), Pair(1, 2, 5)])
+        triangulation_from_pairs(5, [Pair(1, 2, 5), Pair(1, 2, 5)])
 
 
 def test_triangulation_canonical_order_is_simplex_lex():
-    t = Triangulation.from_pairs(5, [Pair(1, 2, 5), Pair(4, 5, 5), Pair(2, 5, 5)])
+    t = triangulation_from_pairs(5, [Pair(1, 2, 5), Pair(4, 5, 5), Pair(2, 5, 5)])
     assert simplices(t) == [(1, 2, 3), (1, 3, 4), (3, 4, 5)]
 
 
 @pytest.mark.parametrize("n", range(5, 17))
 def test_descending_pair_order_is_ascending_simplex_order(n):
-    """from_pairs sorts pairs descending; over all C(n,2) pairs that is the
+    """triangulation_from_pairs sorts pairs descending; over all C(n,2) pairs that is the
     ascending lexicographic order of their simplices."""
     pairs = [Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2)]
     by_simplex = sorted(pairs, key=lambda p: p.simplex())
     assert sorted(pairs, reverse=True) == by_simplex
-    assert list(Triangulation.from_pairs(n, reversed(pairs)).pairs) == by_simplex
+    assert list(triangulation_from_pairs(n, reversed(pairs)).pairs) == by_simplex
 
 
 @pytest.mark.parametrize("n", range(5, 17))
@@ -268,9 +275,11 @@ def test_sequences_match_the_stepwise_oracle(n):
     for seq, oracle in zip(equation_sequences(n), stepwise_sequences(n)):
         assert (seq.n, seq.side) == (oracle.n, oracle.side)
         assert seq.moves == oracle.moves
+        for move in seq.moves:  # built unchecked: the checked constructor accepts each
+            assert PachnerMove(*move) == move
         assert seq.path == oracle.path
         for t in seq.path:  # built unchecked: every pair valid, no duplicate, canonical order
-            assert Triangulation.from_pairs(n, [Pair(*p) for p in t.pairs]) == t
+            assert triangulation_from_pairs(n, [Pair(*p) for p in t.pairs]) == t
         for move, expected in zip(seq.moves, oracle.moves):
             assert move.removed_pairs == expected.removed_pairs
             assert move.created_pairs == expected.created_pairs

@@ -4,7 +4,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -29,6 +29,7 @@ from oracles import (
     mixed_denominators,
     negative_fractional,
     oracle_assignments,
+    p_entry_vandermonde,
 )
 
 
@@ -462,3 +463,35 @@ def test_verify_detects_every_single_move_matrix_tamper_at_fractional_values(mon
     the integer rows carry denominators other than 1."""
     for n in (5, 6):
         _assert_every_move_matrix_tamper_is_detected(monkeypatch, n, negative_fractional(n))
+
+
+def _vandermonde_times_move_matrix(move, values):
+    """V P at the given values: V = prod_{a<b in B} (z_a - z_b) over the move's b-set B,
+    P the move matrix from the Vandermonde-ratio oracle."""
+    zeta = ZetaAssignment(move.n, tuple(Fraction(x) for x in values))
+    v = prod([zeta[a] - zeta[b] for a, b in combinations(move.b_set, 2)])
+    rows, cols = len(move.created_pairs), len(move.removed_pairs)
+    return [v * p_entry_vandermonde(move, zeta, i, j)
+            for i in range(1, rows + 1) for j in range(1, cols + 1)]
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_move_matrix_times_its_vandermonde_is_homogeneous_of_degree_c_m_2(n):
+    """The degree lemma behind the error bound in the verifier docstring: for every move,
+    V P is homogeneous of degree e = C(m, 2), m = floor((n-1)/2). Along a line z + t r,
+    t = 0..e+1, at distinct values throughout, each entry's order-(e+1) difference is 0
+    and its order-e difference is e! times the entry at r."""
+    e, rng = comb((n - 1) // 2, 2), random.Random(n)
+    while True:
+        z, r = rng.sample(range(1, 10**6), n), rng.sample(range(1, 10**3), n)
+        points = [[a + t * b for a, b in zip(z, r)] for t in range(e + 2)]
+        if all(len(set(p)) == n for p in points):
+            break
+    lhs, rhs = equation_sequences(n)
+    for move in lhs.moves + rhs.moves:
+        table = [_vandermonde_times_move_matrix(move, p) for p in points]
+        for order, want in ((e + 1, None), (e, _vandermonde_times_move_matrix(move, r))):
+            got = [sum((-1) ** (order - t) * comb(order, t) * table[t][k] for t in range(order + 1))
+                   for k in range(len(table[0]))]
+            assert got == ([0] * len(got) if want is None else [factorial(e) * x for x in want])
+
