@@ -10,8 +10,12 @@ Every matrix stays in exact integer rows (numerators, denominator) until ``expor
 writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from one
 move matrix per move and side, with the pair gauge of the rows taken out entrywise.
 
-A command builds only its own subcommand's parser. The full parser is built for --help,
---version, a missing or unknown command and left-over arguments, and prints as it always has.
+Every option is one row of COMMANDS. _read_exact reads a line without argparse when each
+token is an exact option name of its command, as --opt=value or --opt value with a value not
+led by "-", every value converts and every required option is there. Any other line (help,
+--version, abbreviations, dash-led values, stray tokens, bad values) goes to the argparse
+tree build_parser() makes from the table, which prints and exits as it always has.
+_json_dumps writes the bytes of json.dumps(doc, indent=2) without its pure-Python encoder.
 
 Exit codes: 0 all verified, 1 mathematical mismatch, 2 usage or input error,
 3 internal error (a failed consistency check or any other unexpected
@@ -20,12 +24,14 @@ exception; a bug, never a verdict about the equation).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 from math import gcd
+from types import SimpleNamespace
 
 from .errors import InvalidInputError
 from .exactfield import IntRow, ZetaAssignment
@@ -42,8 +48,32 @@ EXIT_INTERNAL = 3
 
 
 def _json_dumps(doc) -> str:
-    # One canonical form so exported JSON round-trips byte-identically.
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) + "\n", one canonical form so exported JSON round-trips."""
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(x, newline: str) -> str:
+    """x as json.dumps(x, indent=2) writes it at the depth whose line break is ``newline``."""
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return str(x)
+    if not isinstance(x, (dict, list, tuple)):
+        return json.dumps(x)  # bool, None, float, subclasses of str and int
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(x, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_value(v, inner)}" for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    kinds = set(map(type, x))
+    if kinds == {str}:
+        items = map(encode_basestring_ascii, x)
+    elif kinds == {int}:
+        items = map(str, x)
+    else:
+        items = [_json_value(v, inner) for v in x]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -311,74 +341,83 @@ def _cmd_suite(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_assignment_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--zeta", help="comma-separated p/q values, one per vertex")
-    parser.add_argument("--seed", type=int, help="seed for random distinct assignments")
-    parser.add_argument("--trials", type=int, default=1, help="number of assignments to check")
+Option = namedtuple("Option", "flag dest type default choices required help",
+                    defaults=(None, None, False, None))
 
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_assignment_options(parser)
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--out")
-    parser.set_defaults(func=_cmd_verify)
-
-
-def _show_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--side", choices=["lhs", "rhs"], required=True)
-    parser.add_argument("--out")
-    parser.set_defaults(func=_cmd_show)
-
-
-def _export_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_assignment_options(parser)
-    parser.add_argument("--side", choices=["lhs", "rhs", "both"], default="both")
-    parser.add_argument("--format", choices=["json", "latex"], default="json")
-    parser.add_argument("--out")
-    parser.set_defaults(func=_cmd_export)
-
-
-def _suite_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-n", dest="min_n", type=int, required=True)
-    parser.add_argument("--max-n", dest="max_n", type=int, required=True)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int, default=1)
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--out")
-    parser.set_defaults(func=_cmd_suite)
-
+_ASSIGNMENT_OPTIONS = (
+    Option("--n", "n", int, required=True),
+    Option("--zeta", "zeta", str, help="comma-separated p/q values, one per vertex"),
+    Option("--seed", "seed", int, help="seed for random distinct assignments"),
+    Option("--trials", "trials", int, 1, help="number of assignments to check"),
+)
+_OUT = Option("--out", "out", str)
 
 COMMANDS = {
-    "verify": ("verify the equation for one n", _verify_arguments),
-    "show": ("print one side's move-by-move steps", _show_arguments),
-    "export": ("export matrices and vectors", _export_arguments),
-    "suite": ("batch verify a range of n", _suite_arguments),
+    "verify": ("verify the equation for one n", _cmd_verify, _ASSIGNMENT_OPTIONS + (
+        Option("--format", "format", str, "text", ("text", "json")), _OUT)),
+    "show": ("print one side's move-by-move steps", _cmd_show, (
+        Option("--n", "n", int, required=True),
+        Option("--side", "side", str, choices=("lhs", "rhs"), required=True), _OUT)),
+    "export": ("export matrices and vectors", _cmd_export, _ASSIGNMENT_OPTIONS + (
+        Option("--side", "side", str, "both", ("lhs", "rhs", "both")),
+        Option("--format", "format", str, "json", ("json", "latex")), _OUT)),
+    "suite": ("batch verify a range of n", _cmd_suite, (
+        Option("--min-n", "min_n", int, required=True),
+        Option("--max-n", "max_n", int, required=True),
+        Option("--seed", "seed", int),
+        Option("--trials", "trials", int, 1),
+        Option("--format", "format", str, "text", ("text", "json")), _OUT)),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only for lines _read_exact declines: an accepted line never loads it
+
     parser = argparse.ArgumentParser(
         prog="ngoneq",
         description="Construct and verify exact matrix solutions of polygon equations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for o in options:
+            command.add_argument(o.flag, dest=o.dest, type=o.type, default=o.default,
+                                 choices=o.choices, required=o.required, help=o.help)
+        command.set_defaults(func=func)
     return parser
 
 
-def parse_command_line(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as build_parser() does; that parser is built only to print help or an error."""
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"ngoneq {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+def _read_exact(argv: list[str]) -> SimpleNamespace | None:
+    """build_parser().parse_args(argv) for an exact-form line (module docstring), else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    flags, values, tokens = {o.flag: o for o in options}, {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq and (value := next(tokens, "-")).startswith("-"):
+            return None
+        o = flags.get(flag)
+        if o is None:
+            return None
+        try:
+            values[o.dest] = value = o.type(value)
+        except ValueError:
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+    if any(o.required and o.dest not in values for o in options):
+        return None
+    return SimpleNamespace(command=argv[0], func=func,
+                           **{o.dest: values.get(o.dest, o.default) for o in options})
+
+
+def parse_command_line(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """Parse argv as build_parser() does; that tree is built only for lines _read_exact
+    declines, to parse them or to print help, the version or a usage error."""
+    args = _read_exact(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

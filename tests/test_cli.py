@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import errno
+import io
 import json
 import os
 import random
@@ -9,6 +11,8 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ngoneq.cli as cli_module
 import ngoneq.pmatrix as pmatrix_module
@@ -27,6 +31,8 @@ from ngoneq import (
 )
 from ngoneq.cli import EXIT_INTERNAL, build_parser, main, parse_command_line
 from oracles import f_value_vector, negative_fractional
+
+PERFBENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def run(capsys, *argv):
@@ -548,6 +554,26 @@ PARSE_CASES = {
     "show": ["show", "--n", "6", "--side", "rhs", "--out", "steps.txt"],
     "export": ["export", "--n", "5", "--side", "lhs", "--format", "latex"],
     "suite": ["suite", "--min-n", "5", "--max-n", "6", "--seed", "1", "--trials", "2"],
+    "verify-every-option": ["verify", "--n", "5", "--zeta", "1,2,3,4,5", "--seed", "2",
+                            "--trials", "1", "--format", "text", "--out", "v.txt"],
+    "show-equals": ["show", "--side=lhs", "--n=8", "--out=s.txt"],
+    "export-every-option": ["export", "--n", "6", "--zeta=1/2,3,4,5,6,7", "--seed", "4",
+                            "--trials", "1", "--side", "both", "--format", "json", "--out", "e"],
+    "suite-equals": ["suite", "--min-n=5", "--max-n=7", "--format=json", "--trials=3"],
+    "repeated-options": ["verify", "--n", "5", "--format", "json", "--n=6", "--format", "text"],
+    "empty-out": ["verify", "--n", "5", "--out", ""],
+    "empty-out-equals": ["verify", "--n", "5", "--out="],
+    "space-led-int": ["verify", "--n", " 7"],
+    "plus-int": ["verify", "--n", "+7"],
+    "negative-seed": ["verify", "--n", "5", "--seed", "-3"],
+    "bad-int": ["verify", "--n", "five"],
+    "bad-int-equals": ["suite", "--min-n=5", "--max-n=x"],
+    "bad-int-overridden": ["verify", "--n", "5", "--seed", "x", "--seed", "3"],
+    "bad-choice": ["show", "--n", "5", "--side", "both"],
+    "missing-value-at-end": ["verify", "--n", "5", "--seed"],
+    "double-dash": ["verify", "--", "--n", "5"],
+    "trailing-double-dash": ["verify", "--n", "5", "--"],
+    "help-after-options": ["verify", "--n", "5", "-h"],
     "verify-help": ["verify", "-h"],
     "version": ["--version"],
     "missing-n": ["verify", "--format", "json"],
@@ -563,25 +589,52 @@ PARSE_CASES = {
 }
 
 
-def _parse_outcome(capsys, parse, argv):
-    """The namespace (without ``command``, which no handler reads) or the exit code,
-    with stdout and stderr."""
-    try:
-        outcome = {k: v for k, v in vars(parse(list(argv))).items() if k != "command"}
-    except SystemExit as exc:
-        outcome = exc.code
-    captured = capsys.readouterr()
-    return outcome, captured.out, captured.err
+def _parse_outcome(parse, argv):
+    """The namespace or the exit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = vars(parse(list(argv)))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    return build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
-def test_command_parser_matches_the_full_parser(capsys, argv):
-    """Parsing with the subcommand's own parser gives what the full parser gives: the
-    same namespace, or the same exit code with byte-identical stdout and stderr."""
-    fast = _parse_outcome(capsys, parse_command_line, argv)
-    full = _parse_outcome(capsys, lambda argv: build_parser().parse_args(argv), argv)
-    assert fast == full
+def test_command_parser_matches_the_full_parser(argv):
+    """parse_command_line gives what the full parser gives: the same namespace, or the
+    same exit code with byte-identical stdout and stderr."""
+    fast = _parse_outcome(parse_command_line, argv)
+    assert fast == _parse_outcome(_full_parse, argv)
     assert isinstance(fast[0], dict) or fast[1] + fast[2]
+
+
+PARSE_TOKENS = sorted(
+    {token for argv in PARSE_CASES.values() for token in argv}
+    | {o.flag for _, _, options in cli_module.COMMANDS.values() for o in options}
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from(list(PARSE_CASES.values())),
+    st.lists(
+        st.tuples(st.integers(0, 12), st.lists(st.sampled_from(PARSE_TOKENS), max_size=2)),
+        max_size=3,
+    ),
+)
+def test_drawn_command_lines_parse_as_the_full_parser(argv, edits):
+    """PARSE_CASES lines edited with their own tokens and the option names (each edit puts
+    zero to two tokens at a position, where zero deletes the token there): the exact-form
+    reader and the fallback together match the full parser."""
+    argv = list(argv)
+    for at, tokens in edits:
+        argv[at:at + (not tokens)] = tokens
+    assert _parse_outcome(parse_command_line, argv) == _parse_outcome(_full_parse, argv)
 
 
 def _count_parsers(monkeypatch) -> list:
@@ -596,17 +649,58 @@ def _count_parsers(monkeypatch) -> list:
     return built
 
 
-def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+def test_an_accepted_command_line_builds_no_parser(monkeypatch, capsys):
     built = _count_parsers(monkeypatch)
     assert main(["verify", "--n", "5", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["all_equal"] is True
-    assert built == ["ngoneq verify"]
+    assert built == []
 
 
 def test_a_rejected_command_line_builds_the_full_parser(monkeypatch, capsys):
+    """A line the exact-form reader declines goes to the full tree, and only to it. A
+    dash-led --zeta value is one: argparse reads it as an option, and
+    perfbench/test_perfbench.py uses that line as its rejected call."""
     built = _count_parsers(monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--n", "5", "stray"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("ngoneq: error: unrecognized arguments: stray\n")
-    assert built == ["ngoneq verify", "ngoneq"] + [f"ngoneq {name}" for name in cli_module.COMMANDS]
+    for argv, error in (
+        (["verify", "--n", "5", "stray"], "ngoneq: error: unrecognized arguments: stray"),
+        (["verify", "--n", "5", "--zeta", "-1,2,3,4,5"],
+         "ngoneq verify: error: argument --zeta: expected one argument"),
+    ):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(error + "\n")
+        assert built == ["ngoneq"] + [f"ngoneq {name}" for name in cli_module.COMMANDS]
+
+
+def test_every_cli_sweep_command_line_is_read_without_a_parser(monkeypatch):
+    """Each command line the cli-sweep benchmark workload can run (its set-up line and
+    verify and export at every pool assignment, as perfbench/workloads.py's cli_op
+    writes them) takes the exact-form reader, with the full parser's namespace."""
+    pools = json.loads(PERFBENCH_REFERENCE.read_text())["cli-sweep"]["pools"]
+    lines = [["verify", "--n", "5", "--format", "json"]] + [
+        [command, "--n", n, *zeta_args, "--format", "json"]
+        for n, pool in pools.items()
+        for zeta_args in pool["seeded"] + pool["rational"]
+        for command in ("verify", "export")
+    ]
+    built = _count_parsers(monkeypatch)
+    parsed = [vars(parse_command_line(argv)) for argv in lines]
+    assert built == []
+    assert parsed == [vars(_full_parse(argv)) for argv in lines]
+
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_categories=())),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(st.characters(exclude_categories=())), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(json_documents)
+def test_json_emitter_writes_the_bytes_of_json_dumps_indent_2(doc):
+    assert cli_module._json_dumps(doc) == json.dumps(doc, indent=2) + "\n"

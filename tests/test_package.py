@@ -33,16 +33,20 @@ def test_star_import_succeeds():
 
 
 def test_importing_the_package_and_cli_loads_no_heavy_stdlib_module():
-    """dataclasses (with inspect), typing and traceback cost start-up time on every
-    command; a fresh interpreter without site imports none of them for ngoneq."""
-    heavy = ("dataclasses", "inspect", "typing", "traceback")
-    code = f"import sys, ngoneq, ngoneq.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    """dataclasses (with inspect), typing, traceback and argparse (with gettext) cost
+    start-up time on every command; a fresh interpreter without site imports none of them
+    for ngoneq, nor while cli.main runs an accepted command line."""
+    heavy = ("dataclasses", "inspect", "typing", "traceback", "argparse", "gettext")
+    report = f"print(sorted(set({heavy!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    for run in ("", "ngoneq.cli.main(['verify', '--n', '5', '--format', 'json'])"):
+        code = f"import sys, ngoneq, ngoneq.cli\n{run}\n{report}"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]", run
 
 
 def _records():
