@@ -8,7 +8,7 @@ equality, all in exact arithmetic.
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
 from .exactfield import DenseMatrix, Rat, ZetaAssignment, rat_from_string
-from .fvectors import FVector, check_move_action, f_vector_table, gale_table
+from .fvectors import check_move_action, gale_table
 from .pmatrix import int_p_matrix
 from .simplicial import (
     MoveSequence,
@@ -24,7 +24,6 @@ from .version import __version__
 
 __all__ = [
     "DenseMatrix",
-    "FVector",
     "InternalError",
     "InvalidInputError",
     "MoveNotApplicableError",
@@ -39,7 +38,6 @@ __all__ = [
     "__version__",
     "check_move_action",
     "equation_sequences",
-    "f_vector_table",
     "final_triangulation",
     "gale_table",
     "initial_triangulation",

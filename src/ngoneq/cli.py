@@ -30,12 +30,12 @@ import sys
 import time
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, prod
 from types import SimpleNamespace
 
 from .errors import InvalidInputError
 from .exactfield import IntRow, ZetaAssignment
-from .fvectors import f_vector_table
+from .fvectors import gale_table
 from .pmatrix import int_p_matrix, pair_gauge, side_factors, side_rows
 from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
@@ -220,7 +220,7 @@ def _latex_rows(rows: list[IntRow]) -> str:
 def _true_rows(rows: list[IntRow], target, source, zeta: ZetaAssignment) -> list[IntRow]:
     """Rows in the pair gauge at the pairs A of ``target`` and B of ``source``, made true:
     x / d becomes x s(B) / (d s(A)) (``pair_gauge``), left for ``_entry`` to reduce."""
-    if zeta.row[1] == 1:  # integral: every s(pair) is 1
+    if zeta.integral:  # every s(pair) is 1
         return rows
     cols, heights = pair_gauge(zeta, source.pairs), pair_gauge(zeta, target.pairs)
     return [(tuple([x * c for x, c in zip(v, cols)]), d * s) for (v, d), s in zip(rows, heights)]
@@ -232,6 +232,16 @@ def _side_factors_and_product(seq: MoveSequence, zeta: ZetaAssignment):
     factors = [_true_rows(rows, new, old, zeta)
                for rows, old, new in zip(side_factors(seq, matrices), path, path[1:])]
     return factors, _true_rows(side_rows(seq, matrices), path[-1], path[0], zeta)
+
+
+def _json_vectors(n: int, zeta: ZetaAssignment, pairs) -> dict[str, list[str]]:
+    """The vectors of ``pairs`` as "p/q" strings: f_ij(w) = G'_ij(w) q_w^(k-1) / L_w, G' from
+    ``gale_table``, L_w = prod_{y != w} Delta_wy, each column's sign moved up so L_w > 0."""
+    ells, rows = [prod([y for y in d if y]) for d in zeta.deltas], gale_table(n, zeta)
+    scales = [x.denominator ** (n // 2 - 1) * (1 if ell > 0 else -1)
+              for x, ell in zip(zeta.values, ells)]
+    return {f"{p.i},{p.j}": [_entry(g * a, abs(ell), "{}{}/{}")
+                             for g, a, ell in zip(rows[p], scales, ells)] for p in pairs}
 
 
 def _export_side(seq: MoveSequence, zeta: ZetaAssignment) -> dict:
@@ -254,17 +264,13 @@ def _cmd_export(args) -> int:
         sides = {args.side: sides[args.side]}
 
     if args.format == "json":
-        vectors = f_vector_table(args.n, zeta)
         doc = {
             "command": "export",
             "n": args.n,
             "zeta": zeta.to_strings(),
             "zeta_label": zeta.label,
             "sides": {name: _export_side(seq, zeta) for name, seq in sides.items()},
-            "fvectors": {
-                f"{p.i},{p.j}": [str(x) for x in vectors[p].components]
-                for p in lhs.path[0].pairs
-            },
+            "fvectors": _json_vectors(args.n, zeta, lhs.path[0].pairs),
             "version": __version__,
         }
         _emit(_json_dumps(doc), args.out)

@@ -5,6 +5,8 @@ matrix type (multiplication, rank, equality) that only the tests build.
 Values enter and leave the package as ``fractions.Fraction`` (always in lowest
 terms) and the hot loops run over rows of Python ints (``IntRow``, not always in lowest
 terms; ``same_rows`` compares two by value), so all comparisons are exact, with no tolerances.
+An assignment is read in one integer coordinate system, z = p / q and the determinants
+Delta_ab = p_a q_b - p_b q_a (``ZetaAssignment.deltas``), never over a common denominator.
 """
 
 from __future__ import annotations
@@ -75,29 +77,27 @@ class ZetaAssignment(namedtuple("ZetaAssignment", "n values label")):
         return self.values[vertex - 1]
 
     @cached_property
-    def row(self) -> IntRow:
-        """The values as an integer row (u, s), z = u / s, cleared once per
-        assignment."""
-        return int_row(self.values)
+    def integral(self) -> bool:
+        """Whether every value is an integer (every q is 1), taken once."""
+        return all(x.denominator == 1 for x in self.values)
 
     @cached_property
     def deltas(self) -> tuple[tuple[int, ...], ...]:
         """The 2x2 determinants Delta_ab = p_a q_b - p_b q_a = q_a q_b (z_a - z_b), z = p / q
-        in lowest terms, 0-based, taken once; u_a - u_b, u = row[0], at integral values."""
+        in lowest terms, 0-based, taken once; z_a - z_b at integral values."""
         pq = [(x.numerator, x.denominator) for x in self.values]
         return tuple(tuple([p * r - o * q for o, r in pq]) for p, q in pq)
 
     @cached_property
     def weighted_powers(self) -> tuple[tuple[int, ...], ...]:
-        """The floor(n/2) rows (c_w u_w^t)_w, t = 0, 1, ..., u = row[0], taken once; c_w =
-        lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y), and sum_w c_w p(u_w) = 0 for every
-        polynomial p of degree below n - 1 (Lagrange)."""
-        u = self.row[0]
-        scaled = [prod([x - y for y in u if y != x]) for x in u]
+        """The floor(n/2) = k rows (c_w p_w^t q_w^(k-1-t))_w, t = 0, 1, ..., taken once; c_w =
+        lcm|L| / L_w, L_w = prod_{y != w} Delta_wy. A Gale row G' (``gale_table``) has zero dot
+        product with all of them iff its vector f_w = G'_w q_w^(k-1) / L_w annihilates the
+        power rows z^t, t < k."""
+        scaled, k = [prod([x for x in row if x]) for row in self.deltas], self.n // 2
         top = lcm(*scaled)
-        return tuple(
-            tuple([top // w * x**t for w, x in zip(scaled, u)]) for t in range(self.n // 2)
-        )
+        return tuple(tuple([top // w * x.numerator**t * x.denominator ** (k - 1 - t)
+                            for w, x in zip(scaled, self.values)]) for t in range(k))
 
     @classmethod
     def consecutive(cls, n: int) -> "ZetaAssignment":
@@ -122,22 +122,21 @@ class ZetaAssignment(namedtuple("ZetaAssignment", "n values label")):
         return [str(v) for v in self.values]
 
 
-def int_row(row: Sequence[Rat]) -> IntRow:
-    """(numerators, d) with d the lcm of the denominators; canonical, as each entry is reduced."""
-    d = lcm(*[x.denominator for x in row])
-    return tuple([x.numerator * (d // x.denominator) for x in row]), d
-
-
 def rat_row(row: IntRow) -> tuple[Rat, ...]:
     return tuple([Fraction(x, row[1]) for x in row[0]])
 
 
 def same_rows(a: IntRow, b: IntRow) -> bool:
-    """Whether v / d and w / e hold the same rationals, reduced or not: v == w if d == e,
-    else v (e / g) == w (d / g), g = gcd(d, e)."""
+    """Whether v / d and w / e (numerator tuples) hold the same rationals, reduced or not:
+    v == w if d == e, v == w d if e == 1, v e == w if d == 1, else v (e / g) == w (d / g),
+    g = gcd(d, e)."""
     (v, d), (w, e) = a, b
     if d == e:
         return v == w
+    if e == 1:
+        return v == tuple([y * d for y in w])
+    if d == 1:
+        return tuple([x * e for x in v]) == w
     g = gcd(d, e)
     d, e = d // g, e // g
     return [x * e for x in v] == [y * d for y in w]
@@ -231,5 +230,7 @@ class DenseMatrix:
         return DenseMatrix(out)
 
     def rank(self) -> int:
-        """``rank`` of the rows with their denominators cleared (same rank)."""
-        return rank([int_row(row)[0] for row in self.entries])
+        """``rank`` of the rows, each times the lcm of its denominators (same rank)."""
+        scales = [lcm(*[x.denominator for x in row]) for row in self.entries]
+        return rank([[x.numerator * (d // x.denominator) for x in row]
+                     for row, d in zip(self.entries, scales)])

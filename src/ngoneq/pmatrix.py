@@ -51,7 +51,7 @@ def int_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> IntMatrix:
     D(c_i, b_j) = prod_{j' != j} D(c_i, b_j'), l_i = prod_j D(c_i, b_j), and the signed W_j =
     prod_{j' != j} D(b_j, b_j'), the nonzero ones of D(b_j, b) over all b (D(b_j, b_j) = 0),
     with no scaling common to the columns. The true P is S_c^-1 P_hom S_r (``pair_gauge``);
-    at integral values D is u_a - u_b and P_hom is P.
+    at integral values D is z_a - z_b and P_hom is P.
     """
     if zeta.n != move.n:
         raise InvalidInputError(

@@ -112,7 +112,7 @@ def _first_difference(lhs: list[IntRow], rhs: list[IntRow], final: Triangulation
     for i, rows in enumerate(zip(lhs, rhs)):
         for j, (x, y) in enumerate(zip(*map(rat_row, rows))):
             if x != y:
-                if zeta.row[1] > 1:  # not integral: every s(pair) is 1 otherwise
+                if not zeta.integral:  # every s(pair) is 1 otherwise
                     scale = Rat(*pair_gauge(zeta, (initial.pairs[j], final.pairs[i])))
                     x, y = x * scale, y * scale
                 return FirstDifference(
@@ -167,10 +167,10 @@ def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
 class SuiteContext:
     """What one (n, zeta) suite run reads, built once: the move sequences and matrices,
     the integer Gale rows of all C(n,2) pairs (``gale_table``), and on first use each
-    row's orthogonality, each q-stack and its rank. By Identity 1 each vector is Lambda g_ij:
-    Lambda = diag(1 / prod_{y != w} (z_w - z_y)) is one global diagonal and g_ij(t) =
-    (t - z_i)(t - z_j) e_r(t - z_x : x not in {i, j}) the Gale polynomial, so ranks ignore
-    Lambda, moves act on the rows, and orthogonality reads ``zeta.weighted_powers``."""
+    row's orthogonality, each q-stack and its rank. By Identity 1 each vector is Lambda G'_ij
+    with one global diagonal Lambda = diag(q_w^(k-1) / L_w), L_w = prod_{y != w} Delta_wy,
+    G'_ij(w) = g_ij(z_w) c_w, so ranks ignore Lambda, moves act on the rows, and
+    orthogonality reads ``zeta.weighted_powers``."""
 
     def __init__(self, n: int, zeta: ZetaAssignment, sequences: tuple[MoveSequence, MoveSequence],
                  matrices: Mapping[PachnerMove, IntMatrix], rows: Mapping[Pair, tuple[int, ...]]):
@@ -187,6 +187,13 @@ class SuiteContext:
         row has zero dot product with every row of ``zeta.weighted_powers`` (c_w ~ lambda_w)."""
         weights = self.zeta.weighted_powers
         return {pair: annihilates(weights, row) for pair, row in self.rows.items()}
+
+    @cached_property
+    def column_weights(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``zeta.weighted_powers`` times q_v^(r+1), r = n - 3 - floor(n/2), per
+        column v, taken once (the same integers at integral values)."""
+        scales = [x.denominator ** (self.n - 2 - self.n // 2) for x in self.zeta.values]
+        return tuple(tuple(map(mul, row, scales)) for row in self.zeta.weighted_powers)
 
     @cached_property
     def q_stacks(self) -> tuple[dict[Pair, tuple[int, ...]], ...]:
@@ -221,7 +228,7 @@ def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
             rows, weights = ctx.matrices[move]
             d = lcm(*weights)
             scales, sums = [d // w for w in weights], [d] * len(rows)
-            if ctx.zeta.row[1] > 1:  # not integral: every s(pair) is 1 otherwise
+            if not ctx.zeta.integral:  # every s(pair) is 1 otherwise
                 scales = list(map(mul, scales, pair_gauge(ctx.zeta, move.removed_pairs)))
                 sums = [d * s for s in pair_gauge(ctx.zeta, move.created_pairs)]
             for i, (row, want) in enumerate(zip(rows, sums)):
@@ -247,14 +254,15 @@ def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
 def _stack_is_orthogonal(ctx: SuiteContext, q: int) -> bool:
     """True iff every row of the q-stack W is orthogonal and every column w is annihilated
     by mu_v * z_v^j, j < floor(n/2), v in T = [n] \\ {q}, mu_v = 1 / prod_{y in T, y != v}
-    (z_v - z_y) = (z_v - z_q) lambda_v: by F, the rows of ``zeta.weighted_powers`` on T with
-    (u_v - u_q) folded in. As W's rows are orthogonal, each row of F W is the values at the
-    u_w of a polynomial of degree below n - floor(n/2), so that many columns decide all."""
+    (z_v - z_y) = (z_v - z_q) lambda_v: by F, the rows of ``column_weights`` on T with
+    Delta_vq folded in (Delta_vq q_v^(r+1) in all). As W's rows are orthogonal, each row of
+    F W is, up to one factor per column, the values at the z_w of a polynomial of degree
+    below n - floor(n/2), so that many columns decide all."""
     stack = ctx.q_stacks[q - 1]
     if not all(ctx.orthogonal[pair] for pair in stack):
         return False
-    u, others = ctx.zeta.row[0], [v for v in range(ctx.n) if v != q - 1]
-    folded = [[(u[v] - u[q - 1]) * row[v] for v in others] for row in ctx.zeta.weighted_powers]
+    delta, others = ctx.zeta.deltas, [v for v in range(ctx.n) if v != q - 1]
+    folded = [[delta[v][q - 1] * row[v] for v in others] for row in ctx.column_weights]
     columns = list(zip(*stack.values()))[: ctx.n - ctx.n // 2]
     return all(annihilates(folded, column) for column in columns)
 

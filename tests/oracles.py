@@ -30,6 +30,13 @@ seeded sampled (or, with ``sample=inf``, all) choices of vectors omitting a comm
 vertex, and
 ``lagrange_orthogonality`` is the orthogonality test as it was before
 ``ZetaAssignment.weighted_powers``: Lagrange weights and every power taken afresh.
+The package read each value through u = s z, s the lcm of all n denominators, before it
+read (p, q) and Delta everywhere; that coordinate system is kept here: ``int_row`` clears a
+row of rationals, ``cleared_gale_table`` and ``cleared_weighted_powers`` are the Gale rows
+(g_ij(u_w))_w and the weights (c_w u_w^t)_w over u, ``f_vector_table`` and ``FVector`` are
+the ``Fraction`` vectors s^k g_ij(u_w) / prod_{y != w} (u_w - u_y) that ``export`` printed
+from them, ``gale_column_scales`` relates those rows to the homogeneous ``gale_table`` column
+by column, and ``gale_vectors`` reads homogeneous rows as ``FVector``s.
 ``factors_view`` and ``product_view`` read the library's ``side_factors`` and
 ``side_rows`` as ``DenseMatrix``es of true values, for comparison with tabulated
 factors and with the dense oracle; ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
@@ -40,6 +47,7 @@ vector stacks) serve the tests only.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +58,6 @@ from hypothesis import strategies as st
 
 from ngoneq import (
     DenseMatrix,
-    FVector,
     InternalError,
     InvalidInputError,
     MoveNotApplicableError,
@@ -60,11 +67,10 @@ from ngoneq import (
     Rat,
     Triangulation,
     ZetaAssignment,
-    f_vector_table,
     final_triangulation,
     initial_triangulation,
 )
-from ngoneq.exactfield import int_row, rank, rat_row
+from ngoneq.exactfield import IntRow, rank, rat_row
 from ngoneq.fvectors import annihilates
 from ngoneq.pmatrix import _identity_rows, act_on_int_rows, int_p_matrix, side_factors, side_rows
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
@@ -185,7 +191,7 @@ def one_denominator_p_matrix(move: PachnerMove, zeta: ZetaAssignment):
     ``int_p_matrix`` returned it before column weights: numerator (i, j) is
     (l_i // d_ij) * (D // W_j), d_ij = u[row_i] - u[col_j], l_i = prod_j d_ij, and
     each row sums to D."""
-    u = zeta.row[0]
+    u = int_row(zeta.values)[0]
     u_cols = [u[b - 1] for b in reversed(move.b_set)]
     weights = [prod([uj - uk for uk in u_cols if uk != uj]) for uj in u_cols]
     d = lcm(*weights)
@@ -391,6 +397,84 @@ def other_vertex(pair: Pair, v: int) -> int:
     return pair.i if v == pair.j else pair.j
 
 
+def int_row(row) -> IntRow:
+    """(numerators, d) with d the lcm of the denominators; canonical, as each entry is reduced.
+    ``int_row(zeta.values)`` is (u, s), u = s z."""
+    d = lcm(*[x.denominator for x in row])
+    return tuple([x.numerator * (d // x.denominator) for x in row]), d
+
+
+class FVector(namedtuple("FVector", "n pair components")):
+    """Length-n vector of a simplex, zero at the two omitted vertices; a tuple (n, pair,
+    components) indexed 1-based by vertex."""
+
+    __slots__ = ()
+
+    def __getitem__(self, vertex: int) -> Rat:
+        return self.components[vertex - 1]
+
+
+def cleared_gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
+    """``gale_table`` as it was built before homogeneous coordinates: the rows (g_ij(u_w))_w
+    at u = s z. At each w, e_0..e_{r+1} of all d_x = u_w - u_x are built once; a Horner
+    deletion gives E_x = e_{r+1}(d without d_x), and each component is d_i d_j (E_i - E_j) /
+    (u_i - u_j), exact, as E_i - E_j = (u_i - u_j) e_r(d without d_i, d_j)."""
+    check_n(n)
+    u, r = int_row(zeta.values)[0], n - 3 - n // 2
+    pairs = [(i, j, u[i] - u[j]) for i, j in combinations(range(n), 2)]
+    columns = []
+    for uw in u:
+        d, e = [uw - x for x in u], [1] + [0] * (r + 1)
+        for x in d:
+            for t in range(r + 1, 0, -1):
+                e[t] += e[t - 1] * x
+        deleted = [0] * n
+        for c in e:
+            deleted = [c - x * h for x, h in zip(d, deleted)]
+        columns.append([d[i] * d[j] * ((deleted[i] - deleted[j]) // g) for i, j, g in pairs])
+    return {Pair(i + 1, j + 1, n): row for (i, j, _), row in zip(pairs, zip(*columns))}
+
+
+def cleared_weighted_powers(zeta: ZetaAssignment) -> tuple[tuple[int, ...], ...]:
+    """``ZetaAssignment.weighted_powers`` as it was before homogeneous coordinates: the
+    floor(n/2) rows (c_w u_w^t)_w, c_w = lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y)."""
+    u = int_row(zeta.values)[0]
+    scaled = [prod([x - y for y in u if y != x]) for x in u]
+    top = lcm(*scaled)
+    return tuple(tuple([top // w * x**t for w, x in zip(scaled, u)]) for t in range(zeta.n // 2))
+
+
+def f_vector_table(n: int, zeta: ZetaAssignment) -> dict[Pair, FVector]:
+    """All C(n,2) vectors as ``Fraction``s, f_ij(w) = s^k g_ij(u_w) / prod_{y != w} (u_w - u_y)
+    from ``cleared_gale_table``, by pair: the vectors ``export`` printed before it read the
+    homogeneous rows."""
+    u, s = int_row(zeta.values)
+    scales = [Fraction(s ** (n // 2), prod([x - y for y in u if y != x])) for x in u]
+    return {
+        pair: FVector(n, pair, tuple([g * c for g, c in zip(row, scales)]))
+        for pair, row in cleared_gale_table(n, zeta).items()
+    }
+
+
+def gale_column_scales(zeta: ZetaAssignment) -> tuple[list[int], int]:
+    """(c, t): column w of ``gale_table`` is g_ij(z_w) c_w, c_w = q_w^(r+3) prod_{x != w} q_x,
+    r = n - 3 - floor(n/2), and that of ``cleared_gale_table`` is g_ij(z_w) t, t = s^(r+2),
+    so G'_ij(w) t = G_ij(w) c_w."""
+    n = zeta.n
+    r, q = n - 3 - n // 2, [x.denominator for x in zeta.values]
+    return [y ** (r + 2) * prod(q) for y in q], int_row(zeta.values)[1] ** (r + 2)
+
+
+def gale_vectors(n: int, zeta: ZetaAssignment, rows) -> dict[Pair, FVector]:
+    """Rows in the columns of ``gale_table`` read as vectors, f(w) = lambda_w row_w / c_w
+    (``gale_column_scales``), lambda_w = 1 / prod_{y != w} (z_w - z_y) in ``Fraction``s."""
+    c, z = gale_column_scales(zeta)[0], zeta.values
+    scales = [1 / (x * prod([zw - zy for zy in z if zy != zw], start=Fraction(1)))
+              for x, zw in zip(c, z)]
+    return {pair: FVector(n, pair, tuple([g * a for g, a in zip(row, scales)]))
+            for pair, row in rows.items()}
+
+
 def f_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
     """The invariant vector of the simplex named by the pair, from ``f_vector_table``."""
     if pair.n != n or zeta.n != n:
@@ -474,7 +558,7 @@ def deletion_gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, .
         return list(accumulate(e, lambda previous, current: current - d * previous))
 
     check_n(n)
-    u, r = zeta.row[0], n - 3 - n // 2
+    u, r = int_row(zeta.values)[0], n - 3 - n // 2
     rows = {pair: [0] * n for pair in combinations(range(n), 2)}
     for w, uw in enumerate(u):
         d = [uw - x for x in u]
@@ -517,7 +601,7 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
         for pair in (Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2))
     }
     cleared = {pair: cleared_row(v) for pair, v in vectors.items()}
-    u = zeta.row[0]
+    u = int_row(zeta.values)[0]
     m, everyone = move_size(n), range(1, n + 1)
 
     def orthogonal(a, points):
@@ -575,16 +659,21 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
 def lagrange_weights(zeta: ZetaAssignment) -> tuple[int, ...]:
     """c_w = lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y): sum_w c_w p(u_w) = 0 for every
     polynomial p of degree below n - 1."""
-    u = zeta.row[0]
+    u = int_row(zeta.values)[0]
     scaled = [prod([x - y for y in u if y != x]) for x in u]
     top = lcm(*scaled)
     return tuple([top // w for w in scaled])
 
 
 def lagrange_orthogonality(row, zeta: ZetaAssignment) -> bool:
-    """``check_orthogonality`` as it was before the power table: sum_w c_w row_w u_w^t = 0
+    """``check_orthogonality`` as it was before the power table and homogeneous coordinates:
+    the row, in the columns of ``gale_table``, is moved to those of ``cleared_gale_table`` (y_w =
+    row_w M / q_w^(r+2), M = lcm q^(r+2); ``gale_column_scales``), then sum_w c_w y_w u_w^t = 0
     for every t < floor(n/2), c = ``lagrange_weights(zeta)``, each power u_w^t taken afresh."""
-    weighted, u = [c * g for c, g in zip(lagrange_weights(zeta), row)], zeta.row[0]
+    e = zeta.n - 1 - zeta.n // 2
+    powers = [x.denominator**e for x in zeta.values]
+    top, u = lcm(*powers), int_row(zeta.values)[0]
+    weighted = [c * g * (top // y) for c, g, y in zip(lagrange_weights(zeta), row, powers)]
     return not any(sum([x * y**t for x, y in zip(weighted, u)]) for t in range(zeta.n // 2))
 
 

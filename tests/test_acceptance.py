@@ -14,7 +14,6 @@ from ngoneq import (
     ZetaAssignment,
     check_move_action,
     equation_sequences,
-    f_vector_table,
     final_triangulation,
     gale_table,
     initial_triangulation,
@@ -40,6 +39,7 @@ from oracles import (
     build_p_matrix,
     check_orthogonality,
     dense_fold,
+    f_vector_table,
     factors_view,
     pair_of,
     product_view,

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngoneq.cli as cli_module
+import ngoneq.exactfield as exactfield_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
@@ -30,7 +31,7 @@ from ngoneq import (
     verify_with_properties,
 )
 from ngoneq.cli import EXIT_INTERNAL, build_parser, main, parse_command_line
-from oracles import f_value_vector, negative_fractional
+from oracles import f_value_vector, f_vector_table, mixed_denominators, negative_fractional
 
 PERFBENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -255,6 +256,23 @@ def test_export_json_fvectors_are_the_f_value_components(capsys, n):
         assert list(got.items()) == list(want.items()), zeta.label
 
 
+@pytest.mark.parametrize("n", range(5, 17))
+def test_export_json_fvectors_equal_the_cleared_vector_oracle(capsys, n):
+    """The vectors export formats from the homogeneous Gale rows, G'_ij(w) q_w^(k-1) / L_w,
+    are the strings of the vectors over u = s z that it printed before (the oracle
+    ``f_vector_table``), at consecutive, seeded, negative-fractional and mixed-denominator
+    values."""
+    for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 7),
+                 negative_fractional(n), mixed_denominators(n)):
+        zeta_arg = f"--zeta={','.join(zeta.to_strings())}"
+        code, out, _ = run(capsys, "export", "--n", str(n), zeta_arg, "--format", "json")
+        assert code == 0
+        vectors = f_vector_table(n, zeta)
+        want = {f"{p.i},{p.j}": [str(x) for x in vectors[p].components]
+                for p in initial_triangulation(n).pairs}
+        assert list(json.loads(out)["fvectors"].items()) == list(want.items()), zeta.label
+
+
 def test_export_latex_contains_arrays(capsys):
     code, out, _ = run(capsys, "export", "--n", "5", "--format", "latex")
     assert code == 0
@@ -350,6 +368,15 @@ def test_only_exactfield_names_the_dense_matrix():
     package = Path(cli_module.__file__).parent
     naming = sorted(p.name for p in package.glob("*.py") if "DenseMatrix" in p.read_text())
     assert naming == ["__init__.py", "exactfield.py"]
+
+
+def test_the_package_reads_values_in_one_coordinate_system():
+    """Every value is read as z = p / q and through Delta (``ZetaAssignment.deltas``): the
+    cleared row u = s z, ``ZetaAssignment.row``, and its helper ``int_row`` are gone, and no
+    module reads ``zeta.row``."""
+    package = Path(cli_module.__file__).parent
+    assert not hasattr(ZetaAssignment, "row") and not hasattr(exactfield_module, "int_row")
+    assert [p.name for p in package.glob("*.py") if "zeta.row" in p.read_text()] == []
 
 
 def _record_calls(monkeypatch, attr: str, source=simplicial_module) -> list:

@@ -15,8 +15,8 @@ from ngoneq import (
     rat_from_string,
     verify_equation,
 )
-from ngoneq.exactfield import int_row, rank, rat_row, same_rows
-from oracles import fraction_rank, identity, transpose, vandermonde, with_entry, zeros
+from ngoneq.exactfield import rank, rat_row, same_rows
+from oracles import fraction_rank, identity, int_row, transpose, vandermonde, with_entry, zeros
 
 
 def brute_force_det(matrix):
@@ -91,7 +91,7 @@ def test_assignment_rejects_duplicates():
 )
 def test_assignment_accepts_only_int_and_fraction_values(bad):
     """A bool would verify and print as "True"; a float, str or Decimal would pass the
-    constructor and fail later in ``deltas`` or ``row``."""
+    constructor and fail later in ``deltas`` or ``integral``."""
     values = [Fraction(v) for v in (7, 8, 9, 10, 11)]
     values[1] = bad
     with pytest.raises(InvalidInputError, match="is not an int or a Fraction"):
@@ -351,11 +351,12 @@ def test_rank_with_large_entries_and_skipped_leading_columns():
     assert transpose(m).rank() == 3
 
 
-def test_assignment_row_is_the_cleared_values_and_leaves_equality_alone():
+def test_assignment_integral_flag_is_taken_once_and_leaves_equality_alone():
     z = ZetaAssignment(3, (Fraction(-1, 2), Fraction(2, 3), Fraction(5)))
     same = ZetaAssignment(3, z.values, label="other")
-    assert z.row == ((-3, 4, 30), 6) == int_row(z.values)
-    assert z.row is z.row
+    assert not z.integral and ZetaAssignment(3, (Fraction(-1), 2, Fraction(9, 3))).integral
+    assert "integral" in vars(z)  # cached on first read
+    assert z.deltas == ((0, -7, -11), (7, 0, -13), (11, 13, 0))
     assert z == same and hash(z) == hash(same)
 
 
@@ -377,8 +378,14 @@ def test_same_rows_is_fraction_equality(a, b, k, j, change):
     changed = (v[:j] + (v[j] + change,) + v[j + 1:], d)
     changed_scaled = (tuple([k * x for x in changed[0]]), k * d)
     same_denominator = (w, d)
+    whole, whole_scaled = (w, 1), (tuple([k * x for x in w]), k)  # e = 1, and d = 1
+    whole_changed = (tuple([k * x for x in w[:j] + (w[j] + change,) + w[j + 1:]]), k)
     for x, y in [(a, b), (a, same_denominator), (a, scaled), (scaled, a), (a, changed),
-                 (changed, a), (scaled, changed), (a, changed_scaled)]:
+                 (changed, a), (scaled, changed), (a, changed_scaled), (a, whole),
+                 (whole, a), (whole_scaled, whole), (whole, whole_scaled),
+                 (whole_changed, whole), (whole, whole_changed)]:
         assert same_rows(x, y) == (rat_row(x) == rat_row(y)), (x, y)
     assert same_rows(a, scaled) and same_rows(scaled, changed_scaled) == (change == 0)
+    assert same_rows(whole_scaled, whole) and same_rows(whole, whole_scaled)
+    assert same_rows(whole_changed, whole) == same_rows(whole, whole_changed) == (change == 0)
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,21 +15,25 @@ from ngoneq import (
     ZetaAssignment,
     check_move_action,
     equation_sequences,
-    f_vector_table,
     gale_table,
     initial_triangulation,
     int_p_matrix,
 )
 from oracles import (
     check_orthogonality,
+    cleared_gale_table,
     cleared_row,
     deletion_gale_table,
     distinct_assignments,
     f_value,
     f_value_vector,
     f_vector,
+    f_vector_table,
     g_value,
+    gale_column_scales,
     gale_polynomial,
+    gale_vectors,
+    int_row,
     lagrange_orthogonality,
     max_stack_rank,
     mixed_denominators,
@@ -233,14 +238,17 @@ def test_orthogonality_over_integer_rows_at_non_integer_values(n, make):
 def test_orthogonality_table_agrees_with_the_lagrange_oracle(n):
     """The dot products with ``zeta.weighted_powers`` decide as the Lagrange-weight
     formula with every power taken afresh: true on every Gale row and on every q-stack
-    column (u_v - u_q) g_qv(u_w), false on every row with one component changed."""
+    column Delta_vq q_v^(r+1) G'_qv(w), false on every row with one component changed."""
+    r = n - 3 - n // 2
     for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
-        u, rows = zeta.row[0], gale_table(n, zeta)
+        delta, rows = zeta.deltas, gale_table(n, zeta)
+        fold = [[d * x.denominator ** (r + 1) for d in column]
+                for x, column in zip(zeta.values, delta)]
         cases = [(row, True) for row in rows.values()]
         cases += [(_perturbed(row, {pair.simplex()[0]: 1}), False) for pair, row in rows.items()]
         for q in range(1, n + 1):
             stack = [
-                [(u[v - 1] - u[q - 1]) * a for a in rows[pair_of(n, q, v)]] if v != q else [0] * n
+                [fold[v - 1][q - 1] * a for a in rows[pair_of(n, q, v)]] if v != q else [0] * n
                 for v in range(1, n + 1)
             ]
             cases += [(column, True) for column in zip(*stack)]
@@ -264,23 +272,23 @@ def test_vector_row_is_the_cleared_components_and_leaves_equality_alone():
 
 @pytest.mark.parametrize("n", range(5, 17))
 def test_gale_form_equals_the_defining_vectors(n):
-    """Identity 1: lambda_w * g_ij(z_w) equals the defining component exactly, with
-    lambda_w = 1 / prod_{y != w} (z_w - z_y), at consecutive, seeded,
-    negative-fractional and mixed-denominator values. The table's rows are the Gale
-    polynomial at the integer values u = s * z (so g_ij(z_w) = row_w / s^(r+2)) and
-    vanish at i and j; every component matches the f_value recurrence, and up to
-    n = 12 those of the pairs (1, 2) and (1, n) also match the subset sums."""
-    r = n - 3 - n // 2
+    """Identity 1 in homogeneous form: the table's rows are G'_ij(w) = g_ij(z_w) c_w,
+    c_w = q_w^(r+3) prod_{x != w} q_x, zero at i and j (checked as G' s^(r+2) = c_w g_ij(u_w)
+    on the Gale polynomial at u = s z), and lambda_w g_ij(z_w), lambda_w =
+    1 / prod_{y != w} (z_w - z_y), equals the defining component exactly, at consecutive,
+    seeded, negative-fractional and mixed-denominator values. Every component matches the
+    f_value recurrence and the vectors over u = s z (the oracle ``f_vector_table``), and up
+    to n = 12 those of the pairs (1, 2) and (1, n) also match the subset sums."""
     for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
-        u, s = zeta.row
-        lam = [1 / prod([zeta[w] - zeta[y] for y in range(1, n + 1) if y != w], start=Fraction(1))
-               for w in range(1, n + 1)]
-        vectors = f_vector_table(n, zeta)
-        for pair, row in gale_table(n, zeta).items():
+        (u, _), (scales, t) = int_row(zeta.values), gale_column_scales(zeta)
+        vectors, table = f_vector_table(n, zeta), gale_table(n, zeta)
+        homogeneous = gale_vectors(n, zeta, table)
+        for pair, row in table.items():
             assert row[pair.i - 1] == row[pair.j - 1] == 0
-            for w in pair.simplex():
-                assert row[w - 1] == gale_polynomial(n, pair.i, pair.j, u[w - 1], u)
-                got = lam[w - 1] * Fraction(row[w - 1], s ** (r + 2))
+            for w in pair.simplex():  # g_ij(u_w) = t g_ij(z_w)
+                g = gale_polynomial(n, pair.i, pair.j, u[w - 1], u)
+                assert row[w - 1] * t == scales[w - 1] * g
+                got = homogeneous[pair][w]
                 rest = [x for x in pair.simplex() if x != w]
                 assert got == f_value(n, w, rest, zeta) == vectors[pair][w], (zeta.label, pair, w)
                 if n <= 12 and pair in (Pair(1, 2, n), Pair(1, n, n)):
@@ -297,11 +305,19 @@ def test_gale_table_holds_every_pair_in_order():
 
 @pytest.mark.parametrize("n", range(5, 17))
 def test_gale_table_agrees_with_the_deletion_oracle(n):
-    """The difference form d_i d_j (E_i - E_j) / (u_i - u_j) gives the table the two
-    deletions per component gave, entry for entry and in the same pair order."""
+    """Over u = s z, the difference form d_i d_j (E_i - E_j) / (u_i - u_j) gives the table
+    the two deletions per component gave, entry for entry and in the same pair order; the
+    homogeneous table is that table column by column, G'_ij(w) s^(r+2) = G_ij(w) c_w, and
+    at integral values the same table entry for entry."""
     for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
-        rows, expected = gale_table(n, zeta), deletion_gale_table(n, zeta)
-        assert list(rows.items()) == list(expected.items()), zeta.label
+        rows, cleared = gale_table(n, zeta), cleared_gale_table(n, zeta)
+        assert list(cleared.items()) == list(deletion_gale_table(n, zeta).items()), zeta.label
+        assert list(rows) == list(cleared)
+        if zeta.integral:
+            assert rows == cleared, zeta.label
+        scales, t = gale_column_scales(zeta)
+        for pair, row in rows.items():
+            assert [x * t for x in row] == list(map(mul, cleared[pair], scales)), zeta.label
 
 
 def test_gale_table_rejects_bad_sizes():

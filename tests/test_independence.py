@@ -16,7 +16,6 @@ from ngoneq import (
     Pair,
     ZetaAssignment,
     equation_sequences,
-    f_vector_table,
     gale_table,
     initial_triangulation,
 )
@@ -34,8 +33,10 @@ from ngoneq.verifier import (
 from ngoneq.exactfield import rank
 from ngoneq.simplicial import move_size
 from oracles import (
+    f_vector_table,
     fraction_det,
     fvector_property_suite,
+    gale_vectors,
     max_stack_rank,
     mixed_denominators,
     negative_fractional,
@@ -163,7 +164,7 @@ def _suites_on_table(monkeypatch, n, zeta, rows):
     sequences = equation_sequences(n)
     for module in (verifier_module, fvectors_module):
         monkeypatch.setattr(module, "gale_table", lambda n, zeta: rows)
-    vectors = f_vector_table(n, zeta)
+    vectors = gale_vectors(n, zeta, rows)
     monkeypatch.setattr(oracles, "f_value_vector", lambda n, pair, zeta: vectors[pair])
     suite = verify_with_properties(n, zeta).properties
     return suite, fvector_property_suite(n, zeta, sequences)

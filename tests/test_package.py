@@ -11,10 +11,10 @@ from ngoneq import (
     InvalidInputError,
     PropertyResult,
     ZetaAssignment,
-    f_vector_table,
     verify_with_properties,
 )
 from ngoneq.verifier import FirstDifference
+from oracles import f_vector_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

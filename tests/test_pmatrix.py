@@ -19,7 +19,7 @@ from ngoneq import (
     initial_triangulation,
     int_p_matrix,
 )
-from ngoneq.exactfield import int_row, rat_row, same_rows
+from ngoneq.exactfield import rat_row, same_rows
 from ngoneq.pmatrix import _identity_rows, act_on_int_rows, pair_gauge, side_rows
 from oracles import (
     InterleavedFrame,
@@ -32,6 +32,7 @@ from oracles import (
     distinct_assignments,
     factors_view,
     gauge,
+    int_row,
     mixed_denominators,
     negative_fractional,
     one_denominator_side_rows,

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from collections import Counter
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
@@ -25,6 +26,8 @@ import ngoneq.simplicial as simplicial_module
 import ngoneq.verifier as verifier_module
 import oracles
 from oracles import (
+    cleared_gale_table,
+    cleared_weighted_powers,
     fvector_property_suite,
     mixed_denominators,
     negative_fractional,
@@ -106,11 +109,24 @@ def test_property_results_match_the_fvector_oracle(n):
         assert verify_with_properties(n, zeta).properties == fvector_property_suite(n, zeta, sequences)
 
 
-@pytest.mark.parametrize("n", range(5, 13))
+@pytest.mark.parametrize("n", range(5, 17))
 def test_property_results_match_the_fvector_oracle_at_mixed_denominators(n):
     """As above, at values over large, pairwise different denominators."""
     sequences, zeta = equation_sequences(n), mixed_denominators(n)
     assert verify_with_properties(n, zeta).properties == fvector_property_suite(n, zeta, sequences)
+
+
+@pytest.mark.parametrize("n", [25, 30])
+def test_property_results_at_seeded_large_n_come_from_the_cleared_integers(n):
+    """At seeded n = 25 and 30 (the FVector oracle takes over 100 s at n = 25) every value
+    is an integer, so the Gale rows and weights are the integers over u = s z entry for
+    entry, and every property passes with the details the oracle gives at smaller n."""
+    zeta = ZetaAssignment.random_distinct(n, 7)
+    assert gale_table(n, zeta) == cleared_gale_table(n, zeta)
+    assert zeta.weighted_powers == cleared_weighted_powers(zeta)
+    names = ("row_sums", "orthogonality", "move_action", "independence", "span_rank")
+    assert verify_with_properties(n, zeta).properties == (
+        *[(name, True, "") for name in names], ("initial_stack_rank", True, f"rank {n - n // 2}"))
 
 
 def test_property_suite_passes_random_seeds_n8():
@@ -121,19 +137,20 @@ def test_property_suite_passes_random_seeds_n8():
 
 
 def test_property_suite_builds_one_gale_table_and_no_f_vector(monkeypatch):
-    """One verify_with_properties call builds one table of Gale rows and no Fraction
-    vector, wherever in the package gale_table and f_vector_table are looked up from."""
-    calls = []
-    for attr in ("gale_table", "f_vector_table"):
-        real = getattr(fvectors_module, attr)
+    """One verify_with_properties call builds one table of Gale rows, wherever in the
+    package gale_table is looked up from, and no Fraction vector: the package has no
+    vector table (``f_vector_table`` is a test oracle)."""
+    calls, real = [], fvectors_module.gale_table
 
-        def counting(*args, real=real, attr=attr):
-            calls.append(attr)
-            return real(*args)
+    def counting(*args):
+        calls.append("gale_table")
+        return real(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "ngoneq" and getattr(module, attr, None) is real:
-                monkeypatch.setattr(module, attr, counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq":
+            assert not hasattr(module, "f_vector_table") and not hasattr(module, "FVector"), name
+            if getattr(module, "gale_table", None) is real:
+                monkeypatch.setattr(module, "gale_table", counting)
     for n in (5, 8, 9):
         calls.clear()
         results = verify_with_properties(n, ZetaAssignment.random_distinct(n, 5)).properties
@@ -281,22 +298,24 @@ def test_one_verification_derives_the_sequences_and_triangulations_once(monkeypa
 
 
 def test_one_suite_run_clears_the_assignment_once(monkeypatch):
-    """Orthogonality and the move matrices read the assignment's integer row,
-    which is computed once per assignment."""
+    """The move matrices, the Gale rows, the weights and the column test read the
+    assignment through its determinants Delta_ab (``ZetaAssignment.deltas``), which are
+    computed once per assignment, as is its integral flag."""
+    real = {attr: getattr(exactfield_module.ZetaAssignment, attr).func
+            for attr in ("deltas", "integral")}
     for n in (6, 9):
-        zeta = negative_fractional(n)
-        calls = []
+        zeta, calls = negative_fractional(n), []
+        for attr, func in real.items():
+            def counting(self, func=func, attr=attr):
+                calls.append(attr)
+                return func(self)
 
-        def counting(row, real=exactfield_module.int_row):
-            if tuple(row) == zeta.values:
-                calls.append(n)
-            return real(row)
-
-        for module in (exactfield_module, fvectors_module, pmatrix_module):
-            monkeypatch.setattr(module, "int_row", counting, raising=False)
+            counted = cached_property(counting)
+            counted.__set_name__(exactfield_module.ZetaAssignment, attr)
+            monkeypatch.setattr(exactfield_module.ZetaAssignment, attr, counted)
         report = verify_with_properties(n, zeta)
         assert all(r.passed for r in report.properties)
-        assert calls == [n]
+        assert sorted(calls) == ["deltas", "integral"]
         monkeypatch.undo()
 
 
