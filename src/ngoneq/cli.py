@@ -7,8 +7,9 @@ Subcommands:
     suite    batch verification plus property suite over a range of n
 
 Every matrix stays in exact integer rows (numerators, denominator) until ``export``
-writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from one
-move matrix per move and side, with the pair gauge of the rows taken out entrywise.
+writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from the move
+matrices of every side written, built in one ``move_matrices`` call, with the pair gauge of
+the rows taken out entrywise.
 
 Every option is one row of COMMANDS. _read_exact reads a line without argparse when each
 token is an exact option name of its command, as --opt=value or --opt value with a value not
@@ -36,7 +37,7 @@ from types import SimpleNamespace
 from .errors import InvalidInputError
 from .exactfield import IntRow, ZetaAssignment
 from .fvectors import gale_table
-from .pmatrix import int_p_matrix, pair_gauge, side_factors, side_rows
+from .pmatrix import move_matrices, pair_gauge, side_factors, side_rows
 from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
 from .version import __version__
@@ -226,9 +227,9 @@ def _true_rows(rows: list[IntRow], target, source, zeta: ZetaAssignment) -> list
     return [(tuple([x * c for x, c in zip(v, cols)]), d * s) for (v, d), s in zip(rows, heights)]
 
 
-def _side_factors_and_product(seq: MoveSequence, zeta: ZetaAssignment):
-    """One side's true extended factors and product, from one ``int_p_matrix`` per move."""
-    matrices, path = {move: int_p_matrix(move, zeta) for move in seq.moves}, seq.path
+def _side_factors_and_product(seq: MoveSequence, matrices, zeta: ZetaAssignment):
+    """One side's true extended factors and product, from the move matrices of both sides."""
+    path = seq.path
     factors = [_true_rows(rows, new, old, zeta)
                for rows, old, new in zip(side_factors(seq, matrices), path, path[1:])]
     return factors, _true_rows(side_rows(seq, matrices), path[-1], path[0], zeta)
@@ -244,8 +245,8 @@ def _json_vectors(n: int, zeta: ZetaAssignment, pairs) -> dict[str, list[str]]:
                              for g, a, ell in zip(rows[p], scales, ells)] for p in pairs}
 
 
-def _export_side(seq: MoveSequence, zeta: ZetaAssignment) -> dict:
-    factors, product = _side_factors_and_product(seq, zeta)
+def _export_side(seq: MoveSequence, matrices, zeta: ZetaAssignment) -> dict:
+    factors, product = _side_factors_and_product(seq, matrices, zeta)
     return {
         "moves": [m.to_json_dict() for m in seq.moves],
         "shapes": [[len(rows), len(rows[0][0])] for rows in factors],
@@ -262,6 +263,7 @@ def _cmd_export(args) -> int:
     sides = {"lhs": lhs, "rhs": rhs}
     if args.side != "both":
         sides = {args.side: sides[args.side]}
+    matrices = move_matrices([move for seq in sides.values() for move in seq.moves], zeta)
 
     if args.format == "json":
         doc = {
@@ -269,7 +271,7 @@ def _cmd_export(args) -> int:
             "n": args.n,
             "zeta": zeta.to_strings(),
             "zeta_label": zeta.label,
-            "sides": {name: _export_side(seq, zeta) for name, seq in sides.items()},
+            "sides": {name: _export_side(seq, matrices, zeta) for name, seq in sides.items()},
             "fvectors": _json_vectors(args.n, zeta, lhs.path[0].pairs),
             "version": __version__,
         }
@@ -277,7 +279,7 @@ def _cmd_export(args) -> int:
     else:
         blocks = []
         for name, seq in sides.items():
-            factors, product = _side_factors_and_product(seq, zeta)
+            factors, product = _side_factors_and_product(seq, matrices, zeta)
             blocks.append(f"% {name} product, leftmost factor applied last")
             for move, rows in reversed(list(zip(seq.moves, factors))):
                 blocks.append(f"% factor for {move.label()}")

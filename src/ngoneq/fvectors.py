@@ -66,13 +66,13 @@ def annihilates(weights: Sequence[Sequence[int]], vector: Sequence[int]) -> bool
 
 def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple],
                       zeta: ZetaAssignment) -> bool:
-    """True iff ``p = int_p_matrix(move, zeta)`` maps the removed pairs' Gale rows (from
-    ``gale_table``) exactly to the created pairs': iff P F_removed = F_created, that is, as
-    P = S_c^-1 P_hom S_r (``pair_gauge``), iff P_hom maps S G_removed to S G_created."""
+    """True iff the move's matrix ``p`` (``move_matrices``) maps the removed pairs' Gale rows
+    (from ``gale_table``) exactly to the created pairs': iff P F_removed = F_created, that is,
+    as P = S_c^-1 P_hom S_r (``pair_gauge``), iff P_hom maps S G_removed to S G_created."""
     if not zeta.integral:  # every s(pair) is 1 otherwise
         pairs = move.removed_pairs + move.created_pairs
         rows = {pair: tuple([s * x for x in rows[pair]])
                 for pair, s in zip(pairs, pair_gauge(zeta, pairs))}
     acted = {pair: (rows[pair], 1) for pair in move.removed_pairs}
-    act_on_int_rows(move, p, acted)
+    act_on_int_rows(move, p, acted, zeta.n)
     return all(same_rows(acted[pair], (rows[pair], 1)) for pair in move.created_pairs)

@@ -28,7 +28,7 @@ from operator import mul
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row, same_rows
 from .fvectors import annihilates, check_move_action, gale_table
-from .pmatrix import int_p_matrix, pair_gauge, side_rows
+from .pmatrix import move_matrices, pair_gauge, side_rows
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -142,11 +142,12 @@ def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
     timings["sequences"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    matrices = {move: int_p_matrix(move, zeta) for move in lhs_seq.moves}
+    matrices = move_matrices(lhs_seq.moves + rhs_seq.moves, zeta)
+    timings["matrices"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     lhs_rows = side_rows(lhs_seq, matrices)
     timings["lhs_product"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    matrices.update({move: int_p_matrix(move, zeta) for move in rhs_seq.moves})
     rhs_rows = side_rows(rhs_seq, matrices)
     timings["rhs_product"] = time.perf_counter() - t0
 
@@ -221,13 +222,18 @@ class SuiteContext:
 
 def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
     """Every move matrix's rows sum to 1: over D = lcm |W_j|, sum_j N_ij (D // W_j) s(b_j) =
-    D s(c_i), as P = S_c^-1 P_hom S_r (``pair_gauge``). An extended matrix's rows are its move
-    matrix's rows and identity rows, so this covers them too."""
+    D s(c_i), as P = S_c^-1 P_hom S_r (``pair_gauge``). D and the D // W_j are taken once per
+    W, which the moves of one b-set share. An extended matrix's rows are its move matrix's
+    rows and identity rows, so this covers them too."""
+    taken = {}  # by id: ctx.matrices keeps every W alive
     for seq in ctx.sequences:
         for move in seq.moves:
             rows, weights = ctx.matrices[move]
-            d = lcm(*weights)
-            scales, sums = [d // w for w in weights], [d] * len(rows)
+            if id(weights) not in taken:
+                d = lcm(*weights)
+                taken[id(weights)] = d, [d // w for w in weights]
+            d, scales = taken[id(weights)]
+            sums = [d] * len(rows)
             if not ctx.zeta.integral:  # every s(pair) is 1 otherwise
                 scales = list(map(mul, scales, pair_gauge(ctx.zeta, move.removed_pairs)))
                 sums = [d * s for s in pair_gauge(ctx.zeta, move.created_pairs)]

@@ -41,12 +41,16 @@ by column, and ``gale_vectors`` reads homogeneous rows as ``FVector``s.
 ``side_rows`` as ``DenseMatrix``es of true values, for comparison with tabulated
 factors and with the dense oracle; ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
 ``other_vertex`` are the small lookups the package no longer exports, and ``pair_of`` and
-``triangulation_from_pairs`` the checked constructors it no longer has. The small
+``triangulation_from_pairs`` the checked constructors it no longer has. ``identity_rows``
+writes out the identity rows that ``side_rows`` holds as column indices, and
+``tamper_move_matrices`` changes one move's view of its b-set's block for the negative
+controls. The small
 dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
 vector stacks) serve the tests only.
 """
 
 import random
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,9 +74,10 @@ from ngoneq import (
     final_triangulation,
     initial_triangulation,
 )
+import ngoneq.pmatrix as pmatrix_module
 from ngoneq.exactfield import IntRow, rank, rat_row
 from ngoneq.fvectors import annihilates
-from ngoneq.pmatrix import _identity_rows, act_on_int_rows, int_p_matrix, side_factors, side_rows
+from ngoneq.pmatrix import act_on_int_rows, int_p_matrix, side_factors, side_rows
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
 from ngoneq.verifier import PropertyResult, SuiteContext, _prop_row_sums
 
@@ -225,10 +230,17 @@ def one_denominator_act(move: PachnerMove, p, rows) -> None:
         rows[pair] = (tuple([x // g for x in acc]), common // g)
 
 
+def identity_rows(t: Triangulation) -> dict:
+    """The rows of the |t| x |t| identity as ``IntRow``s, keyed by t's pairs in canonical
+    order, all written out (the library holds an unread one as its column index)."""
+    size = len(t)
+    return {pair: ((0,) * i + (1,) + (0,) * (size - 1 - i), 1) for i, pair in enumerate(t.pairs)}
+
+
 def one_denominator_side_rows(seq, zeta: ZetaAssignment) -> tuple:
     """``side_rows`` with the one-denominator matrix and row action, from the identity
     rows of the initial triangulation, in final triangulation order."""
-    rows = _identity_rows(seq.path[0])
+    rows = identity_rows(seq.path[0])
     for move in seq.moves:
         one_denominator_act(move, one_denominator_p_matrix(move, zeta), rows)
     return tuple([rows[pair] for pair in seq.path[-1].pairs])
@@ -255,7 +267,7 @@ def act_on_rows(move: PachnerMove, zeta: ZetaAssignment, rows) -> dict:
     removed = set(move.removed_pairs)
     out = {pair: int_row([x * gauge(zeta, pair) for x in row]) if pair in removed else row
            for pair, row in rows.items()}
-    act_on_int_rows(move, int_p_matrix(move, zeta), out)
+    act_on_int_rows(move, int_p_matrix(move, zeta), out, len(next(iter(rows.values()))))
     for pair in move.created_pairs:
         out[pair] = tuple([x / gauge(zeta, pair) for x in rat_row(out[pair])])
     return out
@@ -798,6 +810,31 @@ def distinct_assignments(draw, max_n: int):
     n = draw(st.integers(min_value=5, max_value=max_n))
     values = draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
     return ZetaAssignment(n, tuple(values), label="drawn")
+
+
+def tamper_move_matrices(monkeypatch, change) -> list:
+    """Patch ``move_matrices`` wherever the package looks it up so that each move's matrix p
+    becomes ``change(move, p)``: a new view of that move alone, never an edit of the block it
+    shares with the other moves of its b-set, whose matrices stay as built (checked against a
+    fresh build). Returns the moves whose view changed, one entry per build."""
+    real, seen = pmatrix_module.move_matrices, []
+
+    def tampered(moves, zeta):
+        matrices = real(moves, zeta)
+        changed = {}
+        for move, p in matrices.items():
+            view = change(move, p)
+            if view != p:
+                changed[move] = view
+                seen.append(move)
+        fresh = real(moves, zeta)
+        assert all(p == fresh[move] for move, p in matrices.items())
+        return {**matrices, **changed}
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "move_matrices", None) is real:
+            monkeypatch.setattr(module, "move_matrices", tampered)
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,10 @@ def test_json_rows_read_as_fractions_in_lowest_terms():
 
 @pytest.mark.parametrize("fmt", ["json", "latex"])
 def test_export_builds_each_extended_matrix_once(monkeypatch, capsys, fmt):
-    """Each exported side builds every move matrix once, with int_p_matrix, and its
-    extended factors once, with side_factors; the product reuses the same matrices."""
-    matrices = _record_calls(monkeypatch, "int_p_matrix", pmatrix_module)
+    """Export builds the move matrices of every exported side in one move_matrices call
+    over their moves, and each side's extended factors once, with side_factors; the
+    products reuse the same matrices."""
+    matrices = _record_calls(monkeypatch, "move_matrices", pmatrix_module)
     factors = _record_calls(monkeypatch, "side_factors", pmatrix_module)
     for side in ("lhs", "rhs", "both"):
         matrices.clear()
@@ -306,7 +307,8 @@ def test_export_builds_each_extended_matrix_once(monkeypatch, capsys, fmt):
         code, _, _ = run(capsys, "export", "--n", "6", "--format", fmt, "--side", side)
         assert code == 0
         sides = [seq for seq in equation_sequences(6) if side in ("both", seq.side)]
-        assert [move for move, _ in matrices] == [move for seq in sides for move in seq.moves]
+        assert [list(moves) for moves, _ in matrices] == [
+            [move for seq in sides for move in seq.moves]]
         assert [seq for seq, _ in factors] == sides
 
 

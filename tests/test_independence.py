@@ -236,22 +236,16 @@ def test_initial_stack_certificate_needs_no_fallback(monkeypatch, n, seeded):
 
 def _tamper_one_move_matrix(monkeypatch, target):
     """Add the column weight W_0 to numerator (0, 0) of the target move's matrix, so
-    entry (0, 0) grows by exactly 1, wherever in the package int_p_matrix is looked up
-    from; returns the tampered moves seen."""
-    real = pmatrix_module.int_p_matrix
-    seen = []
+    entry (0, 0) grows by exactly 1, in that move's view alone, wherever in the package
+    move_matrices is looked up from; returns the tampered moves seen."""
 
-    def tampered(move, zeta):
-        rows, weights = real(move, zeta)
-        if move == target:
-            seen.append(move)
-            rows = ((rows[0][0] + weights[0],) + rows[0][1:],) + rows[1:]
-        return rows, weights
+    def change(move, p):
+        rows, weights = p
+        if move != target:
+            return p
+        return ((rows[0][0] + weights[0],) + rows[0][1:],) + rows[1:], weights
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real:
-            monkeypatch.setattr(module, "int_p_matrix", tampered)
-    return seen
+    return oracles.tamper_move_matrices(monkeypatch, change)
 
 
 @pytest.mark.parametrize("n", [5, 8, 9])

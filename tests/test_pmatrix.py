@@ -20,7 +20,7 @@ from ngoneq import (
     int_p_matrix,
 )
 from ngoneq.exactfield import rat_row, same_rows
-from ngoneq.pmatrix import _identity_rows, act_on_int_rows, pair_gauge, side_rows
+from ngoneq.pmatrix import act_on_int_rows, move_matrices, pair_gauge, side_factors, side_rows
 from oracles import (
     InterleavedFrame,
     apply_move,
@@ -32,6 +32,7 @@ from oracles import (
     distinct_assignments,
     factors_view,
     gauge,
+    identity_rows,
     int_row,
     mixed_denominators,
     negative_fractional,
@@ -412,14 +413,14 @@ def test_removed_rows_are_read_by_value(n):
     lowest terms."""
     for zeta in (ZetaAssignment.random_distinct(n, 3), negative_fractional(n)):
         for seq in equation_sequences(n):
-            rows, unreduced = _identity_rows(seq.path[0]), 0
+            rows, unreduced = identity_rows(seq.path[0]), 0
             for step, move in enumerate(seq.moves):
                 p, scaled = int_p_matrix(move, zeta), dict(rows)
                 for k, pair in enumerate(move.removed_pairs, start=2 + step):
                     v, d = rows[pair]
                     scaled[pair] = (tuple([k * x for x in v]), k * d)
-                act_on_int_rows(move, p, rows)
-                act_on_int_rows(move, p, scaled)
+                act_on_int_rows(move, p, rows, len(seq.path[0]))
+                act_on_int_rows(move, p, scaled, len(seq.path[0]))
                 assert scaled == rows, (n, zeta.label, seq.side, step)
                 unreduced += sum(gcd(d, *v) > 1 for v, d in map(rows.get, move.created_pairs))
             assert unreduced, (n, zeta.label, seq.side)
@@ -503,3 +504,98 @@ def test_row_action_matches_dense_oracle_at_drawn_rationals(zeta):
     assert lhs_product == dense_product(lhs, zeta)
     assert product_view(rhs, zeta) == dense_product(rhs, zeta)
     assert lhs_product == product_view(rhs, zeta)
+
+
+# ---------------------------------------------------------------------------
+# move blocks and implicit identity rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_the_sides_pair_their_b_sets_and_share_each_block(n):
+    """The rhs visits the lhs b-sets in reverse order, after one move of its own at odd n,
+    so the K_L + K_R moves use ceil((K_L + K_R) / 2) b-sets. ``move_matrices`` over both
+    sides gives each pair of moves one W tuple and the numerator rows of their common
+    c-vertices as the same objects. Each side reads every row of its initial triangulation."""
+    lhs, rhs = equation_sequences(n)
+    left, right = [m.b_set for m in lhs.moves], [m.b_set for m in rhs.moves]
+    extra = right[: n % 2]
+    assert right == extra + left[::-1]
+    assert not set(extra) & set(left)
+    assert len(set(left + right)) == -(-(len(left) + len(right)) // 2)
+    for seq in (lhs, rhs):  # every identity row is read: side_rows writes none out
+        assert set(seq.path[0].pairs) <= {pair for m in seq.moves for pair in m.removed_pairs}
+    matrices = move_matrices(lhs.moves + rhs.moves, ZetaAssignment.random_distinct(n, n))
+    for a, b in zip(lhs.moves, reversed(rhs.moves)):
+        (rows_a, weights_a), (rows_b, weights_b) = matrices[a], matrices[b]
+        assert weights_a is weights_b
+        row_of_a = dict(zip(reversed(a.c_set), rows_a))
+        common = set(a.c_set) & set(b.c_set)
+        assert common == set(a.c_set) - {b.q} and len(common) == len(a.c_set) - 1
+        shared = [row is row_of_a.get(c) for c, row in zip(reversed(b.c_set), rows_b)]
+        assert shared == [c != a.q for c in reversed(b.c_set)]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_every_move_of_the_shared_blocks_is_the_vandermonde_ratio(n):
+    """Each move's view of the blocks built over both sides, read through the pair gauge,
+    is the Vandermonde-ratio matrix, at consecutive, seeded and fractional values."""
+    lhs, rhs = equation_sequences(n)
+    for zeta in oracle_assignments(n):
+        matrices = move_matrices(lhs.moves + rhs.moves, zeta)
+        for move, (rows, weights) in matrices.items():
+            s_rows = pair_gauge(zeta, move.created_pairs)
+            s_cols = pair_gauge(zeta, move.removed_pairs)
+            got = [[Fraction(x * s_col, w * s_row) for x, w, s_col in zip(row, weights, s_cols)]
+                   for row, s_row in zip(rows, s_rows)]
+            assert got == [[p_entry_vandermonde(move, zeta, i + 1, j + 1) for j in range(len(row))]
+                           for i, row in enumerate(rows)], (zeta.label, move)
+            assert matrices[move] == int_p_matrix(move, zeta)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_side_rows_and_factors_from_shared_blocks_equal_the_dense_oracle(n):
+    """``side_rows`` and ``side_factors`` over the blocks built for both sides, with the
+    identity rows held as column indices, equal ``dense_product`` and ``dense_factors``."""
+    lhs, rhs = equation_sequences(n)
+    for zeta in oracle_assignments(n):
+        matrices = move_matrices(lhs.moves + rhs.moves, zeta)
+        for seq in (lhs, rhs):
+            path = seq.path
+            rows = side_rows(seq, matrices)
+            product = true_matrix(rows, path[-1].pairs, path[0].pairs, zeta)
+            assert product == dense_product(seq, zeta), (zeta.label, seq.side)
+            factors = [true_matrix(f, new.pairs, old.pairs, zeta)
+                       for f, old, new in zip(side_factors(seq, matrices), path, path[1:])]
+            assert factors == dense_factors(seq, zeta), (zeta.label, seq.side)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_an_identity_row_held_as_its_column_index_reads_as_written_out(n):
+    """Every move of both sides gives the same created rows, tuple for tuple, whether the
+    identity rows it reads are held as column indices or written out."""
+    zeta = negative_fractional(n)
+    for seq in equation_sequences(n):
+        initial = seq.path[0]
+        implicit, written = dict(zip(initial.pairs, range(len(initial)))), identity_rows(initial)
+        for move in seq.moves:
+            p = int_p_matrix(move, zeta)
+            act_on_int_rows(move, p, implicit, len(initial))
+            act_on_int_rows(move, p, written, len(initial))
+            assert [implicit[c] for c in move.created_pairs] == [
+                written[c] for c in move.created_pairs]
+        unit = identity_rows(initial)
+        assert implicit.keys() == written.keys()
+        assert all(written[pair] == (unit[pair] if type(row) is int else row)
+                   for pair, row in implicit.items())
+
+
+def test_row_action_on_column_indices_rejects_inapplicable_moves():
+    """Reading an absent pair and writing a present one raise, with identity rows held as
+    column indices."""
+    move = PachnerMove(5, 2, (3, 5), (1, 4))
+    p = int_p_matrix(move, CONSEC[5])
+    with pytest.raises(MoveNotApplicableError, match="not present"):
+        act_on_int_rows(move, p, {move.removed_pairs[0]: 0}, 3)
+    present = {move.removed_pairs[0]: 0, move.removed_pairs[1]: 1, move.created_pairs[0]: 2}
+    with pytest.raises(MoveNotApplicableError, match="already present"):
+        act_on_int_rows(move, p, present, 3)

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
@@ -16,6 +17,7 @@ from ngoneq import (
     ZetaAssignment,
     equation_sequences,
     gale_table,
+    int_p_matrix,
     verify_equation,
     verify_with_properties,
 )
@@ -72,6 +74,22 @@ def test_report_json_is_deterministic():
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
     assert a.timings  # wall-clock is recorded, but outside the canonical form
     assert "timings" not in a.to_json_dict()
+
+
+def test_report_times_the_block_build_apart_from_the_row_action(monkeypatch):
+    """The timings hold one entry per layer, in order: the block build is ``matrices``,
+    and each side's entry starts after it, so a slow build shows in ``matrices`` alone."""
+    real = verifier_module.move_matrices
+
+    def slow(moves, zeta):
+        time.sleep(0.05)
+        return real(moves, zeta)
+
+    monkeypatch.setattr(verifier_module, "move_matrices", slow)
+    timings = verify_equation(6, ZetaAssignment.random_distinct(6, 3)).timings
+    assert list(timings) == ["sequences", "matrices", "lhs_product", "rhs_product", "compare"]
+    assert timings["matrices"] >= 0.05
+    assert timings["lhs_product"] + timings["rhs_product"] < 0.05
 
 
 def test_report_json_schema():
@@ -183,32 +201,35 @@ def test_property_suite_checks_each_row_orthogonality_once(monkeypatch):
         assert len(calls) == comb(n, 2) + n * (n - n // 2)
 
 
-def _count_int_p_matrix(monkeypatch):
-    """Record every int_p_matrix call, wherever in the package it is looked up from."""
-    real = pmatrix_module.int_p_matrix
-    calls = []
-
-    def counting(move, zeta):
-        calls.append(move)
-        return real(move, zeta)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real:
-            monkeypatch.setattr(module, "int_p_matrix", counting)
-    return calls
-
-
 def test_verify_with_properties_builds_each_move_matrix_once(monkeypatch):
     """The side products and the suite of one verify_with_properties call share one
-    map of move matrices: int_p_matrix runs exactly once per move."""
-    calls = _count_int_p_matrix(monkeypatch)
+    map of move matrices from one move_matrices call over both sides' moves, which takes
+    the column weights once per b-set and each numerator row once per (c, B)."""
+    calls, weights, rows = [], [], []
+
+    def recording(record, real):
+        def wrapper(*args):
+            record.append(args)
+            return real(*args)
+        return wrapper
+
+    real = pmatrix_module.move_matrices
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ngoneq" and getattr(module, "move_matrices", None) is real:
+            monkeypatch.setattr(module, "move_matrices", recording(calls, real))
+    for attr, record in (("_column_weights", weights), ("_numerator_row", rows)):
+        monkeypatch.setattr(pmatrix_module, attr, recording(record, getattr(pmatrix_module, attr)))
     for n in (5, 8, 9, 10):
         lhs, rhs = equation_sequences(n)
-        calls.clear()
+        moves = lhs.moves + rhs.moves
+        for record in (calls, weights, rows):
+            record.clear()
         report = verify_with_properties(n, negative_fractional(n))
         assert report.equal and all(r.passed for r in report.properties)
-        assert Counter(calls) == Counter(lhs.moves + rhs.moves)
-        assert len(calls) == len(lhs.moves) + len(rhs.moves)
+        assert [list(built) for built, _ in calls] == [list(moves)]
+        assert sorted(b_set for _, b_set, _ in weights) == sorted({m.b_set for m in moves})
+        assert len(rows) == len({(c, move.b_set) for move in moves for c in move.c_set})
+        assert len(weights) == (len(moves) + 1) // 2
 
 
 def test_property_suite_builds_no_extended_matrix(monkeypatch):
@@ -363,19 +384,19 @@ def _with_numerator(p, i, j, value):
 def test_row_sum_property_detects_injected_sign_flip(monkeypatch):
     """Flipping the sign of one move-matrix entry turns a row sum of 1 into
     1 - 2x, which the suite must report."""
-    real_build = verifier_module.int_p_matrix
-
-    def tampered(move, zeta):
-        p = real_build(move, zeta)
-        if move.n == 5 and move.q == 2:
-            p = _with_numerator(p, 0, 0, -p[0][0][0])
-        return p
-
-    monkeypatch.setattr(verifier_module, "int_p_matrix", tampered)
+    seen = oracles.tamper_move_matrices(
+        monkeypatch,
+        lambda move, p: _with_numerator(p, 0, 0, -p[0][0][0]) if move.q == 2 else p,
+    )
+    lhs, rhs = equation_sequences(5)
     suite = verify_with_properties(5, ZetaAssignment.consecutive(5)).properties
     results = {r.name: r for r in suite}
+    assert seen == [lhs.moves[0]]
     assert not results["row_sums"].passed
     assert results["row_sums"].detail == "lhs d^(2)_{35} move matrix row 0 sums to 0"
+    # row 0 is N(4, {3, 5}), which the rhs move at q = 1 shares; its view stays as built
+    assert rhs.moves[-1].b_set == lhs.moves[0].b_set
+    assert max(rhs.moves[-1].c_set) == max(lhs.moves[0].c_set) == 4
 
 
 def test_verify_with_properties_bundles_results():
@@ -440,35 +461,29 @@ def test_first_difference_at_fractional_values_reports_true_entries(n):
 def _assert_every_move_matrix_tamper_is_detected(monkeypatch, n, zeta):
     """Adding 1 to any one entry of any one move matrix (its column weight W_j to
     its numerator) makes verify_equation report a difference; the tampered
-    constructor is the one the side products call (wherever in the package it is
-    looked up from), once per move."""
-    real_build = pmatrix_module.int_p_matrix
+    builder is the one the side products call (wherever in the package it is
+    looked up from), once per verification, and changes that move's view alone,
+    not the block it shares with the other side."""
     target = {}
-    tampered_calls = []
 
-    def tampered(move, zeta):
-        p = real_build(move, zeta)
-        if move == target["move"]:
-            i, j = target["entry"]
-            p = _with_numerator(p, i, j, p[0][i][j] + p[1][j])
-            tampered_calls.append(move)
-        return p
+    def change(move, p):
+        if move != target["move"]:
+            return p
+        i, j = target["entry"]
+        return _with_numerator(p, i, j, p[0][i][j] + p[1][j])
 
     lhs, rhs = equation_sequences(n)
+    entries = [(move, i, j) for move in lhs.moves + rhs.moves
+               for i, row in enumerate(int_p_matrix(move, zeta)[0]) for j in range(len(row))]
     with monkeypatch.context() as m:
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "ngoneq" and getattr(module, "int_p_matrix", None) is real_build:
-                m.setattr(module, "int_p_matrix", tampered)
-        for move in lhs.moves + rhs.moves:
-            rows, _ = real_build(move, zeta)
-            for i, row in enumerate(rows):
-                for j in range(len(row)):
-                    target.update(move=move, entry=(i, j))
-                    tampered_calls.clear()
-                    report = verify_equation(n, zeta)
-                    assert tampered_calls == [move]
-                    assert not report.equal, (n, move, i, j)
-                    assert report.first_difference is not None, (n, move, i, j)
+        tampered_calls = oracles.tamper_move_matrices(m, change)
+        for move, i, j in entries:
+            target.update(move=move, entry=(i, j))
+            tampered_calls.clear()
+            report = verify_equation(n, zeta)
+            assert tampered_calls == [move]
+            assert not report.equal, (n, move, i, j)
+            assert report.first_difference is not None, (n, move, i, j)
 
 
 def test_verify_detects_every_single_move_matrix_tamper(monkeypatch):
