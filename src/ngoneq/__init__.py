@@ -9,7 +9,6 @@ equality, all in exact arithmetic.
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
 from .exactfield import DenseMatrix, Rat, ZetaAssignment, rat_from_string
 from .fvectors import check_move_action, gale_table
-from .pmatrix import int_p_matrix
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -41,7 +40,6 @@ __all__ = [
     "final_triangulation",
     "gale_table",
     "initial_triangulation",
-    "int_p_matrix",
     "rat_from_string",
     "verify_equation",
     "verify_with_properties",

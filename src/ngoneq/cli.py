@@ -8,8 +8,8 @@ Subcommands:
 
 Every matrix stays in exact integer rows (numerators, denominator) until ``export``
 writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from the move
-matrices of every side written, built in one ``move_matrices`` call, with the pair gauge of
-the rows taken out entrywise.
+matrices of every side written, built in one ``move_matrices`` call, with the rows taken
+out of the pair gauge by ``pmatrix.true_rows``.
 
 Every option is one row of COMMANDS. _read_exact reads a line without argparse when each
 token is an exact option name of its command, as --opt=value or --opt value with a value not
@@ -37,7 +37,7 @@ from types import SimpleNamespace
 from .errors import InvalidInputError
 from .exactfield import IntRow, ZetaAssignment
 from .fvectors import gale_table
-from .pmatrix import move_matrices, pair_gauge, side_factors, side_rows
+from .pmatrix import move_matrices, side_factors, side_rows, true_rows
 from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
 from .version import __version__
@@ -218,21 +218,13 @@ def _latex_rows(rows: list[IntRow]) -> str:
     return "\n".join(lines)
 
 
-def _true_rows(rows: list[IntRow], target, source, zeta: ZetaAssignment) -> list[IntRow]:
-    """Rows in the pair gauge at the pairs A of ``target`` and B of ``source``, made true:
-    x / d becomes x s(B) / (d s(A)) (``pair_gauge``), left for ``_entry`` to reduce."""
-    if zeta.integral:  # every s(pair) is 1
-        return rows
-    cols, heights = pair_gauge(zeta, source.pairs), pair_gauge(zeta, target.pairs)
-    return [(tuple([x * c for x, c in zip(v, cols)]), d * s) for (v, d), s in zip(rows, heights)]
-
-
 def _side_factors_and_product(seq: MoveSequence, matrices, zeta: ZetaAssignment):
-    """One side's true extended factors and product, from the move matrices of both sides."""
+    """One side's true extended factors and product (``true_rows``, left for ``_entry`` to
+    reduce), from the move matrices of both sides."""
     path = seq.path
-    factors = [_true_rows(rows, new, old, zeta)
+    factors = [true_rows(rows, new.pairs, old.pairs, zeta)
                for rows, old, new in zip(side_factors(seq, matrices), path, path[1:])]
-    return factors, _true_rows(side_rows(seq, matrices), path[-1], path[0], zeta)
+    return factors, true_rows(side_rows(seq, matrices), path[-1].pairs, path[0].pairs, zeta)
 
 
 def _json_vectors(n: int, zeta: ZetaAssignment, pairs) -> dict[str, list[str]]:
@@ -349,32 +341,32 @@ def _cmd_suite(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-Option = namedtuple("Option", "flag dest type default choices required help",
+Option = namedtuple("Option", "flag type default choices required help",
                     defaults=(None, None, False, None))
 
 _ASSIGNMENT_OPTIONS = (
-    Option("--n", "n", int, required=True),
-    Option("--zeta", "zeta", str, help="comma-separated p/q values, one per vertex"),
-    Option("--seed", "seed", int, help="seed for random distinct assignments"),
-    Option("--trials", "trials", int, 1, help="number of assignments to check"),
+    Option("--n", int, required=True),
+    Option("--zeta", str, help="comma-separated p/q values, one per vertex"),
+    Option("--seed", int, help="seed for random distinct assignments"),
+    Option("--trials", int, 1, help="number of assignments to check"),
 )
-_OUT = Option("--out", "out", str)
+_OUT = Option("--out", str)
 
 COMMANDS = {
     "verify": ("verify the equation for one n", _cmd_verify, _ASSIGNMENT_OPTIONS + (
-        Option("--format", "format", str, "text", ("text", "json")), _OUT)),
+        Option("--format", str, "text", ("text", "json")), _OUT)),
     "show": ("print one side's move-by-move steps", _cmd_show, (
-        Option("--n", "n", int, required=True),
-        Option("--side", "side", str, choices=("lhs", "rhs"), required=True), _OUT)),
+        Option("--n", int, required=True),
+        Option("--side", str, choices=("lhs", "rhs"), required=True), _OUT)),
     "export": ("export matrices and vectors", _cmd_export, _ASSIGNMENT_OPTIONS + (
-        Option("--side", "side", str, "both", ("lhs", "rhs", "both")),
-        Option("--format", "format", str, "json", ("json", "latex")), _OUT)),
+        Option("--side", str, "both", ("lhs", "rhs", "both")),
+        Option("--format", str, "json", ("json", "latex")), _OUT)),
     "suite": ("batch verify a range of n", _cmd_suite, (
-        Option("--min-n", "min_n", int, required=True),
-        Option("--max-n", "max_n", int, required=True),
-        Option("--seed", "seed", int),
-        Option("--trials", "trials", int, 1),
-        Option("--format", "format", str, "text", ("text", "json")), _OUT)),
+        Option("--min-n", int, required=True),
+        Option("--max-n", int, required=True),
+        Option("--seed", int),
+        Option("--trials", int, 1),
+        Option("--format", str, "text", ("text", "json")), _OUT)),
 }
 
 
@@ -390,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, func, options) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for o in options:
-            command.add_argument(o.flag, dest=o.dest, type=o.type, default=o.default,
-                                 choices=o.choices, required=o.required, help=o.help)
+            command.add_argument(o.flag, type=o.type, default=o.default, choices=o.choices,
+                                 required=o.required, help=o.help)
         command.set_defaults(func=func)
     return parser
 
@@ -410,15 +402,15 @@ def _read_exact(argv: list[str]) -> SimpleNamespace | None:
         if o is None:
             return None
         try:
-            values[o.dest] = value = o.type(value)
+            values[flag] = value = o.type(value)
         except ValueError:
             return None
         if o.choices is not None and value not in o.choices:
             return None
-    if any(o.required and o.dest not in values for o in options):
+    if any(o.required and o.flag not in values for o in options):
         return None
-    return SimpleNamespace(command=argv[0], func=func,
-                           **{o.dest: values.get(o.dest, o.default) for o in options})
+    return SimpleNamespace(command=argv[0], func=func, **{
+        o.flag[2:].replace("-", "_"): values.get(o.flag, o.default) for o in options})
 
 
 def parse_command_line(argv: list[str]) -> SimpleNamespace | argparse.Namespace:

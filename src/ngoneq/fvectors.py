@@ -12,8 +12,8 @@ package works on integer rows in homogeneous coordinates, z = p / q and Delta_ab
 p_a q_b - p_b q_a (``ZetaAssignment.deltas``): ``gale_table`` holds G'_ij(w) =
 g_ij(z_w) c_w, one factor c_w = q_w^(r+3) prod_{x != w} q_x per column, so that
 f_ij(w) = G'_ij(w) q_w^(k-1) / L_w, L_w = prod_{y != w} Delta_wy (Gale duality,
-Eisenbud-Popescu 2000). At integral values G' is (g_ij(z_w))_w.
-"""
+Eisenbud-Popescu 2000). At integral values G' is (g_ij(z_w))_w. The move-action check
+reads G' in the pair gauge of the move matrices (``pmatrix.gauged``)."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from operator import mul
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, ZetaAssignment, same_rows
-from .pmatrix import act_on_int_rows, pair_gauge
+from .pmatrix import act_on_int_rows, gauged
 from .simplicial import PachnerMove, Pair, check_n
 
 
@@ -68,11 +68,8 @@ def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple
                       zeta: ZetaAssignment) -> bool:
     """True iff the move's matrix ``p`` (``move_matrices``) maps the removed pairs' Gale rows
     (from ``gale_table``) exactly to the created pairs': iff P F_removed = F_created, that is,
-    as P = S_c^-1 P_hom S_r (``pair_gauge``), iff P_hom maps S G_removed to S G_created."""
-    if not zeta.integral:  # every s(pair) is 1 otherwise
-        pairs = move.removed_pairs + move.created_pairs
-        rows = {pair: tuple([s * x for x in rows[pair]])
-                for pair, s in zip(pairs, pair_gauge(zeta, pairs))}
+    as P = S_c^-1 P_hom S_r, iff P_hom maps S G_removed to S G_created (``gauged``)."""
+    rows = gauged(zeta, {pair: rows[pair] for pair in move.removed_pairs + move.created_pairs})
     acted = {pair: (rows[pair], 1) for pair in move.removed_pairs}
     act_on_int_rows(move, p, acted, zeta.n)
     return all(same_rows(acted[pair], (rows[pair], 1)) for pair in move.created_pairs)

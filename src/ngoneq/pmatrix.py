@@ -12,16 +12,18 @@ which makes every row sum to 1. Only ``move_matrices`` computes it, with no ``Fr
 P_hom = N diag(1 / W_j) over the determinants Delta_ab = p_a q_b - p_b q_a of z = p / q
 (``ZetaAssignment.deltas``), and P = S_c^-1 P_hom S_r with s(i, j) = (q_i q_j)^(m-1)
 (Identity 3, the pair gauge, in README; ``pair_gauge``). A side product of P_hom is
-S_final M S_initial^-1, and every s is 1 at integral values. ``tests/oracles.py`` keeps
-the Vandermonde-ratio form of the entries as a cross-check.
+S_final M S_initial^-1. Only this module knows the gauge: ``true_rows`` takes rows out of
+it and ``gauged`` puts rows keyed by pair into it, both returning their input at integral
+values, where every s is 1. ``tests/oracles.py`` keeps the Vandermonde-ratio form of the
+entries as a cross-check.
 
 The entries depend only on the b-set B and the c-vertex of a row: W_j on B, row N(c, B) on
 c and B. The two sides of the equation share their b-sets: the rhs visits the lhs b-sets in
 reverse order, after one move of its own at odd n, so their K_L + K_R moves use
 ceil((K_L + K_R) / 2) b-sets, and two moves of one B differ in one row each (their q's swap
 between c-set and centre). ``move_matrices`` builds one block per B over a list of moves,
-W once and each row once, and every move's (N, W) reads the block; ``int_p_matrix`` is the
-one-move case. Each caller builds the blocks of both sides in one call.
+W once and each row once, and every move's (N, W) reads the block. Each caller builds the
+blocks of both sides in one call.
 
 One primitive, ``act_on_int_rows``, applies a move's integer matrix in place to integer
 rows (``IntRow``) keyed by pair: the rows of the removed pairs become P times those rows,
@@ -94,16 +96,28 @@ def _numerator_row(diffs) -> tuple[int, ...]:
     return tuple([ell // x for x in diffs])
 
 
-def int_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> IntMatrix:
-    """The matrix of one move, ``move_matrices`` of that move alone."""
-    return move_matrices((move,), zeta)[move]
-
-
 def pair_gauge(zeta: ZetaAssignment, pairs) -> list[int]:
     """s(i, j) = (q_i q_j)^(m-1) per pair, z = p / q, m = floor((n-1)/2): a matrix built from
     ``move_matrices`` holding x at row pair A, column pair B has the true entry x s(B) / s(A)."""
     e, z = move_size(zeta.n) - 1, zeta.values
     return [(z[p.i - 1].denominator * z[p.j - 1].denominator) ** e for p in pairs]
+
+
+def true_rows(rows: list[IntRow], row_pairs, col_pairs, zeta: ZetaAssignment) -> list[IntRow]:
+    """Rows in the pair gauge at the pairs A of ``row_pairs`` and B of ``col_pairs``, made
+    true: x / d becomes x s(B) / (d s(A)), not reduced; ``rows`` itself at integral values."""
+    if zeta.integral:  # every s(pair) is 1
+        return rows
+    cols, heights = pair_gauge(zeta, col_pairs), pair_gauge(zeta, row_pairs)
+    return [(tuple([x * c for x, c in zip(v, cols)]), d * s) for (v, d), s in zip(rows, heights)]
+
+
+def gauged(zeta: ZetaAssignment, rows: dict[Pair, tuple[int, ...]]) -> dict:
+    """Rows keyed by pair put into the pair gauge, each times s(pair); ``rows`` at integral z."""
+    if zeta.integral:  # every s(pair) is 1
+        return rows
+    return {pair: tuple([s * x for x in row])
+            for (pair, row), s in zip(rows.items(), pair_gauge(zeta, rows))}
 
 
 def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow | int],

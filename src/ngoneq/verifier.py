@@ -1,9 +1,9 @@
 """Full-equation verification and the property suite, with structured reports.
 
-A verification builds both move sequences for a given n, forms the two side
-products at one concrete distinct-value assignment, and compares them
-entrywise; the initial and final triangulations are the ends of a sequence's
-path. A passing check certifies the identity at that point.
+A verification builds both move sequences for a given n, forms the two side products in the
+pair gauge (``pmatrix``) at one concrete distinct-value assignment, compares them entrywise
+and takes them out of the gauge only to report a first difference; the initial and final
+triangulations are the ends of a sequence's path. A passing check certifies the identity there.
 
 Error bound (Schwartz-Zippel): let move k remove the pairs of its b-set B_k, m = |B_k| =
 floor((n-1)/2). Each column weight W_j divides V_k = prod_{a<b in B_k} (z_a - z_b), so V_k E_k
@@ -28,7 +28,7 @@ from operator import mul
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row, same_rows
 from .fvectors import annihilates, check_move_action, gale_table
-from .pmatrix import move_matrices, pair_gauge, side_rows
+from .pmatrix import move_matrices, side_rows, true_rows
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -108,13 +108,12 @@ class VerificationReport(namedtuple(
 
 def _first_difference(lhs: list[IntRow], rhs: list[IntRow], final: Triangulation,
                       initial: Triangulation, zeta: ZetaAssignment) -> FirstDifference | None:
-    """The first unequal entry of two sides in the pair gauge, with true values x s(B) / s(A)."""
+    """The first unequal entry of two sides in the pair gauge, at its true values: both sides
+    are taken out of the gauge (``true_rows``), which scales each entry of both alike."""
+    lhs, rhs = (true_rows(rows, final.pairs, initial.pairs, zeta) for rows in (lhs, rhs))
     for i, rows in enumerate(zip(lhs, rhs)):
         for j, (x, y) in enumerate(zip(*map(rat_row, rows))):
             if x != y:
-                if not zeta.integral:  # every s(pair) is 1 otherwise
-                    scale = Rat(*pair_gauge(zeta, (initial.pairs[j], final.pairs[i])))
-                    x, y = x * scale, y * scale
                 return FirstDifference(
                     row=i,
                     col=j,
@@ -221,26 +220,20 @@ class SuiteContext:
 
 
 def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
-    """Every move matrix's rows sum to 1: over D = lcm |W_j|, sum_j N_ij (D // W_j) s(b_j) =
-    D s(c_i), as P = S_c^-1 P_hom S_r (``pair_gauge``). D and the D // W_j are taken once per
-    W, which the moves of one b-set share. An extended matrix's rows are its move matrix's
-    rows and identity rows, so this covers them too."""
-    taken = {}  # by id: ctx.matrices keeps every W alive
+    """Every move matrix's rows sum to 1: its rows N_ij / W_j, put over D = lcm |W_j| and
+    made true (``true_rows``), are rows v / e with sum(v) = e. An extended matrix's rows are
+    its move matrix's rows and identity rows, so this covers them too."""
     for seq in ctx.sequences:
         for move in seq.moves:
             rows, weights = ctx.matrices[move]
-            if id(weights) not in taken:
-                d = lcm(*weights)
-                taken[id(weights)] = d, [d // w for w in weights]
-            d, scales = taken[id(weights)]
-            sums = [d] * len(rows)
-            if not ctx.zeta.integral:  # every s(pair) is 1 otherwise
-                scales = list(map(mul, scales, pair_gauge(ctx.zeta, move.removed_pairs)))
-                sums = [d * s for s in pair_gauge(ctx.zeta, move.created_pairs)]
-            for i, (row, want) in enumerate(zip(rows, sums)):
-                if (total := sum(map(mul, row, scales))) != want:
+            d = lcm(*weights)
+            scales = [d // w for w in weights]
+            over = [(map(mul, row, scales), d) for row in rows]  # read once: no tuple per row
+            for i, (v, e) in enumerate(
+                    true_rows(over, move.created_pairs, move.removed_pairs, ctx.zeta)):
+                if (total := sum(v)) != e:
                     where = f"{seq.side} {move.label()} move matrix row {i}"
-                    return PropertyResult("row_sums", False, f"{where} sums to {Rat(total, want)}")
+                    return PropertyResult("row_sums", False, f"{where} sums to {Rat(total, e)}")
     return PropertyResult("row_sums", True)
 
 

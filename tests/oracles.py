@@ -18,9 +18,10 @@ triangulations from the initial one rather than read ``MoveSequence.path``.
 ``derive_move`` and ``apply_move`` are the stepwise derivation the library used before
 its vertex links: each move read off, and applied to, the whole current triangulation
 (``stepwise_sequences`` folds them over both q-orders).
-``build_p_matrix`` is the ``Fraction`` view of ``int_p_matrix`` that the tests
-compare against, taken out of the pair gauge: ``gauge`` is s(i, j) = (q_i q_j)^(m-1)
-written out afresh, and ``true_matrix`` reads integer rows in the gauge as the matrix
+``int_p_matrix`` is ``move_matrices`` of one move, which the package no longer exports,
+and ``build_p_matrix`` is its ``Fraction`` view that the tests compare against (and whose
+row sums ``fvector_property_suite`` checks), taken out of the pair gauge: ``gauge`` is
+s(i, j) = (q_i q_j)^(m-1) written out afresh, and ``true_matrix`` reads integer rows in the gauge as the matrix
 of their true values. ``one_denominator_p_matrix`` and ``one_denominator_act`` keep the
 move matrix and row action as they were before column weights: every column scaled
 to one denominator D = lcm |W_j|, and each created row accumulated over D lcm(d_j)
@@ -77,9 +78,9 @@ from ngoneq import (
 import ngoneq.pmatrix as pmatrix_module
 from ngoneq.exactfield import IntRow, rank, rat_row
 from ngoneq.fvectors import annihilates
-from ngoneq.pmatrix import act_on_int_rows, int_p_matrix, side_factors, side_rows
+from ngoneq.pmatrix import act_on_int_rows, side_factors, side_rows
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
-from ngoneq.verifier import PropertyResult, SuiteContext, _prop_row_sums
+from ngoneq.verifier import PropertyResult, SuiteContext
 
 
 def vandermonde(indices, zeta: ZetaAssignment) -> Rat:
@@ -162,6 +163,12 @@ class InterleavedFrame:
         if n % 2 == 1:
             return [self.at(k) for k in range(2, n, 2)]
         return [self.at(k) for k in range(1, n - 2, 2)]
+
+
+def int_p_matrix(move: PachnerMove, zeta: ZetaAssignment):
+    """The matrix of one move in the pair gauge, ``move_matrices`` of that move alone, looked
+    up in ``pmatrix`` at each call so that ``tamper_move_matrices`` reaches it."""
+    return pmatrix_module.move_matrices((move,), zeta)[move]
 
 
 def gauge(zeta: ZetaAssignment, pair: Pair) -> int:
@@ -603,16 +610,23 @@ def gale_polynomial(n: int, i: int, j: int, t, values):
 
 
 def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[PropertyResult, ...]:
-    """The property suite as it ran on ``FVector`` rows: every vector from ``f_value``
-    and cleared to an integer row a / d, orthogonality as sum_r a_r u_r^t = 0, the
-    q-stack columns under the weights lcm(L d) / (L_v d_v), the move action on
-    Fraction rows (``act_on_rows``), and ranks of the cleared rows. Names, outcomes
-    and details are the library's."""
+    """The property suite as it ran on ``FVector`` rows: row sums of the ``Fraction`` move
+    matrices (``build_p_matrix``), every vector from ``f_value`` and cleared to an integer
+    row a / d, orthogonality as sum_r a_r u_r^t = 0, the q-stack columns under the weights
+    lcm(L d) / (L_v d_v), the move action on Fraction rows (``act_on_rows``), and ranks of
+    the vectors with each column times the lcm of its denominators, as nonzero column
+    scales change no rank. Names, outcomes and details are the library's."""
     vectors = {
         pair: f_value_vector(n, pair, zeta)
         for pair in (Pair(i, j, n) for i, j in combinations(range(1, n + 1), 2))
     }
     cleared = {pair: cleared_row(v) for pair, v in vectors.items()}
+    column_lcms = [lcm(*[x.denominator for x in column])
+                   for column in zip(*[v.components for v in vectors.values()])]
+    columns_cleared = {
+        pair: [x.numerator * (c // x.denominator) for x, c in zip(v.components, column_lcms)]
+        for pair, v in vectors.items()
+    }
     u = int_row(zeta.values)[0]
     m, everyone = move_size(n), range(1, n + 1)
 
@@ -627,8 +641,14 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
         return all(orthogonal([c * a for c, a in zip(weights, column)], points)
                    for column in zip(*[a for a, _ in rows])) and all(orthogonal(a, u) for a, _ in rows)
 
-    matrices = {move: int_p_matrix(move, zeta) for seq in sequences for move in seq.moves}
-    results = [_prop_row_sums(SuiteContext(n, zeta, sequences, matrices, {}))]
+    unsummed = [
+        f"{seq.side} {move.label()} move matrix row {i} sums to {total}"
+        for seq in sequences
+        for move in seq.moves
+        for i, total in enumerate(row_sums(build_p_matrix(move, zeta)))
+        if total != 1
+    ]
+    results = [PropertyResult("row_sums", not unsummed, unsummed[0] if unsummed else "")]
     bad = [pair for pair, (a, _) in cleared.items() if not orthogonal(a, u)]
     results.append(PropertyResult("orthogonality", not bad, f"pair ({bad[0].i},{bad[0].j})" if bad else ""))
     failed = [
@@ -643,7 +663,8 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
         )
     ]
     results.append(PropertyResult("move_action", not failed, failed[0] if failed else ""))
-    ranks = [rank([cleared[pair_of(n, q, v)][0] for v in everyone if v != q]) for q in everyone]
+    ranks = [rank([columns_cleared[pair_of(n, q, v)] for v in everyone if v != q])
+             for q in everyone]
     independence = PropertyResult("independence", True)
     for q in everyone:
         if not stack_is_orthogonal(q):
@@ -659,7 +680,7 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
         "span_rank", not wrong, f"q={wrong[0][0]} rank {wrong[0][1]}, want {m}" if wrong else ""
     ))
     initial = sequences[0].path[0]
-    got = rank([cleared[pair][0] for pair in initial.pairs])
+    got = rank([columns_cleared[pair] for pair in initial.pairs])
     want = min(len(initial), max_stack_rank(n))
     results.append(PropertyResult(
         "initial_stack_rank", got == want, f"rank {got}" if got == want else f"rank {got}, want {want}"

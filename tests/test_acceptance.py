@@ -17,7 +17,6 @@ from ngoneq import (
     final_triangulation,
     gale_table,
     initial_triangulation,
-    int_p_matrix,
     verify_equation,
 )
 from ngoneq.simplicial import move_size
@@ -41,6 +40,7 @@ from oracles import (
     dense_fold,
     f_vector_table,
     factors_view,
+    int_p_matrix,
     pair_of,
     product_view,
     row_sums,

@@ -26,12 +26,17 @@ from ngoneq import (
     ZetaAssignment,
     equation_sequences,
     initial_triangulation,
-    int_p_matrix,
     verify_equation,
     verify_with_properties,
 )
 from ngoneq.cli import EXIT_INTERNAL, build_parser, main, parse_command_line
-from oracles import f_value_vector, f_vector_table, mixed_denominators, negative_fractional
+from oracles import (
+    f_value_vector,
+    f_vector_table,
+    int_p_matrix,
+    mixed_denominators,
+    negative_fractional,
+)
 
 PERFBENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -379,6 +384,18 @@ def test_the_package_reads_values_in_one_coordinate_system():
     package = Path(cli_module.__file__).parent
     assert not hasattr(ZetaAssignment, "row") and not hasattr(exactfield_module, "int_row")
     assert [p.name for p in package.glob("*.py") if "zeta.row" in p.read_text()] == []
+
+
+def test_only_pmatrix_knows_the_pair_gauge():
+    """Identity 3 lives in one module: ``pmatrix.true_rows`` and ``pmatrix.gauged`` take rows
+    out of the pair gauge and put them in, so no other module names ``pair_gauge`` or reads
+    ``.integral``, the flag that says whether the gauge scales anything (``exactfield``
+    defines it with ``def integral``, which this search does not match)."""
+    package = Path(cli_module.__file__).parent
+    knowing = sorted(p.name for p in package.glob("*.py")
+                     if "pair_gauge" in (text := p.read_text()) or ".integral" in text)
+    assert knowing == ["pmatrix.py"]
+    assert not hasattr(cli_module, "_true_rows") and not hasattr(pmatrix_module, "int_p_matrix")
 
 
 def _record_calls(monkeypatch, attr: str, source=simplicial_module) -> list:

@@ -17,7 +17,6 @@ from ngoneq import (
     equation_sequences,
     gale_table,
     initial_triangulation,
-    int_p_matrix,
 )
 from oracles import (
     check_orthogonality,
@@ -33,6 +32,7 @@ from oracles import (
     gale_column_scales,
     gale_polynomial,
     gale_vectors,
+    int_p_matrix,
     int_row,
     lagrange_orthogonality,
     max_stack_rank,

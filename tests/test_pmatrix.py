@@ -17,7 +17,6 @@ from ngoneq import (
     equation_sequences,
     final_triangulation,
     initial_triangulation,
-    int_p_matrix,
 )
 from ngoneq.exactfield import rat_row, same_rows
 from ngoneq.pmatrix import act_on_int_rows, move_matrices, pair_gauge, side_factors, side_rows
@@ -33,6 +32,7 @@ from oracles import (
     factors_view,
     gauge,
     identity_rows,
+    int_p_matrix,
     int_row,
     mixed_denominators,
     negative_fractional,

@@ -17,7 +17,6 @@ from ngoneq import (
     ZetaAssignment,
     equation_sequences,
     gale_table,
-    int_p_matrix,
     verify_equation,
     verify_with_properties,
 )
@@ -31,6 +30,7 @@ from oracles import (
     cleared_gale_table,
     cleared_weighted_powers,
     fvector_property_suite,
+    int_p_matrix,
     mixed_denominators,
     negative_fractional,
     oracle_assignments,
@@ -417,7 +417,7 @@ def test_unequal_products_report_first_difference():
 
     z = ZetaAssignment.consecutive(5)
     report = verify_equation(5, z)
-    matrices = {move: pmatrix_module.int_p_matrix(move, z) for move in report.lhs.moves}
+    matrices = {move: int_p_matrix(move, z) for move in report.lhs.moves}
     lhs = pmatrix_module.side_rows(report.lhs, matrices)
     numerators, d = lhs[1]
     tampered = list(lhs)
@@ -440,7 +440,7 @@ def test_first_difference_at_fractional_values_reports_true_entries(n):
     z = negative_fractional(n)
     lhs_seq, _ = equation_sequences(n)
     final, initial = lhs_seq.path[-1], lhs_seq.path[0]
-    matrices = {move: pmatrix_module.int_p_matrix(move, z) for move in lhs_seq.moves}
+    matrices = {move: int_p_matrix(move, z) for move in lhs_seq.moves}
     lhs = pmatrix_module.side_rows(lhs_seq, matrices)
     i, j = len(lhs) // 2, len(initial) - 1
     numerators, d = lhs[i]
