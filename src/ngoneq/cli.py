@@ -9,7 +9,7 @@ Subcommands:
 Every matrix stays in exact integer rows (numerators, denominator) until ``export``
 writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from the move
 matrices of every side written, built in one ``move_matrices`` call, with the rows taken
-out of the pair gauge by ``pmatrix.true_rows``.
+out of the pair gauge by ``pmatrix.true_rows``, and from the vectors of ``fvectors.vector_rows``.
 
 Every option is one row of COMMANDS. _read_exact reads a line without argparse when each
 token is an exact option name of its command, as --opt=value or --opt value with a value not
@@ -31,12 +31,12 @@ import sys
 import time
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
-from math import gcd, prod
+from math import gcd
 from types import SimpleNamespace
 
 from .errors import InvalidInputError
 from .exactfield import IntRow, ZetaAssignment
-from .fvectors import gale_table
+from .fvectors import vector_rows
 from .pmatrix import move_matrices, side_factors, side_rows, true_rows
 from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
@@ -227,16 +227,6 @@ def _side_factors_and_product(seq: MoveSequence, matrices, zeta: ZetaAssignment)
     return factors, true_rows(side_rows(seq, matrices), path[-1].pairs, path[0].pairs, zeta)
 
 
-def _json_vectors(n: int, zeta: ZetaAssignment, pairs) -> dict[str, list[str]]:
-    """The vectors of ``pairs`` as "p/q" strings: f_ij(w) = G'_ij(w) q_w^(k-1) / L_w, G' from
-    ``gale_table``, L_w = prod_{y != w} Delta_wy, each column's sign moved up so L_w > 0."""
-    ells, rows = [prod([y for y in d if y]) for d in zeta.deltas], gale_table(n, zeta)
-    scales = [x.denominator ** (n // 2 - 1) * (1 if ell > 0 else -1)
-              for x, ell in zip(zeta.values, ells)]
-    return {f"{p.i},{p.j}": [_entry(g * a, abs(ell), "{}{}/{}")
-                             for g, a, ell in zip(rows[p], scales, ells)] for p in pairs}
-
-
 def _export_side(seq: MoveSequence, matrices, zeta: ZetaAssignment) -> dict:
     factors, product = _side_factors_and_product(seq, matrices, zeta)
     return {
@@ -252,6 +242,7 @@ def _cmd_export(args) -> int:
         raise InvalidInputError("export writes one assignment; --trials must be 1")
     (zeta,) = _resolve_assignments(args)
     lhs, rhs = equation_sequences(args.n)
+    pairs = lhs.path[0].pairs
     sides = {"lhs": lhs, "rhs": rhs}
     if args.side != "both":
         sides = {args.side: sides[args.side]}
@@ -264,7 +255,8 @@ def _cmd_export(args) -> int:
             "zeta": zeta.to_strings(),
             "zeta_label": zeta.label,
             "sides": {name: _export_side(seq, matrices, zeta) for name, seq in sides.items()},
-            "fvectors": _json_vectors(args.n, zeta, lhs.path[0].pairs),
+            "fvectors": dict(zip([f"{p.i},{p.j}" for p in pairs],
+                                 _json_rows(vector_rows(args.n, zeta, pairs)))),
             "version": __version__,
         }
         _emit(_json_dumps(doc), args.out)

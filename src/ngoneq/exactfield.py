@@ -2,11 +2,12 @@
 fraction-free (Bareiss) elimination over integer rows, and a dense exact
 matrix type (multiplication, rank, equality) that only the tests build.
 
-Values enter and leave the package as ``fractions.Fraction`` (always in lowest
-terms) and the hot loops run over rows of Python ints (``IntRow``, not always in lowest
-terms; ``same_rows`` compares two by value), so all comparisons are exact, with no tolerances.
-An assignment is read in one integer coordinate system, z = p / q and the determinants
-Delta_ab = p_a q_b - p_b q_a (``ZetaAssignment.deltas``), never over a common denominator.
+Values enter and leave the package as ``fractions.Fraction`` (always in lowest terms) and the
+hot loops run over rows of Python ints (``IntRow``, not always in lowest terms; ``same_rows``
+compares two by value), so all comparisons are exact, with no tolerances. An assignment is
+read in one integer coordinate system, z = p / q and the determinants Delta_ab = p_a q_b -
+p_b q_a (``ZetaAssignment.deltas``), never over a common denominator; the weights of
+Identity 1 built from them are ``fvectors.power_weights``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import InvalidInputError
 
@@ -87,17 +88,6 @@ class ZetaAssignment(namedtuple("ZetaAssignment", "n values label")):
         in lowest terms, 0-based, taken once; z_a - z_b at integral values."""
         pq = [(x.numerator, x.denominator) for x in self.values]
         return tuple(tuple([p * r - o * q for o, r in pq]) for p, q in pq)
-
-    @cached_property
-    def weighted_powers(self) -> tuple[tuple[int, ...], ...]:
-        """The floor(n/2) = k rows (c_w p_w^t q_w^(k-1-t))_w, t = 0, 1, ..., taken once; c_w =
-        lcm|L| / L_w, L_w = prod_{y != w} Delta_wy. A Gale row G' (``gale_table``) has zero dot
-        product with all of them iff its vector f_w = G'_w q_w^(k-1) / L_w annihilates the
-        power rows z^t, t < k."""
-        scaled, k = [prod([x for x in row if x]) for row in self.deltas], self.n // 2
-        top = lcm(*scaled)
-        return tuple(tuple([top // w * x.numerator**t * x.denominator ** (k - 1 - t)
-                            for w, x in zip(scaled, self.values)]) for t in range(k))
 
     @classmethod
     def consecutive(cls, n: int) -> "ZetaAssignment":

@@ -12,17 +12,20 @@ package works on integer rows in homogeneous coordinates, z = p / q and Delta_ab
 p_a q_b - p_b q_a (``ZetaAssignment.deltas``): ``gale_table`` holds G'_ij(w) =
 g_ij(z_w) c_w, one factor c_w = q_w^(r+3) prod_{x != w} q_x per column, so that
 f_ij(w) = G'_ij(w) q_w^(k-1) / L_w, L_w = prod_{y != w} Delta_wy (Gale duality,
-Eisenbud-Popescu 2000). At integral values G' is (g_ij(z_w))_w. The move-action check
-reads G' in the pair gauge of the move matrices (``pmatrix.gauged``)."""
+Eisenbud-Popescu 2000). At integral values G' is (g_ij(z_w))_w. Only this module knows
+Lambda = diag(q_w^(k-1) / L_w): row 0 of ``power_weights`` over its top, which the suite's
+row and column tests read (``annihilates``, ``columns_annihilated``) and ``vector_rows``
+multiplies out for export. The move-action check reads G' in the pair gauge (``gauged``)."""
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from itertools import combinations
+from math import lcm, prod
 from operator import mul
 
 from .errors import InvalidInputError
-from .exactfield import IntMatrix, ZetaAssignment, same_rows
+from .exactfield import IntMatrix, IntRow, ZetaAssignment, same_rows
 from .pmatrix import act_on_int_rows, gauged
 from .simplicial import PachnerMove, Pair, check_n
 
@@ -59,9 +62,42 @@ def gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
     }
 
 
+def power_weights(zeta: ZetaAssignment) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The floor(n/2) = k rows (top / L_w p_w^t q_w^(k-1-t))_w, t = 0, 1, ..., and top = lcm
+    |L|, L_w = prod_{y != w} Delta_wy. Row 0 over top is Lambda: q_w^(k-1) / L_w. A Gale row
+    G' (``gale_table``) has zero dot product with all of them iff its vector f = Lambda G'
+    annihilates the power rows z^t, t < k."""
+    scaled, k = [prod([x for x in row if x]) for row in zeta.deltas], zeta.n // 2
+    top = lcm(*scaled)
+    cpq = [(top // w, x.numerator, x.denominator) for w, x in zip(scaled, zeta.values)]
+    return tuple(tuple([c * p**t * q ** (k - 1 - t) for c, p, q in cpq]) for t in range(k)), top
+
+
+def vector_rows(n: int, zeta: ZetaAssignment, pairs) -> list[IntRow]:
+    """The vectors f_ij = Lambda G'_ij of ``pairs``, as integer rows over top (row 0 of
+    ``power_weights`` over top is Lambda), not reduced."""
+    (weights, *_), top = power_weights(zeta)
+    rows = gale_table(n, zeta)
+    return [(tuple(map(mul, rows[pair], weights)), top) for pair in pairs]
+
+
 def annihilates(weights: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
     """True iff every weight row has zero dot product with the vector."""
     return not any(sum(map(mul, row, vector)) for row in weights)
+
+
+def columns_annihilated(zeta: ZetaAssignment, weights, q: int, rows) -> bool:
+    """True iff every column w of the q-stack W (``rows``: the Gale rows of the pairs {q, v},
+    v in T = [n] \\ {q} ascending) is annihilated by mu_v z_v^t, t < floor(n/2), mu_v = 1 /
+    prod_{y in T, y != v} (z_v - z_y) = (z_v - z_q) lambda_v: by F, the rows of ``weights``
+    (``power_weights``) on T, column v times Delta_qv q_v^(r+1), r = n - 3 - floor(n/2);
+    Delta_qv = -Delta_vq flips every sign alike. If W's rows are orthogonal, each row of F W
+    is, up to one factor per column, the values at the z_w of a polynomial of degree below
+    n - floor(n/2), so that many columns decide all."""
+    n, e = zeta.n, zeta.n - 2 - zeta.n // 2
+    scales = [d * x.denominator ** e for d, x in zip(zeta.deltas[q - 1], zeta.values)]
+    folded = [[s * w for s, w in zip(scales, row) if s] for row in weights]  # Delta_qq = 0: on T
+    return all(annihilates(folded, column) for column in list(zip(*rows))[: n - n // 2])
 
 
 def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple],

@@ -24,10 +24,11 @@ from collections.abc import Mapping
 from functools import cached_property
 from math import lcm
 from operator import mul
+from types import MappingProxyType
 
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row, same_rows
-from .fvectors import annihilates, check_move_action, gale_table
+from .fvectors import annihilates, check_move_action, columns_annihilated, gale_table, power_weights
 from .pmatrix import move_matrices, side_rows, true_rows
 from .simplicial import (
     MoveSequence,
@@ -53,27 +54,13 @@ class PropertyResult(namedtuple("PropertyResult", "name passed detail", defaults
 
 
 class VerificationReport(namedtuple(
-    "VerificationReport", "n zeta lhs rhs shape equal first_difference properties timings"
+    "VerificationReport", "n zeta lhs rhs shape equal first_difference properties",
+    defaults=(None, None)
 )):
-    """One verification; a tuple whose equality and hash ignore ``timings`` (the last field)."""
+    """One verification. Its wall time per layer, ``timings``, is set beside the fields by the
+    verification and is no field, so equality, hash and the JSON form ignore it."""
 
-    __slots__ = ()
-
-    def __new__(cls, n, zeta, lhs, rhs, shape, equal, first_difference=None, properties=None,
-                timings=None):
-        timings = {} if timings is None else timings
-        return tuple.__new__(cls, (n, zeta, lhs, rhs, shape, equal, first_difference, properties,
-                                   timings))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        return self[:-1] == other[:-1]
-
-    __ne__ = object.__ne__  # the negated __eq__; tuple's own compares every field
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
+    timings = MappingProxyType({})
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form; deterministic for identical inputs (timings
@@ -156,7 +143,8 @@ def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
     timings["compare"] = time.perf_counter() - t0
 
     shape = (len(final), len(initial))
-    report = VerificationReport(n, zeta, lhs_seq, rhs_seq, shape, equal, difference, None, timings)
+    report = VerificationReport(n, zeta, lhs_seq, rhs_seq, shape, equal, difference)
+    report.timings = timings
     return report, matrices
 
 
@@ -166,16 +154,15 @@ def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
 
 class SuiteContext:
     """What one (n, zeta) suite run reads, built once: the move sequences and matrices,
-    the integer Gale rows of all C(n,2) pairs (``gale_table``), and on first use each
-    row's orthogonality, each q-stack and its rank. By Identity 1 each vector is Lambda G'_ij
-    with one global diagonal Lambda = diag(q_w^(k-1) / L_w), L_w = prod_{y != w} Delta_wy,
-    G'_ij(w) = g_ij(z_w) c_w, so ranks ignore Lambda, moves act on the rows, and
-    orthogonality reads ``zeta.weighted_powers``."""
+    the integer Gale rows of all C(n,2) pairs (``gale_table``), the weighted power rows
+    (``power_weights``), and on first use each row's orthogonality, each q-stack and its
+    rank. By Identity 1 each vector is Lambda G'_ij with one global diagonal Lambda, so
+    ranks ignore Lambda, moves act on the rows, and orthogonality reads ``powers``."""
 
     def __init__(self, n: int, zeta: ZetaAssignment, sequences: tuple[MoveSequence, MoveSequence],
                  matrices: Mapping[PachnerMove, IntMatrix], rows: Mapping[Pair, tuple[int, ...]]):
         self.n, self.zeta, self.sequences = n, zeta, sequences
-        self.matrices, self.rows = matrices, rows
+        self.matrices, self.rows, self.powers = matrices, rows, power_weights(zeta)[0]
 
     def stack_rank(self, pairs) -> int:
         """Rank of the Gale rows of the given pairs, stacked."""
@@ -184,16 +171,8 @@ class SuiteContext:
     @cached_property
     def orthogonal(self) -> dict[Pair, bool]:
         """Whether each pair's vector annihilates the power rows, taken once: iff its Gale
-        row has zero dot product with every row of ``zeta.weighted_powers`` (c_w ~ lambda_w)."""
-        weights = self.zeta.weighted_powers
-        return {pair: annihilates(weights, row) for pair, row in self.rows.items()}
-
-    @cached_property
-    def column_weights(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of ``zeta.weighted_powers`` times q_v^(r+1), r = n - 3 - floor(n/2), per
-        column v, taken once (the same integers at integral values)."""
-        scales = [x.denominator ** (self.n - 2 - self.n // 2) for x in self.zeta.values]
-        return tuple(tuple(map(mul, row, scales)) for row in self.zeta.weighted_powers)
+        row has zero dot product with every row of ``powers``."""
+        return {pair: annihilates(self.powers, row) for pair, row in self.rows.items()}
 
     @cached_property
     def q_stacks(self) -> tuple[dict[Pair, tuple[int, ...]], ...]:
@@ -251,19 +230,10 @@ def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
 
 
 def _stack_is_orthogonal(ctx: SuiteContext, q: int) -> bool:
-    """True iff every row of the q-stack W is orthogonal and every column w is annihilated
-    by mu_v * z_v^j, j < floor(n/2), v in T = [n] \\ {q}, mu_v = 1 / prod_{y in T, y != v}
-    (z_v - z_y) = (z_v - z_q) lambda_v: by F, the rows of ``column_weights`` on T with
-    Delta_vq folded in (Delta_vq q_v^(r+1) in all). As W's rows are orthogonal, each row of
-    F W is, up to one factor per column, the values at the z_w of a polynomial of degree
-    below n - floor(n/2), so that many columns decide all."""
+    """True iff the q-stack's rows and its columns (``columns_annihilated``) are orthogonal."""
     stack = ctx.q_stacks[q - 1]
-    if not all(ctx.orthogonal[pair] for pair in stack):
-        return False
-    delta, others = ctx.zeta.deltas, [v for v in range(ctx.n) if v != q - 1]
-    folded = [[delta[v][q - 1] * row[v] for v in others] for row in ctx.column_weights]
-    columns = list(zip(*stack.values()))[: ctx.n - ctx.n // 2]
-    return all(annihilates(folded, column) for column in columns)
+    return all(ctx.orthogonal[pair] for pair in stack) and columns_annihilated(
+        ctx.zeta, ctx.powers, q, stack.values())
 
 
 def _prop_independence(ctx: SuiteContext) -> PropertyResult:
@@ -325,4 +295,6 @@ def verify_with_properties(n: int, zeta: ZetaAssignment) -> VerificationReport:
     sequences = (report.lhs, report.rhs)
     properties = _run_suite(SuiteContext(n, zeta, sequences, matrices, gale_table(n, zeta)))
     report.timings["properties"] = time.perf_counter() - t0
-    return report._replace(properties=properties)
+    checked = report._replace(properties=properties)
+    checked.timings = report.timings
+    return checked

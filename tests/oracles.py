@@ -29,8 +29,8 @@ to one denominator D = lcm |W_j|, and each created row accumulated over D lcm(d_
 is the independence property as it was before the certificate: Bareiss ranks of
 seeded sampled (or, with ``sample=inf``, all) choices of vectors omitting a common
 vertex, and
-``lagrange_orthogonality`` is the orthogonality test as it was before
-``ZetaAssignment.weighted_powers``: Lagrange weights and every power taken afresh.
+``lagrange_orthogonality`` is the orthogonality test as it was before the weighted power
+rows (``fvectors.power_weights``): Lagrange weights and every power taken afresh.
 The package read each value through u = s z, s the lcm of all n denominators, before it
 read (p, q) and Delta everywhere; that coordinate system is kept here: ``int_row`` clears a
 row of rationals, ``cleared_gale_table`` and ``cleared_weighted_powers`` are the Gale rows
@@ -77,7 +77,7 @@ from ngoneq import (
 )
 import ngoneq.pmatrix as pmatrix_module
 from ngoneq.exactfield import IntRow, rank, rat_row
-from ngoneq.fvectors import annihilates
+from ngoneq.fvectors import annihilates, power_weights
 from ngoneq.pmatrix import act_on_int_rows, side_factors, side_rows
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
 from ngoneq.verifier import PropertyResult, SuiteContext
@@ -455,7 +455,7 @@ def cleared_gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ..
 
 
 def cleared_weighted_powers(zeta: ZetaAssignment) -> tuple[tuple[int, ...], ...]:
-    """``ZetaAssignment.weighted_powers`` as it was before homogeneous coordinates: the
+    """The rows of ``fvectors.power_weights`` as they were before homogeneous coordinates: the
     floor(n/2) rows (c_w u_w^t)_w, c_w = lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y)."""
     u = int_row(zeta.values)[0]
     scaled = [prod([x - y for y in u if y != x]) for x in u]
@@ -502,9 +502,9 @@ def f_vector(n: int, pair: Pair, zeta: ZetaAssignment) -> FVector:
 
 
 def check_orthogonality(row, zeta: ZetaAssignment) -> bool:
-    """The suite's orthogonality test of one Gale row: zero dot product with every row of
-    ``zeta.weighted_powers``."""
-    return annihilates(zeta.weighted_powers, row)
+    """The suite's orthogonality test of one Gale row: zero dot product with every weighted
+    power row (``power_weights``)."""
+    return annihilates(power_weights(zeta)[0], row)
 
 
 def max_stack_rank(n: int) -> int:

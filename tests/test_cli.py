@@ -398,6 +398,19 @@ def test_only_pmatrix_knows_the_pair_gauge():
     assert not hasattr(cli_module, "_true_rows") and not hasattr(pmatrix_module, "int_p_matrix")
 
 
+def test_only_fvectors_turns_gale_rows_into_vectors():
+    """Identity 1 lives in one module: ``fvectors.power_weights`` holds Lambda, which the
+    suite's row and column tests and ``fvectors.vector_rows`` read, so neither the verifier
+    nor the command line reads a value's parts or Delta, or names the old weight tables."""
+    package = Path(cli_module.__file__).parent
+    for name in ("verifier.py", "cli.py"):
+        text = (package / name).read_text()
+        for word in (".deltas", ".denominator", ".numerator", "weighted_powers"):
+            assert word not in text, (name, word)
+    for owner in (ZetaAssignment, verifier_module.SuiteContext):
+        assert not hasattr(owner, "weighted_powers") and not hasattr(owner, "column_weights")
+
+
 def _record_calls(monkeypatch, attr: str, source=simplicial_module) -> list:
     """Record the arguments of every call of ``source.<attr>`` (``simplicial`` unless
     given), wherever in the package it is looked up from."""

@@ -18,6 +18,7 @@ from ngoneq import (
     gale_table,
     initial_triangulation,
 )
+from ngoneq.fvectors import power_weights, vector_rows
 from oracles import (
     check_orthogonality,
     cleared_gale_table,
@@ -224,9 +225,9 @@ def _perturbed(row, changes):
 def test_orthogonality_over_integer_rows_at_non_integer_values(n, make):
     """Every true row passes at values with denominators s != 1. One perturbed
     component breaks t = 0; moving weight c_b to vertex a and -c_a to vertex b
-    (c = zeta.weighted_powers[0]) keeps t = 0 and breaks t = 1, where the values enter."""
+    (c = row 0 of ``power_weights``) keeps t = 0 and breaks t = 1, where the values enter."""
     z = make(n)
-    c = z.weighted_powers[0]
+    c = power_weights(z)[0][0]
     for pair, row in gale_table(n, z).items():
         assert check_orthogonality(row, z), pair
         a, b = pair.simplex()[:2]
@@ -236,7 +237,7 @@ def test_orthogonality_over_integer_rows_at_non_integer_values(n, make):
 
 @pytest.mark.parametrize("n", range(5, 17))
 def test_orthogonality_table_agrees_with_the_lagrange_oracle(n):
-    """The dot products with ``zeta.weighted_powers`` decide as the Lagrange-weight
+    """The dot products with the rows of ``power_weights`` decide as the Lagrange-weight
     formula with every power taken afresh: true on every Gale row and on every q-stack
     column Delta_vq q_v^(r+1) G'_qv(w), false on every row with one component changed."""
     r = n - 3 - n // 2
@@ -278,11 +279,20 @@ def test_gale_form_equals_the_defining_vectors(n):
     1 / prod_{y != w} (z_w - z_y), equals the defining component exactly, at consecutive,
     seeded, negative-fractional and mixed-denominator values. Every component matches the
     f_value recurrence and the vectors over u = s z (the oracle ``f_vector_table``), and up
-    to n = 12 those of the pairs (1, 2) and (1, n) also match the subset sums."""
+    to n = 12 those of the pairs (1, 2) and (1, n) also match the subset sums. Row 0 of
+    ``power_weights`` over its top is Lambda, q_w^(k-1) / L_w, L_w = prod_{y != w} Delta_wy,
+    and ``vector_rows`` are the oracle's vectors."""
     for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
         (u, _), (scales, t) = int_row(zeta.values), gale_column_scales(zeta)
         vectors, table = f_vector_table(n, zeta), gale_table(n, zeta)
         homogeneous = gale_vectors(n, zeta, table)
+        (weights, *_), top = power_weights(zeta)
+        pq = [(x.numerator, x.denominator) for x in zeta.values]
+        lam = [Fraction(q ** (n // 2 - 1), prod([p * b - a * q for a, b in pq if a * q != p * b]))
+               for p, q in pq]
+        assert [Fraction(x, top) for x in weights] == lam, zeta.label
+        got = [tuple([Fraction(x, d) for x in v]) for v, d in vector_rows(n, zeta, list(table))]
+        assert got == [vectors[pair].components for pair in table], zeta.label
         for pair, row in table.items():
             assert row[pair.i - 1] == row[pair.j - 1] == 0
             for w in pair.simplex():  # g_ij(u_w) = t g_ij(z_w)
