@@ -200,6 +200,8 @@ def _cmd_show(args) -> int:
 
 def _entry(x: int, d: int, fraction: str) -> str:
     """x / d in lowest terms: the integer, or ``fraction`` filled with the sign, |p| and q."""
+    if not x:  # most entries of an extended factor: no gcd
+        return "0"
     g = gcd(x, d)
     return str(x // g) if g == d else fraction.format("-" if x < 0 else "", abs(x) // g, d // g)
 

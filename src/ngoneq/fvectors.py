@@ -62,21 +62,28 @@ def gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
     }
 
 
-def power_weights(zeta: ZetaAssignment) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The floor(n/2) = k rows (top / L_w p_w^t q_w^(k-1-t))_w, t = 0, 1, ..., and top = lcm
-    |L|, L_w = prod_{y != w} Delta_wy. Row 0 over top is Lambda: q_w^(k-1) / L_w. A Gale row
-    G' (``gale_table``) has zero dot product with all of them iff its vector f = Lambda G'
-    annihilates the power rows z^t, t < k."""
-    scaled, k = [prod([x for x in row if x]) for row in zeta.deltas], zeta.n // 2
+def _cofactors(zeta: ZetaAssignment) -> tuple[list[int], int]:
+    """c_w = top // L_w for every column w, and top = lcm |L|, L_w = prod_{y != w} Delta_wy."""
+    scaled = [prod([x for x in row if x]) for row in zeta.deltas]
     top = lcm(*scaled)
-    cpq = [(top // w, x.numerator, x.denominator) for w, x in zip(scaled, zeta.values)]
+    return [top // w for w in scaled], top
+
+
+def power_weights(zeta: ZetaAssignment) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The floor(n/2) = k rows (c_w p_w^t q_w^(k-1-t))_w, t = 0, 1, ..., and top, c_w = top /
+    L_w (``_cofactors``). Row 0 over top is Lambda: q_w^(k-1) / L_w. A Gale row G'
+    (``gale_table``) has zero dot product with all of them iff its vector f = Lambda G'
+    annihilates the power rows z^t, t < k."""
+    (cofactors, top), k = _cofactors(zeta), zeta.n // 2
+    cpq = [(c, x.numerator, x.denominator) for c, x in zip(cofactors, zeta.values)]
     return tuple(tuple([c * p**t * q ** (k - 1 - t) for c, p, q in cpq]) for t in range(k)), top
 
 
 def vector_rows(n: int, zeta: ZetaAssignment, pairs) -> list[IntRow]:
-    """The vectors f_ij = Lambda G'_ij of ``pairs``, as integer rows over top (row 0 of
-    ``power_weights`` over top is Lambda), not reduced."""
-    (weights, *_), top = power_weights(zeta)
+    """The vectors f_ij = Lambda G'_ij of ``pairs``, as integer rows over top, not reduced:
+    Lambda alone, c_w q_w^(k-1) over top (``_cofactors``), row 0 of ``power_weights``."""
+    cofactors, top = _cofactors(zeta)
+    weights = [c * x.denominator ** (n // 2 - 1) for c, x in zip(cofactors, zeta.values)]
     rows = gale_table(n, zeta)
     return [(tuple(map(mul, rows[pair], weights)), top) for pair in pairs]
 
@@ -86,18 +93,20 @@ def annihilates(weights: Sequence[Sequence[int]], vector: Sequence[int]) -> bool
     return not any(sum(map(mul, row, vector)) for row in weights)
 
 
-def columns_annihilated(zeta: ZetaAssignment, weights, q: int, rows) -> bool:
-    """True iff every column w of the q-stack W (``rows``: the Gale rows of the pairs {q, v},
-    v in T = [n] \\ {q} ascending) is annihilated by mu_v z_v^t, t < floor(n/2), mu_v = 1 /
-    prod_{y in T, y != v} (z_v - z_y) = (z_v - z_q) lambda_v: by F, the rows of ``weights``
-    (``power_weights``) on T, column v times Delta_qv q_v^(r+1), r = n - 3 - floor(n/2);
-    Delta_qv = -Delta_vq flips every sign alike. If W's rows are orthogonal, each row of F W
-    is, up to one factor per column, the values at the z_w of a polynomial of degree below
-    n - floor(n/2), so that many columns decide all."""
+def columns_annihilated(zeta: ZetaAssignment, weights, stacks) -> list[bool]:
+    """At index q - 1, True iff every column w of the q-stack W (``stacks[q - 1]``: the Gale
+    rows of the pairs {q, v} by pair, v in T = [n] \\ {q} ascending) is annihilated by mu_v z_v^t,
+    t < floor(n/2), mu_v = 1 / prod_{y in T, y != v} (z_v - z_y) = (z_v - z_q) lambda_v: by F,
+    the rows of ``weights`` (``power_weights``) on T, column v times Delta_qv q_v^(r+1),
+    r = n - 3 - floor(n/2): the n powers once, Delta_qv = -Delta_vq (all signs alike) per q. If
+    W's rows are orthogonal, each row of F W is, up to one factor per column, the values at the
+    z_w of a polynomial of degree below n - floor(n/2), so that many columns decide all."""
     n, e = zeta.n, zeta.n - 2 - zeta.n // 2
-    scales = [d * x.denominator ** e for d, x in zip(zeta.deltas[q - 1], zeta.values)]
-    folded = [[s * w for s, w in zip(scales, row) if s] for row in weights]  # Delta_qq = 0: on T
-    return all(annihilates(folded, column) for column in list(zip(*rows))[: n - n // 2])
+    powers = [x.denominator ** e for x in zeta.values]
+    weights = [[s * w for s, w in zip(powers, row)] for row in weights]
+    folds = ([[d * w for d, w in zip(row_q, row) if d] for row in weights] for row_q in zeta.deltas)
+    return [all(annihilates(folded, column) for column in list(zip(*stack.values()))[: n - n // 2])
+            for folded, stack in zip(folds, stacks)]  # Delta_qq = 0: on T
 
 
 def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple],

@@ -229,22 +229,15 @@ def _prop_move_action(ctx: SuiteContext) -> PropertyResult:
     return PropertyResult("move_action", True)
 
 
-def _stack_is_orthogonal(ctx: SuiteContext, q: int) -> bool:
-    """True iff the q-stack's rows and its columns (``columns_annihilated``) are orthogonal."""
-    stack = ctx.q_stacks[q - 1]
-    return all(ctx.orthogonal[pair] for pair in stack) and columns_annihilated(
-        ctx.zeta, ctx.powers, q, stack.values())
-
-
 def _prop_independence(ctx: SuiteContext) -> PropertyResult:
     """Every choice of m = floor((n-1)/2) vectors omitting a common vertex q has rank
-    m, for all C(n-1, m) choices at once. A q-stack W that passes ``_stack_is_orthogonal``
-    is V K (diag(mu) V)^T, V the (n-1) x m Vandermonde matrix on T (Gale duality,
-    Eisenbud-Popescu 2000); any m rows of V are invertible, so every m-choice of rows has
-    rank m exactly when rank W = m (``stack_ranks``: one m x m block), none when it is less."""
-    m = move_size(ctx.n)
-    for q, got in enumerate(ctx.stack_ranks, start=1):
-        if not _stack_is_orthogonal(ctx, q):
+    m, for all C(n-1, m) choices at once. A q-stack W with orthogonal rows and columns
+    (``columns_annihilated``) is V K (diag(mu) V)^T, V the (n-1) x m Vandermonde matrix on T
+    (Gale duality, Eisenbud-Popescu 2000); any m rows of V are invertible, so every m-choice
+    of rows has rank m iff rank W = m (``stack_ranks``: one m x m block), none when less."""
+    m, columns = move_size(ctx.n), columns_annihilated(ctx.zeta, ctx.powers, ctx.q_stacks)
+    for q, (got, stack, annihilated) in enumerate(zip(ctx.stack_ranks, ctx.q_stacks, columns), 1):
+        if not (all(ctx.orthogonal[pair] for pair in stack) and annihilated):
             return PropertyResult("independence", False, f"q={q} rows or columns not orthogonal")
         if got < m:
             picked = ",".join(str(k) for k in range(m))

@@ -25,8 +25,9 @@ s(i, j) = (q_i q_j)^(m-1) written out afresh, and ``true_matrix`` reads integer 
 of their true values. ``one_denominator_p_matrix`` and ``one_denominator_act`` keep the
 move matrix and row action as they were before column weights: every column scaled
 to one denominator D = lcm |W_j|, and each created row accumulated over D lcm(d_j)
-(``one_denominator_side_rows`` folds them over a sequence). ``sampled_independence``
-is the independence property as it was before the certificate: Bareiss ranks of
+(``one_denominator_side_rows`` folds them over a sequence), and ``cofactor_product_act`` is
+the row action as it was before each read row was scaled by its lcm cofactor once.
+``sampled_independence`` is the independence property as it was before the certificate: Bareiss ranks of
 seeded sampled (or, with ``sample=inf``, all) choices of vectors omitting a common
 vertex, and
 ``lagrange_orthogonality`` is the orthogonality test as it was before the weighted power
@@ -235,6 +236,37 @@ def one_denominator_act(move: PachnerMove, p, rows) -> None:
                 acc[k] += c * f * x
         g = gcd(common, *acc)
         rows[pair] = (tuple([x // g for x in acc]), common // g)
+
+
+def cofactor_product_act(move: PachnerMove, p, rows: dict, width: int) -> None:
+    """``act_on_int_rows`` as it was before each read row was scaled by its lcm cofactor once:
+    created row i is sum_j (N_ij * f_j) * v_j, f_j = L // (d_j W_j), the wide product N_ij f_j
+    taken per (i, j) and multiplied into every entry of v_j. The same integers, over the same
+    L, as the row action; kept as its oracle."""
+    numerators, denominators = [], []
+    for pair, w in zip(move.removed_pairs, p[1]):
+        row = rows.pop(pair, None)
+        if row is None:
+            raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) not present")
+        if type(row) is int:
+            numerators.append(((row, 1),))
+            denominators.append(w)
+            continue
+        v, d = row
+        g = gcd(d, *v)
+        numerators.append([(k, x // g) for k, x in enumerate(v) if x])
+        denominators.append(d // g * w)
+    common = lcm(*denominators)
+    factors = [common // d for d in denominators]
+    for pair, coeffs in zip(move.created_pairs, p[0]):
+        if pair in rows:
+            raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) already present")
+        acc = [0] * width
+        for c, f, source in zip(coeffs, factors, numerators):
+            scale = c * f
+            for k, x in source:
+                acc[k] += scale * x
+        rows[pair] = (tuple(acc), common)
 
 
 def identity_rows(t: Triangulation) -> dict:

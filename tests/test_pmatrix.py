@@ -19,12 +19,16 @@ from ngoneq import (
     initial_triangulation,
 )
 from ngoneq.exactfield import rat_row, same_rows
-from ngoneq.pmatrix import act_on_int_rows, move_matrices, pair_gauge, side_factors, side_rows
+from ngoneq.fvectors import gale_table
+from ngoneq.pmatrix import (
+    act_on_int_rows, gauged, move_matrices, pair_gauge, side_factors, side_rows,
+)
 from oracles import (
     InterleavedFrame,
     apply_move,
     build_p_matrix,
     act_on_rows,
+    cofactor_product_act,
     dense_factors,
     dense_fold,
     dense_product,
@@ -587,6 +591,52 @@ def test_an_identity_row_held_as_its_column_index_reads_as_written_out(n):
         assert implicit.keys() == written.keys()
         assert all(written[pair] == (unit[pair] if type(row) is int else row)
                    for pair, row in implicit.items())
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_row_action_equals_the_cofactor_product_oracle_at_every_move(n):
+    """Each read row scaled by its lcm cofactor once leaves the same dict as the row action
+    that multiplied N_ij f_j into every entry (``cofactor_product_act``): tuple-identical
+    numerators and denominators after every move of both sides, on rows that start as
+    column indices and on the Gale rows the move-action check feeds it (``gauged``), at
+    integral, seeded, negative-fractional and mixed-denominator values."""
+    lhs, rhs = equation_sequences(n)
+    for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 1000 + n),
+                 negative_fractional(n), mixed_denominators(n)):
+        matrices, gale = move_matrices(lhs.moves + rhs.moves, zeta), gale_table(n, zeta)
+        for seq in (lhs, rhs):
+            width = len(seq.path[0])
+            rows = dict(zip(seq.path[0].pairs, range(width)))
+            expected = dict(rows)
+            for step, move in enumerate(seq.moves):
+                p = matrices[move]
+                act_on_int_rows(move, p, rows, width)
+                cofactor_product_act(move, p, expected, width)
+                assert rows == expected, (n, zeta.label, seq.side, step)
+                touched = gauged(zeta, {pair: gale[pair]
+                                        for pair in move.removed_pairs + move.created_pairs})
+                acted = {pair: (touched[pair], 1) for pair in move.removed_pairs}
+                oracle = dict(acted)
+                act_on_int_rows(move, p, acted, n)
+                cofactor_product_act(move, p, oracle, n)
+                assert acted == oracle, (n, zeta.label, seq.side, step)
+                assert all(same_rows(acted[pair], (touched[pair], 1))
+                           for pair in move.created_pairs), (n, zeta.label, seq.side, step)
+
+
+@pytest.mark.parametrize("n", (25, 30))
+def test_side_rows_at_large_seeded_n_equal_the_cofactor_product_oracle(n):
+    """At seeded n = 25 and 30, both sides' rows are tuple-identical to the cofactor-product
+    row action folded over the sequence."""
+    zeta = ZetaAssignment.random_distinct(n, 1000 + n)
+    lhs, rhs = equation_sequences(n)
+    matrices = move_matrices(lhs.moves + rhs.moves, zeta)
+    for seq in (lhs, rhs):
+        width = len(seq.path[0])
+        rows = dict(zip(seq.path[0].pairs, range(width)))
+        for move in seq.moves:
+            cofactor_product_act(move, matrices[move], rows, width)
+        assert side_rows(seq, matrices) == [rows[pair] for pair in seq.path[-1].pairs], seq.side
 
 
 def test_row_action_on_column_indices_rejects_inapplicable_moves():
