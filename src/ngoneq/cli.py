@@ -9,7 +9,8 @@ Subcommands:
 Every matrix stays in exact integer rows (numerators, denominator) until ``export``
 writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from the move
 matrices of every side written, built in one ``move_matrices`` call, with the rows taken
-out of the pair gauge by ``pmatrix.true_rows``, and from the vectors of ``fvectors.vector_rows``.
+out of the pair gauge by ``pmatrix.true_rows`` (a product's columns by ``true_product``), and
+from the vectors of ``fvectors.vector_rows``.
 
 Every option is one row of COMMANDS. _read_exact reads a line without argparse when each
 token is an exact option name of its command, as --opt=value or --opt value with a value not
@@ -37,7 +38,7 @@ from types import SimpleNamespace
 from .errors import InvalidInputError
 from .exactfield import IntRow, ZetaAssignment
 from .fvectors import vector_rows
-from .pmatrix import move_matrices, side_factors, side_rows, true_rows
+from .pmatrix import move_matrices, side_columns, side_factors, true_product, true_rows
 from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
 from .version import __version__
@@ -221,12 +222,12 @@ def _latex_rows(rows: list[IntRow]) -> str:
 
 
 def _side_factors_and_product(seq: MoveSequence, matrices, zeta: ZetaAssignment):
-    """One side's true extended factors and product (``true_rows``, left for ``_entry`` to
-    reduce), from the move matrices of both sides."""
+    """One side's true extended factors and product (``true_rows``, ``true_product``), left for
+    ``_entry`` to reduce, from the move matrices of both sides."""
     path = seq.path
     factors = [true_rows(rows, new.pairs, old.pairs, zeta)
                for rows, old, new in zip(side_factors(seq, matrices), path, path[1:])]
-    return factors, true_rows(side_rows(seq, matrices), path[-1].pairs, path[0].pairs, zeta)
+    return factors, true_product(side_columns(seq, matrices), path[-1].pairs, path[0].pairs, zeta)
 
 
 def _export_side(seq: MoveSequence, matrices, zeta: ZetaAssignment) -> dict:

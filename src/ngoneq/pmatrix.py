@@ -12,10 +12,10 @@ which makes every row sum to 1. Only ``move_matrices`` computes it, with no ``Fr
 P_hom = N diag(1 / W_j) over the determinants Delta_ab = p_a q_b - p_b q_a of z = p / q
 (``ZetaAssignment.deltas``), and P = S_c^-1 P_hom S_r with s(i, j) = (q_i q_j)^(m-1)
 (Identity 3, the pair gauge, in README; ``pair_gauge``). A side product of P_hom is
-S_final M S_initial^-1. Only this module knows the gauge: ``true_rows`` takes rows out of
-it and ``gauged`` puts rows keyed by pair into it, both returning their input at integral
-values, where every s is 1. ``tests/oracles.py`` keeps the Vandermonde-ratio form of the
-entries as a cross-check.
+S_final M S_initial^-1. Only this module knows the gauge: ``true_rows`` takes rows out of it,
+``true_product`` a side product's columns, and ``gauged`` puts rows keyed by pair into it;
+at integral values, where every s is 1, ``true_rows`` and ``gauged`` return their input.
+``tests/oracles.py`` keeps the Vandermonde-ratio form of the entries as a cross-check.
 
 The entries depend only on the b-set B and the c-vertex of a row: W_j on B, row N(c, B) on
 c and B. The two sides of the equation share their b-sets: the rhs visits the lhs b-sets in
@@ -26,25 +26,27 @@ W once and each row once, and every move's (N, W) reads the block. Each caller b
 blocks of both sides in one call.
 
 One primitive, ``act_on_int_rows``, applies a move's integer matrix in place to integer
-rows (``IntRow``) keyed by pair: the rows of the removed pairs become P times those rows,
-keyed by the created pairs, and every other row is carried over; no other loop combines rows.
-An identity row that no move has read is held as its column index k and read as the one entry
-(k, 1), with no gcd and no scan; for n = 5..40 a side product writes none out, an extended
-matrix its padding. A row is reduced when a move reads it and scaled there, once, by its lcm
-cofactor, u_j = (v_j / g_j) f_j, so each step of the sum multiplies a narrow N_ij into a wide
-u_j (medians 91 and 524 bits at seeded n = 14), not N_ij f_j into v_j (175 and 383 bits):
-about 0.6 of the side-product time at seeded n = 30. The final rows, which no move reads
-(53-62% of the created rows at n = 8..30), leave unreduced and are compared by value
-(``same_rows``). The side product (``side_rows``) is that loop folded over a move sequence
-from the identity rows of its first triangulation; an extended matrix (``side_factors``) and
-the move-action check of ``fvectors`` are one move applied to identity rows or to Gale rows
-(g, 1), all in the pair gauge, with triangulations from ``MoveSequence.path`` and move
+rows (``IntRow``) keyed by pair, in one of two orientations; no other loop combines rows.
+Forwards, the rows of the removed pairs become P times those rows, keyed by the created
+pairs. Backwards (``transpose``), the columns of a product X at the created pairs become
+those of X P at the removed pairs, so the column weight W_j of removed pair j scales output
+column j alone. Every other row is carried over. An identity row that no move has read is
+held as its column index k and read as the one entry (k, 1), with no scan; for n = 5..40 a
+side product writes none out, an extended matrix its padding. A row is read as given, with
+no gcd, and scaled there, once, by its lcm cofactor. The side product (``side_columns``) is
+the backward loop folded over a move sequence from the identity columns of its final
+triangulation, M^T = M_1^T ... M_k^T, so no read carries a W cofactor; its columns, half of
+them never read by a move, leave unreduced, compared by value (``same_rows``) and read row by
+row out of the gauge by ``true_product``. An extended matrix (``side_factors``) and the
+move-action check of ``fvectors`` are one move applied forwards to identity rows or to Gale
+rows (g, 1), all in the pair gauge, with triangulations from ``MoveSequence.path`` and move
 matrices from the caller. The dense product of extended matrices is a test oracle.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from itertools import repeat
+from math import lcm, prod
 from operator import itemgetter
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
@@ -113,6 +115,16 @@ def true_rows(rows: list[IntRow], row_pairs, col_pairs, zeta: ZetaAssignment) ->
     return [(tuple([x * c for x, c in zip(v, cols)]), d * s) for (v, d), s in zip(rows, heights)]
 
 
+def true_product(columns: list[IntRow], row_pairs, col_pairs,
+                 zeta: ZetaAssignment) -> list[IntRow]:
+    """A product in the pair gauge, given by its columns at the pairs B of ``col_pairs``, as its
+    true rows at the pairs A of ``row_pairs``: the columns are put over the lcm of their
+    denominators, read row by row and taken out of the gauge (``true_rows``), not reduced."""
+    common = lcm(*[d for _, d in columns])
+    rows = zip(*[[x * f for x in v] for v, f in [(v, common // d) for v, d in columns]])
+    return true_rows([(row, common) for row in rows], row_pairs, col_pairs, zeta)
+
+
 def gauged(zeta: ZetaAssignment, rows: dict[Pair, tuple[int, ...]]) -> dict:
     """Rows keyed by pair put into the pair gauge, each times s(pair); ``rows`` at integral z."""
     if zeta.integral:  # every s(pair) is 1
@@ -122,39 +134,42 @@ def gauged(zeta: ZetaAssignment, rows: dict[Pair, tuple[int, ...]]) -> dict:
 
 
 def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow | int],
-                    width: int) -> None:
-    """Apply a move's matrix ``p`` (``move_matrices``) in place to rows of ``width`` entries
-    keyed by pair: the rows of the removed pairs are replaced by P times those rows, keyed by
-    the created pairs; every other row is left as it is. A row is an ``IntRow`` or, while no
-    move has read it, the column index k of its identity row e_k, read as the one entry (k, 1).
-    With P = (N, W), each removed row v_j / d_j is reduced by its gcd as it is read and scaled
-    once to u_j = f_j v_j, f_j = L // (d_j W_j) signed, L = lcm(d_j W_j) > 0, skipping zeros
-    (e_k to the one entry (k, L // W_j)); created row i is sum_j N_ij u_j over L (narrow times
-    wide), left unreduced for its reader: a later move here, ``same_rows`` or ``rat_row``."""
-    reads, denominators = [], []
-    for pair, w in zip(move.removed_pairs, p[1]):
+                    width: int, *, transpose: bool = False) -> None:
+    """Apply a move's matrix ``p`` = (N, W) (``move_matrices``) in place to rows of ``width``
+    entries keyed by pair; a row is an ``IntRow`` or, while no move has read it, the column
+    index k of its identity row e_k, read as the one entry (k, 1). The inputs v_i / d_i are
+    popped and output o is sum_i C[o][i] v_i / (d_i w_i r_o); every other row is kept.
+    Forwards the removed pairs' rows become P times them at the created pairs: C = N, w = W,
+    r = 1. With ``transpose`` the created pairs' columns of a product X become those of X P at
+    the removed pairs: C = N^T, w = 1, r = W. No input is reduced: each is scaled once to
+    u_i = f_i v_i, f_i = L // (d_i w_i) signed, L = lcm(d_i w_i) > 0, skipping zeros (e_k to
+    (k, f_i)), and output o is sum_i C[o][i] u_i over L |r_o|, the sign of r_o in C[o], left
+    unreduced for a later move, ``same_rows`` or ``rat_row``. At seeded n = 14 the medians
+    backwards are 91 bits for N and 445 for u; a read gcd would strip a median 11 of 183 bits
+    of a read denominator there and 629 of 1147 at n = 30."""
+    reads, writes, heights = move.removed_pairs, move.created_pairs, repeat(1)
+    coefficients, weights = p
+    if transpose:
+        reads, writes, weights, heights = writes, reads, heights, map(abs, weights)
+        coefficients = [c if w > 0 else [-x for x in c] for c, w in zip(zip(*p[0]), p[1])]
+    inputs, denominators = [], []
+    for pair, w in zip(reads, weights):
         row = rows.pop(pair, None)
         if row is None:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) not present")
-        if type(row) is int:
-            reads.append((row, 0))  # gcd 0 marks e_k: no gcd(d, *v) is 0, as d > 0
-            denominators.append(w)
-            continue
-        v, d = row
-        g = gcd(d, *v)
-        reads.append((v, g))
-        denominators.append(d // g * w)
+        inputs.append(row if type(row) is int else row[0])
+        denominators.append(w if type(row) is int else row[1] * w)
     common = lcm(*denominators)
-    sources = [[(k, x // g * f) for k, x in enumerate(v) if x] if g else ((v, f),)
-               for (v, g), f in zip(reads, [common // d for d in denominators])]
-    for pair, coeffs in zip(move.created_pairs, p[0]):
+    sources = [((v, f),) if type(v) is int else [(k, x * f) for k, x in enumerate(v) if x]
+               for v, f in zip(inputs, [common // d for d in denominators])]
+    for pair, coeffs, h in zip(writes, coefficients, heights):
         if pair in rows:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) already present")
         acc = [0] * width
         for c, source in zip(coeffs, sources):
             for k, u in source:
                 acc[k] += c * u
-        rows[pair] = (tuple(acc), common)
+        rows[pair] = (tuple(acc), common * h)
 
 
 def _identity(t: Triangulation) -> dict[Pair, int]:
@@ -180,21 +195,24 @@ def side_factors(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> l
     return factors
 
 
-def side_rows(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[IntRow]:
-    """The side product M_k ... M_1 (first-applied move rightmost), given each move's
-    matrix (``move_matrices``), as integer rows in final triangulation order, columns in
-    initial triangulation order, the two ends of ``seq.path``.
+def side_columns(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[IntRow]:
+    """The side product M = M_k ... M_1 (first-applied move rightmost), given each move's
+    matrix (``move_matrices``), by its columns: one integer row per pair of the initial
+    triangulation, in canonical order, its entries in final triangulation order, the two ends
+    of ``seq.path``.
 
-    Computed by applying each move to the rows it touches, starting from the
-    identity rows of the initial triangulation, held as column indices until a move
-    reads them; no extended matrix is formed.
+    Computed as M^T = M_1^T ... M_k^T: each move is applied backwards (``transpose``) to the
+    columns it touches, starting from the identity columns of the final triangulation, held
+    as column indices until a move reads them; no extended matrix is formed.
     """
     initial, final = seq.path[0], seq.path[-1]
-    rows = _identity(initial)
-    for move in seq.moves:
-        act_on_int_rows(move, matrices[move], rows, len(initial))
-    if rows.keys() != set(final.pairs):
-        raise InternalError(
-            f"{seq.side} sequence for n={seq.n} does not end at the final triangulation"
-        )
-    return _rows_at(rows, final, len(initial))
+    columns, ends = _identity(final), InternalError(
+        f"{seq.side} sequence for n={seq.n} does not end at the final triangulation")
+    try:
+        for move in reversed(seq.moves):
+            act_on_int_rows(move, matrices[move], columns, len(final), transpose=True)
+    except MoveNotApplicableError as exc:  # a move that does not apply backwards
+        raise ends from exc
+    if columns.keys() != set(initial.pairs):
+        raise ends
+    return _rows_at(columns, initial, len(final))

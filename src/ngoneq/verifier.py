@@ -1,9 +1,10 @@
 """Full-equation verification and the property suite, with structured reports.
 
-A verification builds both move sequences for a given n, forms the two side products in the
-pair gauge (``pmatrix``) at one concrete distinct-value assignment, compares them entrywise
-and takes them out of the gauge only to report a first difference; the initial and final
-triangulations are the ends of a sequence's path. A passing check certifies the identity there.
+A verification builds both move sequences for a given n, forms the two side products by their
+columns in the pair gauge (``pmatrix.side_columns``) at one concrete distinct-value assignment,
+compares them column by column, by value, and reads them row by row out of the gauge only to
+report a first difference (row-major); the initial and final triangulations are the ends of a
+sequence's path. A passing check certifies the identity there.
 
 Error bound (Schwartz-Zippel): let move k remove the pairs of its b-set B_k, m = |B_k| =
 floor((n-1)/2). Each column weight W_j divides V_k = prod_{a<b in B_k} (z_a - z_b), so V_k E_k
@@ -29,7 +30,7 @@ from types import MappingProxyType
 from .errors import InvalidInputError
 from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row, same_rows
 from .fvectors import annihilates, check_move_action, columns_annihilated, gale_table, power_weights
-from .pmatrix import move_matrices, side_rows, true_rows
+from .pmatrix import move_matrices, side_columns, true_product, true_rows
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -95,9 +96,9 @@ class VerificationReport(namedtuple(
 
 def _first_difference(lhs: list[IntRow], rhs: list[IntRow], final: Triangulation,
                       initial: Triangulation, zeta: ZetaAssignment) -> FirstDifference | None:
-    """The first unequal entry of two sides in the pair gauge, at its true values: both sides
-    are taken out of the gauge (``true_rows``), which scales each entry of both alike."""
-    lhs, rhs = (true_rows(rows, final.pairs, initial.pairs, zeta) for rows in (lhs, rhs))
+    """The first unequal entry (row-major) of two sides given by their columns in the pair
+    gauge, at its true values: ``true_product`` reads both row by row out of it, alike."""
+    lhs, rhs = (true_product(cols, final.pairs, initial.pairs, zeta) for cols in (lhs, rhs))
     for i, rows in enumerate(zip(lhs, rhs)):
         for j, (x, y) in enumerate(zip(*map(rat_row, rows))):
             if x != y:
@@ -131,15 +132,15 @@ def _verify(n: int, zeta: ZetaAssignment) -> tuple[VerificationReport, dict]:
     matrices = move_matrices(lhs_seq.moves + rhs_seq.moves, zeta)
     timings["matrices"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    lhs_rows = side_rows(lhs_seq, matrices)
+    lhs_cols = side_columns(lhs_seq, matrices)
     timings["lhs_product"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rhs_rows = side_rows(rhs_seq, matrices)
+    rhs_cols = side_columns(rhs_seq, matrices)
     timings["rhs_product"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    equal = all(map(same_rows, lhs_rows, rhs_rows))  # by value: rows are not reduced
-    difference = None if equal else _first_difference(lhs_rows, rhs_rows, final, initial, zeta)
+    equal = all(map(same_rows, lhs_cols, rhs_cols))  # by value: columns are not reduced
+    difference = None if equal else _first_difference(lhs_cols, rhs_cols, final, initial, zeta)
     timings["compare"] = time.perf_counter() - t0
 
     shape = (len(final), len(initial))

@@ -26,7 +26,13 @@ of their true values. ``one_denominator_p_matrix`` and ``one_denominator_act`` k
 move matrix and row action as they were before column weights: every column scaled
 to one denominator D = lcm |W_j|, and each created row accumulated over D lcm(d_j)
 (``one_denominator_side_rows`` folds them over a sequence), and ``cofactor_product_act`` is
-the row action as it was before each read row was scaled by its lcm cofactor once.
+the row action as it was before each read row was scaled by its lcm cofactor once. The row
+walk the column walk (``pmatrix.side_columns``) replaced is kept verbatim: ``side_rows``
+folds ``reduce_on_read_act``, the row action that reduced each row it read by its gcd, over
+a sequence, and ``row_walk_first_difference`` is the first difference read off its rows;
+``transposed_move`` gives the row action a move's transpose, so that it walks a product's
+columns backwards, ``true_column_matrix`` reads integer columns in the gauge as the matrix of
+their true values, and ``same_product`` compares integer columns with integer rows by value.
 ``sampled_independence`` is the independence property as it was before the certificate: Bareiss ranks of
 seeded sampled (or, with ``sample=inf``, all) choices of vectors omitting a common
 vertex, and
@@ -40,11 +46,11 @@ the ``Fraction`` vectors s^k g_ij(u_w) / prod_{y != w} (u_w - u_y) that ``export
 from them, ``gale_column_scales`` relates those rows to the homogeneous ``gale_table`` column
 by column, and ``gale_vectors`` reads homogeneous rows as ``FVector``s.
 ``factors_view`` and ``product_view`` read the library's ``side_factors`` and
-``side_rows`` as ``DenseMatrix``es of true values, for comparison with tabulated
+``side_columns`` as ``DenseMatrix``es of true values, for comparison with tabulated
 factors and with the dense oracle; ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
 ``other_vertex`` are the small lookups the package no longer exports, and ``pair_of`` and
 ``triangulation_from_pairs`` the checked constructors it no longer has. ``identity_rows``
-writes out the identity rows that ``side_rows`` holds as column indices, and
+writes out the identity rows that the row action holds as column indices, and
 ``tamper_move_matrices`` changes one move's view of its b-set's block for the negative
 controls. The small
 dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
@@ -77,11 +83,13 @@ from ngoneq import (
     initial_triangulation,
 )
 import ngoneq.pmatrix as pmatrix_module
-from ngoneq.exactfield import IntRow, rank, rat_row
+from ngoneq.exactfield import IntMatrix, IntRow, rank, rat_row
 from ngoneq.fvectors import annihilates, power_weights
-from ngoneq.pmatrix import act_on_int_rows, side_factors, side_rows
+from ngoneq.pmatrix import (
+    _identity, _rows_at, act_on_int_rows, side_columns, side_factors, true_rows,
+)
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
-from ngoneq.verifier import PropertyResult, SuiteContext
+from ngoneq.verifier import FirstDifference, PropertyResult, SuiteContext
 
 
 def vandermonde(indices, zeta: ZetaAssignment) -> Rat:
@@ -188,6 +196,17 @@ def true_matrix(rows, row_pairs, col_pairs, zeta: ZetaAssignment) -> DenseMatrix
     ])
 
 
+def true_column_matrix(columns, row_pairs, col_pairs, zeta: ZetaAssignment) -> DenseMatrix:
+    """Integer columns in the pair gauge, at the given column pairs, their entries at the given
+    row pairs, as the matrix of their true values x s(B) / (d s(A)), A the row pair and B the
+    column pair of the entry."""
+    return DenseMatrix([
+        [Fraction(v[i] * gauge(zeta, b), d * gauge(zeta, a))
+         for (v, d), b in zip(columns, col_pairs)]
+        for i, a in enumerate(row_pairs)
+    ])
+
+
 def build_p_matrix(move: PachnerMove, zeta: ZetaAssignment) -> DenseMatrix:
     """The move matrix of ``int_p_matrix`` as a matrix of rationals, the true entries
     (N_ij / W_j) s(b_j) / s(c_i)."""
@@ -267,6 +286,85 @@ def cofactor_product_act(move: PachnerMove, p, rows: dict, width: int) -> None:
             for k, x in source:
                 acc[k] += scale * x
         rows[pair] = (tuple(acc), common)
+
+
+# The row walk as it was before the column walk, kept verbatim as the side products' reference:
+# ``act_on_int_rows`` reduced each row it read by its gcd, and ``side_rows`` folded it forwards
+# over a sequence from the identity rows of the initial triangulation.
+def reduce_on_read_act(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow | int],
+                       width: int) -> None:
+    """Apply a move's matrix ``p`` (``move_matrices``) in place to rows of ``width`` entries
+    keyed by pair: the rows of the removed pairs are replaced by P times those rows, keyed by
+    the created pairs; every other row is left as it is. A row is an ``IntRow`` or, while no
+    move has read it, the column index k of its identity row e_k, read as the one entry (k, 1).
+    With P = (N, W), each removed row v_j / d_j is reduced by its gcd as it is read and scaled
+    once to u_j = f_j v_j, f_j = L // (d_j W_j) signed, L = lcm(d_j W_j) > 0, skipping zeros
+    (e_k to the one entry (k, L // W_j)); created row i is sum_j N_ij u_j over L (narrow times
+    wide), left unreduced for its reader: a later move here, ``same_rows`` or ``rat_row``."""
+    reads, denominators = [], []
+    for pair, w in zip(move.removed_pairs, p[1]):
+        row = rows.pop(pair, None)
+        if row is None:
+            raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) not present")
+        if type(row) is int:
+            reads.append((row, 0))  # gcd 0 marks e_k: no gcd(d, *v) is 0, as d > 0
+            denominators.append(w)
+            continue
+        v, d = row
+        g = gcd(d, *v)
+        reads.append((v, g))
+        denominators.append(d // g * w)
+    common = lcm(*denominators)
+    sources = [[(k, x // g * f) for k, x in enumerate(v) if x] if g else ((v, f),)
+               for (v, g), f in zip(reads, [common // d for d in denominators])]
+    for pair, coeffs in zip(move.created_pairs, p[0]):
+        if pair in rows:
+            raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) already present")
+        acc = [0] * width
+        for c, source in zip(coeffs, sources):
+            for k, u in source:
+                acc[k] += c * u
+        rows[pair] = (tuple(acc), common)
+
+
+def side_rows(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[IntRow]:
+    """The side product M_k ... M_1 (first-applied move rightmost), given each move's
+    matrix (``move_matrices``), as integer rows in final triangulation order, columns in
+    initial triangulation order, the two ends of ``seq.path``.
+
+    Computed by applying each move to the rows it touches, starting from the
+    identity rows of the initial triangulation, held as column indices until a move
+    reads them; no extended matrix is formed.
+    """
+    initial, final = seq.path[0], seq.path[-1]
+    rows = _identity(initial)
+    for move in seq.moves:
+        reduce_on_read_act(move, matrices[move], rows, len(initial))
+    if rows.keys() != set(final.pairs):
+        raise InternalError(
+            f"{seq.side} sequence for n={seq.n} does not end at the final triangulation"
+        )
+    return _rows_at(rows, final, len(initial))
+
+
+def same_product(columns, rows) -> bool:
+    """Whether integer columns and integer rows hold the same matrix by value: entry (A, B)
+    is x / d in column B and y / e in row A, equal iff x e = y d."""
+    return all(x * e == y * d for (v, d), y_row in zip(columns, zip(*[v for v, _ in rows]))
+               for x, y, e in zip(v, y_row, [e for _, e in rows]))
+
+TransposedMove = namedtuple("TransposedMove", "removed_pairs created_pairs")
+
+
+def transposed_move(move: PachnerMove, p):
+    """A move's transpose for the row action: a record whose removed pairs are the move's
+    created pairs and whose created pairs are its removed pairs, and the matrix P^T as (N', W')
+    with P^T_ji = N_ij / W_j = N'_ji / D, D = lcm |W_j| (N'_ji = N_ij (D // W_j)). Applied to a
+    product's columns, it is the move applied backwards, as the column walk applies it."""
+    rows, weights = p
+    d = lcm(*weights)
+    columns = tuple([tuple([x * (d // w) for x in col]) for col, w in zip(zip(*rows), weights)])
+    return TransposedMove(move.created_pairs, move.removed_pairs), (columns, (d,) * len(rows))
 
 
 def identity_rows(t: Triangulation) -> dict:
@@ -419,10 +517,33 @@ def factors_view(seq, zeta) -> list[DenseMatrix]:
 
 
 def product_view(seq, zeta) -> DenseMatrix:
-    """The library's side product, ``side_rows``, as a matrix of its true rationals."""
+    """The library's side product, ``side_columns``, as a matrix of its true rationals."""
     matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
-    return true_matrix(side_rows(seq, matrices), seq.path[-1].pairs, seq.path[0].pairs, zeta)
+    columns = side_columns(seq, matrices)
+    return true_column_matrix(columns, seq.path[-1].pairs, seq.path[0].pairs, zeta)
 
+
+
+# ``verifier._first_difference`` as it was before the column walk, kept verbatim: the first
+# unequal entry of two sides given by their rows in the pair gauge.
+def row_walk_first_difference(lhs: list[IntRow], rhs: list[IntRow], final: Triangulation,
+                              initial: Triangulation,
+                              zeta: ZetaAssignment) -> FirstDifference | None:
+    """The first unequal entry of two sides in the pair gauge, at its true values: both sides
+    are taken out of the gauge (``true_rows``), which scales each entry of both alike."""
+    lhs, rhs = (true_rows(rows, final.pairs, initial.pairs, zeta) for rows in (lhs, rhs))
+    for i, rows in enumerate(zip(lhs, rhs)):
+        for j, (x, y) in enumerate(zip(*map(rat_row, rows))):
+            if x != y:
+                return FirstDifference(
+                    row=i,
+                    col=j,
+                    row_simplex=final.pairs[i].simplex(),
+                    col_simplex=initial.pairs[j].simplex(),
+                    lhs_value=str(x),
+                    rhs_value=str(y),
+                )
+    return None
 
 def pair_of(n: int, i: int, j: int) -> Pair:
     """The checked pair {i, j}, with i and j given in either order."""

@@ -32,6 +32,13 @@ def test_star_import_succeeds():
     assert set(ngoneq.__all__) <= set(namespace)
 
 
+def test_no_module_names_the_row_walk():
+    """A side product is one column walk (``pmatrix.side_columns``); the row walk it replaced,
+    ``side_rows``, is kept in ``tests/oracles.py`` only, not beside it in the package."""
+    naming = sorted(p.name for p in (SRC / "ngoneq").glob("*.py") if "side_rows" in p.read_text())
+    assert naming == []
+
+
 def test_importing_the_package_and_cli_loads_no_heavy_stdlib_module():
     """dataclasses (with inspect), typing, traceback and argparse (with gettext) cost
     start-up time on every command; a fresh interpreter without site imports none of them

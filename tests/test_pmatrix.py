@@ -21,7 +21,7 @@ from ngoneq import (
 from ngoneq.exactfield import rat_row, same_rows
 from ngoneq.fvectors import gale_table
 from ngoneq.pmatrix import (
-    act_on_int_rows, gauged, move_matrices, pair_gauge, side_factors, side_rows,
+    act_on_int_rows, gauged, move_matrices, pair_gauge, side_columns, side_factors,
 )
 from oracles import (
     InterleavedFrame,
@@ -35,6 +35,7 @@ from oracles import (
     distinct_assignments,
     factors_view,
     gauge,
+    identity,
     identity_rows,
     int_p_matrix,
     int_row,
@@ -45,8 +46,13 @@ from oracles import (
     other_vertex,
     p_entry_vandermonde,
     product_view,
+    reduce_on_read_act,
     row_sums,
+    same_product,
+    side_rows,
+    transposed_move,
     triangulation_from_pairs,
+    true_column_matrix,
     true_matrix,
 )
 
@@ -391,49 +397,62 @@ def test_product_equals_dense_fold_of_extended_matrices_n5_to_16():
 
 @pytest.mark.parametrize("n", range(5, 17))
 def test_side_rows_are_integer_rows_of_the_dense_product(n):
-    """Every side row is (numerators, d) with d > 0, not necessarily in lowest terms,
-    the rows read as Fractions through the pair gauge are the dense product, and the
-    two sides agree by value (``same_rows``), at the oracle assignments and at values
-    over large mixed denominators."""
+    """Every side column is (numerators, d) with d > 0, not necessarily in lowest terms,
+    the columns read as Fractions through the pair gauge are the dense product and, by
+    value, the rows of the row-walk oracle (``side_rows``), and the two sides agree by
+    value (``same_rows``), at the oracle assignments and at values over large mixed
+    denominators."""
     for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
         sides = [
-            (seq, side_rows(seq, {move: int_p_matrix(move, zeta) for move in seq.moves}))
+            (seq, side_columns(seq, {move: int_p_matrix(move, zeta) for move in seq.moves}))
             for seq in equation_sequences(n)
         ]
-        for seq, rows in sides:
-            assert all(d > 0 for _, d in rows), (n, zeta.label, seq.side)
+        for seq, columns in sides:
+            assert all(d > 0 for _, d in columns), (n, zeta.label, seq.side)
             expected = dense_product(seq, zeta)
-            assert true_matrix(rows, seq.path[-1].pairs, seq.path[0].pairs, zeta) == expected, (
-                n, zeta.label)
+            got = true_column_matrix(columns, seq.path[-1].pairs, seq.path[0].pairs, zeta)
+            assert got == expected, (n, zeta.label)
+            matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
+            assert same_product(columns, side_rows(seq, matrices)), (n, zeta.label, seq.side)
         assert all(map(same_rows, sides[0][1], sides[1][1])), (n, zeta.label)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_removed_rows_are_read_by_value(n):
-    """Each removed row is reduced as the move reads it: fed as (k v, k d), k > 1 and
+    """Each removed row is read as given, with no gcd: fed as (k v, k d), k > 1 and
     different for every row, instead of (v, d), it leaves every created row of
-    act_on_int_rows tuple-identical, at every move of both sides, at a seed and at
-    fractional values. The created rows themselves are stored unreduced: some are not in
-    lowest terms."""
+    act_on_int_rows equal by value (``same_rows``), and fed in lowest terms it leaves
+    them tuple-identical to the reduce-on-read row walk (``reduce_on_read_act``), at every
+    move of both sides, at a seed and at fractional values. The created rows themselves
+    are stored unreduced: some are not in lowest terms."""
     for zeta in (ZetaAssignment.random_distinct(n, 3), negative_fractional(n)):
         for seq in equation_sequences(n):
             rows, unreduced = identity_rows(seq.path[0]), 0
             for step, move in enumerate(seq.moves):
-                p, scaled = int_p_matrix(move, zeta), dict(rows)
+                p, scaled, lowest = int_p_matrix(move, zeta), dict(rows), dict(rows)
                 for k, pair in enumerate(move.removed_pairs, start=2 + step):
                     v, d = rows[pair]
                     scaled[pair] = (tuple([k * x for x in v]), k * d)
+                    g = gcd(d, *v)
+                    lowest[pair] = (tuple([x // g for x in v]), d // g)
+                oracle = dict(lowest)
                 act_on_int_rows(move, p, rows, len(seq.path[0]))
                 act_on_int_rows(move, p, scaled, len(seq.path[0]))
-                assert scaled == rows, (n, zeta.label, seq.side, step)
+                act_on_int_rows(move, p, lowest, len(seq.path[0]))
+                reduce_on_read_act(move, p, oracle, len(seq.path[0]))
+                assert scaled.keys() == rows.keys(), (n, zeta.label, seq.side, step)
+                assert all(same_rows(scaled[pair], rows[pair]) for pair in rows), (
+                    n, zeta.label, seq.side, step)
+                assert lowest == oracle, (n, zeta.label, seq.side, step)
                 unreduced += sum(gcd(d, *v) > 1 for v, d in map(rows.get, move.created_pairs))
             assert unreduced, (n, zeta.label, seq.side)
 
 
 def _true_side_rows(seq, zeta):
-    """A side's rows from ``side_rows``, taken out of the pair gauge and written canonically."""
-    rows = side_rows(seq, {move: int_p_matrix(move, zeta) for move in seq.moves})
-    true = true_matrix(rows, seq.path[-1].pairs, seq.path[0].pairs, zeta)
+    """A side's rows from ``side_columns``, taken out of the pair gauge and written
+    canonically."""
+    columns = side_columns(seq, {move: int_p_matrix(move, zeta) for move in seq.moves})
+    true = true_column_matrix(columns, seq.path[-1].pairs, seq.path[0].pairs, zeta)
     return tuple([int_row(row) for row in true.entries])
 
 
@@ -519,14 +538,16 @@ def test_the_sides_pair_their_b_sets_and_share_each_block(n):
     """The rhs visits the lhs b-sets in reverse order, after one move of its own at odd n,
     so the K_L + K_R moves use ceil((K_L + K_R) / 2) b-sets. ``move_matrices`` over both
     sides gives each pair of moves one W tuple and the numerator rows of their common
-    c-vertices as the same objects. Each side reads every row of its initial triangulation."""
+    c-vertices as the same objects. Each side reads every row of its initial triangulation
+    forwards and every column of its final triangulation backwards."""
     lhs, rhs = equation_sequences(n)
     left, right = [m.b_set for m in lhs.moves], [m.b_set for m in rhs.moves]
     extra = right[: n % 2]
     assert right == extra + left[::-1]
     assert not set(extra) & set(left)
     assert len(set(left + right)) == -(-(len(left) + len(right)) // 2)
-    for seq in (lhs, rhs):  # every identity row is read: side_rows writes none out
+    for seq in (lhs, rhs):  # every identity column is read: side_columns writes none out
+        assert set(seq.path[-1].pairs) <= {pair for m in seq.moves for pair in m.created_pairs}
         assert set(seq.path[0].pairs) <= {pair for m in seq.moves for pair in m.removed_pairs}
     matrices = move_matrices(lhs.moves + rhs.moves, ZetaAssignment.random_distinct(n, n))
     for a, b in zip(lhs.moves, reversed(rhs.moves)):
@@ -558,15 +579,16 @@ def test_every_move_of_the_shared_blocks_is_the_vandermonde_ratio(n):
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_side_rows_and_factors_from_shared_blocks_equal_the_dense_oracle(n):
-    """``side_rows`` and ``side_factors`` over the blocks built for both sides, with the
-    identity rows held as column indices, equal ``dense_product`` and ``dense_factors``."""
+    """``side_columns`` and ``side_factors`` over the blocks built for both sides, with the
+    identity rows and columns held as column indices, equal ``dense_product`` and
+    ``dense_factors``."""
     lhs, rhs = equation_sequences(n)
     for zeta in oracle_assignments(n):
         matrices = move_matrices(lhs.moves + rhs.moves, zeta)
         for seq in (lhs, rhs):
             path = seq.path
-            rows = side_rows(seq, matrices)
-            product = true_matrix(rows, path[-1].pairs, path[0].pairs, zeta)
+            columns = side_columns(seq, matrices)
+            product = true_column_matrix(columns, path[-1].pairs, path[0].pairs, zeta)
             assert product == dense_product(seq, zeta), (zeta.label, seq.side)
             factors = [true_matrix(f, new.pairs, old.pairs, zeta)
                        for f, old, new in zip(side_factors(seq, matrices), path, path[1:])]
@@ -597,22 +619,16 @@ def test_an_identity_row_held_as_its_column_index_reads_as_written_out(n):
 def test_row_action_equals_the_cofactor_product_oracle_at_every_move(n):
     """Each read row scaled by its lcm cofactor once leaves the same dict as the row action
     that multiplied N_ij f_j into every entry (``cofactor_product_act``): tuple-identical
-    numerators and denominators after every move of both sides, on rows that start as
-    column indices and on the Gale rows the move-action check feeds it (``gauged``), at
-    integral, seeded, negative-fractional and mixed-denominator values."""
+    numerators and denominators after every move of both sides, on the Gale rows the
+    move-action check feeds it (``gauged``), at integral, seeded, negative-fractional and
+    mixed-denominator values. (Walks from column indices are the column walk's, below.)"""
     lhs, rhs = equation_sequences(n)
     for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 1000 + n),
                  negative_fractional(n), mixed_denominators(n)):
         matrices, gale = move_matrices(lhs.moves + rhs.moves, zeta), gale_table(n, zeta)
         for seq in (lhs, rhs):
-            width = len(seq.path[0])
-            rows = dict(zip(seq.path[0].pairs, range(width)))
-            expected = dict(rows)
             for step, move in enumerate(seq.moves):
                 p = matrices[move]
-                act_on_int_rows(move, p, rows, width)
-                cofactor_product_act(move, p, expected, width)
-                assert rows == expected, (n, zeta.label, seq.side, step)
                 touched = gauged(zeta, {pair: gale[pair]
                                         for pair in move.removed_pairs + move.created_pairs})
                 acted = {pair: (touched[pair], 1) for pair in move.removed_pairs}
@@ -624,10 +640,58 @@ def test_row_action_equals_the_cofactor_product_oracle_at_every_move(n):
                            for pair in move.created_pairs), (n, zeta.label, seq.side, step)
 
 
+@pytest.mark.parametrize("n", range(5, 17))
+def test_column_walk_equals_the_row_walk_oracle_at_every_move(n):
+    """Each move applied backwards (``transpose``) to a product's columns leaves the same
+    values as the reduce-on-read row walk (``reduce_on_read_act``) applied to those columns
+    with the move's transpose (``transposed_move``): equal by value (``same_rows``) after
+    every backward move of both sides, starting from the final triangulation's identity
+    columns held as column indices, at integral, seeded, negative-fractional and
+    mixed-denominator values; the last columns are the side product's."""
+    lhs, rhs = equation_sequences(n)
+    for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 1000 + n),
+                 negative_fractional(n), mixed_denominators(n)):
+        matrices = move_matrices(lhs.moves + rhs.moves, zeta)
+        for seq in (lhs, rhs):
+            width = len(seq.path[-1])
+            columns = dict(zip(seq.path[-1].pairs, range(width)))
+            expected = dict(columns)
+            for step, move in enumerate(reversed(seq.moves)):
+                act_on_int_rows(move, matrices[move], columns, width, transpose=True)
+                reduce_on_read_act(*transposed_move(move, matrices[move]), expected, width)
+                assert columns.keys() == expected.keys(), (n, zeta.label, seq.side, step)
+                assert all(same_rows(c, expected[pair]) if type(c) is not int
+                           else c == expected[pair] for pair, c in columns.items()), (
+                    n, zeta.label, seq.side, step)
+            assert side_columns(seq, matrices) == [columns[p] for p in seq.path[0].pairs]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_column_walk_equals_the_dense_suffix_product_at_every_move(n):
+    """After each backward move k of both sides, the columns read through the pair gauge are
+    the dense suffix product E_K ... E_k of the extended matrices (``dense_factors``), final
+    triangulation by the triangulation before move k, at the oracle assignments."""
+    for zeta in oracle_assignments(n):
+        matrices = move_matrices([m for seq in equation_sequences(n) for m in seq.moves], zeta)
+        for seq in equation_sequences(n):
+            final, factors = seq.path[-1], dense_factors(seq, zeta)
+            columns, suffix = dict(zip(final.pairs, range(len(final)))), identity(len(final))
+            for k in reversed(range(len(seq.moves))):
+                act_on_int_rows(seq.moves[k], matrices[seq.moves[k]], columns, len(final),
+                                transpose=True)
+                suffix, before = suffix.mul(factors[k]), seq.path[k]
+                written = identity_rows(final)
+                got = [written[final.pairs[c]] if type(c) is int else c
+                       for c in map(columns.__getitem__, before.pairs)]
+                assert true_column_matrix(got, final.pairs, before.pairs, zeta) == suffix, (
+                    zeta.label, seq.side, k)
+
+
 @pytest.mark.parametrize("n", (25, 30))
 def test_side_rows_at_large_seeded_n_equal_the_cofactor_product_oracle(n):
-    """At seeded n = 25 and 30, both sides' rows are tuple-identical to the cofactor-product
-    row action folded over the sequence."""
+    """At seeded n = 25 and 30, both sides' columns (``side_columns``) equal by value the
+    rows of the row-walk oracle (``side_rows``), which are tuple-identical to the
+    cofactor-product row action folded over the sequence."""
     zeta = ZetaAssignment.random_distinct(n, 1000 + n)
     lhs, rhs = equation_sequences(n)
     matrices = move_matrices(lhs.moves + rhs.moves, zeta)
@@ -636,12 +700,15 @@ def test_side_rows_at_large_seeded_n_equal_the_cofactor_product_oracle(n):
         rows = dict(zip(seq.path[0].pairs, range(width)))
         for move in seq.moves:
             cofactor_product_act(move, matrices[move], rows, width)
-        assert side_rows(seq, matrices) == [rows[pair] for pair in seq.path[-1].pairs], seq.side
+        walked = side_rows(seq, matrices)
+        assert walked == [rows[pair] for pair in seq.path[-1].pairs], seq.side
+        assert same_product(side_columns(seq, matrices), walked), seq.side
 
 
 def test_row_action_on_column_indices_rejects_inapplicable_moves():
     """Reading an absent pair and writing a present one raise, with identity rows held as
-    column indices."""
+    column indices, in both orientations: forwards a move reads its removed pairs and
+    writes its created ones, backwards (``transpose``) the other way round."""
     move = PachnerMove(5, 2, (3, 5), (1, 4))
     p = int_p_matrix(move, CONSEC[5])
     with pytest.raises(MoveNotApplicableError, match="not present"):
@@ -649,3 +716,8 @@ def test_row_action_on_column_indices_rejects_inapplicable_moves():
     present = {move.removed_pairs[0]: 0, move.removed_pairs[1]: 1, move.created_pairs[0]: 2}
     with pytest.raises(MoveNotApplicableError, match="already present"):
         act_on_int_rows(move, p, present, 3)
+    with pytest.raises(MoveNotApplicableError, match="not present"):
+        act_on_int_rows(move, p, {move.created_pairs[0]: 0}, 3, transpose=True)
+    present = {move.created_pairs[0]: 0, move.created_pairs[1]: 1, move.removed_pairs[0]: 2}
+    with pytest.raises(MoveNotApplicableError, match="already present"):
+        act_on_int_rows(move, p, present, 3, transpose=True)

@@ -251,7 +251,7 @@ def test_property_suite_builds_no_extended_matrix(monkeypatch):
 
 
 def test_side_products_construct_no_fraction_and_no_pair(monkeypatch):
-    """From the move matrices to the compared rows, the side products of
+    """From the move matrices to the compared columns, the side products of
     verify_equation run over ints: while they run, no Fraction and no Pair is
     constructed anywhere (each move built its pairs once, when it was
     derived), at an integer and at a rational assignment."""
@@ -259,7 +259,7 @@ def test_side_products_construct_no_fraction_and_no_pair(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("constructed in a side product")
 
-    real_side_rows = verifier_module.side_rows
+    real_side_columns = verifier_module.side_columns
     sides = []
 
     def guarded(*args):
@@ -267,9 +267,9 @@ def test_side_products_construct_no_fraction_and_no_pair(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(Fraction, "__new__", forbidden)
             m.setattr(Pair, "__new__", forbidden)
-            return real_side_rows(*args)
+            return real_side_columns(*args)
 
-    monkeypatch.setattr(verifier_module, "side_rows", guarded)
+    monkeypatch.setattr(verifier_module, "side_columns", guarded)
     for n in (6, 9):
         for zeta in (ZetaAssignment.random_distinct(n, 4), negative_fractional(n)):
             sides.clear()
@@ -420,10 +420,10 @@ def test_unequal_products_report_first_difference():
     z = ZetaAssignment.consecutive(5)
     report = verify_equation(5, z)
     matrices = {move: int_p_matrix(move, z) for move in report.lhs.moves}
-    lhs = pmatrix_module.side_rows(report.lhs, matrices)
-    numerators, d = lhs[1]
+    lhs = pmatrix_module.side_columns(report.lhs, matrices)
+    numerators, d = lhs[2]
     tampered = list(lhs)
-    tampered[1] = (numerators[:2] + (numerators[2] + d,) + numerators[3:], d)
+    tampered[2] = (numerators[:1] + (numerators[1] + d,) + numerators[2:], d)
     diff = _first_difference(
         lhs, tampered, final_triangulation(5), initial_triangulation(5), z
     )
@@ -434,7 +434,7 @@ def test_unequal_products_report_first_difference():
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_first_difference_at_fractional_values_reports_true_entries(n):
-    """With one entry of the gauged LHS rows changed at fractional values, the first
+    """With one entry of the gauged LHS columns changed at fractional values, the first
     difference names that entry and reports both values out of the pair gauge: the
     Fraction oracle's entries of the true LHS product and of the tampered one."""
     from ngoneq.verifier import _first_difference
@@ -443,14 +443,14 @@ def test_first_difference_at_fractional_values_reports_true_entries(n):
     lhs_seq, _ = equation_sequences(n)
     final, initial = lhs_seq.path[-1], lhs_seq.path[0]
     matrices = {move: int_p_matrix(move, z) for move in lhs_seq.moves}
-    lhs = pmatrix_module.side_rows(lhs_seq, matrices)
-    i, j = len(lhs) // 2, len(initial) - 1
-    numerators, d = lhs[i]
+    lhs = pmatrix_module.side_columns(lhs_seq, matrices)
+    i, j = len(final) // 2, len(initial) - 1
+    numerators, d = lhs[j]
     tampered = list(lhs)
-    tampered[i] = (numerators[:j] + (numerators[j] + d,) + numerators[j + 1:], d)
+    tampered[j] = (numerators[:i] + (numerators[i] + d,) + numerators[i + 1:], d)
     diff = _first_difference(lhs, tampered, final, initial, z)
     want = oracles.dense_product(lhs_seq, z)
-    changed = oracles.true_matrix(tampered, final.pairs, initial.pairs, z)
+    changed = oracles.true_column_matrix(tampered, final.pairs, initial.pairs, z)
     first = next((r, c) for r in range(want.rows) for c in range(want.cols)
                  if want[r, c] != changed[r, c])
     assert first == (i, j) == (diff.row, diff.col)
@@ -499,6 +499,39 @@ def test_verify_detects_every_single_move_matrix_tamper_at_fractional_values(mon
     the integer rows carry denominators other than 1."""
     for n in (5, 6):
         _assert_every_move_matrix_tamper_is_detected(monkeypatch, n, negative_fractional(n))
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_every_tampered_first_difference_equals_the_row_walk_oracle(monkeypatch, n):
+    """With one entry of one move matrix changed (its column weight W_j added to N_ij), for
+    every move of both sides in turn, the report is unequal and its first difference is
+    byte-identical to the one the row walk gives (``oracles.side_rows`` and
+    ``row_walk_first_difference`` over the same tampered matrices): row, column, both
+    simplices and both values, at consecutive, seeded and negative-fractional values."""
+    target = {}
+
+    def change(move, p):
+        if move != target["move"]:
+            return p
+        i, j = target["entry"]
+        return _with_numerator(p, i, j, p[0][i][j] + p[1][j])
+
+    lhs, rhs = equation_sequences(n)
+    final, initial = lhs.path[-1], lhs.path[0]
+    for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 1000 + n),
+                 negative_fractional(n)):
+        with monkeypatch.context() as m:
+            oracles.tamper_move_matrices(m, change)
+            for step, move in enumerate(lhs.moves + rhs.moves):
+                entry = (step % len(move.created_pairs), step % len(move.removed_pairs))
+                target.update(move=move, entry=entry)
+                report = verify_equation(n, zeta)
+                matrices = pmatrix_module.move_matrices(lhs.moves + rhs.moves, zeta)
+                want = oracles.row_walk_first_difference(
+                    oracles.side_rows(lhs, matrices), oracles.side_rows(rhs, matrices),
+                    final, initial, zeta)
+                assert not report.equal and want is not None, (zeta.label, move, entry)
+                assert repr(report.first_difference) == repr(want), (zeta.label, move, entry)
 
 
 def _vandermonde_times_move_matrix(move, values):
