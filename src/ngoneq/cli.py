@@ -8,9 +8,9 @@ Subcommands:
 
 Every matrix stays in exact integer rows (numerators, denominator) until ``export``
 writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from the move
-matrices of every side written, built in one ``move_matrices`` call, with the rows taken
-out of the pair gauge by ``pmatrix.true_rows`` (a product's columns by ``true_product``), and
-from the vectors of ``fvectors.vector_rows``.
+matrices of every side written, built in one ``move_matrices`` call, each product (an
+extended matrix is the product of its one move) walked by ``pmatrix.side_columns`` and taken
+out of the pair gauge by ``true_product``, and from the vectors of ``fvectors.vector_rows``.
 
 Every option is one row of COMMANDS. _read_exact reads a line without argparse when each
 token is an exact option name of its command, as --opt=value or --opt value with a value not
@@ -38,7 +38,7 @@ from types import SimpleNamespace
 from .errors import InvalidInputError
 from .exactfield import IntRow, ZetaAssignment
 from .fvectors import vector_rows
-from .pmatrix import move_matrices, side_columns, side_factors, true_product, true_rows
+from .pmatrix import move_matrices, side_columns, true_product
 from .simplicial import MoveSequence, check_n, equation_sequences
 from .verifier import verify_equation, verify_with_properties
 from .version import __version__
@@ -221,17 +221,18 @@ def _latex_rows(rows: list[IntRow]) -> str:
     return "\n".join(lines)
 
 
-def _side_factors_and_product(seq: MoveSequence, matrices, zeta: ZetaAssignment):
-    """One side's true extended factors and product (``true_rows``, ``true_product``), left for
-    ``_entry`` to reduce, from the move matrices of both sides."""
+def _side_products(seq: MoveSequence, matrices, zeta: ZetaAssignment):
+    """One side's true extended factors and product, left for ``_entry`` to reduce, from the
+    move matrices of both sides: each factor is the side product of its one-move sequence."""
     path = seq.path
-    factors = [true_rows(rows, new.pairs, old.pairs, zeta)
-               for rows, old, new in zip(side_factors(seq, matrices), path, path[1:])]
+    factors = [true_product(side_columns(MoveSequence(seq.n, seq.side, (move,), (old, new)),
+                                         matrices), new.pairs, old.pairs, zeta)
+               for move, old, new in zip(seq.moves, path, path[1:])]
     return factors, true_product(side_columns(seq, matrices), path[-1].pairs, path[0].pairs, zeta)
 
 
 def _export_side(seq: MoveSequence, matrices, zeta: ZetaAssignment) -> dict:
-    factors, product = _side_factors_and_product(seq, matrices, zeta)
+    factors, product = _side_products(seq, matrices, zeta)
     return {
         "moves": [m.to_json_dict() for m in seq.moves],
         "shapes": [[len(rows), len(rows[0][0])] for rows in factors],
@@ -266,7 +267,7 @@ def _cmd_export(args) -> int:
     else:
         blocks = []
         for name, seq in sides.items():
-            factors, product = _side_factors_and_product(seq, matrices, zeta)
+            factors, product = _side_products(seq, matrices, zeta)
             blocks.append(f"% {name} product, leftmost factor applied last")
             for move, rows in reversed(list(zip(seq.moves, factors))):
                 blocks.append(f"% factor for {move.label()}")

@@ -24,7 +24,6 @@ from .errors import InvalidInputError
 
 Rat = Fraction
 IntRow = tuple[tuple[int, ...], int]  # (numerators, denominator > 0), not always in lowest terms
-IntMatrix = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]  # (N, W): N_ij / W_j, W_j != 0
 
 RANDOM_VALUE_RANGE = (1, 10**6)
 
@@ -118,15 +117,12 @@ def rat_row(row: IntRow) -> tuple[Rat, ...]:
 
 def same_rows(a: IntRow, b: IntRow) -> bool:
     """Whether v / d and w / e (numerator tuples) hold the same rationals, reduced or not:
-    v == w if d == e, v == w d if e == 1, v e == w if d == 1, else v (e / g) == w (d / g),
-    g = gcd(d, e)."""
+    v == w if d == e, v == w d if e == 1, else v (e / g) == w (d / g), g = gcd(d, e)."""
     (v, d), (w, e) = a, b
     if d == e:
         return v == w
     if e == 1:
         return v == tuple([y * d for y in w])
-    if d == 1:
-        return tuple([x * e for x in v]) == w
     g = gcd(d, e)
     d, e = d // g, e // g
     return [x * e for x in v] == [y * d for y in w]

@@ -25,8 +25,8 @@ from math import lcm, prod
 from operator import mul
 
 from .errors import InvalidInputError
-from .exactfield import IntMatrix, IntRow, ZetaAssignment, same_rows
-from .pmatrix import act_on_int_rows, gauged
+from .exactfield import IntRow, ZetaAssignment, same_rows
+from .pmatrix import IntMatrix, act_on_int_rows, gauged
 from .simplicial import PachnerMove, Pair, check_n
 
 

@@ -37,9 +37,9 @@ no gcd, and scaled there, once, by its lcm cofactor. The side product (``side_co
 the backward loop folded over a move sequence from the identity columns of its final
 triangulation, M^T = M_1^T ... M_k^T, so no read carries a W cofactor; its columns, half of
 them never read by a move, leave unreduced, compared by value (``same_rows``) and read row by
-row out of the gauge by ``true_product``. An extended matrix (``side_factors``) and the
-move-action check of ``fvectors`` are one move applied forwards to identity rows or to Gale
-rows (g, 1), all in the pair gauge, with triangulations from ``MoveSequence.path`` and move
+row out of the gauge by ``true_product``; so is an extended matrix, the side product of its
+one-move sequence. Forwards serves only the move-action check of ``fvectors``, on Gale rows
+(g, 1). All run in the pair gauge, with triangulations from ``MoveSequence.path`` and move
 matrices from the caller. The dense product of extended matrices is a test oracle.
 """
 
@@ -50,7 +50,7 @@ from math import lcm, prod
 from operator import itemgetter
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
-from .exactfield import IntMatrix, IntRow, ZetaAssignment
+from .exactfield import IntRow, ZetaAssignment
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -58,6 +58,8 @@ from .simplicial import (
     Triangulation,
     move_size,
 )
+
+IntMatrix = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]  # (N, W): N_ij / W_j, W_j != 0
 
 
 def move_matrices(moves, zeta: ZetaAssignment) -> dict[PachnerMove, IntMatrix]:
@@ -139,14 +141,15 @@ def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow | i
     entries keyed by pair; a row is an ``IntRow`` or, while no move has read it, the column
     index k of its identity row e_k, read as the one entry (k, 1). The inputs v_i / d_i are
     popped and output o is sum_i C[o][i] v_i / (d_i w_i r_o); every other row is kept.
-    Forwards the removed pairs' rows become P times them at the created pairs: C = N, w = W,
-    r = 1. With ``transpose`` the created pairs' columns of a product X become those of X P at
-    the removed pairs: C = N^T, w = 1, r = W. No input is reduced: each is scaled once to
-    u_i = f_i v_i, f_i = L // (d_i w_i) signed, L = lcm(d_i w_i) > 0, skipping zeros (e_k to
-    (k, f_i)), and output o is sum_i C[o][i] u_i over L |r_o|, the sign of r_o in C[o], left
-    unreduced for a later move, ``same_rows`` or ``rat_row``. At seeded n = 14 the medians
-    backwards are 91 bits for N and 445 for u; a read gcd would strip a median 11 of 183 bits
-    of a read denominator there and 629 of 1147 at n = 30."""
+    Forwards, which serves Gale rows, the removed pairs' rows become P times them at the
+    created pairs: C = N, w = W, r = 1. With ``transpose``, which serves side products and an
+    extended matrix (the side product of one move), the created pairs' columns of a product X
+    become those of X P at the removed pairs: C = N^T, w = 1, r = W. No input is reduced: each
+    is scaled once to u_i = f_i v_i, f_i = L // (d_i w_i) signed, L = lcm(d_i w_i) > 0,
+    skipping zeros (e_k to (k, f_i)), and output o is sum_i C[o][i] u_i over L |r_o|, the sign
+    of r_o in C[o], left unreduced for a later move, ``same_rows`` or ``rat_row``. At seeded
+    n = 14 the medians backwards are 91 bits for N and 445 for u; a read gcd would strip a
+    median 11 of 183 bits of a read denominator there and 629 of 1147 at n = 30."""
     reads, writes, heights = move.removed_pairs, move.created_pairs, repeat(1)
     coefficients, weights = p
     if transpose:
@@ -181,18 +184,6 @@ def _rows_at(rows: dict[Pair, IntRow | int], t: Triangulation, width: int) -> li
     """The rows of t's pairs in canonical order, an identity row k written out as e_k."""
     return [((0,) * row + (1,) + (0,) * (width - 1 - row), 1) if type(row) is int else row
             for row in map(rows.__getitem__, t.pairs)]
-
-
-def side_factors(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[list[IntRow]]:
-    """The extended (identity-padded) matrix of every move along a sequence, in application
-    order, given each move's matrix (``move_matrices``): move k applied to the identity rows
-    of ``seq.path[k]``, as integer rows in ``seq.path[k + 1]`` order."""
-    factors = []
-    for move, t_old, t_new in zip(seq.moves, seq.path, seq.path[1:]):
-        rows = _identity(t_old)
-        act_on_int_rows(move, matrices[move], rows, len(t_old))
-        factors.append(_rows_at(rows, t_new, len(t_old)))
-    return factors
 
 
 def side_columns(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> list[IntRow]:

@@ -28,9 +28,9 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import InvalidInputError
-from .exactfield import IntMatrix, IntRow, Rat, ZetaAssignment, rank, rat_row, same_rows
+from .exactfield import IntRow, Rat, ZetaAssignment, rank, rat_row, same_rows
 from .fvectors import annihilates, check_move_action, columns_annihilated, gale_table, power_weights
-from .pmatrix import move_matrices, side_columns, true_product, true_rows
+from .pmatrix import IntMatrix, move_matrices, side_columns, true_product, true_rows
 from .simplicial import (
     MoveSequence,
     PachnerMove,

@@ -21,11 +21,10 @@ its vertex links: each move read off, and applied to, the whole current triangul
 ``int_p_matrix`` is ``move_matrices`` of one move, which the package no longer exports,
 and ``build_p_matrix`` is its ``Fraction`` view that the tests compare against (and whose
 row sums ``fvector_property_suite`` checks), taken out of the pair gauge: ``gauge`` is
-s(i, j) = (q_i q_j)^(m-1) written out afresh, and ``true_matrix`` reads integer rows in the gauge as the matrix
-of their true values. ``one_denominator_p_matrix`` and ``one_denominator_act`` keep the
-move matrix and row action as they were before column weights: every column scaled
-to one denominator D = lcm |W_j|, and each created row accumulated over D lcm(d_j)
-(``one_denominator_side_rows`` folds them over a sequence), and ``cofactor_product_act`` is
+s(i, j) = (q_i q_j)^(m-1) written out afresh. ``one_denominator_p_matrix`` and
+``one_denominator_act`` keep the move matrix and row action as they were before column
+weights: every column scaled to one denominator D = lcm |W_j|, and each created row
+accumulated over D lcm(d_j) (``one_denominator_side_rows`` folds them over a sequence), and ``cofactor_product_act`` is
 the row action as it was before each read row was scaled by its lcm cofactor once. The row
 walk the column walk (``pmatrix.side_columns``) replaced is kept verbatim: ``side_rows``
 folds ``reduce_on_read_act``, the row action that reduced each row it read by its gcd, over
@@ -45,9 +44,11 @@ row of rationals, ``cleared_gale_table`` and ``cleared_weighted_powers`` are the
 the ``Fraction`` vectors s^k g_ij(u_w) / prod_{y != w} (u_w - u_y) that ``export`` printed
 from them, ``gale_column_scales`` relates those rows to the homogeneous ``gale_table`` column
 by column, and ``gale_vectors`` reads homogeneous rows as ``FVector``s.
-``factors_view`` and ``product_view`` read the library's ``side_factors`` and
-``side_columns`` as ``DenseMatrix``es of true values, for comparison with tabulated
-factors and with the dense oracle; ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
+``factors_view`` and ``product_view`` read the library's side products as ``DenseMatrix``es
+of true values, for comparison with tabulated factors and with the dense oracle: an extended
+factor is the side product of its one-move sequence read through ``true_product``
+(``one_move_products``), as ``export`` builds it, and a whole side is ``side_columns``;
+``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
 ``other_vertex`` are the small lookups the package no longer exports, and ``pair_of`` and
 ``triangulation_from_pairs`` the checked constructors it no longer has. ``identity_rows``
 writes out the identity rows that the row action holds as column indices, and
@@ -83,10 +84,10 @@ from ngoneq import (
     initial_triangulation,
 )
 import ngoneq.pmatrix as pmatrix_module
-from ngoneq.exactfield import IntMatrix, IntRow, rank, rat_row
+from ngoneq.exactfield import IntRow, rank, rat_row
 from ngoneq.fvectors import annihilates, power_weights
 from ngoneq.pmatrix import (
-    _identity, _rows_at, act_on_int_rows, side_columns, side_factors, true_rows,
+    IntMatrix, _identity, _rows_at, act_on_int_rows, side_columns, true_product, true_rows,
 )
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
 from ngoneq.verifier import FirstDifference, PropertyResult, SuiteContext
@@ -185,15 +186,6 @@ def gauge(zeta: ZetaAssignment, pair: Pair) -> int:
     m = floor((n - 1)/2): the library's matrices hold x s(A) / s(B) at row pair A and
     column pair B for the true entry x."""
     return (zeta[pair.i].denominator * zeta[pair.j].denominator) ** (move_size(zeta.n) - 1)
-
-
-def true_matrix(rows, row_pairs, col_pairs, zeta: ZetaAssignment) -> DenseMatrix:
-    """Integer rows in the pair gauge, at the given row and column pairs, as the matrix of
-    their true values x s(B) / (d s(A))."""
-    return DenseMatrix([
-        [Fraction(x * gauge(zeta, b), d * gauge(zeta, a)) for x, b in zip(v, col_pairs)]
-        for (v, d), a in zip(rows, row_pairs)
-    ])
 
 
 def true_column_matrix(columns, row_pairs, col_pairs, zeta: ZetaAssignment) -> DenseMatrix:
@@ -506,14 +498,22 @@ def dense_product(seq, zeta) -> DenseMatrix:
     return dense_fold(dense_factors(seq, zeta))
 
 
-def factors_view(seq, zeta) -> list[DenseMatrix]:
-    """The library's extended factors of a side, ``side_factors``, as matrices of their true
-    rationals."""
-    matrices = {move: int_p_matrix(move, zeta) for move in seq.moves}
+def one_move_products(seq, matrices, zeta) -> list[DenseMatrix]:
+    """The extended factors of a side as ``export`` builds them, each the side product of its
+    one-move sequence (``side_columns``) read through ``true_product``, as matrices of their
+    true rationals."""
     return [
-        true_matrix(rows, new.pairs, old.pairs, zeta)
-        for rows, old, new in zip(side_factors(seq, matrices), seq.path, seq.path[1:])
+        DenseMatrix([rat_row(row) for row in true_product(
+            side_columns(MoveSequence(seq.n, seq.side, (move,), (old, new)), matrices),
+            new.pairs, old.pairs, zeta)])
+        for move, old, new in zip(seq.moves, seq.path, seq.path[1:])
     ]
+
+
+def factors_view(seq, zeta) -> list[DenseMatrix]:
+    """The library's extended factors of a side (``one_move_products``) over the matrices of
+    its moves alone."""
+    return one_move_products(seq, {move: int_p_matrix(move, zeta) for move in seq.moves}, zeta)
 
 
 def product_view(seq, zeta) -> DenseMatrix:

@@ -22,6 +22,7 @@ import ngoneq.verifier as verifier_module
 from ngoneq import (
     DenseMatrix,
     InternalError,
+    MoveSequence,
     PropertyResult,
     ZetaAssignment,
     equation_sequences,
@@ -302,19 +303,26 @@ def test_json_rows_read_as_fractions_in_lowest_terms():
 @pytest.mark.parametrize("fmt", ["json", "latex"])
 def test_export_builds_each_extended_matrix_once(monkeypatch, capsys, fmt):
     """Export builds the move matrices of every exported side in one move_matrices call
-    over their moves, and each side's extended factors once, with side_factors; the
-    products reuse the same matrices."""
+    over their moves, then, per side, each extended factor once, as the side product
+    (side_columns) of its one-move sequence, and the side's product once; all of them
+    read the same matrices."""
     matrices = _record_calls(monkeypatch, "move_matrices", pmatrix_module)
-    factors = _record_calls(monkeypatch, "side_factors", pmatrix_module)
+    columns = _record_calls(monkeypatch, "side_columns", pmatrix_module)
     for side in ("lhs", "rhs", "both"):
         matrices.clear()
-        factors.clear()
+        columns.clear()
         code, _, _ = run(capsys, "export", "--n", "6", "--format", fmt, "--side", side)
         assert code == 0
         sides = [seq for seq in equation_sequences(6) if side in ("both", seq.side)]
-        assert [list(moves) for moves, _ in matrices] == [
-            [move for seq in sides for move in seq.moves]]
-        assert [seq for seq, _ in factors] == sides
+        moves = [move for seq in sides for move in seq.moves]
+        assert [list(built) for built, _ in matrices] == [moves]
+        walks = []
+        for seq in sides:
+            walks += [MoveSequence(seq.n, seq.side, (move,), (old, new))
+                      for move, old, new in zip(seq.moves, seq.path, seq.path[1:])] + [seq]
+        assert [seq for seq, _ in columns] == walks
+        assert all(list(read) == moves for _, read in columns)
+        assert len({id(read) for _, read in columns}) == 1
 
 
 @pytest.mark.parametrize("seeded", [False, True])

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +39,33 @@ def test_no_module_names_the_row_walk():
     ``side_rows``, is kept in ``tests/oracles.py`` only, not beside it in the package."""
     naming = sorted(p.name for p in (SRC / "ngoneq").glob("*.py") if "side_rows" in p.read_text())
     assert naming == []
+
+
+def test_no_module_names_the_forward_factor_walk():
+    """An extended matrix is the side product of its one-move sequence (``side_columns`` read
+    through ``true_product``): no module names ``side_factors``, the forward walk it replaced,
+    and the command line imports neither it nor ``true_rows``."""
+    naming = sorted(p.name for p in (SRC / "ngoneq").glob("*.py")
+                    if "side_factors" in p.read_text())
+    assert naming == []
+    imports = ast.parse((SRC / "ngoneq" / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(imports) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"side_factors", "true_rows"})
+
+
+def test_the_version_is_declared_in_one_place():
+    """``pyproject.toml`` declares no version of its own: setuptools reads it from
+    ``ngoneq.version.__version__``, the value the canonical JSON report prints."""
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = SRC.parent / "pyproject.toml"
+    with warnings.catch_warnings():  # setuptools marks [tool.setuptools] as beta
+        warnings.simplefilter("ignore")
+        declared = read_configuration(pyproject, expand=False)["project"]
+        resolved = read_configuration(pyproject)["project"]
+    assert "version" not in declared and declared["dynamic"] == ["version"]
+    assert resolved["version"] == ngoneq.__version__
 
 
 def test_importing_the_package_and_cli_loads_no_heavy_stdlib_module():

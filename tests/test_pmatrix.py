@@ -20,9 +20,7 @@ from ngoneq import (
 )
 from ngoneq.exactfield import rat_row, same_rows
 from ngoneq.fvectors import gale_table
-from ngoneq.pmatrix import (
-    act_on_int_rows, gauged, move_matrices, pair_gauge, side_columns, side_factors,
-)
+from ngoneq.pmatrix import act_on_int_rows, gauged, move_matrices, pair_gauge, side_columns
 from oracles import (
     InterleavedFrame,
     apply_move,
@@ -42,6 +40,7 @@ from oracles import (
     mixed_denominators,
     negative_fractional,
     one_denominator_side_rows,
+    one_move_products,
     oracle_assignments,
     other_vertex,
     p_entry_vandermonde,
@@ -53,7 +52,6 @@ from oracles import (
     transposed_move,
     triangulation_from_pairs,
     true_column_matrix,
-    true_matrix,
 )
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
@@ -287,7 +285,7 @@ def test_odd_p_matrices_invertible():
 # ---------------------------------------------------------------------------
 
 def extend_one(move, t_old, t_new, zeta):
-    """The extended factor of the one-move sequence from t_old to t_new (``side_factors``)."""
+    """The extended factor of the one-move sequence from t_old to t_new (``factors_view``)."""
     (factor,) = factors_view(MoveSequence(move.n, "lhs", (move,), (t_old, t_new)), zeta)
     return factor
 
@@ -579,9 +577,9 @@ def test_every_move_of_the_shared_blocks_is_the_vandermonde_ratio(n):
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_side_rows_and_factors_from_shared_blocks_equal_the_dense_oracle(n):
-    """``side_columns`` and ``side_factors`` over the blocks built for both sides, with the
-    identity rows and columns held as column indices, equal ``dense_product`` and
-    ``dense_factors``."""
+    """``side_columns`` over the blocks built for both sides, with the identity columns held as
+    column indices, equals ``dense_product`` on each side and, on each one-move sequence read
+    through ``true_product`` (``one_move_products``), ``dense_factors``."""
     lhs, rhs = equation_sequences(n)
     for zeta in oracle_assignments(n):
         matrices = move_matrices(lhs.moves + rhs.moves, zeta)
@@ -590,8 +588,7 @@ def test_side_rows_and_factors_from_shared_blocks_equal_the_dense_oracle(n):
             columns = side_columns(seq, matrices)
             product = true_column_matrix(columns, path[-1].pairs, path[0].pairs, zeta)
             assert product == dense_product(seq, zeta), (zeta.label, seq.side)
-            factors = [true_matrix(f, new.pairs, old.pairs, zeta)
-                       for f, old, new in zip(side_factors(seq, matrices), path, path[1:])]
+            factors = one_move_products(seq, matrices, zeta)
             assert factors == dense_factors(seq, zeta), (zeta.label, seq.side)
 
 

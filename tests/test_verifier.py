@@ -235,19 +235,24 @@ def test_verify_with_properties_builds_each_move_matrix_once(monkeypatch):
 
 
 def test_property_suite_builds_no_extended_matrix(monkeypatch):
-    """Row sums are checked on the move matrices alone: verify_with_properties never
-    calls side_factors, wherever in the package it is looked up from."""
-    real = pmatrix_module.side_factors
+    """Row sums are checked on the move matrices alone: an extended matrix is the side product
+    of a one-move sequence, and verify_with_properties calls side_columns exactly twice, on
+    the lhs and the rhs, never on one move, wherever in the package it is looked up from."""
+    real, calls = pmatrix_module.side_columns, []
 
-    def forbidden(*args):
-        raise AssertionError("side_factors called by verify_with_properties")
+    def recording(seq, matrices):
+        calls.append(seq)
+        return real(seq, matrices)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, "side_factors", None) is real:
-            monkeypatch.setattr(module, "side_factors", forbidden)
+        if name.split(".")[0] == "ngoneq" and getattr(module, "side_columns", None) is real:
+            monkeypatch.setattr(module, "side_columns", recording)
     for n in (5, 8, 9):
+        calls.clear()
         report = verify_with_properties(n, ZetaAssignment.random_distinct(n, 5))
         assert report.equal and all(r.passed for r in report.properties)
+        assert calls == list(equation_sequences(n))
+        assert all(len(seq.moves) > 1 for seq in calls)
 
 
 def test_side_products_construct_no_fraction_and_no_pair(monkeypatch):
