@@ -1,9 +1,10 @@
 """Byte-identity goldens: SHA-256 digests of what the commands print.
 
-For n = 5..12 at three assignments (consecutive, ``--seed 3`` and the explicit
-negative, mixed-denominator values of ``negative_fractional`` given as
+For n = 5..12 at four assignments (consecutive, ``--seed 3``, and the explicit
+values of ``negative_fractional`` and of ``mixed_denominators``, each given as
 ``--zeta=...``) this digests the output of ``verify --format json``, ``export
---format json`` and ``export --format latex``, and the property-suite report
+--format json`` and ``export --format latex``, each export also with ``--side
+lhs`` and ``--side rhs``, and the property-suite report
 ``verify_with_properties(...).to_json_dict()`` together with every property's
 detail (the suite command prints wall times, so its text is not compared). It
 also digests ``show --side lhs`` and ``show --side rhs`` for each n.
@@ -25,7 +26,7 @@ import pytest
 
 from ngoneq import ZetaAssignment, verify_with_properties
 from ngoneq.cli import main
-from oracles import negative_fractional
+from oracles import mixed_denominators, negative_fractional
 
 RECORDED = Path(__file__).with_name("output_digests.json")
 SIZES = range(5, 13)
@@ -33,11 +34,13 @@ SIZES = range(5, 13)
 
 def _assignments(n: int) -> dict[str, tuple[list[str], ZetaAssignment]]:
     """Per assignment name, its command-line options and the assignment they give."""
-    explicit = ",".join(negative_fractional(n).to_strings())
+    explicit, mixed = (",".join(values(n).to_strings())
+                       for values in (negative_fractional, mixed_denominators))
     return {
         "consecutive": ([], ZetaAssignment.consecutive(n)),
         "seed3": (["--seed", "3"], ZetaAssignment.random_distinct(n, 3)),
         "explicit": ([f"--zeta={explicit}"], ZetaAssignment.from_strings(explicit.split(","))),
+        "mixed": ([f"--zeta={mixed}"], ZetaAssignment.from_strings(mixed.split(","))),
     }
 
 
@@ -64,6 +67,10 @@ def _outputs(n: int):
         yield f"n={n} export json {label}", _printed("export", *size, "--format", "json")
         yield f"n={n} export latex {label}", _printed("export", *size, "--format", "latex")
         yield f"n={n} suite report {label}", _suite_report(n, zeta)
+        for fmt in ("json", "latex"):
+            for side in ("lhs", "rhs"):
+                yield f"n={n} export {fmt} {label} {side}", _printed(
+                    "export", *size, "--format", fmt, "--side", side)
 
 
 def digests(n: int) -> dict[str, str]:
