@@ -6,9 +6,9 @@ Subcommands:
     export   write matrices, invariant vectors and reports as JSON or LaTeX
     suite    batch verification plus property suite over a range of n
 
-Every matrix stays in exact integer rows (numerators, denominator) until ``export``
-writes it: the JSON "p/q" strings and the LaTeX arrays are formatted here, from the move
-matrices of every side written, built in one ``move_matrices`` call, each product (an
+Every matrix stays in exact integers until ``export`` writes it, each entry (numerator,
+denominator) reduced on its own into the JSON "p/q" strings and LaTeX arrays made here, from the
+move matrices of every side written, built in one ``move_matrices`` call, each product (an
 extended matrix is the product of its one move) walked by ``pmatrix.side_columns`` and taken
 out of the pair gauge by ``true_product``, and from the vectors of ``fvectors.vector_rows``.
 
@@ -36,7 +36,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from .errors import InvalidInputError
-from .exactfield import IntRow, ZetaAssignment
+from .exactfield import EntryRow, ZetaAssignment
 from .fvectors import vector_rows
 from .pmatrix import move_matrices, side_columns, true_product
 from .simplicial import MoveSequence, check_n, equation_sequences
@@ -207,16 +207,16 @@ def _entry(x: int, d: int, fraction: str) -> str:
     return str(x // g) if g == d else fraction.format("-" if x < 0 else "", abs(x) // g, d // g)
 
 
-def _json_rows(rows: list[IntRow]) -> list[list[str]]:
-    """Integer rows as "p/q" strings, "p" when q = 1."""
-    return [[_entry(x, d, "{}{}/{}") for x in v] for v, d in rows]
+def _json_rows(rows: list[EntryRow]) -> list[list[str]]:
+    """Rows of entries (x, d) as "p/q" strings, "p" when q = 1."""
+    return [[_entry(x, d, "{}{}/{}") for x, d in row] for row in rows]
 
 
-def _latex_rows(rows: list[IntRow]) -> str:
-    """Integer rows as a LaTeX array with \\frac{p}{q} entries."""
-    lines = ["\\left(\\begin{array}{%s}" % ("c" * len(rows[0][0]))]
-    for v, d in rows:
-        lines.append(" & ".join(_entry(x, d, "{}\\frac{{{}}}{{{}}}") for x in v) + " \\\\")
+def _latex_rows(rows: list[EntryRow]) -> str:
+    """Rows of entries (x, d) as a LaTeX array with \\frac{p}{q} entries."""
+    lines = ["\\left(\\begin{array}{%s}" % ("c" * len(rows[0]))]
+    for row in rows:
+        lines.append(" & ".join(_entry(x, d, "{}\\frac{{{}}}{{{}}}") for x, d in row) + " \\\\")
     lines.append("\\end{array}\\right)")
     return "\n".join(lines)
 
@@ -235,7 +235,7 @@ def _export_side(seq: MoveSequence, matrices, zeta: ZetaAssignment) -> dict:
     factors, product = _side_products(seq, matrices, zeta)
     return {
         "moves": [m.to_json_dict() for m in seq.moves],
-        "shapes": [[len(rows), len(rows[0][0])] for rows in factors],
+        "shapes": [[len(rows), len(rows[0])] for rows in factors],
         "matrices": [_json_rows(rows) for rows in factors],
         "product": _json_rows(product),
     }

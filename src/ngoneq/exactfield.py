@@ -2,12 +2,13 @@
 fraction-free (Bareiss) elimination over integer rows, and a dense exact
 matrix type (multiplication, rank, equality) that only the tests build.
 
-Values enter and leave the package as ``fractions.Fraction`` (always in lowest terms) and the
-hot loops run over rows of Python ints (``IntRow``, not always in lowest terms; ``same_rows``
-compares two by value), so all comparisons are exact, with no tolerances. An assignment is
-read in one integer coordinate system, z = p / q and the determinants Delta_ab = p_a q_b -
-p_b q_a (``ZetaAssignment.deltas``), never over a common denominator; the weights of
-Identity 1 built from them are ``fvectors.power_weights``.
+Values enter the package as ``fractions.Fraction`` (always in lowest terms), the hot loops run
+over rows of Python ints (``IntRow``, not always in lowest terms; ``same_rows`` compares two by
+value), and products and vectors leave entry by entry (``EntryRow``), each entry over its own
+denominator and reduced by its reader, so all comparisons are exact, with no tolerances. An
+assignment is read in one integer coordinate system, z = p / q and the determinants Delta_ab
+= p_a q_b - p_b q_a (``ZetaAssignment.deltas``), never over a common denominator; the
+weights of Identity 1 built from them are ``fvectors.power_weights``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import InvalidInputError
 
 Rat = Fraction
 IntRow = tuple[tuple[int, ...], int]  # (numerators, denominator > 0), not always in lowest terms
+EntryRow = tuple[tuple[int, int], ...]  # one (numerator, denominator > 0) per entry, likewise
 
 RANDOM_VALUE_RANGE = (1, 10**6)
 
@@ -109,10 +111,6 @@ class ZetaAssignment(namedtuple("ZetaAssignment", "n values label")):
 
     def to_strings(self) -> list[str]:
         return [str(v) for v in self.values]
-
-
-def rat_row(row: IntRow) -> tuple[Rat, ...]:
-    return tuple([Fraction(x, row[1]) for x in row[0]])
 
 
 def same_rows(a: IntRow, b: IntRow) -> bool:

@@ -14,8 +14,9 @@ g_ij(z_w) c_w, one factor c_w = q_w^(r+3) prod_{x != w} q_x per column, so that
 f_ij(w) = G'_ij(w) q_w^(k-1) / L_w, L_w = prod_{y != w} Delta_wy (Gale duality,
 Eisenbud-Popescu 2000). At integral values G' is (g_ij(z_w))_w. Only this module knows
 Lambda = diag(q_w^(k-1) / L_w): row 0 of ``power_weights`` over its top, which the suite's
-row and column tests read (``annihilates``, ``columns_annihilated``) and ``vector_rows``
-multiplies out for export. The move-action check reads G' in the pair gauge (``gauged``)."""
+row and column tests read (``annihilates``, ``columns_annihilated``), and entry by entry over
+|L_w| in ``vector_rows``, which multiplies it out for export. The move-action check reads G'
+in the pair gauge (``gauged``)."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from math import lcm, prod
 from operator import mul
 
 from .errors import InvalidInputError
-from .exactfield import IntRow, ZetaAssignment, same_rows
+from .exactfield import EntryRow, ZetaAssignment, same_rows
 from .pmatrix import IntMatrix, act_on_int_rows, gauged
 from .simplicial import PachnerMove, Pair, check_n
 
@@ -62,30 +63,25 @@ def gale_table(n: int, zeta: ZetaAssignment) -> dict[Pair, tuple[int, ...]]:
     }
 
 
-def _cofactors(zeta: ZetaAssignment) -> tuple[list[int], int]:
-    """c_w = top // L_w for every column w, and top = lcm |L|, L_w = prod_{y != w} Delta_wy."""
-    scaled = [prod([x for x in row if x]) for row in zeta.deltas]
-    top = lcm(*scaled)
-    return [top // w for w in scaled], top
-
-
 def power_weights(zeta: ZetaAssignment) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The floor(n/2) = k rows (c_w p_w^t q_w^(k-1-t))_w, t = 0, 1, ..., and top, c_w = top /
-    L_w (``_cofactors``). Row 0 over top is Lambda: q_w^(k-1) / L_w. A Gale row G'
-    (``gale_table``) has zero dot product with all of them iff its vector f = Lambda G'
-    annihilates the power rows z^t, t < k."""
-    (cofactors, top), k = _cofactors(zeta), zeta.n // 2
-    cpq = [(c, x.numerator, x.denominator) for c, x in zip(cofactors, zeta.values)]
+    """The floor(n/2) = k rows (c_w p_w^t q_w^(k-1-t))_w, t = 0, 1, ..., and top = lcm |L|,
+    c_w = top / L_w, L_w = prod_{y != w} Delta_wy. Row 0 over top is Lambda: q_w^(k-1) / L_w.
+    A Gale row G' (``gale_table``) has zero dot product with all of them iff its vector
+    f = Lambda G' annihilates the power rows z^t, t < k."""
+    ells, k = [prod([x for x in row if x]) for row in zeta.deltas], zeta.n // 2
+    top = lcm(*ells)
+    cpq = [(top // w, x.numerator, x.denominator) for w, x in zip(ells, zeta.values)]
     return tuple(tuple([c * p**t * q ** (k - 1 - t) for c, p, q in cpq]) for t in range(k)), top
 
 
-def vector_rows(n: int, zeta: ZetaAssignment, pairs) -> list[IntRow]:
-    """The vectors f_ij = Lambda G'_ij of ``pairs``, as integer rows over top, not reduced:
-    Lambda alone, c_w q_w^(k-1) over top (``_cofactors``), row 0 of ``power_weights``."""
-    cofactors, top = _cofactors(zeta)
-    weights = [c * x.denominator ** (n // 2 - 1) for c, x in zip(cofactors, zeta.values)]
+def vector_rows(n: int, zeta: ZetaAssignment, pairs) -> list[EntryRow]:
+    """The vectors f_ij = Lambda G'_ij of ``pairs``, entry by entry over its own |L_w|, not
+    reduced: component w is (G'_ij(w) q_w^(k-1) sgn L_w, |L_w|), L_w = prod_{y != w} Delta_wy."""
+    ells = [prod([x for x in row if x]) for row in zeta.deltas]
+    weights = [(z.denominator ** (n // 2 - 1) * (1 if w > 0 else -1), abs(w))
+               for z, w in zip(zeta.values, ells)]
     rows = gale_table(n, zeta)
-    return [(tuple(map(mul, rows[pair], weights)), top) for pair in pairs]
+    return [tuple([(g * c, w) for g, (c, w) in zip(rows[pair], weights)]) for pair in pairs]
 
 
 def annihilates(weights: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:

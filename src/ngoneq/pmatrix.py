@@ -12,9 +12,9 @@ which makes every row sum to 1. Only ``move_matrices`` computes it, with no ``Fr
 P_hom = N diag(1 / W_j) over the determinants Delta_ab = p_a q_b - p_b q_a of z = p / q
 (``ZetaAssignment.deltas``), and P = S_c^-1 P_hom S_r with s(i, j) = (q_i q_j)^(m-1)
 (Identity 3, the pair gauge, in README; ``pair_gauge``). A side product of P_hom is
-S_final M S_initial^-1. Only this module knows the gauge: ``true_rows`` takes rows out of it,
-``true_product`` a side product's columns, and ``gauged`` puts rows keyed by pair into it;
-at integral values, where every s is 1, ``true_rows`` and ``gauged`` return their input.
+S_final M S_initial^-1. Only this module reads a move matrix and knows the gauge: ``true_rows``
+takes a move matrix out of it, ``true_product`` a product entry by entry, and ``gauged`` puts
+rows keyed by pair in; none applies the gauge at integral values, where every s is 1.
 ``tests/oracles.py`` keeps the Vandermonde-ratio form of the entries as a cross-check.
 
 The entries depend only on the b-set B and the c-vertex of a row: W_j on B, row N(c, B) on
@@ -36,21 +36,22 @@ side product writes none out, an extended matrix its padding. A row is read as g
 no gcd, and scaled there, once, by its lcm cofactor. The side product (``side_columns``) is
 the backward loop folded over a move sequence from the identity columns of its final
 triangulation, M^T = M_1^T ... M_k^T, so no read carries a W cofactor; its columns, half of
-them never read by a move, leave unreduced, compared by value (``same_rows``) and read row by
-row out of the gauge by ``true_product``; so is an extended matrix, the side product of its
-one-move sequence. Forwards serves only the move-action check of ``fvectors``, on Gale rows
-(g, 1). All run in the pair gauge, with triangulations from ``MoveSequence.path`` and move
-matrices from the caller. The dense product of extended matrices is a test oracle.
+them never read by a move, leave unreduced, compared by value (``same_rows``) and read out
+of the gauge by ``true_product``, each entry over its column's own denominator; so is an
+extended matrix, the side product of its one-move sequence. Forwards serves only the
+move-action check of ``fvectors``, on Gale rows (g, 1). All run in the pair gauge, with
+triangulations from ``MoveSequence.path`` and move matrices from the caller. The dense
+product of extended matrices is a test oracle.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from math import lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
-from .exactfield import IntRow, ZetaAssignment
+from .exactfield import EntryRow, IntRow, ZetaAssignment
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -108,23 +109,30 @@ def pair_gauge(zeta: ZetaAssignment, pairs) -> list[int]:
     return [(z[p.i - 1].denominator * z[p.j - 1].denominator) ** e for p in pairs]
 
 
-def true_rows(rows: list[IntRow], row_pairs, col_pairs, zeta: ZetaAssignment) -> list[IntRow]:
-    """Rows in the pair gauge at the pairs A of ``row_pairs`` and B of ``col_pairs``, made
-    true: x / d becomes x s(B) / (d s(A)), not reduced; ``rows`` itself at integral values."""
-    if zeta.integral:  # every s(pair) is 1
-        return rows
-    cols, heights = pair_gauge(zeta, col_pairs), pair_gauge(zeta, row_pairs)
-    return [(tuple([x * c for x, c in zip(v, cols)]), d * s) for (v, d), s in zip(rows, heights)]
+def true_rows(move: PachnerMove, p: IntMatrix, zeta: ZetaAssignment) -> list[IntRow]:
+    """A move's matrix ``p`` (``move_matrices``) as true rows at its created pairs A over
+    D = lcm |W_j|: N_ij / W_j is N_ij (D / W_j) s(B_j) over D s(A_i), B_j its removed pairs,
+    not reduced; each row's numerators an iterator, read once."""
+    rows, weights = p
+    d = lcm(*weights)
+    scales, heights = [d // w for w in weights], repeat(d)
+    if not zeta.integral:  # else every s(pair) is 1
+        scales = list(map(mul, scales, pair_gauge(zeta, move.removed_pairs)))
+        heights = [d * s for s in pair_gauge(zeta, move.created_pairs)]
+    return [(map(mul, row, scales), e) for row, e in zip(rows, heights)]
 
 
 def true_product(columns: list[IntRow], row_pairs, col_pairs,
-                 zeta: ZetaAssignment) -> list[IntRow]:
-    """A product in the pair gauge, given by its columns at the pairs B of ``col_pairs``, as its
-    true rows at the pairs A of ``row_pairs``: the columns are put over the lcm of their
-    denominators, read row by row and taken out of the gauge (``true_rows``), not reduced."""
-    common = lcm(*[d for _, d in columns])
-    rows = zip(*[[x * f for x in v] for v, f in [(v, common // d) for v, d in columns]])
-    return true_rows([(row, common) for row in rows], row_pairs, col_pairs, zeta)
+                 zeta: ZetaAssignment) -> list[EntryRow]:
+    """A product in the pair gauge, given by its columns v_j / d_j at the pairs B of
+    ``col_pairs``, as its true rows at the pairs A of ``row_pairs``, entry by entry over its
+    own column's denominator: (i, j) is (v_j[i] s(B_j), d_j s(A_i)), not reduced."""
+    numerators, denominators = zip(*columns)
+    if zeta.integral:  # every s(pair) is 1
+        return [tuple(zip(row, denominators)) for row in zip(*numerators)]
+    cols, heights = pair_gauge(zeta, col_pairs), pair_gauge(zeta, row_pairs)
+    return [tuple([(x * c, d * s) for x, c, d in zip(row, cols, denominators)])
+            for row, s in zip(zip(*numerators), heights)]
 
 
 def gauged(zeta: ZetaAssignment, rows: dict[Pair, tuple[int, ...]]) -> dict:
@@ -147,9 +155,9 @@ def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow | i
     become those of X P at the removed pairs: C = N^T, w = 1, r = W. No input is reduced: each
     is scaled once to u_i = f_i v_i, f_i = L // (d_i w_i) signed, L = lcm(d_i w_i) > 0,
     skipping zeros (e_k to (k, f_i)), and output o is sum_i C[o][i] u_i over L |r_o|, the sign
-    of r_o in C[o], left unreduced for a later move, ``same_rows`` or ``rat_row``. At seeded
-    n = 14 the medians backwards are 91 bits for N and 445 for u; a read gcd would strip a
-    median 11 of 183 bits of a read denominator there and 629 of 1147 at n = 30."""
+    of r_o in C[o], left unreduced for a later move, ``same_rows`` or ``true_product``. At
+    seeded n = 14 the medians backwards are 91 bits for N and 445 for u; a read gcd would
+    strip a median 11 of 183 bits of a read denominator there and 629 of 1147 at n = 30."""
     reads, writes, heights = move.removed_pairs, move.created_pairs, repeat(1)
     coefficients, weights = p
     if transpose:

@@ -23,12 +23,10 @@ import time
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
-from math import lcm
-from operator import mul
 from types import MappingProxyType
 
 from .errors import InvalidInputError
-from .exactfield import IntRow, Rat, ZetaAssignment, rank, rat_row, same_rows
+from .exactfield import IntRow, Rat, ZetaAssignment, rank, same_rows
 from .fvectors import annihilates, check_move_action, columns_annihilated, gale_table, power_weights
 from .pmatrix import IntMatrix, move_matrices, side_columns, true_product, true_rows
 from .simplicial import (
@@ -97,10 +95,12 @@ class VerificationReport(namedtuple(
 def _first_difference(lhs: list[IntRow], rhs: list[IntRow], final: Triangulation,
                       initial: Triangulation, zeta: ZetaAssignment) -> FirstDifference | None:
     """The first unequal entry (row-major) of two sides given by their columns in the pair
-    gauge, at its true values: ``true_product`` reads both row by row out of it, alike."""
+    gauge, at its true values: ``true_product`` reads both entry by entry out of it, alike,
+    and each entry is compared as one ``Rat``."""
     lhs, rhs = (true_product(cols, final.pairs, initial.pairs, zeta) for cols in (lhs, rhs))
     for i, rows in enumerate(zip(lhs, rhs)):
-        for j, (x, y) in enumerate(zip(*map(rat_row, rows))):
+        for j, (x, y) in enumerate(zip(*rows)):
+            x, y = Rat(*x), Rat(*y)
             if x != y:
                 return FirstDifference(
                     row=i,
@@ -200,17 +200,12 @@ class SuiteContext:
 
 
 def _prop_row_sums(ctx: SuiteContext) -> PropertyResult:
-    """Every move matrix's rows sum to 1: its rows N_ij / W_j, put over D = lcm |W_j| and
-    made true (``true_rows``), are rows v / e with sum(v) = e. An extended matrix's rows are
-    its move matrix's rows and identity rows, so this covers them too."""
+    """Every move matrix's rows sum to 1: its true rows (``true_rows``) are rows v / e with
+    sum(v) = e. An extended matrix's rows are its move matrix's rows and identity rows, so
+    this covers them too."""
     for seq in ctx.sequences:
         for move in seq.moves:
-            rows, weights = ctx.matrices[move]
-            d = lcm(*weights)
-            scales = [d // w for w in weights]
-            over = [(map(mul, row, scales), d) for row in rows]  # read once: no tuple per row
-            for i, (v, e) in enumerate(
-                    true_rows(over, move.created_pairs, move.removed_pairs, ctx.zeta)):
+            for i, (v, e) in enumerate(true_rows(move, ctx.matrices[move], ctx.zeta)):
                 if (total := sum(v)) != e:
                     where = f"{seq.side} {move.label()} move matrix row {i}"
                     return PropertyResult("row_sums", False, f"{where} sums to {Rat(total, e)}")

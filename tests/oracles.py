@@ -28,7 +28,8 @@ accumulated over D lcm(d_j) (``one_denominator_side_rows`` folds them over a seq
 the row action as it was before each read row was scaled by its lcm cofactor once. The row
 walk the column walk (``pmatrix.side_columns``) replaced is kept verbatim: ``side_rows``
 folds ``reduce_on_read_act``, the row action that reduced each row it read by its gcd, over
-a sequence, and ``row_walk_first_difference`` is the first difference read off its rows;
+a sequence, and ``row_walk_first_difference`` is the first difference read off its rows,
+taken out of the gauge here as ``pmatrix.true_rows`` took them before it read move matrices;
 ``transposed_move`` gives the row action a move's transpose, so that it walks a product's
 columns backwards, ``true_column_matrix`` reads integer columns in the gauge as the matrix of
 their true values, and ``same_product`` compares integer columns with integer rows by value.
@@ -36,18 +37,22 @@ their true values, and ``same_product`` compares integer columns with integer ro
 seeded sampled (or, with ``sample=inf``, all) choices of vectors omitting a common
 vertex, and
 ``lagrange_orthogonality`` is the orthogonality test as it was before the weighted power
-rows (``fvectors.power_weights``): Lagrange weights and every power taken afresh.
+rows (``fvectors.power_weights``): Lagrange weights and every power taken afresh, and
+``window_rows`` is a row test over windows of consecutive vertices that decides as they do
+(README, orthogonality by windows), kept here as research.
 The package read each value through u = s z, s the lcm of all n denominators, before it
 read (p, q) and Delta everywhere; that coordinate system is kept here: ``int_row`` clears a
-row of rationals, ``cleared_gale_table`` and ``cleared_weighted_powers`` are the Gale rows
+row of rationals and ``rat_row``, which the package no longer has, reads an integer row back
+as rationals, ``cleared_gale_table`` and ``cleared_weighted_powers`` are the Gale rows
 (g_ij(u_w))_w and the weights (c_w u_w^t)_w over u, ``f_vector_table`` and ``FVector`` are
 the ``Fraction`` vectors s^k g_ij(u_w) / prod_{y != w} (u_w - u_y) that ``export`` printed
 from them, ``gale_column_scales`` relates those rows to the homogeneous ``gale_table`` column
 by column, and ``gale_vectors`` reads homogeneous rows as ``FVector``s.
 ``factors_view`` and ``product_view`` read the library's side products as ``DenseMatrix``es
 of true values, for comparison with tabulated factors and with the dense oracle: an extended
-factor is the side product of its one-move sequence read through ``true_product``
-(``one_move_products``), as ``export`` builds it, and a whole side is ``side_columns``;
+factor is the side product of its one-move sequence read entry by entry through
+``true_product`` (``one_move_products``), as ``export`` builds it, and a whole side is
+``side_columns``;
 ``f_vector``, ``check_orthogonality``, ``max_stack_rank`` and
 ``other_vertex`` are the small lookups the package no longer exports, and ``pair_of`` and
 ``triangulation_from_pairs`` the checked constructors it no longer has. ``identity_rows``
@@ -84,10 +89,10 @@ from ngoneq import (
     initial_triangulation,
 )
 import ngoneq.pmatrix as pmatrix_module
-from ngoneq.exactfield import IntRow, rank, rat_row
+from ngoneq.exactfield import IntRow, rank
 from ngoneq.fvectors import annihilates, power_weights
 from ngoneq.pmatrix import (
-    IntMatrix, _identity, _rows_at, act_on_int_rows, side_columns, true_product, true_rows,
+    IntMatrix, _identity, _rows_at, act_on_int_rows, side_columns, true_product,
 )
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
 from ngoneq.verifier import FirstDifference, PropertyResult, SuiteContext
@@ -503,7 +508,7 @@ def one_move_products(seq, matrices, zeta) -> list[DenseMatrix]:
     one-move sequence (``side_columns``) read through ``true_product``, as matrices of their
     true rationals."""
     return [
-        DenseMatrix([rat_row(row) for row in true_product(
+        DenseMatrix([[Fraction(*entry) for entry in row] for row in true_product(
             side_columns(MoveSequence(seq.n, seq.side, (move,), (old, new)), matrices),
             new.pairs, old.pairs, zeta)])
         for move, old, new in zip(seq.moves, seq.path, seq.path[1:])
@@ -530,8 +535,12 @@ def row_walk_first_difference(lhs: list[IntRow], rhs: list[IntRow], final: Trian
                               initial: Triangulation,
                               zeta: ZetaAssignment) -> FirstDifference | None:
     """The first unequal entry of two sides in the pair gauge, at its true values: both sides
-    are taken out of the gauge (``true_rows``), which scales each entry of both alike."""
-    lhs, rhs = (true_rows(rows, final.pairs, initial.pairs, zeta) for rows in (lhs, rhs))
+    are taken out of the gauge (``true_rows`` as it was, rows at the pairs A of ``final``
+    and columns at the pairs B of ``initial``: x / d becomes x s(B) / (d s(A))), which scales
+    each entry of both alike."""
+    cols = [gauge(zeta, pair) for pair in initial.pairs]
+    lhs, rhs = ([(tuple([x * c for x, c in zip(v, cols)]), d * gauge(zeta, pair))
+                 for (v, d), pair in zip(rows, final.pairs)] for rows in (lhs, rhs))
     for i, rows in enumerate(zip(lhs, rhs)):
         for j, (x, y) in enumerate(zip(*map(rat_row, rows))):
             if x != y:
@@ -567,6 +576,11 @@ def other_vertex(pair: Pair, v: int) -> int:
     if v not in (pair.i, pair.j):
         raise InvalidInputError(f"vertex {v} not in pair ({pair.i},{pair.j})")
     return pair.i if v == pair.j else pair.j
+
+
+def rat_row(row: IntRow) -> tuple[Rat, ...]:
+    """An integer row's entries as rationals in lowest terms."""
+    return tuple([Fraction(x, row[1]) for x in row[0]])
 
 
 def int_row(row) -> IntRow:
@@ -842,6 +856,25 @@ def fvector_property_suite(n: int, zeta: ZetaAssignment, sequences) -> tuple[Pro
 
 
 @lru_cache(maxsize=None)
+def window_rows(zeta: ZetaAssignment) -> list[tuple[int, ...]]:
+    """The k = floor(n/2) integer window rows: row i is T_i / prod_{y in W_i, y != w} Delta_wy
+    at w in the window W_i = {i, ..., i + n - k} (0-based) and 0 off it, T_i the lcm of those
+    products, Delta_wy = p_w q_y - p_y q_w written out afresh. A Gale row has zero dot product
+    with row i iff the order-(n - k) divided difference over W_i of the polynomial behind it
+    vanishes, so with all k rows iff that polynomial has degree below n - k, iff its vector is
+    orthogonal (README, Identity 1): a row test over windows in place of ``power_weights``."""
+    n, k = zeta.n, zeta.n // 2
+    pq = [(x.numerator, x.denominator) for x in zeta.values]
+    rows = []
+    for i in range(k):
+        window = range(i, i + n - k + 1)
+        products = {w: prod([pq[w][0] * pq[y][1] - pq[y][0] * pq[w][1] for y in window if y != w])
+                    for w in window}
+        top = lcm(*products.values())
+        rows.append(tuple([top // products[w] if w in products else 0 for w in range(n)]))
+    return rows
+
+
 def lagrange_weights(zeta: ZetaAssignment) -> tuple[int, ...]:
     """c_w = lcm(L) / L_w, L_w = prod_{y != w} (u_w - u_y): sum_w c_w p(u_w) = 0 for every
     polynomial p of degree below n - 1."""

@@ -287,7 +287,7 @@ def test_export_latex_contains_arrays(capsys):
 
 
 def test_latex_rows_entries():
-    tex = cli_module._latex_rows([((-9, 36), 6)])
+    tex = cli_module._latex_rows([((-9, 6), (36, 6))])
     assert "-\\frac{3}{2}" in tex and "& 6 " in tex
     assert tex.startswith("\\left(\\begin{array}{cc}")
 
@@ -297,7 +297,7 @@ def test_json_rows_read_as_fractions_in_lowest_terms():
     for _ in range(200):
         d = rng.randint(1, 60)
         v = tuple(rng.randint(-200, 200) for _ in range(4))
-        assert cli_module._json_rows([(v, d)]) == [[str(Fraction(x, d)) for x in v]]
+        assert cli_module._json_rows([[(x, d) for x in v]]) == [[str(Fraction(x, d)) for x in v]]
 
 
 @pytest.mark.parametrize("fmt", ["json", "latex"])

@@ -15,8 +15,10 @@ from ngoneq import (
     rat_from_string,
     verify_equation,
 )
-from ngoneq.exactfield import rank, rat_row, same_rows
-from oracles import fraction_rank, identity, int_row, transpose, vandermonde, with_entry, zeros
+from ngoneq.exactfield import rank, same_rows
+from oracles import (
+    fraction_rank, identity, int_row, rat_row, transpose, vandermonde, with_entry, zeros,
+)
 
 
 def brute_force_det(matrix):

@@ -18,7 +18,7 @@ from ngoneq import (
     gale_table,
     initial_triangulation,
 )
-from ngoneq.fvectors import power_weights, vector_rows
+from ngoneq.fvectors import annihilates, power_weights, vector_rows
 from oracles import (
     check_orthogonality,
     cleared_gale_table,
@@ -44,6 +44,7 @@ from oracles import (
     stack_f_matrix,
     subset_sum_f_value,
     triangulation_from_pairs,
+    window_rows,
 )
 
 CONSEC = {n: ZetaAssignment.consecutive(n) for n in range(5, 13)}
@@ -257,6 +258,24 @@ def test_orthogonality_table_agrees_with_the_lagrange_oracle(n):
             assert check_orthogonality(row, zeta) == lagrange_orthogonality(row, zeta) == want
 
 
+@pytest.mark.parametrize("n", range(5, 17))
+def test_window_rows_decide_orthogonality_as_the_power_weights(n):
+    """A row has zero dot product with the k = floor(n/2) window rows (``window_rows``: one per
+    window of n - k + 1 consecutive vertices) iff it has with the rows of ``power_weights``:
+    every Gale row, and two tampered copies of each, one component changed (breaks t = 0) and
+    weight c_b moved to vertex a and -c_a to vertex b (keeps t = 0, breaks t = 1)."""
+    for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
+        windows, (weights, _) = window_rows(zeta), power_weights(zeta)
+        c, outcomes = weights[0], []
+        for pair, row in gale_table(n, zeta).items():
+            a, b = pair.simplex()[:2]
+            tampered = _perturbed(row, {a: 1}), _perturbed(row, {a: c[b - 1], b: -c[a - 1]})
+            for case in (row, *tampered):
+                outcomes.append(annihilates(windows, case))
+                assert outcomes[-1] == annihilates(weights, case), (zeta.label, pair, case)
+        assert outcomes.count(True) == len(outcomes) // 3, zeta.label
+
+
 def test_vector_row_is_the_cleared_components_and_leaves_equality_alone():
     """The oracle's cleared integer row of a vector (the row the suite read
     before it read Gale rows) round-trips to its components."""
@@ -291,7 +310,7 @@ def test_gale_form_equals_the_defining_vectors(n):
         lam = [Fraction(q ** (n // 2 - 1), prod([p * b - a * q for a, b in pq if a * q != p * b]))
                for p, q in pq]
         assert [Fraction(x, top) for x in weights] == lam, zeta.label
-        got = [tuple([Fraction(x, d) for x in v]) for v, d in vector_rows(n, zeta, list(table))]
+        got = [tuple([Fraction(*x) for x in row]) for row in vector_rows(n, zeta, list(table))]
         assert got == [vectors[pair].components for pair in table], zeta.label
         for pair, row in table.items():
             assert row[pair.i - 1] == row[pair.j - 1] == 0

@@ -54,6 +54,21 @@ def test_no_module_names_the_forward_factor_walk():
     assert imported.isdisjoint({"side_factors", "true_rows"})
 
 
+def test_only_pmatrix_reads_a_move_matrix():
+    """A move matrix (N, W) is read out of the gauge only in ``pmatrix``: ``true_rows`` does
+    the lcm and scale work of the row-sum property, so ``verifier`` imports neither ``lcm``
+    nor ``mul``, and the one call of ``true_rows`` in the package is ``_prop_row_sums``."""
+    trees = {p.name: ast.parse(p.read_text()) for p in (SRC / "ngoneq").glob("*.py")}
+    imported = {alias.name for node in ast.walk(trees["verifier.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"lcm", "mul"})
+    callers = sorted((name, function.name) for name, tree in trees.items()
+                     for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                     for node in ast.walk(function) if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "true_rows")
+    assert callers == [("verifier.py", "_prop_row_sums")]
+
+
 def test_the_version_is_declared_in_one_place():
     """``pyproject.toml`` declares no version of its own: setuptools reads it from
     ``ngoneq.version.__version__``, the value the canonical JSON report prints."""

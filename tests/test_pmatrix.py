@@ -18,9 +18,11 @@ from ngoneq import (
     final_triangulation,
     initial_triangulation,
 )
-from ngoneq.exactfield import rat_row, same_rows
-from ngoneq.fvectors import gale_table
-from ngoneq.pmatrix import act_on_int_rows, gauged, move_matrices, pair_gauge, side_columns
+from ngoneq.exactfield import same_rows
+from ngoneq.fvectors import gale_table, vector_rows
+from ngoneq.pmatrix import (
+    act_on_int_rows, gauged, move_matrices, pair_gauge, side_columns, true_product,
+)
 from oracles import (
     InterleavedFrame,
     apply_move,
@@ -31,6 +33,7 @@ from oracles import (
     dense_fold,
     dense_product,
     distinct_assignments,
+    f_vector_table,
     factors_view,
     gauge,
     identity,
@@ -45,6 +48,7 @@ from oracles import (
     other_vertex,
     p_entry_vandermonde,
     product_view,
+    rat_row,
     reduce_on_read_act,
     row_sums,
     same_product,
@@ -590,6 +594,76 @@ def test_side_rows_and_factors_from_shared_blocks_equal_the_dense_oracle(n):
             assert product == dense_product(seq, zeta), (zeta.label, seq.side)
             factors = one_move_products(seq, matrices, zeta)
             assert factors == dense_factors(seq, zeta), (zeta.label, seq.side)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_products_and_vectors_leave_entry_by_entry_over_their_own_denominators(n):
+    """``true_product`` gives entry (i, j) of a side product and of each extended factor as
+    (x s(B_j), d_j s(A_i)), over column j's own denominator d_j times s(A_i), with no lcm over
+    the columns, and its value is the dense oracle's; ``vector_rows`` gives component w of a
+    vector over |L_w|, L_w = q_w^(n-1) prod_{y != w} q_y (z_w - z_y), at the oracle's value.
+    At consecutive, seeded, negative-fractional and mixed-denominator values."""
+    lhs, rhs = equation_sequences(n)
+    for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
+        matrices = move_matrices(lhs.moves + rhs.moves, zeta)
+        for seq in (lhs, rhs):
+            steps = [MoveSequence(n, seq.side, (move,), (old, new))
+                     for move, old, new in zip(seq.moves, seq.path, seq.path[1:])]
+            wants = [*dense_factors(seq, zeta), dense_product(seq, zeta)]
+            for step, want in zip([*steps, seq], wants):
+                final, initial = step.path[-1].pairs, step.path[0].pairs
+                columns = side_columns(step, matrices)
+                rows = true_product(columns, final, initial, zeta)
+                assert [[Fraction(*entry) for entry in row] for row in rows] == [
+                    list(row) for row in want.entries], (zeta.label, seq.side, step.moves)
+                assert [[d for _, d in row] for row in rows] == [
+                    [d * gauge(zeta, a) for _, d in columns] for a in final], zeta.label
+        z, vectors = zeta.values, f_vector_table(n, zeta)
+        ells = [abs(z[w].denominator ** (n - 1) * prod(
+            [z[y].denominator * (z[w] - z[y]) for y in range(n) if y != w])) for w in range(n)]
+        pairs = list(gale_table(n, zeta))
+        for pair, row in zip(pairs, vector_rows(n, zeta, pairs)):
+            assert [d for _, d in row] == ells, (zeta.label, pair)
+            assert tuple([Fraction(*entry) for entry in row]) == vectors[pair].components
+
+
+def _inversion_holds(seq, zeta, matrices) -> bool:
+    """Identity 4 on one side: M(1/z)[A][B] = M(z)[A][B] s(B) / s(A), s({i, j}) =
+    (z_i z_j)^(m-1), for every entry of the true side products (``true_product``), the one at
+    z from the given move matrices, the one at 1/z from its own."""
+    final, initial = seq.path[-1].pairs, seq.path[0].pairs
+    inverse = ZetaAssignment(zeta.n, tuple([1 / x for x in zeta.values]))
+    e = (zeta.n - 1) // 2 - 1
+    s = {pair: (zeta[pair.i] * zeta[pair.j]) ** e for pair in (*final, *initial)}
+    got, want = (true_product(side_columns(seq, m), final, initial, z) for m, z in (
+        (move_matrices(seq.moves, inverse), inverse), (matrices, zeta)))
+    return all(Fraction(*x) == Fraction(*y) * s[b] / s[a]
+               for a, got_row, want_row in zip(final, got, want)
+               for b, x, y in zip(initial, got_row, want_row))
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_inversion_maps_each_side_product_to_its_rescaled_self(n):
+    """Identity 4 (README): at 1/z each true side product is the one at z with entry (A, B)
+    times s(B) / s(A), s({i, j}) = (z_i z_j)^(m-1), m = floor((n-1)/2), on both sides, at
+    consecutive, seeded, negative-fractional and mixed-denominator values."""
+    for zeta in [*oracle_assignments(n), mixed_denominators(n)]:
+        for seq in equation_sequences(n):
+            matrices = move_matrices(seq.moves, zeta)
+            assert _inversion_holds(seq, zeta, matrices), (zeta.label, seq.side)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_a_tampered_move_matrix_breaks_inversion(n):
+    """Adding its column weight W_0 to the first numerator of any one move matrix at z, and
+    not at 1/z, breaks Identity 4 on the side of that move."""
+    zeta = negative_fractional(n)
+    for seq in equation_sequences(n):
+        matrices = move_matrices(seq.moves, zeta)
+        for move in seq.moves:
+            (first, *rows), weights = matrices[move]
+            tampered = ((first[0] + weights[0], *first[1:]), *rows), weights
+            assert not _inversion_holds(seq, zeta, {**matrices, move: tampered}), (seq.side, move)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
