@@ -3,12 +3,12 @@
 For any n >= 5 the package derives the two flip-move sequences of the polygon
 equation, attaches an exact rational matrix to every move, multiplies out both
 sides by applying each move to the rows it touches, and checks entrywise
-equality, all in exact arithmetic.
+equality, all in exact arithmetic. ``check_move_action`` and ``gale_table`` resolve on first
+use (PEP 562 ``__getattr__``): importing the package does not compile ``fvectors``.
 """
 
 from .errors import InternalError, InvalidInputError, MoveNotApplicableError
 from .exactfield import DenseMatrix, Rat, ZetaAssignment, rat_from_string
-from .fvectors import check_move_action, gale_table
 from .simplicial import (
     MoveSequence,
     PachnerMove,
@@ -44,3 +44,11 @@ __all__ = [
     "verify_equation",
     "verify_with_properties",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("check_move_action", "gale_table"):
+        from . import fvectors
+
+        return getattr(fvectors, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

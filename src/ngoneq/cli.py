@@ -6,11 +6,9 @@ Subcommands:
     export   write matrices, invariant vectors and reports as JSON or LaTeX
     suite    batch verification plus property suite over a range of n
 
-Every matrix stays in exact integers until ``export`` writes it, each entry (numerator,
-denominator) reduced on its own into the JSON "p/q" strings and LaTeX arrays made here, from the
-move matrices of every side written, built in one ``move_matrices`` call, each product (an
-extended matrix is the product of its one move) walked by ``pmatrix.side_columns`` and taken
-out of the pair gauge by ``true_product``, and from the vectors of ``fvectors.vector_rows``.
+``export`` and ``suite`` take what they write from ``commands``, which each imports when it
+runs and which imports nothing from this module: a ``verify`` or ``show`` line compiles only
+``cli``, ``verifier``, ``pmatrix``, ``simplicial``, ``exactfield``, ``errors`` and ``version``.
 
 Every option is one row of COMMANDS. _read_exact reads a line without argparse when each
 token is an exact option name of its command, as --opt=value or --opt value with a value not
@@ -29,18 +27,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from types import SimpleNamespace
 
 from .errors import InvalidInputError
-from .exactfield import EntryRow, ZetaAssignment
-from .fvectors import vector_rows
-from .pmatrix import move_matrices, side_columns, true_product
+from .exactfield import ZetaAssignment
 from .simplicial import MoveSequence, check_n, equation_sequences
-from .verifier import verify_equation, verify_with_properties
+from .verifier import verify_equation
 from .version import __version__
 
 EXIT_OK = 0
@@ -78,7 +72,9 @@ def _json_value(x, newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(out: str | dict, out_path: str | None) -> None:
+    """Write ``out``, a text or a JSON document, to stdout or to ``out_path``."""
+    text = out if type(out) is str else _json_dumps(out)
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -147,7 +143,7 @@ def _cmd_verify(args) -> int:
             "all_equal": all(r.equal for r in reports),
             "reports": [r.to_json_dict() for r in reports],
         }
-        _emit(_json_dumps(doc), args.out)
+        _emit(doc, args.out)
     else:
         lines = []
         for report in reports:
@@ -172,7 +168,7 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# show
+# show, export, suite
 # ---------------------------------------------------------------------------
 
 def _cmd_show(args) -> int:
@@ -195,141 +191,21 @@ def _cmd_show(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def _entry(x: int, d: int, fraction: str) -> str:
-    """x / d in lowest terms: the integer, or ``fraction`` filled with the sign, |p| and q."""
-    if not x:  # most entries of an extended factor: no gcd
-        return "0"
-    g = gcd(x, d)
-    return str(x // g) if g == d else fraction.format("-" if x < 0 else "", abs(x) // g, d // g)
-
-
-def _json_rows(rows: list[EntryRow]) -> list[list[str]]:
-    """Rows of entries (x, d) as "p/q" strings, "p" when q = 1."""
-    return [[_entry(x, d, "{}{}/{}") for x, d in row] for row in rows]
-
-
-def _latex_rows(rows: list[EntryRow]) -> str:
-    """Rows of entries (x, d) as a LaTeX array with \\frac{p}{q} entries."""
-    lines = ["\\left(\\begin{array}{%s}" % ("c" * len(rows[0]))]
-    for row in rows:
-        lines.append(" & ".join(_entry(x, d, "{}\\frac{{{}}}{{{}}}") for x, d in row) + " \\\\")
-    lines.append("\\end{array}\\right)")
-    return "\n".join(lines)
-
-
-def _side_products(seq: MoveSequence, matrices, zeta: ZetaAssignment):
-    """One side's true extended factors and product, left for ``_entry`` to reduce, from the
-    move matrices of both sides: each factor is the side product of its one-move sequence."""
-    path = seq.path
-    factors = [true_product(side_columns(MoveSequence(seq.n, seq.side, (move,), (old, new)),
-                                         matrices), new.pairs, old.pairs, zeta)
-               for move, old, new in zip(seq.moves, path, path[1:])]
-    return factors, true_product(side_columns(seq, matrices), path[-1].pairs, path[0].pairs, zeta)
-
-
-def _export_side(seq: MoveSequence, matrices, zeta: ZetaAssignment) -> dict:
-    factors, product = _side_products(seq, matrices, zeta)
-    return {
-        "moves": [m.to_json_dict() for m in seq.moves],
-        "shapes": [[len(rows), len(rows[0])] for rows in factors],
-        "matrices": [_json_rows(rows) for rows in factors],
-        "product": _json_rows(product),
-    }
-
-
 def _cmd_export(args) -> int:
     if args.trials > 1:
         raise InvalidInputError("export writes one assignment; --trials must be 1")
     (zeta,) = _resolve_assignments(args)
-    lhs, rhs = equation_sequences(args.n)
-    pairs = lhs.path[0].pairs
-    sides = {"lhs": lhs, "rhs": rhs}
-    if args.side != "both":
-        sides = {args.side: sides[args.side]}
-    matrices = move_matrices([move for seq in sides.values() for move in seq.moves], zeta)
+    from .commands import export  # compiled, with fvectors, the first time it runs
 
-    if args.format == "json":
-        doc = {
-            "command": "export",
-            "n": args.n,
-            "zeta": zeta.to_strings(),
-            "zeta_label": zeta.label,
-            "sides": {name: _export_side(seq, matrices, zeta) for name, seq in sides.items()},
-            "fvectors": dict(zip([f"{p.i},{p.j}" for p in pairs],
-                                 _json_rows(vector_rows(args.n, zeta, pairs)))),
-            "version": __version__,
-        }
-        _emit(_json_dumps(doc), args.out)
-    else:
-        blocks = []
-        for name, seq in sides.items():
-            factors, product = _side_products(seq, matrices, zeta)
-            blocks.append(f"% {name} product, leftmost factor applied last")
-            for move, rows in reversed(list(zip(seq.moves, factors))):
-                blocks.append(f"% factor for {move.label()}")
-                blocks.append(_latex_rows(rows))
-            blocks.append(f"% {name} product value")
-            blocks.append(_latex_rows(product))
-        _emit("\n".join(blocks) + "\n", args.out)
+    _emit(export(args, zeta), args.out)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# suite
-# ---------------------------------------------------------------------------
-
 def _cmd_suite(args) -> int:
-    if args.min_n < 5 or args.max_n < args.min_n:
-        raise InvalidInputError(
-            f"need 5 <= --min-n <= --max-n, got {args.min_n}..{args.max_n}"
-        )
-    if args.trials < 1:
-        raise InvalidInputError("--trials must be >= 1")
-    if args.seed is not None and args.trials == 1:
-        raise InvalidInputError(
-            "--seed seeds only the extra trials, which need --trials 2 or more; "
-            "the first trial always uses the consecutive assignment"
-        )
-    rows = []
-    all_ok = True
-    for n in range(args.min_n, args.max_n + 1):
-        start = time.perf_counter()
-        report = verify_with_properties(n, ZetaAssignment.consecutive(n))
-        extra_ok = True
-        for k in range(1, args.trials):
-            seed = (args.seed if args.seed is not None else 0) + k
-            extra_ok &= verify_equation(n, ZetaAssignment.random_distinct(n, seed)).equal
-        elapsed = time.perf_counter() - start
-        passed = sum(1 for p in report.properties if p.passed)
-        total = len(report.properties)
-        verified = report.equal and extra_ok
-        all_ok &= verified and passed == total
-        rows.append((n, verified, f"{passed}/{total}", f"{elapsed:.2f}s", report.properties))
+    from .commands import suite  # compiled, with fvectors, the first time it runs
 
-    if args.format == "json":
-        doc = {
-            "command": "suite",
-            "min_n": args.min_n,
-            "max_n": args.max_n,
-            "rows": [
-                {"n": n, "verified": v, "properties": p, "time": t,
-                 "details": {r.name: r.detail for r in results}}
-                for (n, v, p, t, results) in rows
-            ],
-            "all_passed": all_ok,
-        }
-        _emit(_json_dumps(doc), args.out)
-    else:
-        lines = [f"{'n':>3}  {'verified':>8}  {'properties':>10}  {'time':>8}"]
-        for n, verified, props, elapsed, results in rows:
-            lines.append(f"{n:>3}  {str(verified).lower():>8}  {props:>10}  {elapsed:>8}")
-            lines.extend(f"     {r.name}: {r.detail}" for r in results if not r.passed)
-        lines.append(f"all passed: {str(all_ok).lower()}")
-        _emit("\n".join(lines) + "\n", args.out)
+    out, all_ok = suite(args)
+    _emit(out, args.out)
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 

@@ -58,13 +58,15 @@ factor is the side product of its one-move sequence read entry by entry through
 ``triangulation_from_pairs`` the checked constructors it no longer has. ``identity_rows``
 writes out the identity rows that the row action holds as column indices, and
 ``tamper_move_matrices`` changes one move's view of its b-set's block for the negative
-controls. The small
-dense-matrix helpers at the end (identity, zeros, transpose, single-entry edits,
-vector stacks) serve the tests only.
+controls, in every module of the package (``package_modules``). ``symmetric_family``
+evaluates Identity 5's symmetric polynomials at simplex pairs. The small dense-matrix helpers
+at the end (identity, zeros, transpose, single-entry edits, vector stacks) serve the tests
+only.
 """
 
+import importlib
+import pkgutil
 import random
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,6 +76,7 @@ from math import comb, gcd, lcm, prod
 
 from hypothesis import strategies as st
 
+import ngoneq
 from ngoneq import (
     DenseMatrix,
     InternalError,
@@ -90,12 +93,12 @@ from ngoneq import (
 )
 import ngoneq.pmatrix as pmatrix_module
 from ngoneq.exactfield import IntRow, rank
-from ngoneq.fvectors import annihilates, power_weights
+from ngoneq.fvectors import SuiteContext, annihilates, power_weights
 from ngoneq.pmatrix import (
     IntMatrix, _identity, _rows_at, act_on_int_rows, side_columns, true_product,
 )
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
-from ngoneq.verifier import FirstDifference, PropertyResult, SuiteContext
+from ngoneq.verifier import FirstDifference, PropertyResult
 
 
 def vandermonde(indices, zeta: ZetaAssignment) -> Rat:
@@ -939,6 +942,20 @@ def fraction_det(rows) -> Rat:
     return det
 
 
+def symmetric_family(zeta: ZetaAssignment, pairs) -> list[tuple[Rat, ...]]:
+    """Identity 5's family at each pair (i, j), one row per pair: the basis x^a y^b + x^b y^a
+    (a < b < m) and x^a y^a (a < m), m = floor((n-1)/2), of the symmetric polynomials of degree
+    below m in each variable, evaluated at (z_i, z_j); columns ordered by (a, b), a <= b."""
+    m = move_size(zeta.n)
+    exponents = [(a, b) for a in range(m) for b in range(a, m)]
+    rows = []
+    for pair in pairs:
+        x, y = zeta[pair.i], zeta[pair.j]
+        rows.append(tuple(x**a * y**a if a == b else x**a * y**b + x**b * y**a
+                          for a, b in exponents))
+    return rows
+
+
 # Subset choices checked per common vertex by the independence property.
 INDEPENDENCE_SAMPLE = 50
 
@@ -1038,10 +1055,17 @@ def tamper_move_matrices(monkeypatch, change) -> list:
         assert all(p == fresh[move] for move, p in matrices.items())
         return {**matrices, **changed}
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, "move_matrices", None) is real:
+    for module in package_modules():
+        if getattr(module, "move_matrices", None) is real:
             monkeypatch.setattr(module, "move_matrices", tampered)
     return seen
+
+
+def package_modules() -> list:
+    """The package and every module in it, each imported here, so that patching a name
+    wherever it is looked up reaches the modules the package imports on first use too."""
+    return [ngoneq] + [importlib.import_module(f"ngoneq.{info.name}")
+                       for info in pkgutil.iter_modules(ngoneq.__path__)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import prod
@@ -15,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngoneq.cli as cli_module
+import ngoneq.commands as commands_module
 import ngoneq.exactfield as exactfield_module
+import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
 import ngoneq.simplicial as simplicial_module
-import ngoneq.verifier as verifier_module
 from ngoneq import (
     DenseMatrix,
     InternalError,
@@ -37,6 +39,7 @@ from oracles import (
     int_p_matrix,
     mixed_denominators,
     negative_fractional,
+    package_modules,
 )
 
 PERFBENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -279,6 +282,25 @@ def test_export_json_fvectors_equal_the_cleared_vector_oracle(capsys, n):
         assert list(json.loads(out)["fvectors"].items()) == list(want.items()), zeta.label
 
 
+def test_running_the_cli_as_a_script_imports_it_once(tmp_path):
+    """``python -m ngoneq.cli`` runs the module as ``__main__``. The module ``export`` and
+    ``suite`` import on first use imports nothing from ``cli``, so ``cli`` is not imported a
+    second time, as ``ngoneq.cli``, and the script writes what ``main`` writes."""
+    src = Path(cli_module.__file__).parents[1]
+    for argv in (["export", "--n", "5"], ["suite", "--min-n", "5", "--max-n", "5"]):
+        out = tmp_path / "script.txt"
+        code = ("import runpy, sys\n"
+                f"sys.argv = ['ngoneq', *{argv!r}, '--out', {str(out)!r}]\n"
+                "try:\n    runpy.run_module('ngoneq.cli', run_name='__main__')\n"
+                "except SystemExit as done:\n    print(done.code, 'ngoneq.cli' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.stdout == "0 False\n", (argv, done.stderr)
+        if argv[0] == "export":
+            assert main([*argv, "--out", str(tmp_path / "main.txt")]) == 0
+            assert out.read_text() == (tmp_path / "main.txt").read_text()
+
+
 def test_export_latex_contains_arrays(capsys):
     code, out, _ = run(capsys, "export", "--n", "5", "--format", "latex")
     assert code == 0
@@ -287,7 +309,7 @@ def test_export_latex_contains_arrays(capsys):
 
 
 def test_latex_rows_entries():
-    tex = cli_module._latex_rows([((-9, 6), (36, 6))])
+    tex = commands_module._latex_rows([((-9, 6), (36, 6))])
     assert "-\\frac{3}{2}" in tex and "& 6 " in tex
     assert tex.startswith("\\left(\\begin{array}{cc}")
 
@@ -297,7 +319,8 @@ def test_json_rows_read_as_fractions_in_lowest_terms():
     for _ in range(200):
         d = rng.randint(1, 60)
         v = tuple(rng.randint(-200, 200) for _ in range(4))
-        assert cli_module._json_rows([[(x, d) for x in v]]) == [[str(Fraction(x, d)) for x in v]]
+        want = [[str(Fraction(x, d)) for x in v]]
+        assert commands_module._json_rows([[(x, d) for x in v]]) == want
 
 
 @pytest.mark.parametrize("fmt", ["json", "latex"])
@@ -411,11 +434,11 @@ def test_only_fvectors_turns_gale_rows_into_vectors():
     suite's row and column tests and ``fvectors.vector_rows`` read, so neither the verifier
     nor the command line reads a value's parts or Delta, or names the old weight tables."""
     package = Path(cli_module.__file__).parent
-    for name in ("verifier.py", "cli.py"):
+    for name in ("verifier.py", "cli.py", "commands.py"):
         text = (package / name).read_text()
         for word in (".deltas", ".denominator", ".numerator", "weighted_powers"):
             assert word not in text, (name, word)
-    for owner in (ZetaAssignment, verifier_module.SuiteContext):
+    for owner in (ZetaAssignment, fvectors_module.SuiteContext):
         assert not hasattr(owner, "weighted_powers") and not hasattr(owner, "column_weights")
 
 
@@ -429,8 +452,8 @@ def _record_calls(monkeypatch, attr: str, source=simplicial_module) -> list:
         calls.append(args)
         return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ngoneq" and getattr(module, attr, None) is real:
+    for module in package_modules():
+        if getattr(module, attr, None) is real:
             monkeypatch.setattr(module, attr, counting)
     return calls
 
@@ -587,7 +610,7 @@ def test_suite_json_shows_the_detail_of_a_failed_property(monkeypatch, capsys):
     def failing(ctx):
         return PropertyResult("span_rank", False, f"q=1 rank 0, want {ctx.n}")
 
-    monkeypatch.setattr(verifier_module, "_prop_span_rank", failing)
+    monkeypatch.setattr(fvectors_module, "_prop_span_rank", failing)
     code, out, _ = run(capsys, "suite", "--min-n", "5", "--max-n", "5", "--format", "json")
     assert code == 1
     doc = json.loads(out)

@@ -21,15 +21,14 @@ from ngoneq import (
 )
 import ngoneq.fvectors as fvectors_module
 import ngoneq.pmatrix as pmatrix_module
-import ngoneq.verifier as verifier_module
 import oracles
-from ngoneq.verifier import (
+from ngoneq.fvectors import (
     SuiteContext,
     _prop_independence,
     _prop_initial_stack_rank,
     _prop_orthogonality,
-    verify_with_properties,
 )
+from ngoneq.verifier import verify_with_properties
 from ngoneq.exactfield import rank
 from ngoneq.simplicial import move_size
 from oracles import (
@@ -146,8 +145,8 @@ def test_stack_ranks_fall_back_to_the_full_rank_on_tampered_tables(monkeypatch, 
     decides, and every stack rank equals the full rank."""
     m, calls = move_size(n), []
     combination, changed = _combination_table(monkeypatch, n), _changed_component_table(n)
-    real = verifier_module.rank
-    monkeypatch.setattr(verifier_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
+    real = fvectors_module.rank
+    monkeypatch.setattr(fvectors_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
     ctx = _context(n, *combination)
     assert ctx.stack_ranks == _full_stack_ranks(ctx)
     if n <= 8:
@@ -162,8 +161,7 @@ def _suites_on_table(monkeypatch, n, zeta, rows):
     """The suite of verify_with_properties with ``rows`` in place of the Gale table, and
     fvector_property_suite with the Fraction view of ``rows`` in place of its vectors."""
     sequences = equation_sequences(n)
-    for module in (verifier_module, fvectors_module):
-        monkeypatch.setattr(module, "gale_table", lambda n, zeta: rows)
+    monkeypatch.setattr(fvectors_module, "gale_table", lambda n, zeta: rows)
     vectors = gale_vectors(n, zeta, rows)
     monkeypatch.setattr(oracles, "f_value_vector", lambda n, pair, zeta: vectors[pair])
     suite = verify_with_properties(n, zeta).properties
@@ -172,8 +170,8 @@ def _suites_on_table(monkeypatch, n, zeta, rows):
 
 def _initial_stack_rank_calls(monkeypatch, n, zeta, rows):
     """The initial-stack property on ``rows`` and the sizes of the ranks it takes."""
-    calls, real = [], verifier_module.rank
-    monkeypatch.setattr(verifier_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
+    calls, real = [], fvectors_module.rank
+    monkeypatch.setattr(fvectors_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
     ctx = SuiteContext(n, zeta, equation_sequences(n), {}, rows)
     return _prop_initial_stack_rank(ctx), calls
 
@@ -224,8 +222,8 @@ def test_initial_stack_certificate_needs_no_fallback(monkeypatch, n, seeded):
     zeta = ZetaAssignment.random_distinct(n, 7) if seeded else ZetaAssignment.consecutive(n)
     table, pairs = gale_table(n, zeta), initial_triangulation(n).pairs
     rows, want = {pair: table[pair] for pair in pairs}, max_stack_rank(n)
-    calls, real = [], verifier_module.rank
-    monkeypatch.setattr(verifier_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
+    calls, real = [], fvectors_module.rank
+    monkeypatch.setattr(fvectors_module, "rank", lambda rows: calls.append(len(rows)) or real(rows))
     ctx = SuiteContext(n, zeta, equation_sequences(n), {}, rows)
     ctx.orthogonal = dict.fromkeys(pairs, True)
     assert _prop_initial_stack_rank(ctx) == ("initial_stack_rank", True, f"rank {want}")
@@ -278,13 +276,13 @@ def test_suite_takes_n_plus_one_ranks(monkeypatch):
     """One rank per q-stack, of its m x m block, shared by independence and span rank,
     and one for the initial stack, of its first rows."""
     calls = []
-    real = verifier_module.rank
+    real = fvectors_module.rank
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(verifier_module, "rank", counting)
+    monkeypatch.setattr(fvectors_module, "rank", counting)
     for n in (5, 8, 11):
         calls.clear()
         results = verify_with_properties(n, ZetaAssignment.random_distinct(n, 7)).properties

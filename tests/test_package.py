@@ -48,10 +48,11 @@ def test_no_module_names_the_forward_factor_walk():
     naming = sorted(p.name for p in (SRC / "ngoneq").glob("*.py")
                     if "side_factors" in p.read_text())
     assert naming == []
-    imports = ast.parse((SRC / "ngoneq" / "cli.py").read_text())
-    imported = {alias.name for node in ast.walk(imports) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    assert imported.isdisjoint({"side_factors", "true_rows"})
+    for name in ("cli.py", "commands.py"):
+        imports = ast.parse((SRC / "ngoneq" / name).read_text())
+        imported = {alias.name for node in ast.walk(imports) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert imported.isdisjoint({"side_factors", "true_rows"}), name
 
 
 def test_only_pmatrix_reads_a_move_matrix():
@@ -66,7 +67,7 @@ def test_only_pmatrix_reads_a_move_matrix():
                      for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
                      for node in ast.walk(function) if isinstance(node, ast.Call)
                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "true_rows")
-    assert callers == [("verifier.py", "_prop_row_sums")]
+    assert callers == [("fvectors.py", "_prop_row_sums")]
 
 
 def test_the_version_is_declared_in_one_place():
@@ -86,18 +87,34 @@ def test_the_version_is_declared_in_one_place():
 def test_importing_the_package_and_cli_loads_no_heavy_stdlib_module():
     """dataclasses (with inspect), typing, traceback and argparse (with gettext) cost
     start-up time on every command; a fresh interpreter without site imports none of them
-    for ngoneq, nor while cli.main runs an accepted command line."""
+    for ngoneq, nor while cli.main runs an accepted command line. Importing the package and
+    a ``verify`` or ``show`` line load only the modules verify runs; the property suite
+    (``fvectors``) and what ``export`` and ``suite`` write (``commands``) load on first use."""
     heavy = ("dataclasses", "inspect", "typing", "traceback", "argparse", "gettext")
-    report = f"print(sorted(set({heavy!r}) & set(sys.modules)))"
+    report = (f"print(sorted(set({heavy!r}) & set(sys.modules)))\n"
+              "print(sorted(m for m in sys.modules if m.startswith('ngoneq.')))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    for run in ("", "ngoneq.cli.main(['verify', '--n', '5', '--format', 'json'])"):
+    verify = {f"ngoneq.{name}" for name in
+              ("cli", "errors", "exactfield", "pmatrix", "simplicial", "verifier", "version")}
+    suite, other = verify | {"ngoneq.fvectors"}, verify | {"ngoneq.commands", "ngoneq.fvectors"}
+    runs = {
+        "": verify,
+        "ngoneq.cli.main(['verify', '--n', '5', '--format', 'json'])": verify,
+        "ngoneq.verify_with_properties(5, ngoneq.ZetaAssignment.consecutive(5))": suite,
+        "ngoneq.cli.main(['export', '--n', '5'])": other,
+        "ngoneq.cli.main(['show', '--n', '5', '--side', 'lhs'])": verify,
+        "ngoneq.cli.main(['suite', '--min-n', '5', '--max-n', '5'])": other,
+    }
+    for run, modules in runs.items():
         code = f"import sys, ngoneq, ngoneq.cli\n{run}\n{report}"
         done = subprocess.run(
             [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]", run
+        *_, loaded_heavy, loaded = done.stdout.splitlines()
+        assert loaded_heavy == "[]", run
+        assert loaded == str(sorted(modules)), run
 
 
 def _records():

@@ -359,16 +359,16 @@ def test_lex_combination_lists_combinations_in_order():
 def test_independence_samples_the_choices_of_the_full_list(monkeypatch, n):
     """The sampled independence oracle checks, for every q, the same choices that
     sampling the list of all C(n-1, m) combinations under the same seed picks."""
-    m = verifier_module.move_size(n)
+    m = fvectors_module.move_size(n)
     checked = []
 
     def recording(self, pairs):
         checked.append(list(pairs))
         return m
 
-    monkeypatch.setattr(verifier_module.SuiteContext, "stack_rank", recording)
+    monkeypatch.setattr(fvectors_module.SuiteContext, "stack_rank", recording)
     zeta = ZetaAssignment.consecutive(n)
-    ctx = verifier_module.SuiteContext(n, zeta, None, {}, gale_table(n, zeta))
+    ctx = fvectors_module.SuiteContext(n, zeta, None, {}, gale_table(n, zeta))
     assert oracles.sampled_independence(ctx).passed
     all_choices = list(combinations(range(n - 1), m))
     assert len(all_choices) > oracles.INDEPENDENCE_SAMPLE
