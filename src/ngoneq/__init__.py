@@ -2,7 +2,7 @@
 
 For any n >= 5 the package derives the two flip-move sequences of the polygon
 equation, attaches an exact rational matrix to every move, multiplies out both
-sides by applying each move to the rows it touches, and checks entrywise
+sides by applying each move backwards to the columns it touches, and checks entrywise
 equality, all in exact arithmetic. ``check_move_action`` and ``gale_table`` resolve on first
 use (PEP 562 ``__getattr__``): importing the package does not compile ``fvectors``.
 """

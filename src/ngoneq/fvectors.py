@@ -16,9 +16,9 @@ Eisenbud-Popescu 2000). At integral values G' is (g_ij(z_w))_w. Only this module
 Lambda = diag(q_w^(k-1) / L_w): row 0 of ``power_weights`` over its top, which the suite's
 row and column tests read (``annihilates``, ``columns_annihilated``), and entry by entry over
 |L_w| in ``vector_rows``, which multiplies it out for export. The move-action check reads G'
-in the pair gauge (``gauged``). The property suite lives here too, beside what it reads: this
-module imports ``verifier``, whose ``verify_with_properties`` imports ``property_suite`` on its
-first call, so ``verify`` never compiles this module."""
+against the true move matrix (``true_rows``). The property suite lives here too, beside what
+it reads: this module imports ``verifier``, whose ``verify_with_properties`` imports
+``property_suite`` on its first call, so ``verify`` never compiles this module."""
 
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from math import lcm, prod
 from operator import mul
 
 from .errors import InvalidInputError
-from .exactfield import EntryRow, Rat, ZetaAssignment, rank, same_rows
-from .pmatrix import IntMatrix, act_on_int_rows, gauged, true_rows
+from .exactfield import EntryRow, Rat, ZetaAssignment, rank
+from .pmatrix import IntMatrix, true_rows
 from .simplicial import MoveSequence, PachnerMove, Pair, check_n, move_size
 from .verifier import PropertyResult
 
@@ -113,11 +113,11 @@ def check_move_action(move: PachnerMove, p: IntMatrix, rows: Mapping[Pair, tuple
                       zeta: ZetaAssignment) -> bool:
     """True iff the move's matrix ``p`` (``move_matrices``) maps the removed pairs' Gale rows
     (from ``gale_table``) exactly to the created pairs': iff P F_removed = F_created, that is,
-    as P = S_c^-1 P_hom S_r, iff P_hom maps S G_removed to S G_created (``gauged``)."""
-    rows = gauged(zeta, {pair: rows[pair] for pair in move.removed_pairs + move.created_pairs})
-    acted = {pair: (rows[pair], 1) for pair in move.removed_pairs}
-    act_on_int_rows(move, p, acted, zeta.n)
-    return all(same_rows(acted[pair], (rows[pair], 1)) for pair in move.created_pairs)
+    as Lambda scales every column alike, iff P G_removed = G_created, read row by row over the
+    true rows v / e of P (``true_rows``)."""
+    removed = list(zip(*[rows[pair] for pair in move.removed_pairs]))
+    return all([sum(map(mul, v, col)) for col in removed] == [e * x for x in rows[pair]]
+               for (v, e), pair in zip(true_rows(move, p, zeta), move.created_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ P_hom = N diag(1 / W_j) over the determinants Delta_ab = p_a q_b - p_b q_a of z 
 (``ZetaAssignment.deltas``), and P = S_c^-1 P_hom S_r with s(i, j) = (q_i q_j)^(m-1)
 (Identity 3, the pair gauge, in README; ``pair_gauge``). A side product of P_hom is
 S_final M S_initial^-1. Only this module reads a move matrix and knows the gauge: ``true_rows``
-takes a move matrix out of it, ``true_product`` a product entry by entry, and ``gauged`` puts
-rows keyed by pair in; none applies the gauge at integral values, where every s is 1.
+takes a move matrix out of it and ``true_product`` a product entry by entry; neither applies
+the gauge at integral values, where every s is 1.
 ``tests/oracles.py`` keeps the Vandermonde-ratio form of the entries as a cross-check.
 
 The entries depend only on the b-set B and the c-vertex of a row: W_j on B, row N(c, B) on
@@ -25,23 +25,21 @@ between c-set and centre). ``move_matrices`` builds one block per B over a list 
 W once and each row once, and every move's (N, W) reads the block. Each caller builds the
 blocks of both sides in one call.
 
-One primitive, ``act_on_int_rows``, applies a move's integer matrix in place to integer
-rows (``IntRow``) keyed by pair, in one of two orientations; no other loop combines rows.
-Forwards, the rows of the removed pairs become P times those rows, keyed by the created
-pairs. Backwards (``transpose``), the columns of a product X at the created pairs become
-those of X P at the removed pairs, so the column weight W_j of removed pair j scales output
-column j alone. Every other row is carried over. An identity row that no move has read is
-held as its column index k and read as the one entry (k, 1), with no scan; for n = 5..40 a
-side product writes none out, an extended matrix its padding. A row is read as given, with
-no gcd, and scaled there, once, by its lcm cofactor. The side product (``side_columns``) is
-the backward loop folded over a move sequence from the identity columns of its final
-triangulation, M^T = M_1^T ... M_k^T, so no read carries a W cofactor; its columns, half of
-them never read by a move, leave unreduced, compared by value (``same_rows``) and read out
-of the gauge by ``true_product``, each entry over its column's own denominator; so is an
-extended matrix, the side product of its one-move sequence. Forwards serves only the
-move-action check of ``fvectors``, on Gale rows (g, 1). All run in the pair gauge, with
-triangulations from ``MoveSequence.path`` and move matrices from the caller. The dense
-product of extended matrices is a test oracle.
+One primitive, ``act_on_int_rows``, applies a move's integer matrix backwards, in place, to
+the columns of a product X, held as integer rows (``IntRow``) keyed by pair; no other loop
+combines rows. The columns at the created pairs become those of X P at the removed pairs, so
+the column weight W_j of removed pair j scales output column j alone. Every other column is
+carried over. An identity column that no move has read is held as its column index k and
+read as the one entry (k, 1), with no scan; for n = 5..40 a side product writes none out, an
+extended matrix its padding. A column is read as given, with no gcd, and scaled there, once,
+by its lcm cofactor. The side product (``side_columns``) is the backward loop folded over a
+move sequence from the identity columns of its final triangulation, M^T = M_1^T ... M_k^T,
+so no read carries a W cofactor; its columns, half of them never read by a move, leave
+unreduced, compared by value (``same_rows``) and read out of the gauge by ``true_product``,
+each entry over its column's own denominator; so is an extended matrix, the side product of
+its one-move sequence. All run in the pair gauge, with triangulations from
+``MoveSequence.path`` and move matrices from the caller. The dense product of extended
+matrices is a test oracle.
 """
 
 from __future__ import annotations
@@ -112,14 +110,14 @@ def pair_gauge(zeta: ZetaAssignment, pairs) -> list[int]:
 def true_rows(move: PachnerMove, p: IntMatrix, zeta: ZetaAssignment) -> list[IntRow]:
     """A move's matrix ``p`` (``move_matrices``) as true rows at its created pairs A over
     D = lcm |W_j|: N_ij / W_j is N_ij (D / W_j) s(B_j) over D s(A_i), B_j its removed pairs,
-    not reduced; each row's numerators an iterator, read once."""
+    not reduced."""
     rows, weights = p
     d = lcm(*weights)
     scales, heights = [d // w for w in weights], repeat(d)
     if not zeta.integral:  # else every s(pair) is 1
         scales = list(map(mul, scales, pair_gauge(zeta, move.removed_pairs)))
         heights = [d * s for s in pair_gauge(zeta, move.created_pairs)]
-    return [(map(mul, row, scales), e) for row, e in zip(rows, heights)]
+    return [(tuple(map(mul, row, scales)), e) for row, e in zip(rows, heights)]
 
 
 def true_product(columns: list[IntRow], row_pairs, col_pairs,
@@ -135,52 +133,37 @@ def true_product(columns: list[IntRow], row_pairs, col_pairs,
             for row, s in zip(zip(*numerators), heights)]
 
 
-def gauged(zeta: ZetaAssignment, rows: dict[Pair, tuple[int, ...]]) -> dict:
-    """Rows keyed by pair put into the pair gauge, each times s(pair); ``rows`` at integral z."""
-    if zeta.integral:  # every s(pair) is 1
-        return rows
-    return {pair: tuple([s * x for x in row])
-            for (pair, row), s in zip(rows.items(), pair_gauge(zeta, rows))}
-
-
 def act_on_int_rows(move: PachnerMove, p: IntMatrix, rows: dict[Pair, IntRow | int],
-                    width: int, *, transpose: bool = False) -> None:
-    """Apply a move's matrix ``p`` = (N, W) (``move_matrices``) in place to rows of ``width``
-    entries keyed by pair; a row is an ``IntRow`` or, while no move has read it, the column
-    index k of its identity row e_k, read as the one entry (k, 1). The inputs v_i / d_i are
-    popped and output o is sum_i C[o][i] v_i / (d_i w_i r_o); every other row is kept.
-    Forwards, which serves Gale rows, the removed pairs' rows become P times them at the
-    created pairs: C = N, w = W, r = 1. With ``transpose``, which serves side products and an
-    extended matrix (the side product of one move), the created pairs' columns of a product X
-    become those of X P at the removed pairs: C = N^T, w = 1, r = W. No input is reduced: each
-    is scaled once to u_i = f_i v_i, f_i = L // (d_i w_i) signed, L = lcm(d_i w_i) > 0,
-    skipping zeros (e_k to (k, f_i)), and output o is sum_i C[o][i] u_i over L |r_o|, the sign
-    of r_o in C[o], left unreduced for a later move, ``same_rows`` or ``true_product``. At
-    seeded n = 14 the medians backwards are 91 bits for N and 445 for u; a read gcd would
-    strip a median 11 of 183 bits of a read denominator there and 629 of 1147 at n = 30."""
-    reads, writes, heights = move.removed_pairs, move.created_pairs, repeat(1)
-    coefficients, weights = p
-    if transpose:
-        reads, writes, weights, heights = writes, reads, heights, map(abs, weights)
-        coefficients = [c if w > 0 else [-x for x in c] for c, w in zip(zip(*p[0]), p[1])]
+                    width: int) -> None:
+    """Apply a move's matrix ``p`` = (N, W) (``move_matrices``) backwards, in place, to the
+    columns of a product X, held as rows of ``width`` entries keyed by pair: the columns of the
+    created pairs become those of X P at the removed pairs, and every other column is kept. A
+    column is an ``IntRow`` or, while no move has read it, the column index k of its identity
+    column e_k, read as the one entry (k, 1). No input is reduced: each created column v_i / d_i
+    is popped and scaled once to u_i = f_i v_i, f_i = L // d_i, L = lcm(d_i), skipping zeros
+    (e_k to (k, f_i)), and removed column j is sum_i N_ij u_i over L |W_j|, the sign of W_j
+    folded into coefficient column j, left unreduced for a later move, ``same_rows`` or
+    ``true_product``. At seeded n = 14 the medians are 91 bits for N and 445 for u; a read gcd
+    would strip a median 11 of 183 bits of a read denominator there and 629 of 1147 at n = 30."""
+    coefficients = [c if w > 0 else [-x for x in c] for c, w in zip(zip(*p[0]), p[1])]
     inputs, denominators = [], []
-    for pair, w in zip(reads, weights):
+    for pair in move.created_pairs:
         row = rows.pop(pair, None)
         if row is None:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) not present")
         inputs.append(row if type(row) is int else row[0])
-        denominators.append(w if type(row) is int else row[1] * w)
+        denominators.append(1 if type(row) is int else row[1])
     common = lcm(*denominators)
     sources = [((v, f),) if type(v) is int else [(k, x * f) for k, x in enumerate(v) if x]
                for v, f in zip(inputs, [common // d for d in denominators])]
-    for pair, coeffs, h in zip(writes, coefficients, heights):
+    for pair, coeffs, w in zip(move.removed_pairs, coefficients, p[1]):
         if pair in rows:
             raise MoveNotApplicableError(f"pair ({pair.i},{pair.j}) already present")
         acc = [0] * width
         for c, source in zip(coeffs, sources):
             for k, u in source:
                 acc[k] += c * u
-        rows[pair] = (tuple(acc), common * h)
+        rows[pair] = (tuple(acc), common * abs(w))
 
 
 def _identity(t: Triangulation) -> dict[Pair, int]:
@@ -200,8 +183,8 @@ def side_columns(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> l
     triangulation, in canonical order, its entries in final triangulation order, the two ends
     of ``seq.path``.
 
-    Computed as M^T = M_1^T ... M_k^T: each move is applied backwards (``transpose``) to the
-    columns it touches, starting from the identity columns of the final triangulation, held
+    Computed as M^T = M_1^T ... M_k^T: each move is applied backwards (``act_on_int_rows``) to
+    the columns it touches, starting from the identity columns of the final triangulation, held
     as column indices until a move reads them; no extended matrix is formed.
     """
     initial, final = seq.path[0], seq.path[-1]
@@ -209,7 +192,7 @@ def side_columns(seq: MoveSequence, matrices: dict[PachnerMove, IntMatrix]) -> l
         f"{seq.side} sequence for n={seq.n} does not end at the final triangulation")
     try:
         for move in reversed(seq.moves):
-            act_on_int_rows(move, matrices[move], columns, len(final), transpose=True)
+            act_on_int_rows(move, matrices[move], columns, len(final))
     except MoveNotApplicableError as exc:  # a move that does not apply backwards
         raise ends from exc
     if columns.keys() != set(initial.pairs):

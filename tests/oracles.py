@@ -31,8 +31,11 @@ folds ``reduce_on_read_act``, the row action that reduced each row it read by it
 a sequence, and ``row_walk_first_difference`` is the first difference read off its rows,
 taken out of the gauge here as ``pmatrix.true_rows`` took them before it read move matrices;
 ``transposed_move`` gives the row action a move's transpose, so that it walks a product's
-columns backwards, ``true_column_matrix`` reads integer columns in the gauge as the matrix of
-their true values, and ``same_product`` compares integer columns with integer rows by value.
+columns backwards, ``act_on_rows`` applies the row action forwards to rows of rationals, and
+``forward_move_action`` is the move-action check as it was when the package had a forward
+orientation: the Gale rows put into the gauge and acted on forwards, ``true_column_matrix``
+reads integer columns in the gauge as the matrix of their true values, and ``same_product``
+compares integer columns with integer rows by value.
 ``sampled_independence`` is the independence property as it was before the certificate: Bareiss ranks of
 seeded sampled (or, with ``sample=inf``, all) choices of vectors omitting a common
 vertex, and
@@ -92,11 +95,9 @@ from ngoneq import (
     initial_triangulation,
 )
 import ngoneq.pmatrix as pmatrix_module
-from ngoneq.exactfield import IntRow, rank
+from ngoneq.exactfield import IntRow, rank, same_rows
 from ngoneq.fvectors import SuiteContext, annihilates, power_weights
-from ngoneq.pmatrix import (
-    IntMatrix, _identity, _rows_at, act_on_int_rows, side_columns, true_product,
-)
+from ngoneq.pmatrix import IntMatrix, _identity, _rows_at, side_columns, true_product
 from ngoneq.simplicial import check_n, lhs_q_order, move_size, rhs_q_order
 from ngoneq.verifier import FirstDifference, PropertyResult
 
@@ -396,18 +397,31 @@ def p_entry_vandermonde(move: PachnerMove, zeta: ZetaAssignment, i: int, j: int)
 
 
 def act_on_rows(move: PachnerMove, zeta: ZetaAssignment, rows) -> dict:
-    """``act_on_int_rows`` on rows of rationals keyed by pair: returns a new
-    dict in which the rows of the removed pairs are replaced by P times those
-    rows, keyed by the created pairs, and every other row is carried over (the
-    same object); ``rows`` is left untouched. As P = S_c^-1 P_hom S_r, the removed
-    rows enter scaled by their gauge and the created rows leave divided by theirs."""
+    """The forward row action (``reduce_on_read_act``) on rows of rationals keyed by pair:
+    returns a new dict in which the rows of the removed pairs are replaced by P times those
+    rows, keyed by the created pairs, and every other row is carried over (the same object);
+    ``rows`` is left untouched. As P = S_c^-1 P_hom S_r, the removed rows enter scaled by
+    their gauge and the created rows leave divided by theirs."""
     removed = set(move.removed_pairs)
     out = {pair: int_row([x * gauge(zeta, pair) for x in row]) if pair in removed else row
            for pair, row in rows.items()}
-    act_on_int_rows(move, int_p_matrix(move, zeta), out, len(next(iter(rows.values()))))
+    reduce_on_read_act(move, int_p_matrix(move, zeta), out, len(next(iter(rows.values()))))
     for pair in move.created_pairs:
         out[pair] = tuple([x / gauge(zeta, pair) for x in rat_row(out[pair])])
     return out
+
+
+def forward_move_action(move: PachnerMove, p: IntMatrix, rows, zeta: ZetaAssignment) -> bool:
+    """``fvectors.check_move_action`` as it was, with the move applied forwards: the Gale
+    rows of the move's pairs are put into the pair gauge (``gauge``), the removed ones are
+    acted on by P_hom (``reduce_on_read_act``, on rows over 1 tuple-identical to the forward
+    orientation the package had), and the results are compared with the created ones by value
+    (``same_rows``): P_hom S G_removed = S G_created iff P G_removed = G_created."""
+    gauged = {pair: (tuple([gauge(zeta, pair) * x for x in rows[pair]]), 1)
+              for pair in move.removed_pairs + move.created_pairs}
+    acted = {pair: gauged[pair] for pair in move.removed_pairs}
+    reduce_on_read_act(move, p, acted, zeta.n)
+    return all(same_rows(acted[pair], gauged[pair]) for pair in move.created_pairs)
 
 
 def derive_move(t: Triangulation, q: int) -> PachnerMove:

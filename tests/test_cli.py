@@ -418,10 +418,10 @@ def test_the_package_reads_values_in_one_coordinate_system():
 
 
 def test_only_pmatrix_knows_the_pair_gauge():
-    """Identity 3 lives in one module: ``pmatrix.true_rows`` and ``pmatrix.gauged`` take rows
-    out of the pair gauge and put them in, so no other module names ``pair_gauge`` or reads
-    ``.integral``, the flag that says whether the gauge scales anything (``exactfield``
-    defines it with ``def integral``, which this search does not match)."""
+    """Identity 3 lives in one module: ``pmatrix.true_rows`` and ``pmatrix.true_product`` take
+    a move matrix and a product out of the pair gauge, so no other module names ``pair_gauge``
+    or reads ``.integral``, the flag that says whether the gauge scales anything
+    (``exactfield`` defines it with ``def integral``, which this search does not match)."""
     package = Path(cli_module.__file__).parent
     knowing = sorted(p.name for p in package.glob("*.py")
                      if "pair_gauge" in (text := p.read_text()) or ".integral" in text)

@@ -18,6 +18,8 @@ from ngoneq import (
     gale_table,
     initial_triangulation,
 )
+import ngoneq.pmatrix as pmatrix_module
+import oracles
 from ngoneq.fvectors import annihilates, power_weights, vector_rows
 from oracles import (
     check_orthogonality,
@@ -29,6 +31,7 @@ from oracles import (
     f_value_vector,
     f_vector,
     f_vector_table,
+    forward_move_action,
     g_value,
     gale_column_scales,
     gale_polynomial,
@@ -446,7 +449,7 @@ def test_move_action_detects_a_wrong_created_vector():
 @pytest.mark.parametrize("make", [negative_fractional, mixed_denominators])
 def test_move_action_detects_a_wrong_created_vector_at_fractional_values(make):
     """At fractional values the true table passes every move, and a created row
-    that is doubled (the acted row is reduced, so only its numerators differ) or
+    that is doubled (a multiple of the true row, which a comparison up to scale would pass) or
     perturbed in one component fails."""
     for n in (6, 7):
         z = make(n)
@@ -459,6 +462,48 @@ def test_move_action_detects_a_wrong_created_vector_at_fractional_values(make):
         row = rows[created]
         for wrong in (tuple(2 * x for x in row), _perturbed(row, {created.simplex()[0]: 1})):
             assert not check_move_action(move, int_p_matrix(move, z), {**rows, created: wrong}, z)
+
+
+def _with_first_numerator(change):
+    """A control for ``tamper_move_matrices``: numerator (0, 0) of every move's view replaced
+    by ``change(N_00, W_0)``."""
+    return lambda move, p: (((change(p[0][0][0], p[1][0]),) + p[0][0][1:],) + p[0][1:], p[1])
+
+
+MOVE_MATRIX_CONTROLS = {  # the suite's negative controls, in every move's view
+    "sign flipped": _with_first_numerator(lambda x, w: -x),
+    "raised by its column weight": _with_first_numerator(lambda x, w: x + w),
+    "doubled": _with_first_numerator(lambda x, w: 2 * x),
+}
+
+
+def _move_action_verdicts(n, zeta, rows):
+    """(``check_move_action``, ``forward_move_action``) at every move of both sides, over the
+    matrices ``move_matrices`` builds, looked up in ``pmatrix`` so that a control reaches it."""
+    moves = [move for seq in equation_sequences(n) for move in seq.moves]
+    matrices = pmatrix_module.move_matrices(moves, zeta)
+    return [(check_move_action(move, matrices[move], rows, zeta),
+             forward_move_action(move, matrices[move], rows, zeta)) for move in moves]
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_move_action_check_equals_the_forward_oracle_at_every_move(monkeypatch, n):
+    """P G_removed = G_created over the true rows of P (``check_move_action``) gives the
+    verdict of the forward row action on the Gale rows in the pair gauge
+    (``forward_move_action``) at every move of both sides: both True as built, and both False
+    at every move under each control (numerator (0, 0) sign-flipped, raised by its column
+    weight or doubled), at consecutive, seeded, negative-fractional and mixed-denominator
+    values."""
+    for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 1000 + n),
+                 negative_fractional(n), mixed_denominators(n)):
+        rows = gale_table(n, zeta)
+        verdicts = _move_action_verdicts(n, zeta, rows)
+        assert verdicts == [(True, True)] * len(verdicts), zeta.label
+        for name, change in MOVE_MATRIX_CONTROLS.items():
+            with monkeypatch.context() as m:
+                oracles.tamper_move_matrices(m, change)
+                assert _move_action_verdicts(n, zeta, rows) == [(False, False)] * len(verdicts), (
+                    zeta.label, name)
 
 
 def test_f_vector_table_holds_every_pair_in_order():

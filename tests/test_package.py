@@ -57,8 +57,9 @@ def test_no_module_names_the_forward_factor_walk():
 
 def test_only_pmatrix_reads_a_move_matrix():
     """A move matrix (N, W) is read out of the gauge only in ``pmatrix``: ``true_rows`` does
-    the lcm and scale work of the row-sum property, so ``verifier`` imports neither ``lcm``
-    nor ``mul``, and the one call of ``true_rows`` in the package is ``_prop_row_sums``."""
+    the lcm and scale work of the row-sum property and the move-action check, so ``verifier``
+    imports neither ``lcm`` nor ``mul``, and the two calls of ``true_rows`` in the package are
+    ``check_move_action`` and ``_prop_row_sums``."""
     trees = {p.name: ast.parse(p.read_text()) for p in (SRC / "ngoneq").glob("*.py")}
     imported = {alias.name for node in ast.walk(trees["verifier.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -67,7 +68,22 @@ def test_only_pmatrix_reads_a_move_matrix():
                      for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
                      for node in ast.walk(function) if isinstance(node, ast.Call)
                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "true_rows")
-    assert callers == [("fvectors.py", "_prop_row_sums")]
+    assert callers == [("fvectors.py", "_prop_row_sums"), ("fvectors.py", "check_move_action")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module of the package imports is read in that module or listed in its
+    ``__all__``: no import outlives the last use of its name."""
+    for path in sorted((SRC / "ngoneq").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                    for name in ast.literal_eval(node.value)}
+        assert imported - read - exported == set(), path.name
 
 
 def test_the_version_is_declared_in_one_place():

@@ -21,10 +21,11 @@ from ngoneq import (
 from ngoneq.exactfield import same_rows
 from ngoneq.fvectors import gale_table, vector_rows
 from ngoneq.pmatrix import (
-    act_on_int_rows, gauged, move_matrices, pair_gauge, side_columns, true_product,
+    act_on_int_rows, move_matrices, pair_gauge, side_columns, true_product,
 )
 from oracles import (
     InterleavedFrame,
+    TransposedMove,
     apply_move,
     build_p_matrix,
     act_on_rows,
@@ -421,33 +422,33 @@ def test_side_rows_are_integer_rows_of_the_dense_product(n):
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_removed_rows_are_read_by_value(n):
-    """Each removed row is read as given, with no gcd: fed as (k v, k d), k > 1 and
-    different for every row, instead of (v, d), it leaves every created row of
-    act_on_int_rows equal by value (``same_rows``), and fed in lowest terms it leaves
-    them tuple-identical to the reduce-on-read row walk (``reduce_on_read_act``), at every
-    move of both sides, at a seed and at fractional values. The created rows themselves
-    are stored unreduced: some are not in lowest terms."""
+    """Each column a move reads backwards is read as given, with no gcd: fed as (k v, k d),
+    k > 1 and different for every column, instead of (v, d), it leaves every column that
+    act_on_int_rows writes at the removed pairs equal by value (``same_rows``), and those
+    columns equal by value what the reduce-on-read row walk writes with the move's transpose
+    (``reduce_on_read_act``, ``transposed_move``), at every move of both sides from the final
+    triangulation's identity columns, at a seed and at fractional values. The written columns
+    themselves are stored unreduced: on the two sides, some are not in lowest terms."""
     for zeta in (ZetaAssignment.random_distinct(n, 3), negative_fractional(n)):
+        unreduced = 0  # none on the lhs at n = 5, seed 3: counted over both sides
         for seq in equation_sequences(n):
-            rows, unreduced = identity_rows(seq.path[0]), 0
-            for step, move in enumerate(seq.moves):
-                p, scaled, lowest = int_p_matrix(move, zeta), dict(rows), dict(rows)
-                for k, pair in enumerate(move.removed_pairs, start=2 + step):
+            width = len(seq.path[-1])
+            rows = identity_rows(seq.path[-1])
+            for step, move in enumerate(reversed(seq.moves)):
+                p, scaled, oracle = int_p_matrix(move, zeta), dict(rows), dict(rows)
+                for k, pair in enumerate(move.created_pairs, start=2 + step):
                     v, d = rows[pair]
                     scaled[pair] = (tuple([k * x for x in v]), k * d)
-                    g = gcd(d, *v)
-                    lowest[pair] = (tuple([x // g for x in v]), d // g)
-                oracle = dict(lowest)
-                act_on_int_rows(move, p, rows, len(seq.path[0]))
-                act_on_int_rows(move, p, scaled, len(seq.path[0]))
-                act_on_int_rows(move, p, lowest, len(seq.path[0]))
-                reduce_on_read_act(move, p, oracle, len(seq.path[0]))
-                assert scaled.keys() == rows.keys(), (n, zeta.label, seq.side, step)
-                assert all(same_rows(scaled[pair], rows[pair]) for pair in rows), (
+                act_on_int_rows(move, p, rows, width)
+                act_on_int_rows(move, p, scaled, width)
+                reduce_on_read_act(*transposed_move(move, p), oracle, width)
+                assert scaled.keys() == rows.keys() == oracle.keys(), (
                     n, zeta.label, seq.side, step)
-                assert lowest == oracle, (n, zeta.label, seq.side, step)
-                unreduced += sum(gcd(d, *v) > 1 for v, d in map(rows.get, move.created_pairs))
-            assert unreduced, (n, zeta.label, seq.side)
+                assert all(same_rows(scaled[pair], rows[pair]) and
+                           same_rows(oracle[pair], rows[pair]) for pair in rows), (
+                    n, zeta.label, seq.side, step)
+                unreduced += sum(gcd(d, *v) > 1 for v, d in map(rows.get, move.removed_pairs))
+        assert unreduced, (n, zeta.label)
 
 
 def _true_side_rows(seq, zeta):
@@ -540,8 +541,8 @@ def test_the_sides_pair_their_b_sets_and_share_each_block(n):
     """The rhs visits the lhs b-sets in reverse order, after one move of its own at odd n,
     so the K_L + K_R moves use ceil((K_L + K_R) / 2) b-sets. ``move_matrices`` over both
     sides gives each pair of moves one W tuple and the numerator rows of their common
-    c-vertices as the same objects. Each side reads every row of its initial triangulation
-    forwards and every column of its final triangulation backwards."""
+    c-vertices as the same objects. Each side's moves create every pair of its final
+    triangulation and remove every pair of its initial one."""
     lhs, rhs = equation_sequences(n)
     left, right = [m.b_set for m in lhs.moves], [m.b_set for m in rhs.moves]
     extra = right[: n % 2]
@@ -668,19 +669,20 @@ def test_a_tampered_move_matrix_breaks_inversion(n):
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_an_identity_row_held_as_its_column_index_reads_as_written_out(n):
-    """Every move of both sides gives the same created rows, tuple for tuple, whether the
-    identity rows it reads are held as column indices or written out."""
+    """Every move of both sides, applied backwards from the final triangulation, writes the
+    same columns, tuple for tuple, whether the identity columns it reads are held as column
+    indices or written out."""
     zeta = negative_fractional(n)
     for seq in equation_sequences(n):
-        initial = seq.path[0]
-        implicit, written = dict(zip(initial.pairs, range(len(initial)))), identity_rows(initial)
-        for move in seq.moves:
+        final = seq.path[-1]
+        implicit, written = dict(zip(final.pairs, range(len(final)))), identity_rows(final)
+        for move in reversed(seq.moves):
             p = int_p_matrix(move, zeta)
-            act_on_int_rows(move, p, implicit, len(initial))
-            act_on_int_rows(move, p, written, len(initial))
-            assert [implicit[c] for c in move.created_pairs] == [
-                written[c] for c in move.created_pairs]
-        unit = identity_rows(initial)
+            act_on_int_rows(move, p, implicit, len(final))
+            act_on_int_rows(move, p, written, len(final))
+            assert [implicit[c] for c in move.removed_pairs] == [
+                written[c] for c in move.removed_pairs]
+        unit = identity_rows(final)
         assert implicit.keys() == written.keys()
         assert all(written[pair] == (unit[pair] if type(row) is int else row)
                    for pair, row in implicit.items())
@@ -688,32 +690,34 @@ def test_an_identity_row_held_as_its_column_index_reads_as_written_out(n):
 
 @pytest.mark.parametrize("n", range(5, 17))
 def test_row_action_equals_the_cofactor_product_oracle_at_every_move(n):
-    """Each read row scaled by its lcm cofactor once leaves the same dict as the row action
-    that multiplied N_ij f_j into every entry (``cofactor_product_act``): tuple-identical
-    numerators and denominators after every move of both sides, on the Gale rows the
-    move-action check feeds it (``gauged``), at integral, seeded, negative-fractional and
-    mixed-denominator values. (Walks from column indices are the column walk's, below.)"""
+    """Each read column scaled by its lcm cofactor once leaves the same dict as the row action
+    that multiplied N_ij f_i into every entry (``cofactor_product_act``), run for each removed
+    pair j alone on column j of P over |W_j|, the sign of W_j folded in: tuple-identical
+    numerators and denominators after every move of both sides, applied backwards to the Gale
+    rows (g, 1) at its created pairs, at integral, seeded, negative-fractional and
+    mixed-denominator values. (Walks from column indices are the column walk's, below; the
+    move-action check on Gale rows is ``test_fvectors``'s forward oracle test.)"""
     lhs, rhs = equation_sequences(n)
     for zeta in (ZetaAssignment.consecutive(n), ZetaAssignment.random_distinct(n, 1000 + n),
                  negative_fractional(n), mixed_denominators(n)):
         matrices, gale = move_matrices(lhs.moves + rhs.moves, zeta), gale_table(n, zeta)
         for seq in (lhs, rhs):
             for step, move in enumerate(seq.moves):
-                p = matrices[move]
-                touched = gauged(zeta, {pair: gale[pair]
-                                        for pair in move.removed_pairs + move.created_pairs})
-                acted = {pair: (touched[pair], 1) for pair in move.removed_pairs}
-                oracle = dict(acted)
-                act_on_int_rows(move, p, acted, n)
-                cofactor_product_act(move, p, oracle, n)
+                (numerators, weights), read = matrices[move], {
+                    pair: (gale[pair], 1) for pair in move.created_pairs}
+                acted, oracle = dict(read), {}
+                act_on_int_rows(move, matrices[move], acted, n)
+                for pair, column, w in zip(move.removed_pairs, zip(*numerators), weights):
+                    one, sign = dict(read), 1 if w > 0 else -1
+                    p_j = (tuple([sign * x for x in column]),), (abs(w),) * len(column)
+                    cofactor_product_act(TransposedMove(move.created_pairs, (pair,)), p_j, one, n)
+                    oracle[pair] = one[pair]
                 assert acted == oracle, (n, zeta.label, seq.side, step)
-                assert all(same_rows(acted[pair], (touched[pair], 1))
-                           for pair in move.created_pairs), (n, zeta.label, seq.side, step)
 
 
 @pytest.mark.parametrize("n", range(5, 17))
 def test_column_walk_equals_the_row_walk_oracle_at_every_move(n):
-    """Each move applied backwards (``transpose``) to a product's columns leaves the same
+    """Each move applied backwards (``act_on_int_rows``) to a product's columns leaves the same
     values as the reduce-on-read row walk (``reduce_on_read_act``) applied to those columns
     with the move's transpose (``transposed_move``): equal by value (``same_rows``) after
     every backward move of both sides, starting from the final triangulation's identity
@@ -728,7 +732,7 @@ def test_column_walk_equals_the_row_walk_oracle_at_every_move(n):
             columns = dict(zip(seq.path[-1].pairs, range(width)))
             expected = dict(columns)
             for step, move in enumerate(reversed(seq.moves)):
-                act_on_int_rows(move, matrices[move], columns, width, transpose=True)
+                act_on_int_rows(move, matrices[move], columns, width)
                 reduce_on_read_act(*transposed_move(move, matrices[move]), expected, width)
                 assert columns.keys() == expected.keys(), (n, zeta.label, seq.side, step)
                 assert all(same_rows(c, expected[pair]) if type(c) is not int
@@ -748,8 +752,7 @@ def test_column_walk_equals_the_dense_suffix_product_at_every_move(n):
             final, factors = seq.path[-1], dense_factors(seq, zeta)
             columns, suffix = dict(zip(final.pairs, range(len(final)))), identity(len(final))
             for k in reversed(range(len(seq.moves))):
-                act_on_int_rows(seq.moves[k], matrices[seq.moves[k]], columns, len(final),
-                                transpose=True)
+                act_on_int_rows(seq.moves[k], matrices[seq.moves[k]], columns, len(final))
                 suffix, before = suffix.mul(factors[k]), seq.path[k]
                 written = identity_rows(final)
                 got = [written[final.pairs[c]] if type(c) is int else c
@@ -777,18 +780,12 @@ def test_side_rows_at_large_seeded_n_equal_the_cofactor_product_oracle(n):
 
 
 def test_row_action_on_column_indices_rejects_inapplicable_moves():
-    """Reading an absent pair and writing a present one raise, with identity rows held as
-    column indices, in both orientations: forwards a move reads its removed pairs and
-    writes its created ones, backwards (``transpose``) the other way round."""
+    """Reading an absent pair and writing a present one raise, with identity columns held as
+    column indices: backwards a move reads its created pairs and writes its removed ones."""
     move = PachnerMove(5, 2, (3, 5), (1, 4))
     p = int_p_matrix(move, CONSEC[5])
     with pytest.raises(MoveNotApplicableError, match="not present"):
-        act_on_int_rows(move, p, {move.removed_pairs[0]: 0}, 3)
-    present = {move.removed_pairs[0]: 0, move.removed_pairs[1]: 1, move.created_pairs[0]: 2}
-    with pytest.raises(MoveNotApplicableError, match="already present"):
-        act_on_int_rows(move, p, present, 3)
-    with pytest.raises(MoveNotApplicableError, match="not present"):
-        act_on_int_rows(move, p, {move.created_pairs[0]: 0}, 3, transpose=True)
+        act_on_int_rows(move, p, {move.created_pairs[0]: 0}, 3)
     present = {move.created_pairs[0]: 0, move.created_pairs[1]: 1, move.removed_pairs[0]: 2}
     with pytest.raises(MoveNotApplicableError, match="already present"):
-        act_on_int_rows(move, p, present, 3, transpose=True)
+        act_on_int_rows(move, p, present, 3)
